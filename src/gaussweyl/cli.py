@@ -418,7 +418,7 @@ def cmd_garding(args) -> int:
         params={"eps": args.eps},
     )
     cfg.validate()
-    rep = garding_verify(sym, TruncationSet(sym.d, args.N), _ctx(cfg))
+    rep = garding_verify(sym, TruncationSet(sym.d, args.N), _ctx(cfg), eps=args.eps)
     contract = {
         "name": "measured min eigenvalue >= Garding bound (margin >= -1e-9)",
         "passed": bool(rep.margin >= -1e-9),
@@ -447,8 +447,6 @@ def cmd_flandrin(args) -> int:
         h=args.h,
         N=args.N,
         d=1,
-        order=args.order,
-        seed=args.seed,
         output=args.output,
         format=args.format,
         params={"a": "inf" if math.isinf(a) else a, "points": args.points, "nodes": args.nodes},
@@ -590,15 +588,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p, default_format: str, with_symbol: bool = False, with_n: bool = False):
+def _add_common(p, default_format: str, with_symbol: bool = False, with_n: bool = False,
+                with_order_seed: bool = True):
     if with_symbol:
         p.add_argument("--symbol", required=True, help="symbol text, e.g. gaussian:nu=2.0,anorm=1.0")
     if with_n:
         p.add_argument("--N", type=int, default=4, help="truncation degree")
         p.add_argument("--d", type=int, default=None, help="pair count (defaults to the symbol's)")
     p.add_argument("--h", type=float, default=1.0, help="semiclassical parameter")
-    p.add_argument("--order", type=int, default=None, help="fixed quadrature order (default: adaptive)")
-    p.add_argument("--seed", type=int, default=0, help="RNG stream (default 0)")
+    if with_order_seed:
+        p.add_argument("--order", type=int, default=None, help="fixed quadrature order (default: adaptive)")
+        p.add_argument("--seed", type=int, default=0, help="RNG stream (default 0)")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
 
@@ -650,9 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="top eigenvalue of the box-localization matrix")
     p.add_argument("--a", required=True, help="box size (positive float or inf)")
     p.add_argument("--N", type=int, default=32, help="Hermite section degree")
-    p.add_argument("--points", type=int, default=None, help="quadrature points per axis")
+    p.add_argument("--points", type=int, default=None,
+                   help="quadrature points: of the radial rule at a=inf, per axis of the 2-D panels otherwise")
     p.add_argument("--nodes", type=int, default=16, help="GL nodes per panel")
-    _add_common(p, "json")
+    _add_common(p, "json", with_order_seed=False)
     p.set_defaults(func=cmd_flandrin)
 
     p = sub.add_parser("stochext",

@@ -14,7 +14,6 @@ different h values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -279,17 +278,17 @@ def _assert_nonneg(sym, ctx: CalcContext) -> None:
         raise ValueError("symbol takes negative values on the test cloud")
 
 
-def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2) -> GardingReport:
+def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2, eps="j^-2") -> GardingReport:
     """Measure the least eigenvalue of the operator section and compare with
-    the Garding bound computed from the symbol-class norm (depth m, built-in
-    eps_j = j^{-2}).
+    the Garding bound computed from the symbol-class norm (depth m) and the
+    epsilon sequence eps (any spec garding_bound accepts; default j^{-2}).
 
     The class norm from cv_class_params can only overestimate, which loosens
     (never tightens) the bound, so a passing margin is meaningful.
     """
     _assert_nonneg(sym, ctx)
     params = cv_class_params(sym, m)
-    rep = garding_bound("j^-2", ctx.h, params.M)
+    rep = garding_bound(eps, ctx.h, params.M)
     om = assemble_matrix(sym, truncation, ctx)
     min_eig = float(eig_hermitian(om)[0])
     return replace(
@@ -321,19 +320,39 @@ def _grid(rule_x, rule_y):
     return x, y, w
 
 
+def _quarter_angle(m: int) -> complex:
+    """int_0^{pi/2} e^{i m theta} d theta."""
+    return complex(math.pi / 2.0) if m == 0 else (np.exp(0.5j * math.pi * m) - 1.0) / (1j * m)
+
+
 def flandrin_matrix(a: float, N: int, points: int | None = None, nodes: int = 16, bridge_ctx: CalcContext | None = None) -> np.ndarray:
     """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N.
 
-    Gauss-Legendre panels on [0, min(a, R(N))]; the region beyond R(N)
-    contributes below double precision.  With bridge_ctx the entries are
-    rebuilt through the h-dependent Gaussian bridge instead of the h-free
-    table (the h-cancellation self-check)."""
+    The region beyond R(N) contributes below double precision.  For the
+    quarter plane (a = inf, table route) the polar separation
+    W_cl(r, theta) = W_cl(r, 0) e^{i m theta}, m = k - j, gives
+
+        M_jk(inf) = int_0^{pi/2} e^{i m theta} d theta * int_0^R W_cl(r, 0) r dr,
+
+    an exact angle factor times one radial Gauss-Legendre panel rule of about
+    `points` nodes on [0, R(N)].  Otherwise (finite boxes, and the bridge) the
+    integral runs on the 2-D grid of that panel rule on [0, min(a, R(N))]^2.
+    With bridge_ctx the entries are rebuilt through the h-dependent Gaussian
+    bridge instead of the h-free table (the h-cancellation self-check)."""
     L = flandrin_domain_radius(N) if math.isinf(a) else min(a, flandrin_domain_radius(N))
     pts = points or _axis_points(L, N)
     rule = gl_panel_rule(0.0, L, max(3, math.ceil(pts / nodes)), nodes)
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    if math.isinf(a) and bridge_ctx is None:
+        r = rule.nodes
+        wr = rule.weights * r
+        for j, k, vals in classical_wigner_diagonals(N, r, np.zeros_like(r)):
+            s = _quarter_angle(k - j) * complex(np.dot(vals, wr))
+            M[j, k] = s
+            M[k, j] = np.conjugate(s)
+        return M
     x, y, w = _grid(rule, rule)
     w = w.astype(complex)
-    M = np.zeros((N + 1, N + 1), dtype=complex)
     if bridge_ctx is None:
         for j, k, vals in classical_wigner_diagonals(N, x, y):
             s = complex(np.dot(vals, w))
@@ -383,6 +402,10 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None
     section of degree N, with panel-doubling quadrature control, an
     N-convergence table from nested sections, and the two-h bridge check.
 
+    At a = inf the matrix comes from the polar route of flandrin_matrix, so
+    the doubling refines its radial rule and the bridge (2-D panels) is an
+    independent second route; for finite a both run on 2-D panels.
+
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
     [0,a)^2 exceeds its norm; the report carries the measured excess and its
     convergence rather than asserting a margin.
@@ -429,7 +452,10 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None
     h_dev = float(np.max(np.abs(mb1 - mb2)))
     bridge_dev = float(max(np.max(np.abs(mb1 - mt)), np.max(np.abs(mb2 - mt))))
 
-    quad_desc = f"GL panels on [0,{L:.6g}]^2, {pts} pts/axis, {nodes} nodes/panel"
+    if math.isinf(a):
+        quad_desc = f"polar: exact angle, radial GL panels on [0,{L:.6g}], {pts} pts, {nodes} nodes/panel"
+    else:
+        quad_desc = f"GL panels on [0,{L:.6g}]^2, {pts} pts/axis, {nodes} nodes/panel"
     return FlandrinReport(
         a=a,
         h=ctx.h,
@@ -494,12 +520,3 @@ def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
     lhs = lhs.real if abs(lhs.imag) < 1e-10 else lhs
     rhs = rhs.real if abs(rhs.imag) < 1e-10 else rhs
     return lhs, rhs, float(abs(lhs - rhs))
-
-
-def write_convergence_csv(path, rows, header) -> None:
-    """Plot-ready long-format CSV with repr-exact floats."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(list(header))
-        for row in rows:
-            w.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])

@@ -280,10 +280,44 @@ def classical_wigner_closed(j: int, k: int, x: float, eta: float) -> complex:
 
 def flandrin_entry(j: int, k: int, a: float) -> complex:
     """M_{jk}(a) = squared-region integral of W_cl(phi_j, phi_k); a = inf -> quarter plane."""
-    hi = 12.0 if math.isinf(a) else a
-    return dblquad_c(
-        lambda x, eta: classical_wigner_closed(j, k, x, eta), 1.0, None
-    ) if False else _flandrin_quad(j, k, hi)
+    return _flandrin_quad(j, k, 12.0 if math.isinf(a) else a)
+
+
+def flandrin_quarter_entry(j: int, k: int) -> complex:
+    """M_{jk}(inf) for j <= k in polar closed form, summed in mpmath.
+
+    W_cl(phi_j, phi_k) is e^{i m theta} (m = k - j) times a radial profile,
+    so the quarter-plane angle integral is (e^{i m pi/2} - 1)/(i m) (pi/2 at
+    m = 0), and after z = 4 pi r^2 the radial one is
+
+        sqrt(j!/k!) (-1)^j / (4 pi) int_0^inf e^{-z/2} z^{m/2} L_j^{(m)}(z) dz
+        = sqrt(j!/k!) (-1)^j / (4 pi) Gamma(b) C(j+m, j) 2^b 2F1(-j, b; m+1; 2),
+
+    b = m/2 + 1 (the Laplace transform of t^{b-1} L_j^{(m)}(t) at s = 1/2).
+    """
+    m = k - j
+    with mpmath.workdps(60):
+        b = mpmath.mpf(m) / 2 + 1
+        radial = (
+            mpmath.gamma(b)
+            * mpmath.binomial(j + m, j)
+            * mpmath.power(2, b)
+            * mpmath.hyp2f1(-j, b, m + 1, 2)
+        )
+        radial *= mpmath.sqrt(mpmath.factorial(j) / mpmath.factorial(k)) * (-1) ** j / (4 * mpmath.pi)
+        angle = mpmath.pi / 2 if m == 0 else (mpmath.expj(m * mpmath.pi / 2) - 1) / (1j * m)
+        return complex(angle * radial)
+
+
+def flandrin_quarter_tops(N: int) -> dict:
+    """Top eigenvalue of the quarter-plane matrix on each nested section n <= N."""
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    for j in range(N + 1):
+        for k in range(j, N + 1):
+            M[j, k] = flandrin_quarter_entry(j, k)
+            M[k, j] = np.conjugate(M[j, k])
+    sections = sorted({n for n in (2, 4, 8, 16, 32, 64) if n <= N} | {N})
+    return {n: float(np.linalg.eigvalsh(M[: n + 1, : n + 1])[-1]) for n in sections}
 
 
 def _flandrin_quad(j: int, k: int, hi: float) -> complex:
@@ -416,6 +450,8 @@ def main() -> None:
     print("== flandrin ==")
     for (j, k) in [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]:
         print(f"M_({j}{k})(inf)             ", repr(_flandrin_quad(j, k, 12.0)))
+    for n, top in flandrin_quarter_tops(64).items():
+        print(f"top M(inf), section {n:<2d}    ", repr(top))
     print("M_00(a=1)                  ", repr(_flandrin_quad(0, 0, 1.0)))
     print("M_01(a=1)                  ", repr(_flandrin_quad(0, 1, 1.0)))
     print("W_cl direct(0,0)(0.2,0.3)  ", repr(classical_wigner_direct(0, 0, 0.2, 0.3)))

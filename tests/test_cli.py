@@ -71,6 +71,22 @@ def test_garding_json(capsys):
     assert rep["contract"]["passed"] is True
 
 
+def test_garding_eps_is_wired_through(capsys):
+    assert main(["garding", "--symbol", GAUSS, "--N", "6"]) == 0
+    default = capsys.readouterr()
+    assert main(["garding", "--symbol", GAUSS, "--N", "6", "--eps", "j^-2"]) == 0
+    explicit = capsys.readouterr()
+    assert explicit.out == default.out and explicit.err == default.err
+    assert main(["garding", "--symbol", GAUSS, "--N", "6", "--eps", "2^-j"]) == 0
+    geo = json.loads(capsys.readouterr().out)["results"]
+    lemma = json.loads(default.out)["results"]
+    assert lemma["epsilon"] == "j^-2" and geo["epsilon"] == "2^-j"
+    # sum of 81 pi eps_j^2 at h = 1: 81 pi^5/90 for j^-2, 27 pi for 2^-j
+    assert abs(lemma["sum_lambda"] - 81.0 * math.pi**5 / 90.0) <= 1e-9
+    assert abs(geo["sum_lambda"] - 27.0 * math.pi) <= 1e-9
+    assert main(["garding", "--symbol", GAUSS, "--N", "6", "--eps", "bogus"]) == 1
+
+
 def test_radial_hypothesis_branches(capsys):
     rc = main(["radial", "--symbol", "radial:phi=polyexp:1.0,-1.0,d=1", "--N", "4"])
     assert rc == 0
@@ -201,6 +217,22 @@ def test_usage_and_domain_errors_exit_1(capsys):
     for argv in cases:
         assert main(argv) == 1, argv
         capsys.readouterr()
+
+
+def test_flandrin_rejects_order_and_seed(capsys):
+    # flandrin has no fixed-order rule and no randomness, so neither flag exists
+    for flag, value in (("--order", "5"), ("--seed", "3")):
+        assert main(["flandrin", "--a", "inf", flag, value]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flandrin_spec_names_the_route(capsys):
+    specs = {}
+    for a in ("inf", "1.0"):
+        assert main(["flandrin", "--a", a, "--N", "4"]) == 0
+        specs[a] = json.loads(capsys.readouterr().out)["quadrature"]["spec"]
+    assert specs["inf"].startswith("polar: exact angle, radial GL panels on [0,")
+    assert specs["1.0"].startswith("GL panels on [0,1]^2")
 
 
 def test_quadrature_stall_exits_2(capsys):

@@ -18,7 +18,6 @@ from gaussweyl.positivity import (
     nonpos_witness,
     radial_lower_bound,
     radial_positivity_check,
-    write_convergence_csv,
 )
 from gaussweyl.quadform import HermiteExpansion
 from gaussweyl.symbols import (
@@ -230,6 +229,33 @@ def test_flandrin_domain_radius_clips_large_boxes():
     assert np.max(np.abs(M1 - M2)) <= 1e-12
 
 
+def test_flandrin_polar_route_matches_panel_grid():
+    # a = inf takes the polar route (exact angle, radial rule); a = R(N)
+    # integrates the same truncated domain on the 2-D panel grid
+    for N in (4, 16, 32):
+        polar = flandrin_matrix(math.inf, N)
+        grid = flandrin_matrix(flandrin_domain_radius(N), N)
+        assert np.max(np.abs(polar - grid)) <= 1e-12, N
+
+
+# Frozen from the mpmath polar closed form (oracles.flandrin_quarter_tops).
+FROZEN_QUARTER_TOPS = {
+    2: 0.7228585812038237,
+    4: 0.9287496572874941,
+    8: 0.998757603246775,
+    16: 1.0007715578064214,
+    32: 1.0013353198141628,
+    64: 1.0018775873765409,
+}
+
+
+def test_flandrin_quarter_plane_tops_match_polar_oracle():
+    M = flandrin_matrix(math.inf, 64)
+    for n, want in FROZEN_QUARTER_TOPS.items():
+        top = float(np.linalg.eigvalsh(M[: n + 1, : n + 1])[-1])
+        assert abs(top - want) <= 1e-10, n
+
+
 def test_flandrin_search_quarter_plane():
     ctx = CalcContext(h=1.0)
     rep = flandrin_search(math.inf, ctx, 16)
@@ -292,12 +318,3 @@ def test_flandrin_reduction_mixed_state():
     assert residual <= 1e-8
     with pytest.raises(ValueError):
         flandrin_reduction_check(1.0, ctx, HermiteExpansion.single((0, 1), 1.0))
-
-
-def test_write_convergence_csv(tmp_path):
-    path = tmp_path / "conv.csv"
-    write_convergence_csv(path, [(2, 0.5), (4, 0.75)], ("N", "top"))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "N,top"
-    assert lines[1] == "2,0.5"
-    assert lines[2] == "4,0.75"

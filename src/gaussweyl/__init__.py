@@ -61,7 +61,6 @@ from .quadform import (
     Poly2,
     assemble_matrix,
     eig_hermitian,
-    export_matrix_csv,
     ipp_check,
     matrix_element,
     matrix_metadata,

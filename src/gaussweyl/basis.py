@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -116,18 +116,30 @@ class TruncationSet:
     def size(self) -> int:
         return (self.max_degree + 1) ** self.dims
 
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Read-only integer array of shape (size, dims): row p is the dense
+        degree tuple of the p-th element in the graded order."""
+        grid = np.indices((self.max_degree + 1,) * self.dims).reshape(self.dims, -1).T
+        # np.indices enumerates in lex order, so a stable sort on the total
+        # degree gives (total, lex) order.
+        out = np.ascontiguousarray(grid[np.argsort(grid.sum(axis=1), kind="stable")])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        return {row: p for p, row in enumerate(map(tuple, self.degrees.tolist()))}
+
     def indices(self) -> list[MultiIndex]:
-        tuples = sorted(
-            product(range(self.max_degree + 1), repeat=self.dims),
-            key=lambda t: (sum(t), t),
-        )
-        return [MultiIndex.from_tuple(t) for t in tuples]
+        return [MultiIndex.from_tuple(t) for t in self.degrees.tolist()]
 
     def index_of(self, alpha: MultiIndex) -> int:
-        try:
-            return self.indices().index(alpha)
-        except ValueError:
-            raise KeyError(f"{alpha!r} not in truncation set") from None
+        if alpha.max_coordinate() <= self.dims:
+            pos = self._positions.get(alpha.as_tuple(self.dims))
+            if pos is not None:
+                return pos
+        raise KeyError(f"{alpha!r} not in truncation set")
 
 
 def _check_degree(j: int) -> None:

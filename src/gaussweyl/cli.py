@@ -28,20 +28,23 @@ import numpy as np
 
 from . import __version__
 from .basis import CalcContext, TruncationSet
-from .gaussian import QuadratureConvergenceError, coordinate_stream, gh_rule
+from .gaussian import QuadratureConvergenceError, coordinate_stream
 from .heat import antiwick_form, decomposition_residual
 from .positivity import (
+    NONPOS_QUADRATURE_ROUTE,
     flandrin_search,
     garding_verify,
     nonpos_witness,
     radial_positivity_check,
 )
 from .quadform import (
+    ROUTE_LADDER,
     HermiteExpansion,
     assemble_matrix,
     eig_hermitian,
     matrix_metadata,
     quadratic_form,
+    section_route,
 )
 from .stochproj import exact_conv_rate, geometric_direction, mc_conv_rate, power_direction
 from .symbols import SymbolDomainError, SymbolSyntaxError, eval_ddot, parse_symbol
@@ -78,7 +81,6 @@ class RunConfig:
     h: float = 1.0
     N: int = 0
     d: int = 1
-    order: int | None = None
     seed: int = 0
     output: str | None = None
     format: str = "json"
@@ -93,8 +95,6 @@ class RunConfig:
             raise ValueError("--N must be >= 0")
         if self.d < 1:
             raise ValueError("--d must be >= 1")
-        if self.order is not None and not 1 <= self.order <= 256:
-            raise ValueError("--order must lie in [1, 256]")
         if self.seed < 0:
             raise ValueError("--seed must be >= 0")
         if self.format not in ("csv", "json"):
@@ -107,7 +107,6 @@ class RunConfig:
             "h": self.h,
             "N": self.N,
             "d": self.d,
-            "order": self.order,
             "seed": self.seed,
             "output": self.output,
             "format": self.format,
@@ -189,12 +188,9 @@ def _ctx(cfg: RunConfig) -> CalcContext:
     return CalcContext(h=cfg.h)
 
 
-def _rule(cfg: RunConfig):
-    return gh_rule(cfg.order, cfg.h / 2.0) if cfg.order else None
-
-
-def _quad_block(cfg: RunConfig, **extra) -> dict:
-    block = {"policy": dict(_LADDER_POLICY) if cfg.order is None else {"fixed_order": cfg.order}}
+def _quad_block(ladder_ran: bool, **extra) -> dict:
+    """Quadrature provenance; the ladder policy appears only when a ladder ran."""
+    block = {"policy": dict(_LADDER_POLICY)} if ladder_ran else {}
     block.update(extra)
     return block
 
@@ -212,7 +208,6 @@ def cmd_wigner(args) -> int:
         h=args.h,
         N=max(args.j or 0, args.k or 0),
         d=1,
-        order=args.order,
         seed=args.seed,
         output=args.output,
         format=args.format,
@@ -260,7 +255,7 @@ def cmd_wigner(args) -> int:
                 "name": "finite closed-form values (degree too high for spot quadrature)",
                 "passed": bool(np.all(np.isfinite(vals))),
             }
-        quad = _quad_block(cfg)
+        quad = _quad_block(args.j + args.k <= 24)
     rows = [
         (float(xg[i]), float(gg[i]), float(vals[i].real), float(vals[i].imag))
         for i in range(xg.size)
@@ -280,7 +275,6 @@ def _symbol_matrix(args, command):
         h=args.h,
         N=args.N,
         d=d,
-        order=args.order,
         seed=args.seed,
         output=args.output,
         format=args.format,
@@ -288,8 +282,13 @@ def _symbol_matrix(args, command):
     )
     cfg.validate()
     ctx = _ctx(cfg)
-    om = assemble_matrix(sym, TruncationSet(d, args.N), ctx, rule=_rule(cfg))
+    om = assemble_matrix(sym, TruncationSet(d, args.N), ctx)
     return cfg, om
+
+
+def _section_quad_block(meta: dict) -> dict:
+    """Quadrature block of a section command; `meta` names its route."""
+    return _quad_block(meta["route"] == ROUTE_LADDER, **meta)
 
 
 def cmd_opmatrix(args) -> int:
@@ -301,7 +300,7 @@ def cmd_opmatrix(args) -> int:
         "passed": bool(herm <= 1e-8 * scale),
         "hermiticity_defect": herm,
     }
-    quad = _quad_block(cfg, **matrix_metadata(om))
+    quad = _section_quad_block(matrix_metadata(om))
     rows = [
         (p, q, float(om.entries[p, q].real), float(om.entries[p, q].imag))
         for p in range(om.size)
@@ -320,7 +319,7 @@ def cmd_spectrum(args) -> int:
         "min_eig": float(eigs[0]),
         "max_eig": float(eigs[-1]),
     }
-    quad = _quad_block(cfg, **matrix_metadata(om))
+    quad = _section_quad_block(matrix_metadata(om))
     rows = [(i, float(v)) for i, v in enumerate(eigs)]
     results = {"eigenvalues": [float(v) for v in eigs]}
     return _emit(cfg, quad, contract, results, ("index", "eigenvalue"), rows)
@@ -333,7 +332,6 @@ def cmd_nonpos(args) -> int:
         h=args.h,
         N=1,
         d=1,
-        order=args.order,
         seed=args.seed,
         output=args.output,
         format=args.format,
@@ -358,7 +356,8 @@ def cmd_nonpos(args) -> int:
         "sign_change_at_h_nu_anorm_sq": 1.0,
     }
     rows = [("closed", closed), ("quadrature", quadval), ("abs_diff", diff)]
-    return _emit(cfg, _quad_block(cfg), contract, results, ("quantity", "value"), rows)
+    quad = _quad_block(True, route=NONPOS_QUADRATURE_ROUTE)
+    return _emit(cfg, quad, contract, results, ("quantity", "value"), rows)
 
 
 def cmd_radial(args) -> int:
@@ -371,7 +370,6 @@ def cmd_radial(args) -> int:
         h=args.h,
         N=args.N,
         d=sym.d,
-        order=args.order,
         seed=args.seed,
         output=args.output,
         format=args.format,
@@ -399,7 +397,7 @@ def cmd_radial(args) -> int:
     rows = [(i, float(v)) for i, v in enumerate(rp.diagonal)]
     rows.append(("bound", rp.bound))
     rows.append(("min_eig", rp.min_eig))
-    quad = _quad_block(cfg, **(rp.quad_meta or {}))
+    quad = _section_quad_block(rp.quad_meta)
     return _emit(cfg, quad, contract, results, ("index", "value"), rows)
 
 
@@ -411,7 +409,6 @@ def cmd_garding(args) -> int:
         h=args.h,
         N=args.N,
         d=sym.d,
-        order=args.order,
         seed=args.seed,
         output=args.output,
         format=args.format,
@@ -435,7 +432,7 @@ def cmd_garding(args) -> int:
         ("measured_min_eig", rep.measured_min_eig),
         ("margin", rep.margin),
     ]
-    quad = _quad_block(cfg, **(rep.quad_meta or {}))
+    quad = _section_quad_block(rep.quad_meta)
     return _emit(cfg, quad, contract, results, ("quantity", "value"), rows)
 
 
@@ -481,7 +478,6 @@ def cmd_stochext(args) -> int:
         h=args.h,
         N=args.nmax,
         d=1,
-        order=None,
         seed=args.seed,
         output=args.output,
         format=args.format,
@@ -537,7 +533,6 @@ def cmd_heatcheck(args) -> int:
         h=args.h,
         N=0,
         d=sym.d,
-        order=args.order,
         seed=args.seed,
         output=args.output,
         format=args.format,
@@ -550,8 +545,8 @@ def cmd_heatcheck(args) -> int:
     xi = rng.normal(0.0, math.sqrt(3.0 * cfg.h), size=(args.points, sym.d))
     residual = decomposition_residual(sym, lam, ctx, (x, xi))
     psi0 = HermiteExpansion.single((), 1.0)
-    weyl = quadratic_form(sym, psi0, psi0, ctx, rule=_rule(cfg))
-    aw = antiwick_form(sym, psi0, psi0, ctx, rule=_rule(cfg))
+    weyl = quadratic_form(sym, psi0, psi0, ctx)
+    aw = antiwick_form(sym, psi0, psi0, ctx)
     contract = {
         "name": "telescoping heat decomposition residual <= 1e-10",
         "passed": bool(residual <= 1e-10),
@@ -570,8 +565,8 @@ def cmd_heatcheck(args) -> int:
         ("weyl_ground_re", float(np.real(weyl))),
         ("antiwick_ground_re", float(np.real(aw))),
     ]
-    return _emit(cfg, _quad_block(cfg, grid_points=args.points), contract, results,
-                 ("quantity", "value"), rows)
+    quad = _section_quad_block({"route": section_route(sym), "grid_points": args.points})
+    return _emit(cfg, quad, contract, results, ("quantity", "value"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +584,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p, default_format: str, with_symbol: bool = False, with_n: bool = False,
-                with_order_seed: bool = True):
+                with_seed: bool = True):
     if with_symbol:
         p.add_argument("--symbol", required=True, help="symbol text, e.g. gaussian:nu=2.0,anorm=1.0")
     if with_n:
         p.add_argument("--N", type=int, default=4, help="truncation degree")
         p.add_argument("--d", type=int, default=None, help="pair count (defaults to the symbol's)")
     p.add_argument("--h", type=float, default=1.0, help="semiclassical parameter")
-    if with_order_seed:
-        p.add_argument("--order", type=int, default=None, help="fixed quadrature order (default: adaptive)")
+    if with_seed:
         p.add_argument("--seed", type=int, default=0, help="RNG stream (default 0)")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
@@ -653,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=None,
                    help="quadrature points: of the radial rule at a=inf, per axis of the 2-D panels otherwise")
     p.add_argument("--nodes", type=int, default=16, help="GL nodes per panel")
-    _add_common(p, "json", with_order_seed=False)
+    _add_common(p, "json", with_seed=False)
     p.set_defaults(func=cmd_flandrin)
 
     p = sub.add_parser("stochext",

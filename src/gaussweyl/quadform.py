@@ -13,7 +13,6 @@ radial symbols kill every off-diagonal entry the same way.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -132,53 +131,64 @@ class HermiteExpansion:
 @dataclass
 class OperatorMatrix:
     """Assembled matrix of I_{alpha beta} over a truncation set, with the
-    bookkeeping needed to reproduce it (symbol text, h, quadrature orders)."""
+    bookkeeping needed to reproduce it (symbol text, h, route, orders).
+
+    A diagonal section carries `diagonal` and builds the dense `entries`
+    only when they are read; other sections carry `dense`."""
 
     truncation: TruncationSet
-    entries: np.ndarray
     symbol_text: str
     h: float
     d: int
     meta: dict = field(default_factory=dict)
+    diagonal: np.ndarray | None = None
+    dense: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self.dense is None:
+            self.dense = np.diag(self.diagonal)
+        return self.dense
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self.truncation.size
 
 
 # ---------------------------------------------------------------------------
 # Matrix elements.
 # ---------------------------------------------------------------------------
 
-
-def _pair_shot(j: int, k: int, nu: float, ctx: CalcContext, n: int) -> complex:
-    """int e^{-nu r^2} W_jk dmu_{R^2,h/2} with an order-n tensor rule.
-
-    The Gaussian factor is folded into the quadrature measure (variance
-    h/(2(1+nu h)), mass 1/(1+nu h)), leaving a polynomial integrand that the
-    rule handles exactly; otherwise large nu h makes the integrand much
-    narrower than the measure and starves the node ladder."""
-    scale = 1.0 + float(nu) * ctx.h
-    r = gh_rule(n, ctx.h / (2.0 * scale))
-    x = r.nodes[:, None]
-    xi = r.nodes[None, :]
-    vals = wigner_closed(j, k, x, xi, ctx)
-    return complex(np.einsum("i,j,ij->", r.weights, r.weights, vals)) / scale
+ROUTE_CLOSED = "closed: Gaussian-mixture diagonal law"
+ROUTE_BOX = "box panels"
+ROUTE_LADDER = "tensor ladder"
 
 
-def _pair_integral(j, k, nu, ctx, rule=None, cache=None):
-    key = (j, k, float(nu), ctx.h)
-    if cache is not None and key in cache:
-        return cache[key]
-    if rule is not None:
-        val, order = _pair_shot(j, k, nu, ctx, rule.order), rule.order
-    else:
-        val, order = ladder(
-            lambda n: _pair_shot(j, k, nu, ctx, n), start=2 * (max(j, k) + 1) + 16
-        )
-    if cache is not None:
-        cache[key] = (val, order)
-    return val, order
+def section_route(sym, wigner_route: str = "closed") -> str:
+    """The route that computes matrix elements of `sym`: the closed diagonal
+    law for Gaussian mixtures (closed Wigner route only), the panel rule for
+    boxes, and the tensor Gauss-Hermite ladder otherwise."""
+    if sym.family == "box":
+        return ROUTE_BOX
+    if wigner_route == "closed" and sym.gauss_mixture() is not None:
+        return ROUTE_CLOSED
+    return ROUTE_LADDER
+
+
+def _mixture_diagonal(mix, degrees: np.ndarray, h: float) -> np.ndarray:
+    """I_aa = sum_k c_k prod_j (1 - nu_kj h)^{a_j} / (1 + nu_kj h)^{a_j + 1}
+    for the mixture sum_k c_k prod_j e^{-nu_kj r_j^2}, one row a of `degrees`
+    per basis element; pairs beyond its columns have degree 0.  The ratio
+    (1 - u)/(1 + u) has modulus <= 1, so its powers cannot overflow."""
+    out = np.zeros(len(degrees))
+    for c, nus in mix:
+        term = np.full(len(degrees), float(c))
+        for j, nu in nus.items():
+            u = nu * h
+            a = degrees[:, j - 1] if j <= degrees.shape[1] else 0
+            term *= ((1.0 - u) / (1.0 + u)) ** a / (1.0 + u)
+        out += term
+    return out
 
 
 def _wigner_on_grid_by_quadrature(j, k, xs, xis, ctx, n: int):
@@ -271,7 +281,7 @@ def _box_element(sym, j, k, ctx):
     return prev, panels * nodes
 
 
-def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed", cache=None):
+def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed"):
     alpha = _as_index(alpha)
     beta = _as_index(beta)
     d = sym.d
@@ -280,24 +290,16 @@ def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed",
         if alpha.degree(i) != beta.degree(i):
             # the pair's Wigner factor integrates to delta_{jk}
             return 0.0j, 0
-    if sym.family == "box":
+    route = section_route(sym, wigner_route)
+    if route == ROUTE_BOX:
         if wigner_route != "closed":
             raise ValueError("box matrix elements support only the closed Wigner route")
         return _box_element(sym, alpha.degree(1), beta.degree(1), ctx)
-    mix = sym.gauss_mixture()
-    if mix is not None and wigner_route == "closed":
-        total = 0.0j
-        order = 0
-        for coeff, nus in mix:
-            prod = complex(coeff)
-            for i in range(1, d + 1):
-                val, o = _pair_integral(
-                    alpha.degree(i), beta.degree(i), nus.get(i, 0.0), ctx, rule, cache
-                )
-                prod *= val
-                order = max(order, o)
-            total += prod
-        return total, order
+    if route == ROUTE_CLOSED:
+        if alpha != beta:
+            return 0.0j, 0
+        degrees = np.array([[alpha.degree(i) for i in range(1, d + 1)]])
+        return complex(_mixture_diagonal(sym.gauss_mixture(), degrees, ctx.h)[0]), 0
     return _tensor_element(sym, alpha, beta, ctx, rule, wigner_route)
 
 
@@ -306,9 +308,10 @@ def matrix_element(sym, alpha, beta, ctx: CalcContext, rule=None, wigner_route="
     symbol `sym`.
 
     Entries with alpha_j != beta_j at a coordinate beyond the symbol's base
-    dimension vanish identically and are returned as exact zeros.  With
-    wigner_route="quadrature" the per-pair Wigner factors are themselves
-    computed from the defining integral instead of the closed form.
+    dimension vanish identically and are returned as exact zeros.  The route
+    is section_route(sym, wigner_route); on the tensor ladder, `rule` fixes
+    the order, and wigner_route="quadrature" computes the per-pair Wigner
+    factors from the defining integral instead of the closed form.
     """
     val, _ = _element_with_order(sym, alpha, beta, ctx, rule, wigner_route)
     return val
@@ -321,61 +324,61 @@ def assemble_matrix(
     rule=None,
     wigner_route="closed",
 ) -> OperatorMatrix:
-    """All I_{alpha beta} over a graded truncation set, as a dense matrix.
+    """All I_{alpha beta} over a graded truncation set.
 
-    Per-pair radial symbols produce exactly diagonal matrices; those zeros are
-    structural (no quadrature is run for them).  Real symbols fill the lower
-    triangle by Hermitian symmetry.
+    Gaussian mixtures on the closed Wigner route give a diagonal section,
+    evaluated by the closed law in one pass over the truncation's degree
+    array; no dense matrix is built until `entries` is read.  Boxes, custom
+    symbols and the quadrature Wigner route fill a dense matrix entry by
+    entry; there per-pair radial symbols skip their structural zeros, and
+    non-custom symbols fill the lower triangle by Hermitian symmetry.
     """
     if truncation.size > MAX_MATRIX_SIZE:
         raise ValueError(
             f"truncation has {truncation.size} elements; the dense-matrix cap is {MAX_MATRIX_SIZE}"
         )
-    idxs = truncation.indices()
-    size = len(idxs)
-    entries = np.zeros((size, size), dtype=complex)
+    size = truncation.size
+    route = section_route(sym, wigner_route)
     pairwise_radial = sym.is_pairwise_radial()
-    hermitian = sym.family != "custom"
-    # one pair-integral cache shared across the whole assembly
-    cache: dict = {}
-    structural = 0
-    max_order = 0
-    for p in range(size):
-        qlo = p if hermitian else 0
-        for q in range(qlo, size):
-            a, b = idxs[p], idxs[q]
-            if pairwise_radial and a != b:
-                structural += 1
-                continue
-            val, order = _element_with_order(sym, a, b, ctx, rule, wigner_route, cache)
-            max_order = max(max_order, order)
-            entries[p, q] = val
-            if hermitian and q > p:
-                entries[q, p] = np.conjugate(val)
+    diagonal = dense = None
+    structural = max_order = 0
+    if route == ROUTE_CLOSED:
+        diagonal = _mixture_diagonal(sym.gauss_mixture(), truncation.degrees, ctx.h).astype(complex)
+        structural = size * (size - 1) // 2
+    else:
+        idxs = truncation.indices()
+        dense = np.zeros((size, size), dtype=complex)
+        hermitian = sym.family != "custom"
+        for p in range(size):
+            qlo = p if hermitian else 0
+            for q in range(qlo, size):
+                a, b = idxs[p], idxs[q]
+                if pairwise_radial and a != b:
+                    structural += 1
+                    continue
+                val, order = _element_with_order(sym, a, b, ctx, rule, wigner_route)
+                max_order = max(max_order, order)
+                dense[p, q] = val
+                if hermitian and q > p:
+                    dense[q, p] = np.conjugate(val)
     try:
         text = sym.text()
     except ValueError:
         text = f"<{sym.family}>"
     meta = {
+        "route": route,
         "wigner_route": wigner_route,
         "max_order": max_order,
         "structural_zeros": structural,
         "pairwise_radial": pairwise_radial,
     }
-    return OperatorMatrix(
-        truncation=truncation,
-        entries=entries,
-        symbol_text=text,
-        h=ctx.h,
-        d=sym.d,
-        meta=meta,
-    )
+    return OperatorMatrix(truncation=truncation, symbol_text=text, h=ctx.h, d=sym.d, meta=meta,
+                          diagonal=diagonal, dense=dense)
 
 
 def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext, rule=None, wigner_route="closed") -> complex:
     """<Op(F) f, g> = sum_{alpha,beta} c_alpha conj(c'_beta) I_{alpha beta}."""
     pairwise_radial = sym.is_pairwise_radial()
-    cache: dict = {}
     total = 0.0j
     seen: dict[tuple[MultiIndex, MultiIndex], complex] = {}
     for a, ca in f.items():
@@ -384,24 +387,30 @@ def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcConte
                 continue
             key = (a, b)
             if key not in seen:
-                seen[key], _ = _element_with_order(sym, a, b, ctx, rule, wigner_route, cache)
+                seen[key], _ = _element_with_order(sym, a, b, ctx, rule, wigner_route)
             total += ca * np.conjugate(cb) * seen[key]
     return complex(total)
 
 
 def eig_hermitian(matrix) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (OperatorMatrix or array).
+    """Ascending eigenvalues of a Hermitian matrix (OperatorMatrix or array);
+    a diagonal-only OperatorMatrix gives its sorted real diagonal.
 
     Raises if the Hermiticity defect exceeds 1e-8 relative to the norm.
     """
-    A = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.linalg.norm(A)))
-    defect = float(np.linalg.norm(A - A.conj().T)) / scale
+    diagonal = isinstance(matrix, OperatorMatrix) and matrix.diagonal is not None
+    if diagonal:
+        A = np.asarray(matrix.diagonal, dtype=complex)
+    else:
+        A = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("expected a square matrix")
+    # on a diagonal, A - A^H is 2i Im(A)
+    skew = 2.0 * A.imag if diagonal else A - A.conj().T
+    defect = float(np.linalg.norm(skew)) / max(1.0, float(np.linalg.norm(A)))
     if defect > 1e-8:
         raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    return np.sort(A.real) if diagonal else np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +558,8 @@ def rotation_reduction(sym, alpha, beta, coord: int, n: int, ctx: CalcContext, r
 
 
 # ---------------------------------------------------------------------------
-# Deterministic exports.
+# Reproducibility metadata.
 # ---------------------------------------------------------------------------
-
-
-def export_matrix_csv(om: OperatorMatrix, path) -> None:
-    """Dense entries as RFC-4180 CSV: row_index,col_index,re,im (row-major)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row_index", "col_index", "re", "im"])
-        for p in range(om.size):
-            for q in range(om.size):
-                v = om.entries[p, q]
-                w.writerow([p, q, repr(float(v.real)), repr(float(v.imag))])
 
 
 def matrix_metadata(om: OperatorMatrix) -> dict:
@@ -573,6 +571,7 @@ def matrix_metadata(om: OperatorMatrix) -> dict:
         "d": om.truncation.dims,
         "symbol_d": om.d,
         "basis_size": om.size,
+        "route": om.meta.get("route"),
         "wigner_route": om.meta.get("wigner_route", "closed"),
         "quadrature_order": om.meta.get("max_order", 0),
         "structural_zeros": om.meta.get("structural_zeros", 0),

@@ -2,6 +2,7 @@
 orthonormality contract, and the degree guards."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -145,3 +146,16 @@ def test_truncation_set():
         assert ts.index_of(ix) == i
     with pytest.raises(KeyError):
         ts.index_of(MultiIndex.from_tuple((3,)))
+
+
+def test_truncation_degree_array():
+    ts = TruncationSet(3, 2)
+    want = sorted(product(range(3), repeat=3), key=lambda t: (sum(t), t))
+    assert ts.degrees.shape == (27, 3)
+    assert [tuple(row) for row in ts.degrees.tolist()] == want
+    assert [ix.as_tuple(3) for ix in ts.indices()] == want
+    assert not ts.degrees.flags.writeable
+    assert ts.index_of(MultiIndex({2: 2, 3: 1})) == want.index((0, 2, 1))
+    for outside in (MultiIndex({4: 1}), MultiIndex({1: 3})):
+        with pytest.raises(KeyError):
+            ts.index_of(outside)

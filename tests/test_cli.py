@@ -5,8 +5,12 @@ import json
 import math
 import subprocess
 import sys
+from itertools import product
 
-from gaussweyl import __version__, cli
+import numpy as np
+import oracles
+
+from gaussweyl import __version__, cli, quadform
 from gaussweyl.cli import main
 
 GAUSS = "gaussian:nu=2.0,anorm=1.0"
@@ -44,7 +48,7 @@ def test_opmatrix_csv_file_and_sidecar(tmp_path, capsys):
     assert meta["contract"]["passed"] is True
     assert meta["config"]["symbol"] == GAUSS
     assert meta["quadrature"]["basis_size"] == 3
-    assert meta["quadrature"]["policy"]["cap"] == 192
+    assert meta["quadrature"]["route"] == "closed: Gaussian-mixture diagonal law"
 
 
 def test_nonpos_json_stdout(capsys):
@@ -203,7 +207,6 @@ def test_usage_and_domain_errors_exit_1(capsys):
         ["opmatrix", "--symbol", "gaussian:nu=abc,anorm=1.0"],
         ["opmatrix", "--symbol", GAUSS, "--d", "2"],
         ["opmatrix", "--symbol", GAUSS, "--h", "0.0"],
-        ["opmatrix", "--symbol", GAUSS, "--order", "300"],
         ["nonpos", "--nu", "-1.0", "--anorm", "1.0"],
         ["radial", "--symbol", GAUSS],  # not a radial family
         ["wigner"],  # neither --j/--k nor --symbol
@@ -217,6 +220,103 @@ def test_usage_and_domain_errors_exit_1(capsys):
     for argv in cases:
         assert main(argv) == 1, argv
         capsys.readouterr()
+
+
+def test_order_flag_is_gone(capsys):
+    # Gaussian mixtures run the closed law and boxes their own panels, so no
+    # subcommand takes a fixed quadrature order
+    cases = [
+        ["wigner", "--j", "0", "--k", "1"],
+        ["opmatrix", "--symbol", GAUSS],
+        ["spectrum", "--symbol", GAUSS],
+        ["nonpos", "--nu", "2.0", "--anorm", "1.0"],
+        ["radial", "--symbol", "radial:phi=exp:nu=1.0,d=1"],
+        ["garding", "--symbol", GAUSS],
+        ["flandrin", "--a", "inf"],
+        ["stochext"],
+        ["heatcheck", "--symbol", GAUSS],
+    ]
+    for argv in cases:
+        assert main(argv + ["--order", "5"]) == 1, argv
+        assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+    assert main(["opmatrix", "--symbol", GAUSS, "--order", "300"]) == 1
+    capsys.readouterr()
+
+
+def _diagonal_oracle(degrees, nu):
+    """{j: I_jj(e^{-nu r^2})} at h = 1 from the mpmath polar oracle."""
+    return {j: oracles.matrix_element_gaussian_polar(j, nu, 1.0) for j in degrees}
+
+
+def test_former_ladder_failures_exit_0(capsys):
+    """The three sections whose per-pair order ladder used to stall."""
+    assert main(["opmatrix", "--symbol", "const:c=1.5", "--N", "30", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    M = np.zeros((31, 31), dtype=complex)
+    for p, q, re, im in rep["results"]["entries"]:
+        M[p, q] = re + 1j * im
+    assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
+    for j, want in _diagonal_oracle((0, 1, 17, 30), 0.0).items():
+        assert abs(M[j, j] - 1.5 * want) <= 1e-12, j
+
+    assert main(["spectrum", "--symbol", "gaussian:nu=0.5,anorm=1.0", "--N", "24", "--format", "json"]) == 0
+    eigs = np.array(json.loads(capsys.readouterr().out)["results"]["eigenvalues"])
+    assert eigs.shape == (25,) and np.all(np.diff(eigs) >= 0.0)
+    for j, want in _diagonal_oracle((0, 1, 2, 11, 23, 24), 0.5).items():
+        assert np.min(np.abs(eigs - want)) <= 1e-12, j
+
+    assert main(["radial", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--N", "30"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["contract"]["passed"] is True
+    diag = rep["results"]["diagonal"]
+    layout = sorted(product(range(31), repeat=2), key=lambda t: (sum(t), t))
+    one_pair = _diagonal_oracle((0, 1, 2, 13, 29, 30), 0.7)
+    for a1, a2 in product(one_pair, repeat=2):
+        assert abs(diag[layout.index((a1, a2))] - one_pair[a1] * one_pair[a2]) <= 1e-12, (a1, a2)
+
+
+def test_full_cap_spectrum(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--N", "63",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    eigs = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    u = 0.7
+    one_pair = (1.0 - u) ** np.arange(64) / (1.0 + u) ** np.arange(1, 65)
+    assert eigs.shape == (4096,)
+    assert np.max(np.abs(eigs - np.sort(np.multiply.outer(one_pair, one_pair).ravel()))) <= 1e-15
+
+
+def test_quadrature_block_names_the_route(capsys):
+    assert main(["spectrum", "--symbol", GAUSS, "--N", "3", "--format", "json"]) == 0
+    quad = json.loads(capsys.readouterr().out)["quadrature"]
+    assert quad["route"] == "closed: Gaussian-mixture diagonal law"
+    assert "policy" not in quad  # no ladder ran
+    assert main(["spectrum", "--symbol", "box:a=1.0", "--N", "2", "--format", "json"]) == 0
+    quad = json.loads(capsys.readouterr().out)["quadrature"]
+    assert quad["route"] == "box panels" and "policy" not in quad
+    for argv in (["radial", "--symbol", "radial:phi=exp:nu=1.0,d=1", "--N", "3"],
+                 ["garding", "--symbol", GAUSS, "--N", "3"],
+                 ["heatcheck", "--symbol", GAUSS]):
+        assert main(argv) == 0
+        quad = json.loads(capsys.readouterr().out)["quadrature"]
+        assert quad["route"] == "closed: Gaussian-mixture diagonal law" and "policy" not in quad, argv
+    assert main(["nonpos", "--nu", "2.0", "--anorm", "1.0"]) == 0
+    quad = json.loads(capsys.readouterr().out)["quadrature"]
+    assert quad["route"].startswith("tensor Gauss-Hermite ladder of W(psi_1, psi_1)")
+    assert quad["policy"]["cap"] == 192
+
+
+def test_nonpos_contract_checks_the_mixture_law(monkeypatch, capsys):
+    """nonpos compares the closed law with an independent quadrature, so a
+    wrong law fails its contract."""
+    assert main(["nonpos", "--nu", "2.0", "--anorm", "1.0"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(quadform, "_mixture_diagonal", lambda mix, degrees, h: np.full(len(degrees), 0.25))
+    assert main(["nonpos", "--nu", "2.0", "--anorm", "1.0"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["contract"]["passed"] is False
+    assert abs(rep["results"]["quadrature"] + 1.0 / 18.0) <= 1e-12
 
 
 def test_flandrin_rejects_order_and_seed(capsys):

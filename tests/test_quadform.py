@@ -1,19 +1,23 @@
 """Operator matrix elements: closed diagonal law, structural zeros, dual
-quadrature routes, rotation integration-by-parts, and deterministic export."""
+quadrature routes, and rotation integration-by-parts."""
 
-import csv
 import math
 
 import numpy as np
 import pytest
 
 from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet
+from gaussweyl.heat import heat_apply
 from gaussweyl.quadform import (
+    ROUTE_BOX,
+    ROUTE_CLOSED,
+    ROUTE_LADDER,
     HermiteExpansion,
+    OperatorMatrix,
     Poly2,
+    _tensor_element,
     assemble_matrix,
     eig_hermitian,
-    export_matrix_csv,
     ipp_check,
     matrix_element,
     matrix_metadata,
@@ -21,7 +25,15 @@ from gaussweyl.quadform import (
     quadratic_form,
     rotation_reduction,
 )
-from gaussweyl.symbols import PhiSpec, box_symbol, const_symbol, gaussian_symbol, radial_symbol
+from gaussweyl.symbols import (
+    PhiSpec,
+    box_symbol,
+    const_symbol,
+    gaussian_symbol,
+    mixture_symbol,
+    radial_symbol,
+    tensor_radial_symbol,
+)
 
 
 def diag_law(j: int, nu: float, h: float) -> float:
@@ -263,17 +275,131 @@ def test_rotation_reduction_structural_cases():
         rotation_reduction(box_symbol(1.0), MultiIndex(), MultiIndex({1: 1}), 1, 1, ctx)
 
 
-def test_export_matrix_csv(tmp_path):
-    om = assemble_matrix(
-        gaussian_symbol(2.0, 1.0), TruncationSet(1, 1), CalcContext(h=1.0)
-    )
-    path = tmp_path / "matrix.csv"
-    export_matrix_csv(om, path)
-    raw = path.read_bytes()
-    assert b"\r\n" in raw  # RFC-4180 line endings
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["row_index", "col_index", "re", "im"]
-    assert len(rows) == 1 + 4
-    assert float(rows[1][2]) == pytest.approx(1.0 / 3.0, abs=1e-11)
-    assert float(rows[2][2]) == 0.0  # structural zero, exactly
+# ---------------------------------------------------------------------------
+# The closed Gaussian-mixture route against the tensor Gauss-Hermite ladder.
+# ---------------------------------------------------------------------------
+
+MIXTURES = {
+    "const": const_symbol(1.5),
+    "gaussian nu=0.5": gaussian_symbol(0.5, 1.0),
+    "gaussian nu=2": gaussian_symbol(2.0, 1.0),
+    "radial exp d=2": radial_symbol(PhiSpec(kind="exp", nu=0.7), 2),
+    "radial polyexp d=2": radial_symbol(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), 2),
+    "tensorradial d=3": tensor_radial_symbol(
+        [(PhiSpec(kind="one"), 1), (PhiSpec(kind="exp", nu=2.0), 2)]
+    ),
+    "heated radial d=2": heat_apply(radial_symbol(PhiSpec(kind="exp", nu=1.0), 2), [1], 0.5).descriptor(),
+}
+
+
+def _ladder_diagonal(sym, truncation, h, wigner_route, cache):
+    """Diagonal of a mixture section by Fubini over pairs,
+    sum_k c_k prod_j I_{a_j a_j}(e^{-nu_kj r^2}), each one-pair factor by the
+    tensor ladder (_tensor_element).  The ladder over all 2d coordinates
+    needs over 1 GB per entry at d = 2."""
+
+    def pair(nu, j):
+        key = (nu, j)
+        if key not in cache:
+            a = MultiIndex({1: j})
+            one_pair = mixture_symbol([(1.0, {1: nu})], 1)
+            cache[key], _ = _tensor_element(one_pair, a, a, CalcContext(h=h), None, wigner_route)
+        return cache[key]
+
+    return np.array([
+        sum(c * math.prod(pair(nu, alpha.degree(j)) for j, nu in nus.items())
+            for c, nus in sym.gauss_mixture())
+        for alpha in truncation.indices()
+    ])
+
+
+# The defining-integral Wigner route loses accuracy where the outer rule
+# reaches large |xi| (small nu h): 2.3e-9 for gaussian nu=0.5 at h=0.5.
+@pytest.mark.parametrize("wigner_route,tol", [("closed", 1e-12), ("quadrature", 1e-8)])
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+def test_closed_section_matches_tensor_ladder(h, wigner_route, tol):
+    ctx = CalcContext(h=h)
+    cache: dict = {}
+    for name, sym in MIXTURES.items():
+        # truncation dims below the symbol's pair count (the missing pairs have
+        # degree 0) and above it (delta factors)
+        for trunc in (TruncationSet(max(1, sym.d - 1), 3), TruncationSet(sym.d + 1, 2)):
+            om = assemble_matrix(sym, trunc, ctx)
+            assert om.meta["route"] == ROUTE_CLOSED and om.dense is None
+            want = _ladder_diagonal(sym, trunc, h, wigner_route, cache)
+            err = float(np.max(np.abs(om.diagonal - want)))
+            assert err <= tol, (name, trunc, err)
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+def test_closed_section_matches_full_ladder_one_pair(h):
+    """Every entry, off-diagonal ones included, of one-pair mixtures on a
+    two-pair truncation against the ladder on the whole symbol."""
+    ctx = CalcContext(h=h)
+    trunc = TruncationSet(2, 2)
+    idxs = trunc.indices()
+    heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], h / 2.0).descriptor()
+    for sym in (const_symbol(1.5), gaussian_symbol(0.5, 1.0), gaussian_symbol(2.0, 1.0), heated):
+        M = assemble_matrix(sym, trunc, ctx).entries
+        for p, a in enumerate(idxs):
+            for q in range(p, len(idxs)):
+                b = idxs[q]
+                if a.degree(2) != b.degree(2):
+                    assert M[p, q] == 0.0j  # delta factor of the unseen pair
+                    continue
+                want, _ = _tensor_element(sym, a, b, ctx)
+                assert abs(M[p, q] - want) <= 1e-12, (sym, a, b)
+
+
+def test_single_entries_use_the_closed_law():
+    ctx = CalcContext(h=1.0)
+    sym = MIXTURES["tensorradial d=3"]
+    trunc = TruncationSet(3, 2)
+    om = assemble_matrix(sym, trunc, ctx)
+    for p, a in enumerate(trunc.indices()):
+        assert matrix_element(sym, a, a, ctx) == om.diagonal[p]
+    # beyond the truncation's dims the symbol's pairs sit at degree 0
+    assert matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx) == om.diagonal[
+        trunc.index_of(MultiIndex({1: 2}))
+    ]
+    assert matrix_element(sym, MultiIndex({2: 1}), MultiIndex({3: 1}), ctx) == 0.0j
+
+
+def test_full_cap_section_spectrum():
+    """d = 2, N = 63: the 4096-state cap, diagonal only."""
+    ctx = CalcContext(h=1.0)
+    om = assemble_matrix(MIXTURES["radial exp d=2"], TruncationSet(2, 63), ctx)
+    eigs = eig_hermitian(om)
+    assert om.dense is None
+    j = np.arange(64)
+    one_pair = diag_law(j, 0.7, 1.0)
+    assert eigs.shape == (4096,)
+    assert np.max(np.abs(eigs - np.sort(np.multiply.outer(one_pair, one_pair).ravel()))) <= 1e-15
+
+
+def test_eig_hermitian_diagonal_section():
+    trunc = TruncationSet(1, 2)
+    real = OperatorMatrix(trunc, "diag", 1.0, 1, diagonal=np.array([0.5, -1.0, 0.25], dtype=complex))
+    assert list(eig_hermitian(real)) == [-1.0, 0.25, 0.5]
+    assert real.dense is None
+    assert np.array_equal(real.entries, np.diag(real.diagonal))
+    skew = OperatorMatrix(trunc, "diag", 1.0, 1, diagonal=np.array([0.5, 1.0 + 1e-3j, 0.25]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_hermitian(skew)
+
+
+def test_matrix_metadata_names_the_route():
+    ctx = CalcContext(h=1.0)
+    trunc = TruncationSet(1, 1)
+    poly = poly_symbol(Poly2.from_dict({(2, 0): 1.0, (0, 2): 1.0}))
+    cases = [
+        (assemble_matrix(gaussian_symbol(2.0, 1.0), trunc, ctx), ROUTE_CLOSED),
+        (assemble_matrix(gaussian_symbol(2.0, 1.0), trunc, ctx, wigner_route="quadrature"), ROUTE_LADDER),
+        (assemble_matrix(box_symbol(1.0), trunc, ctx), ROUTE_BOX),
+        (assemble_matrix(poly, trunc, ctx), ROUTE_LADDER),
+    ]
+    assert ROUTE_CLOSED == "closed: Gaussian-mixture diagonal law"
+    assert (ROUTE_BOX, ROUTE_LADDER) == ("box panels", "tensor ladder")
+    for om, route in cases:
+        assert matrix_metadata(om)["route"] == route
+        assert (om.diagonal is not None) == (route == ROUTE_CLOSED)

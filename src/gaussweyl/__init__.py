@@ -19,7 +19,6 @@ from .gaussian import (
     GaussianMeasure,
     QuadratureConvergenceError,
     QuadratureRule,
-    WienerSample,
     c_ps,
     coordinate_stream,
     ell_norm,
@@ -28,7 +27,6 @@ from .gaussian import (
     integrate_1d,
     integrate_tensor,
     ladder,
-    mc_sample,
     mc_sample_array,
     quad_budget,
 )

@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -74,14 +75,17 @@ _PROPOSITIONS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run depends on; echoed verbatim into every output."""
+    """Everything a run depends on; echoed verbatim into every output.
+
+    `seed` is None for the deterministic commands, which take no --seed and
+    echo none."""
 
     command: str
     symbol: str | None = None
     h: float = 1.0
     N: int = 0
     d: int = 1
-    seed: int = 0
+    seed: int | None = None
     output: str | None = None
     format: str = "json"
     params: dict = field(default_factory=dict)
@@ -95,13 +99,13 @@ class RunConfig:
             raise ValueError("--N must be >= 0")
         if self.d < 1:
             raise ValueError("--d must be >= 1")
-        if self.seed < 0:
+        if self.seed is not None and self.seed < 0:
             raise ValueError("--seed must be >= 0")
         if self.format not in ("csv", "json"):
             raise ValueError("--format must be csv or json")
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "command": self.command,
             "symbol": self.symbol,
             "h": self.h,
@@ -112,6 +116,9 @@ class RunConfig:
             "format": self.format,
             "params": dict(self.params),
         }
+        if self.seed is None:
+            del out["seed"]
+        return out
 
 
 def _jsonable(v):
@@ -130,14 +137,29 @@ def _jsonable(v):
     return v
 
 
+_CSV_PLAIN = frozenset((str, int, float))
+
+
 def _csv_cell(v):
+    """A cell as csv.writer must see it to spell it as the reports do: bools
+    become true/false, numbers plain Python numbers (csv writes a float by
+    its repr and an int by str), anything else its str."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
-        return str(int(v))
+        return int(v)
     if isinstance(v, (float, np.floating)):
-        return repr(float(v))
+        return float(v)
     return str(v)
+
+
+def _csv_rows(rows: list) -> list:
+    """`rows` ready for csv.writer.writerows.  One type scan over all cells
+    decides: tables of plain str/int/float cells (every large table) pass
+    through unchanged, others are converted cell by cell."""
+    if _CSV_PLAIN.issuperset(map(type, chain.from_iterable(rows))):
+        return rows
+    return [[_csv_cell(c) for c in row] for row in rows]
 
 
 def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_rows=None) -> int:
@@ -169,8 +191,7 @@ def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_ro
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(list(csv_header))
-        for row in csv_rows:
-            w.writerow([_csv_cell(c) for c in row])
+        w.writerows(_csv_rows(csv_rows))
         data = buf.getvalue()
         meta = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
         if cfg.output:
@@ -208,7 +229,6 @@ def cmd_wigner(args) -> int:
         h=args.h,
         N=max(args.j or 0, args.k or 0),
         d=1,
-        seed=args.seed,
         output=args.output,
         format=args.format,
         params=params,
@@ -256,10 +276,7 @@ def cmd_wigner(args) -> int:
                 "passed": bool(np.all(np.isfinite(vals))),
             }
         quad = _quad_block(args.j + args.k <= 24)
-    rows = [
-        (float(xg[i]), float(gg[i]), float(vals[i].real), float(vals[i].imag))
-        for i in range(xg.size)
-    ]
+    rows = list(zip(xg.tolist(), gg.tolist(), vals.real.tolist(), vals.imag.tolist()))
     results = {"points": len(rows), "rows": rows if cfg.format == "json" else None}
     return _emit(cfg, quad, contract, results, ("x", "xi", "re", "im"), rows)
 
@@ -275,7 +292,6 @@ def _symbol_matrix(args, command):
         h=args.h,
         N=args.N,
         d=d,
-        seed=args.seed,
         output=args.output,
         format=args.format,
         params={},
@@ -301,11 +317,8 @@ def cmd_opmatrix(args) -> int:
         "hermiticity_defect": herm,
     }
     quad = _section_quad_block(matrix_metadata(om))
-    rows = [
-        (p, q, float(om.entries[p, q].real), float(om.entries[p, q].imag))
-        for p in range(om.size)
-        for q in range(om.size)
-    ]
+    row_index, col_index = np.indices(om.entries.shape).reshape(2, -1).tolist()
+    rows = list(zip(row_index, col_index, om.entries.real.ravel().tolist(), om.entries.imag.ravel().tolist()))
     results = {"basis_size": om.size, "entries": rows if cfg.format == "json" else None}
     return _emit(cfg, quad, contract, results, ("row_index", "col_index", "re", "im"), rows)
 
@@ -332,7 +345,6 @@ def cmd_nonpos(args) -> int:
         h=args.h,
         N=1,
         d=1,
-        seed=args.seed,
         output=args.output,
         format=args.format,
         params={"nu": args.nu, "anorm": args.anorm},
@@ -370,7 +382,6 @@ def cmd_radial(args) -> int:
         h=args.h,
         N=args.N,
         d=sym.d,
-        seed=args.seed,
         output=args.output,
         format=args.format,
         params={},
@@ -409,7 +420,6 @@ def cmd_garding(args) -> int:
         h=args.h,
         N=args.N,
         d=sym.d,
-        seed=args.seed,
         output=args.output,
         format=args.format,
         params={"eps": args.eps},
@@ -584,7 +594,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p, default_format: str, with_symbol: bool = False, with_n: bool = False,
-                with_seed: bool = True):
+                with_seed: bool = False):
     if with_symbol:
         p.add_argument("--symbol", required=True, help="symbol text, e.g. gaussian:nu=2.0,anorm=1.0")
     if with_n:
@@ -647,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=None,
                    help="quadrature points: of the radial rule at a=inf, per axis of the 2-D panels otherwise")
     p.add_argument("--nodes", type=int, default=16, help="GL nodes per panel")
-    _add_common(p, "json", with_seed=False)
+    _add_common(p, "json")
     p.set_defaults(func=cmd_flandrin)
 
     p = sub.add_parser("stochext",
@@ -657,14 +667,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=4000)
     p.add_argument("--nmax", type=int, default=32)
-    _add_common(p, "csv")
+    _add_common(p, "csv", with_seed=True)
     p.set_defaults(func=cmd_stochext)
 
     p = sub.add_parser("heatcheck",
                        help="telescoping heat decomposition and anti-Wick ground state")
     p.add_argument("--lam", default=None, help="comma-separated pair indices (default: all, capped at 3)")
     p.add_argument("--points", type=int, default=200, help="check-grid size")
-    _add_common(p, "json", with_symbol=True)
+    _add_common(p, "json", with_symbol=True, with_seed=True)
     p.set_defaults(func=cmd_heatcheck)
 
     return parser

@@ -7,12 +7,12 @@ calculus factors through finitely many coordinates, so nothing more is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 MAX_GH_ORDER = 256
 DEFAULT_QUAD_BUDGET = 10**8
@@ -64,12 +64,24 @@ class QuadratureRule:
     order: int
 
 
+@functools.lru_cache(maxsize=MAX_GH_ORDER)
+def _unit_gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes for e^{-t^2} and weights normalized to sum to 1,
+    as read-only arrays shared by every caller (numpy's companion-matrix
+    solve costs milliseconds per order, and ladders revisit the same orders)."""
+    t, w = np.polynomial.hermite.hermgauss(n)
+    w = w / w.sum()
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def gh_rule(n: int, s: float) -> QuadratureRule:
     """Gauss-Hermite rule for the measure mu_{R,s}.
 
-    Nodes and weights come from the symmetric tridiagonal eigenproblem of the
-    e^{-t^2} orthonormal-polynomial recurrence, then are rescaled by
-    x = sqrt(2 s) t; weights are normalized to sum exactly to 1.
+    Nodes and weights of the e^{-t^2} rule (numpy's hermgauss, cached per
+    order) are rescaled by x = sqrt(2 s) t; weights are normalized to sum to
+    1 and are read-only.
 
     Parameters
     ----------
@@ -86,8 +98,7 @@ def gh_rule(n: int, s: float) -> QuadratureRule:
         raise ValueError(f"quadrature order {n} outside [1, {MAX_GH_ORDER}]")
     if not s > 0:
         raise ValueError("variance must be positive")
-    t, w = special.roots_hermite(n)
-    w = w / w.sum()
+    t, w = _unit_gh_rule(n)
     return QuadratureRule(nodes=math.sqrt(2.0 * s) * t, weights=w, variance=s, order=n)
 
 
@@ -164,21 +175,6 @@ def c_ps(p: float, s: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class WienerSample:
-    """Values of ell_{e_1}..ell_{e_n} at one sample point of (B, mu_{B,s})."""
-
-    coords: np.ndarray
-    variance: float
-    stream: int
-
-    def ell(self, a) -> float:
-        """ell_a for a finite direction vector a (truncated to shared length)."""
-        a = np.asarray(a, dtype=float)
-        k = min(len(a), len(self.coords))
-        return float(np.dot(a[:k], self.coords[:k]))
-
-
 def coordinate_stream(stream: int, coord_key: int) -> np.random.Generator:
     """Philox generator keyed by (stream, coordinate); counter-based, so every
     (stream, coordinate) pair is an independent reproducible stream."""
@@ -203,11 +199,6 @@ def mc_sample_array(n: int, s: float, stream: int, count: int) -> np.ndarray:
     for j in range(n):
         out[:, j] = root * coordinate_stream(stream, j + 1).standard_normal(count)
     return out
-
-
-def mc_sample(n: int, s: float, stream: int, count: int) -> list[WienerSample]:
-    arr = mc_sample_array(n, s, stream, count)
-    return [WienerSample(coords=arr[i], variance=s, stream=stream) for i in range(count)]
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import erf
 
 from .basis import CalcContext
 from .gaussian import gh_rule, ladder
@@ -23,6 +22,8 @@ from .quadform import HermiteExpansion, quadratic_form
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot, mixture_symbol
 
 MAX_TS_PAIRS = 16
+
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def _validate_pairs(J, d: int) -> frozenset:
@@ -78,9 +79,9 @@ class HeatedSymbol:
                 upper = (
                     np.ones_like(u)
                     if math.isinf(length)
-                    else 0.5 * (1.0 + erf((length - u) * scale))
+                    else 0.5 * (1.0 + _erf((length - u) * scale))
                 )
-                lower = 0.5 * (1.0 + erf((0.0 - u) * scale))
+                lower = 0.5 * (1.0 + _erf((0.0 - u) * scale))
                 return upper - lower
 
             def evaluator(xb, xib):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import roots_laguerre
 
 from .basis import CalcContext, TruncationSet
 from .gaussian import QuadratureConvergenceError, gh_rule, gl_panel_rule, integrate_tensor, ladder
@@ -94,7 +93,7 @@ def radial_lower_bound(phi, ctx: CalcContext) -> float:
     """
     if isinstance(phi, PhiSpec):
         return phi.laplace_mean(ctx.h)
-    u, w = roots_laguerre(64)
+    u, w = np.polynomial.laguerre.laggauss(64)
     vals = np.asarray(phi(ctx.h * u), dtype=float)
     res = float(np.sum(w * vals))
     tail = abs(w[-1] * vals[-1])

@@ -14,12 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import polygamma
 
 from .gaussian import REMAINDER_KEY, c_ps, coordinate_stream, mc_sample_array
 
 MIN_MC_SAMPLES = 1000
 EXPLICIT_TAIL_COORDS = 64
+
+# Bernoulli numbers B_2, B_4, ..., B_12 of the trigamma asymptotic series.
+_TRIGAMMA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +73,32 @@ def geometric_direction() -> DirectionVector:
     )
 
 
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0.
+
+    The recurrence psi'(x) = psi'(x + 1) + 1/x^2 shifts x up to >= 20, where
+    1/x + 1/(2x^2) + sum_{k<=6} B_2k / x^{2k+1} is exact to double precision
+    (the first omitted term, B_14 / x^15, is below 1e-18 relative).
+    """
+    terms = []
+    while x < 20.0:
+        terms.append(1.0 / (x * x))
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = 0.0
+    for b in reversed(_TRIGAMMA_BERNOULLI):
+        series = series * inv2 + b
+    terms.append((1.0 + 0.5 / x + series * inv2) / x)
+    return math.fsum(terms)
+
+
 def power_direction() -> DirectionVector:
     """a_j = 1/j: |a|^2 = pi^2/6, tail_sq(n) = psi'(n+1) (trigamma)."""
     return DirectionVector(
         name="power",
         norm_sq=math.pi**2 / 6.0,
         _coord=lambda j: 1.0 / j,
-        _tail_sq=lambda n: float(polygamma(1, n + 1)),
+        _tail_sq=lambda n: _trigamma(n + 1.0),
     )
 
 
@@ -293,13 +314,3 @@ def covariance_and_bound(basis, d: int, s: float, check_inverse: bool = True) ->
         det=det,
     )
 
-
-def write_rate_csv(path, rows) -> None:
-    """CSV (n, exact, mc_estimate, std_error) with repr-exact floats."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "exact", "mc_estimate", "std_error"])
-        for n, exact, est, se in rows:
-            w.writerow([n, repr(float(exact)), repr(float(est)), repr(float(se))])

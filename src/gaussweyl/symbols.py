@@ -44,10 +44,12 @@ _H_SUP = {0: 1.0, 1: math.sqrt(2.0) * math.exp(-0.5), 2: 2.0}
 def _hermite_weighted_sup(n: int) -> float:
     if n in _H_SUP:
         return _H_SUP[n]
-    from scipy.special import eval_hermite
-
     u = np.linspace(-math.sqrt(2.0 * n) - 3.0, math.sqrt(2.0 * n) + 3.0, 400_001)
-    _H_SUP[n] = float(np.max(np.abs(eval_hermite(n, u)) * np.exp(-(u**2))))
+    # H_{k+1} = 2u H_k - 2k H_{k-1}, run on e^{-u^2} H_k so nothing overflows
+    prev, cur = np.zeros_like(u), np.exp(-(u**2))
+    for k in range(n):
+        prev, cur = cur, 2.0 * u * cur - 2.0 * k * prev
+    _H_SUP[n] = float(np.max(np.abs(cur)))
     return _H_SUP[n]
 
 

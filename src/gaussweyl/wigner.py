@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
 
 from .basis import CalcContext, MultiIndex, hermite_eval, laguerre_eval
 from .gaussian import gh_rule, integrate_tensor, ladder
@@ -41,7 +40,7 @@ def wigner_closed(j: int, k: int, x, xi, ctx: CalcContext):
     r2 = x * x + xi * xi
     lag = laguerre_eval(lo, m, 2.0 / ctx.h * r2)
     pref = (
-        math.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
+        math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1)))
         * (-1.0) ** lo
         * (2.0 / ctx.h) ** (m / 2.0)
     )
@@ -159,7 +158,7 @@ def classical_wigner_closed(j: int, k: int, x, eta):
     lag = laguerre_eval(lo, m, 4.0 * math.pi * r2)
     pref = (
         2.0
-        * math.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
+        * math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1)))
         * (-1.0) ** lo
         * (4.0 * math.pi) ** (m / 2.0)
     )
@@ -198,7 +197,7 @@ def classical_wigner_gamma_pair(j: int, k: int, x, eta, ctx: CalcContext):
 def classical_wigner_direct(u, v, x: float, eta: float, half_width: float = 30.0, n: int = 400) -> complex:
     """W_cl(u, v)(x, eta) by direct Gauss-Legendre quadrature in z (reference/
     cross-check path; u, v vectorized callables on R)."""
-    t, w = roots_legendre(n)
+    t, w = np.polynomial.legendre.leggauss(n)
     z = half_width * t
     wz = half_width * w
     vals = (
@@ -234,5 +233,5 @@ def classical_wigner_diagonals(N: int, x, eta):
                 g_prev, g = g, (
                     (2.0 * (jj - 1) + m + 1.0 - zm) * g - (jj - 1 + m) * g_prev
                 ) / jj
-            scale = math.exp(0.5 * (gammaln(jj + 1) - gammaln(jj + m + 1)))
+            scale = math.exp(0.5 * (math.lgamma(jj + 1) - math.lgamma(jj + m + 1)))
             yield jj, jj + m, (2.0 * scale * (-1.0) ** jj) * g * pw

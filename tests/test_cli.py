@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, report headers, CSV/JSON formats,
 sidecar metadata, and byte determinism."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -365,3 +367,73 @@ def test_module_invocation_subprocess():
     assert rep["tool"] == "gaussweyl"
     assert rep["results"]["sign"] == "zero"
     assert proc.stderr.startswith(f"# gaussweyl {__version__}")
+
+
+def test_runtime_never_imports_scipy():
+    """The package and its commands need numpy only; scipy is a test oracle."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from gaussweyl.cli import main\n"
+        "runs = [['wigner', '--j', '3', '--k', '5'], ['nonpos', '--nu', '2.0', '--anorm', '1.0'],\n"
+        "        ['stochext', '--direction', 'power']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in runs]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
+def _csv_cell_per_cell(v):
+    """The per-cell CSV spelling the reports have always used (reference)."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def test_csv_emission_is_byte_identical_to_per_cell_formatting(capsys):
+    rows = [
+        (True, False, np.bool_(True), "label"),
+        (3, np.int64(-7), np.int32(5), 0),
+        (0.1, np.float64(1.0 / 3.0), np.float32(0.1), -0.0),
+        (math.nan, math.inf, -math.inf, np.float64(-0.0)),
+        (np.float64(math.nan), 1e-310, 2.5e300, np.float64(math.inf)),
+    ]
+    plain = [(0.1, -0.0, 3, "x"), (math.inf, math.nan, -1, "y")]
+    cfg = cli.RunConfig(command="wigner", format="csv")
+    for table in (rows, plain):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["a", "b", "c", "d"])
+        for row in table:
+            writer.writerow([_csv_cell_per_cell(c) for c in row])
+        assert cli._emit(cfg, {}, {"passed": True}, {}, ("a", "b", "c", "d"), table) == 0
+        assert capsys.readouterr().out == buf.getvalue()
+
+
+SEEDLESS = [
+    ["wigner", "--j", "1", "--k", "2", "--grid", "3", "--format", "json"],
+    ["opmatrix", "--symbol", GAUSS, "--N", "2", "--format", "json"],
+    ["spectrum", "--symbol", GAUSS, "--N", "2", "--format", "json"],
+    ["nonpos", "--nu", "2.0", "--anorm", "1.0"],
+    ["radial", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--N", "2"],
+    ["garding", "--symbol", GAUSS, "--N", "2"],
+    ["flandrin", "--a", "inf", "--N", "4"],
+]
+
+
+def test_seed_only_where_it_is_used(capsys):
+    for argv in SEEDLESS:
+        assert main(argv + ["--seed", "3"]) == 1, argv
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert main(argv) == 0, argv
+        assert "seed" not in json.loads(capsys.readouterr().out)["config"], argv
+    for argv in (["stochext", "--nmax", "4", "--samples", "1000", "--format", "json"],
+                 ["heatcheck", "--symbol", GAUSS, "--points", "10"]):
+        assert main(argv + ["--seed", "3"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3

@@ -3,6 +3,7 @@ approximation along subspace filtrations, and projected covariances."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,8 +19,8 @@ from gaussweyl.stochproj import (
     power_direction,
     random_frame,
     rotated_frame,
-    write_rate_csv,
 )
+from gaussweyl.stochproj import _trigamma
 
 TRIGAMMA_5 = 0.22132295573711533  # sum_{j>4} j^{-2}
 
@@ -44,6 +45,13 @@ def test_power_direction_tails():
     assert abs(a.tail_sq(4) - TRIGAMMA_5) <= 1e-15
     assert a.coord(3) == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert a.tail_norm(4) == math.sqrt(a.tail_sq(4))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 19, 20, 100, 1024, 10**5])
+def test_trigamma_matches_mpmath(n):
+    with mpmath.workdps(30):
+        want = mpmath.polygamma(1, n + 1)
+    assert abs(_trigamma(n + 1.0) - float(want)) <= 1e-15 * float(want)
 
 
 def test_finite_direction():
@@ -188,12 +196,3 @@ def test_covariance_guards():
     with pytest.raises(ValueError):
         random_frame(0, 3, 1)
 
-
-def test_write_rate_csv(tmp_path):
-    path = tmp_path / "rates.csv"
-    write_rate_csv(path, [(4, 0.25, 0.2501, 0.003)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,exact,mc_estimate,std_error"
-    n, exact, est, se = lines[1].split(",")
-    assert n == "4"
-    assert float(exact) == 0.25 and float(est) == 0.2501 and float(se) == 0.003

@@ -209,6 +209,16 @@ def test_hermite_sup_constants():
     assert _hermite_weighted_sup(2) == 2.0
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_hermite_sup_matches_scipy_grid(n):
+    """The weighted recurrence against scipy's eval_hermite on the same grid."""
+    from scipy.special import eval_hermite
+
+    u = np.linspace(-math.sqrt(2.0 * n) - 3.0, math.sqrt(2.0 * n) + 3.0, 400_001)
+    want = float(np.max(np.abs(eval_hermite(n, u)) * np.exp(-(u**2))))
+    assert abs(_hermite_weighted_sup(n) - want) <= 1e-14 * want
+
+
 def test_cv_class_params_gaussian():
     params = cv_class_params(gaussian_symbol(2.0, 1.0), 2)
     assert abs(params.M - 16.0) <= 1e-12

@@ -151,12 +151,24 @@ def _check_degree(j: int) -> None:
         )
 
 
-def hermite_eval(j: int, x, ctx: CalcContext):
-    """Evaluate the h-scaled Hermite polynomial psi_j at x.
+def _hermite_rows(jmax: int, x: np.ndarray, ctx: CalcContext):
+    """Yield psi_0(x), ..., psi_jmax(x) by the three-term recurrence
 
-    Three-term recurrence:
         psi_j = sqrt(2/h) (x / sqrt(j)) psi_{j-1} - sqrt((j-1)/j) psi_{j-2},
-    with psi_{-1} = 0, psi_0 = 1.  Vectorized over x.
+
+    with psi_{-1} = 0, psi_0 = 1."""
+    c = math.sqrt(2.0 / ctx.h)
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    yield cur
+    for m in range(1, jmax + 1):
+        prev, cur = cur, c * x / math.sqrt(m) * cur - math.sqrt((m - 1) / m) * prev
+        yield cur
+
+
+def hermite_eval(j: int, x, ctx: CalcContext):
+    """Evaluate the h-scaled Hermite polynomial psi_j at x by the three-term
+    recurrence; vectorized over x.
 
     Parameters
     ----------
@@ -174,11 +186,8 @@ def hermite_eval(j: int, x, ctx: CalcContext):
     """
     _check_degree(j)
     x = np.asarray(x, dtype=float)
-    c = math.sqrt(2.0 / ctx.h)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for m in range(1, j + 1):
-        prev, cur = cur, c * x / math.sqrt(m) * cur - math.sqrt((m - 1) / m) * prev
+    for cur in _hermite_rows(j, x, ctx):
+        pass
     return cur if cur.shape else float(cur)
 
 
@@ -187,20 +196,40 @@ def hermite_batch(jmax: int, x, ctx: CalcContext) -> np.ndarray:
     _check_degree(jmax)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((jmax + 1,) + x.shape)
-    c = math.sqrt(2.0 / ctx.h)
-    out[0] = 1.0
-    if jmax >= 1:
-        out[1] = c * x
-    for m in range(2, jmax + 1):
-        out[m] = c * x / math.sqrt(m) * out[m - 1] - math.sqrt((m - 1) / m) * out[m - 2]
+    for m, row in enumerate(_hermite_rows(jmax, x, ctx)):
+        out[m] = row
     return out
 
 
-def laguerre_eval(k: int, alpha: int, x):
-    """Generalized Laguerre polynomial L_k^(alpha)(x) by its explicit sum.
+def _laguerre_rows(nmax: int, alpha: int, z: np.ndarray, start):
+    """Yield start * L_n^(alpha)(z) for n = 0..nmax by the forward recurrence
 
-    The factorial ratio (k+alpha)!/((k-m)!(alpha+m)!) is carried as a running
-    product so nothing overflows for k + alpha <= 200.
+        n L_n = (2n - 1 + alpha - z) L_{n-1} - (n - 1 + alpha) L_{n-2},
+
+    with L_{-1} = 0, L_0 = 1.  The recurrence is linear, so start = e^{-z/2}
+    gives the damped rows e^{-z/2} L_n without overflow.  The rows live in two
+    buffers updated in place: a yielded row is overwritten two steps later."""
+    prev = np.zeros_like(z)
+    cur = prev + start
+    tmp = np.empty_like(z)
+    yield cur
+    for n in range(1, nmax + 1):
+        # (-d prev + (c - z) cur) / n in place, with one scratch row instead of
+        # a fresh array per step; bit-identical to ((c - z) cur - d prev) / n.
+        prev *= -(n - 1.0 + alpha)
+        np.subtract(2.0 * (n - 1) + alpha + 1.0, z, out=tmp)
+        tmp *= cur
+        prev += tmp
+        prev /= n
+        prev, cur = cur, prev
+        yield cur
+
+
+def laguerre_eval(k: int, alpha: int, x):
+    """Generalized Laguerre polynomial L_k^(alpha)(x) by the forward
+    three-term recurrence (the last row of `_laguerre_rows`).
+
+    Guarded to k + alpha <= 200, the degree range the recurrence is tested on.
     """
     if k < 0 or alpha < 0:
         raise ValueError("k and alpha must be nonnegative")
@@ -209,14 +238,9 @@ def laguerre_eval(k: int, alpha: int, x):
             f"k + alpha = {k + alpha} exceeds the overflow guard ({MAX_LAGUERRE_TOTAL})"
         )
     x = np.asarray(x, dtype=float)
-    # term_m = C(k+alpha, k-m) (-x)^m / m!; start at m=0 and update multiplicatively.
-    term = np.full_like(x, math.comb(k + alpha, k), dtype=float)
-    acc = term.copy()
-    for m in range(1, k + 1):
-        # ratio term_m/term_{m-1} = -(k-m+1)/((alpha+m) m) * x
-        term = term * (-(k - m + 1) / ((alpha + m) * m)) * x
-        acc += term
-    return acc if acc.shape else float(acc)
+    for row in _laguerre_rows(k, alpha, x, 1.0):
+        pass
+    return row if row.shape else float(row)
 
 
 def bargman_eval(v: complex, x, ctx: CalcContext):

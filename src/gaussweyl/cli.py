@@ -205,6 +205,22 @@ def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_ro
     return 0 if ok else 2
 
 
+def _config(args, command: str, **fields) -> RunConfig:
+    """The validated RunConfig of `command`: h, output, format and, where the
+    command registers --seed, the seed come from `args`; `fields` holds the
+    command's own fields."""
+    cfg = RunConfig(
+        command=command,
+        h=args.h,
+        seed=getattr(args, "seed", None),
+        output=args.output,
+        format=args.format,
+        **fields,
+    )
+    cfg.validate()
+    return cfg
+
+
 def _ctx(cfg: RunConfig) -> CalcContext:
     return CalcContext(h=cfg.h)
 
@@ -223,17 +239,7 @@ def _quad_block(ladder_ran: bool, **extra) -> dict:
 
 def cmd_wigner(args) -> int:
     params = {"j": args.j, "k": args.k, "grid": args.grid, "radius": args.radius}
-    cfg = RunConfig(
-        command="wigner",
-        symbol=args.symbol,
-        h=args.h,
-        N=max(args.j or 0, args.k or 0),
-        d=1,
-        output=args.output,
-        format=args.format,
-        params=params,
-    )
-    cfg.validate()
+    cfg = _config(args, "wigner", symbol=args.symbol, N=max(args.j or 0, args.k or 0), params=params)
     if (args.symbol is None) == (args.j is None or args.k is None):
         raise ValueError("give either --j and --k, or --symbol (not both)")
     if args.grid < 2 or not args.radius > 0:
@@ -256,26 +262,23 @@ def cmd_wigner(args) -> int:
         if not (0 <= args.j <= 64 and 0 <= args.k <= 64):
             raise ValueError("--j/--k must lie in [0, 64]")
         vals = np.asarray(wigner_closed(args.j, args.k, xg, gg, ctx), dtype=complex)
-        if args.j + args.k <= 24:
-            r = args.radius
-            pts = [(0.37 * r, -0.21 * r), (0.11 * r, 0.64 * r), (-0.53 * r, 0.29 * r)]
-            resid = 0.0
-            for px, pxi in pts:
-                c = wigner_closed(args.j, args.k, px, pxi, ctx)
-                q = wigner_hermite_quadrature(args.j, args.k, px, pxi, ctx)
-                resid = max(resid, abs(complex(c) - complex(q)))
-            contract = {
-                "name": "closed form vs definition integral at 3 spot points",
-                "passed": bool(resid <= 1e-8),
-                "max_residual": resid,
-                "tolerance": 1e-8,
-            }
-        else:
-            contract = {
-                "name": "finite closed-form values (degree too high for spot quadrature)",
-                "passed": bool(np.all(np.isfinite(vals))),
-            }
-        quad = _quad_block(args.j + args.k <= 24)
+        # The defining integral carries e^{zeta^2/h}; spot points within
+        # 3 sqrt(h) keep its conditioning that of the default run.
+        r = min(args.radius, 3.0 * math.sqrt(cfg.h))
+        pts = [(0.37 * r, -0.21 * r), (0.11 * r, 0.64 * r), (-0.53 * r, 0.29 * r)]
+        resid = 0.0
+        for px, pxi in pts:
+            c = wigner_closed(args.j, args.k, px, pxi, ctx)
+            q = wigner_hermite_quadrature(args.j, args.k, px, pxi, ctx)
+            resid = max(resid, abs(complex(c) - complex(q)))
+        contract = {
+            "name": "closed form vs definition integral at 3 spot points",
+            "passed": bool(resid <= 1e-8),
+            "max_residual": resid,
+            "tolerance": 1e-8,
+            "spot_radius": r,
+        }
+        quad = _quad_block(True)
     rows = list(zip(xg.tolist(), gg.tolist(), vals.real.tolist(), vals.imag.tolist()))
     results = {"points": len(rows), "rows": rows if cfg.format == "json" else None}
     return _emit(cfg, quad, contract, results, ("x", "xi", "re", "im"), rows)
@@ -286,17 +289,7 @@ def _symbol_matrix(args, command):
     d = args.d if args.d is not None else sym.d
     if d != sym.d:
         raise ValueError(f"--d {d} does not match the symbol's pair count {sym.d}")
-    cfg = RunConfig(
-        command=command,
-        symbol=args.symbol,
-        h=args.h,
-        N=args.N,
-        d=d,
-        output=args.output,
-        format=args.format,
-        params={},
-    )
-    cfg.validate()
+    cfg = _config(args, command, symbol=args.symbol, N=args.N, d=d)
     ctx = _ctx(cfg)
     om = assemble_matrix(sym, TruncationSet(d, args.N), ctx)
     return cfg, om
@@ -339,17 +332,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_nonpos(args) -> int:
-    cfg = RunConfig(
-        command="nonpos",
+    cfg = _config(
+        args,
+        "nonpos",
         symbol=f"gaussian:nu={args.nu},anorm={args.anorm}",
-        h=args.h,
         N=1,
-        d=1,
-        output=args.output,
-        format=args.format,
         params={"nu": args.nu, "anorm": args.anorm},
     )
-    cfg.validate()
     ctx = _ctx(cfg)
     closed, quadval = nonpos_witness(args.nu, args.anorm, ctx)
     diff = abs(closed - quadval)
@@ -376,17 +365,7 @@ def cmd_radial(args) -> int:
     sym = parse_symbol(args.symbol)
     if sym.family not in ("radial", "tensor_radial"):
         raise ValueError("radial needs a radial: or tensorradial: symbol")
-    cfg = RunConfig(
-        command="radial",
-        symbol=args.symbol,
-        h=args.h,
-        N=args.N,
-        d=sym.d,
-        output=args.output,
-        format=args.format,
-        params={},
-    )
-    cfg.validate()
+    cfg = _config(args, "radial", symbol=args.symbol, N=args.N, d=sym.d)
     rp = radial_positivity_check(sym, TruncationSet(sym.d, args.N), _ctx(cfg))
     # The lower bound is a theorem only under the nondecreasing-profile
     # hypothesis; outside it the comparison is reported but not enforced.
@@ -414,17 +393,7 @@ def cmd_radial(args) -> int:
 
 def cmd_garding(args) -> int:
     sym = parse_symbol(args.symbol)
-    cfg = RunConfig(
-        command="garding",
-        symbol=args.symbol,
-        h=args.h,
-        N=args.N,
-        d=sym.d,
-        output=args.output,
-        format=args.format,
-        params={"eps": args.eps},
-    )
-    cfg.validate()
+    cfg = _config(args, "garding", symbol=args.symbol, N=args.N, d=sym.d, params={"eps": args.eps})
     rep = garding_verify(sym, TruncationSet(sym.d, args.N), _ctx(cfg), eps=args.eps)
     contract = {
         "name": "measured min eigenvalue >= Garding bound (margin >= -1e-9)",
@@ -448,17 +417,12 @@ def cmd_garding(args) -> int:
 
 def cmd_flandrin(args) -> int:
     a = float(args.a)
-    cfg = RunConfig(
-        command="flandrin",
-        symbol=None,
-        h=args.h,
+    cfg = _config(
+        args,
+        "flandrin",
         N=args.N,
-        d=1,
-        output=args.output,
-        format=args.format,
         params={"a": "inf" if math.isinf(a) else a, "points": args.points, "nodes": args.nodes},
     )
-    cfg.validate()
     quad_opts = {"nodes": args.nodes}
     if args.points:
         quad_opts["points_per_axis"] = args.points
@@ -482,15 +446,10 @@ def cmd_flandrin(args) -> int:
 
 
 def cmd_stochext(args) -> int:
-    cfg = RunConfig(
-        command="stochext",
-        symbol=None,
-        h=args.h,
+    cfg = _config(
+        args,
+        "stochext",
         N=args.nmax,
-        d=1,
-        seed=args.seed,
-        output=args.output,
-        format=args.format,
         params={
             "direction": args.direction,
             "p": args.p,
@@ -499,7 +458,6 @@ def cmd_stochext(args) -> int:
             "nmax": args.nmax,
         },
     )
-    cfg.validate()
     a = geometric_direction() if args.direction == "geometric" else power_direction()
     ns = sorted({0, 1, 2} | {2**k for k in range(2, 12) if 2**k <= args.nmax} | {args.nmax})
     rows = []
@@ -537,18 +495,7 @@ def cmd_heatcheck(args) -> int:
         lam = tuple(int(t) for t in args.lam.split(","))
     else:
         lam = tuple(range(1, min(sym.d, 3) + 1))
-    cfg = RunConfig(
-        command="heatcheck",
-        symbol=args.symbol,
-        h=args.h,
-        N=0,
-        d=sym.d,
-        seed=args.seed,
-        output=args.output,
-        format=args.format,
-        params={"lam": list(lam), "points": args.points},
-    )
-    cfg.validate()
+    cfg = _config(args, "heatcheck", symbol=args.symbol, d=sym.d, params={"lam": list(lam), "points": args.points})
     ctx = _ctx(cfg)
     rng = coordinate_stream(cfg.seed, 97)
     x = rng.normal(0.0, math.sqrt(3.0 * cfg.h), size=(args.points, sym.d))

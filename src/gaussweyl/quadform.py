@@ -22,7 +22,7 @@ import numpy as np
 from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
 from .gaussian import gh_rule, gl_panel_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import wigner_closed
+from .wigner import wigner_closed, wigner_on_rule
 
 MAX_MATRIX_SIZE = 4096
 
@@ -191,21 +191,6 @@ def _mixture_diagonal(mix, degrees: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _wigner_on_grid_by_quadrature(j, k, xs, xis, ctx, n: int):
-    """W(psi_j, psi_k) on a grid of phase-space points, via the defining
-    integral (the slow dual route to wigner_closed)."""
-    r = gh_rule(n, ctx.h / 2.0)
-    t = r.nodes[None, :]
-    xs = np.asarray(xs, dtype=float).reshape(-1, 1)
-    xis = np.asarray(xis, dtype=float).reshape(-1, 1)
-    vals = (
-        np.exp(-2j * xis * t / ctx.h)
-        * hermite_eval(j, xs + t, ctx)
-        * hermite_eval(k, xs - t, ctx)
-    )
-    return (vals @ r.weights) * np.exp(xis[:, 0] ** 2 / ctx.h)
-
-
 def _tensor_shot(sym, alpha, beta, ctx, n: int, wigner_route: str) -> complex:
     d = sym.d
     rule = gh_rule(n, ctx.h / 2.0)
@@ -220,9 +205,14 @@ def _tensor_shot(sym, alpha, beta, ctx, n: int, wigner_route: str) -> complex:
                 if wigner_route == "closed":
                     w = wigner_closed(a_i, b_i, x[:, i - 1], xi[:, i - 1], ctx)
                 else:
-                    inner = max(64, 2 * (max(a_i, b_i) + 1) + 16)
-                    w = _wigner_on_grid_by_quadrature(
-                        a_i, b_i, x[:, i - 1], xi[:, i - 1], ctx, inner
+                    inner = gh_rule(max(64, 2 * (max(a_i, b_i) + 1) + 16), ctx.h / 2.0)
+                    w = wigner_on_rule(
+                        lambda t: hermite_eval(a_i, t, ctx),
+                        lambda t: hermite_eval(b_i, t, ctx),
+                        x[:, i - 1],
+                        xi[:, i - 1],
+                        ctx,
+                        inner,
                     )
                 vals = vals * w
         return vals

@@ -146,7 +146,10 @@ def mc_conv_rate(a: DirectionVector, n: int, p: float, s: float, samples: int, s
 
     The difference sum_{j>n} a_j x_j is simulated exactly: coordinates
     n+1..n+64 are drawn from their keyed streams and the rest is one Gaussian
-    remainder with variance s * tail_sq(n+64) on the reserved stream.
+    remainder with variance s * tail_sq(n+64) on the reserved stream.  The
+    tail is simulated divided by tail_norm(n), and the estimate and its error
+    are scaled back, so the moments keep their digits where the tail is tiny
+    (the geometric tail_sq(n) = 2^-n is subnormal from n = 1023).
 
     Returns (estimate, std_error); the estimate brackets the closed-form rate
     within a few standard errors.
@@ -157,18 +160,21 @@ def mc_conv_rate(a: DirectionVector, n: int, p: float, s: float, samples: int, s
         raise ValueError("p must be >= 1")
     if s <= 0:
         raise ValueError("s must be > 0")
-    if a.tail_sq(n) == 0.0:
+    tail_sq = a.tail_sq(n)
+    if tail_sq == 0.0:
         return 0.0, 0.0
+    norm = math.sqrt(tail_sq)
     root = math.sqrt(s)
     diff = np.zeros(samples)
     for j in range(n + 1, n + EXPLICIT_TAIL_COORDS + 1):
-        cj = a.coord(j)
+        cj = a.coord(j) / norm
         if cj != 0.0:
             diff += cj * root * coordinate_stream(seed, j).standard_normal(samples)
-    rem_var = s * a.tail_sq(n + EXPLICIT_TAIL_COORDS)
+    rem_var = s * a.tail_sq(n + EXPLICIT_TAIL_COORDS) / tail_sq
     if rem_var > 0.0:
         diff += math.sqrt(rem_var) * coordinate_stream(seed, REMAINDER_KEY).standard_normal(samples)
-    return _pth_moment_root(np.abs(diff) ** p, p)
+    est, se = _pth_moment_root(np.abs(diff) ** p, p)
+    return est * norm, se * norm
 
 
 # ---------------------------------------------------------------------------

@@ -512,13 +512,3 @@ def cv_class_params(sym: SymbolDescriptor, m: int) -> SymbolClassParams:
         square_summable=True,
         method=method,
     )
-
-
-def epsilon_from_quadratic_form(diag: Sequence[tuple[float, float]]) -> list[float]:
-    """eps_j = max(Q_A(e_j,0)^{1/2}, Q_A(0,e_j)^{1/2}) from diagonal values."""
-    out = []
-    for j, (qx, qxi) in enumerate(diag, start=1):
-        if qx < 0 or qxi < 0:
-            raise ValueError(f"negative diagonal entry at position {j}")
-        out.append(max(math.sqrt(qx), math.sqrt(qxi)))
-    return out

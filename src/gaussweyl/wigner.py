@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .basis import CalcContext, MultiIndex, hermite_eval, laguerre_eval
+from .basis import CalcContext, MultiIndex, _laguerre_rows, hermite_eval, laguerre_eval
 from .gaussian import gh_rule, integrate_tensor, ladder
 
 # e^{-z/2} is below double precision past this; points there are masked to 0
@@ -49,35 +49,35 @@ def wigner_closed(j: int, k: int, x, xi, ctx: CalcContext):
     return val if np.shape(val) else complex(val)
 
 
+def wigner_on_rule(fhat, ghat, z, zeta, ctx: CalcContext, rule):
+    """W_{h,R}(fhat, ghat)(z, zeta) by the given Gauss-Hermite rule of
+    mu_{R,h/2} applied to the defining integral
+
+        e^{zeta^2/h} int e^{-2 i zeta t / h} fhat(z+t) conj(ghat(z-t)) dmu_{R,h/2}(t);
+
+    vectorized over the points (z, zeta).  The factor e^{zeta^2/h} amplifies
+    the rule's error, so the route is accurate only where zeta^2/h is moderate.
+    """
+    h = ctx.h
+    z, zeta = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(zeta, dtype=float))
+    zc = z.reshape(-1, 1)
+    zetac = zeta.reshape(-1, 1)
+    t = rule.nodes
+    vals = np.exp(-2j * zetac * t / h) * np.asarray(fhat(zc + t)) * np.conjugate(np.asarray(ghat(zc - t)))
+    out = (vals @ rule.weights) * np.exp(zetac[:, 0] ** 2 / h)
+    return out.reshape(z.shape) if z.shape else complex(out[0])
+
+
 def wigner_quadrature(fhat, ghat, z: float, zeta: float, ctx: CalcContext, rule=None):
     """W_{h,R}(fhat, ghat)(z, zeta) by quadrature of the defining integral
-
-        e^{zeta^2/h} int e^{-2 i zeta t / h} fhat(z+t) conj(ghat(z-t)) dmu_{R,h/2}(t).
+    (see `wigner_on_rule`).
 
     With rule=None the order is raised on the standard ladder until two
     successive orders agree.
     """
-    h = ctx.h
-
-    def value_at(n: int) -> complex:
-        r = gh_rule(n, h / 2.0)
-        t = r.nodes
-        vals = (
-            np.exp(-2j * zeta * t / h)
-            * np.asarray(fhat(z + t))
-            * np.conjugate(np.asarray(ghat(z - t)))
-        )
-        return complex(np.sum(vals * r.weights)) * math.exp(zeta * zeta / h)
-
     if rule is not None:
-        t = rule.nodes
-        vals = (
-            np.exp(-2j * zeta * t / h)
-            * np.asarray(fhat(z + t))
-            * np.conjugate(np.asarray(ghat(z - t)))
-        )
-        return complex(np.sum(vals * rule.weights)) * math.exp(zeta * zeta / h)
-    val, _ = ladder(value_at)
+        return wigner_on_rule(fhat, ghat, z, zeta, ctx, rule)
+    val, _ = ladder(lambda n: wigner_on_rule(fhat, ghat, z, zeta, ctx, gh_rule(n, ctx.h / 2.0)))
     return val
 
 
@@ -112,18 +112,13 @@ def wigner_bargman(u: complex, v: complex, x: float, xi: float, ctx: CalcContext
 def overlap(j: int, k: int, ctx: CalcContext, rule=None) -> float:
     """int W(psi_j, psi_k) dmu_{R^2,h/2}; equals delta_{jk}."""
 
-    def value_at(n: int) -> complex:
-        r = gh_rule(n, ctx.h / 2.0)
-        return integrate_tensor(
-            lambda pts: wigner_closed(j, k, pts[:, 0], pts[:, 1], ctx), r, 2
-        )
+    def value(r) -> complex:
+        return integrate_tensor(lambda pts: wigner_closed(j, k, pts[:, 0], pts[:, 1], ctx), r, 2)
 
     if rule is not None:
-        val = integrate_tensor(
-            lambda pts: wigner_closed(j, k, pts[:, 0], pts[:, 1], ctx), rule, 2
-        )
+        val = value(rule)
     else:
-        val, _ = ladder(value_at, start=max(48, j + k + 16))
+        val, _ = ladder(lambda n: value(gh_rule(n, ctx.h / 2.0)), start=max(48, j + k + 16))
     return val.real if abs(val.imag) < 1e-12 else val
 
 
@@ -144,27 +139,40 @@ def classical_hermite(j: int, x):
     )
 
 
+def _classical_setup(x, eta):
+    """Flat points of the classical table: z = 4 pi r^2, e^{-z/2} and
+    zeta = 2 sqrt(pi) (x + i eta), so that zeta^m = (4 pi)^{m/2} w^m.  Points
+    with z > Z_CUT are masked (e^{-z/2} and zeta set to 0) before any power or
+    Laguerre row is formed, so nothing overflows."""
+    x = np.asarray(x, dtype=float).ravel()
+    eta = np.asarray(eta, dtype=float).ravel()
+    z = 4.0 * math.pi * (x * x + eta * eta)
+    mask = z <= Z_CUT
+    e_half = np.where(mask, np.exp(-np.minimum(z, Z_CUT) / 2.0), 0.0)
+    zeta = np.where(mask, 2.0 * math.sqrt(math.pi) * (x + 1j * eta), 0.0)
+    return z, e_half, zeta
+
+
+def _classical_prefactor(lo: int, m: int) -> float:
+    """2 sqrt(lo!/(lo+m)!) (-1)^lo, the table's factor beyond zeta^m e^{-z/2} L."""
+    return 2.0 * math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + m + 1))) * (-1.0) ** lo
+
+
 def classical_wigner_closed(j: int, k: int, x, eta):
     """W_cl(phi_j, phi_k)(x, eta) in closed form: the h-free classical table.
 
     Equal to 2 e^{-2 pi r^2} sqrt(lo!/hi!) (-1)^lo (4 pi)^{m/2} w^m
-    L_lo^{(m)}(4 pi r^2); independent of any semiclassical parameter.
+    L_lo^{(m)}(4 pi r^2); independent of any semiclassical parameter.  The
+    Laguerre factor is the damped row e^{-z/2} L_lo^{(m)}(z), z = 4 pi r^2.
     """
-    x = np.asarray(x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    lo, hi = min(j, k), max(j, k)
-    m = hi - lo
-    r2 = x * x + eta * eta
-    lag = laguerre_eval(lo, m, 4.0 * math.pi * r2)
-    pref = (
-        2.0
-        * math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1)))
-        * (-1.0) ** lo
-        * (4.0 * math.pi) ** (m / 2.0)
-    )
-    w = x + 1j * eta if k >= j else x - 1j * eta
-    val = pref * np.exp(-2.0 * math.pi * r2) * lag * w**m
-    return val if np.shape(val) else complex(val)
+    x, eta = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
+    z, e_half, zeta = _classical_setup(x, eta)
+    lo, m = min(j, k), abs(j - k)
+    for g in _laguerre_rows(lo, m, z, e_half):
+        pass
+    w = zeta if k >= j else np.conjugate(zeta)
+    val = (_classical_prefactor(lo, m) * g * w**m).reshape(x.shape)
+    return val if x.shape else complex(val)
 
 
 def classical_wigner_bridge(j: int, k: int, x, eta, ctx: CalcContext):
@@ -185,15 +193,6 @@ def classical_wigner_bridge(j: int, k: int, x, eta, ctx: CalcContext):
     return val if np.shape(val) else complex(val)
 
 
-def classical_wigner_gamma_pair(j: int, k: int, x, eta, ctx: CalcContext):
-    """W_cl(gamma psi_j, gamma psi_k)(x, eta) at the context h.
-
-    gamma psi_j is the sqrt(2 pi h)-dilation of phi_j, so this is the fixed
-    classical table evaluated at symplectically rescaled arguments."""
-    lam = math.sqrt(2.0 * math.pi * ctx.h)
-    return classical_wigner_closed(j, k, np.asarray(x, dtype=float) / lam, lam * np.asarray(eta, dtype=float))
-
-
 def classical_wigner_direct(u, v, x: float, eta: float, half_width: float = 30.0, n: int = 400) -> complex:
     """W_cl(u, v)(x, eta) by direct Gauss-Legendre quadrature in z (reference/
     cross-check path; u, v vectorized callables on R)."""
@@ -212,26 +211,11 @@ def classical_wigner_diagonals(N: int, x, eta):
     """Stream the whole classical Wigner table W_cl(phi_j, phi_k), 0<=j<=k<=N,
     evaluated on a flat point set.
 
-    Yields (j, k, values).  Runs one scaled-Laguerre recurrence per diagonal
-    m = k - j directly on G_j = e^{-z/2} L_j^{(m)}(z), z = 4 pi r^2, so nothing
-    overflows; points with z > Z_CUT contribute exactly 0 in double precision
-    and are masked.
+    Yields (j, k, values).  One damped Laguerre sweep per diagonal m = k - j
+    gives e^{-z/2} L_j^{(m)}(z), z = 4 pi r^2, for every j at once.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    eta = np.asarray(eta, dtype=float).ravel()
-    z = 4.0 * math.pi * (x * x + eta * eta)
-    mask = z <= Z_CUT
-    e_half = np.where(mask, np.exp(-np.minimum(z, Z_CUT) / 2.0), 0.0)
-    zeta = np.where(mask, 2.0 * math.sqrt(math.pi) * (x + 1j * eta), 0.0)
-    zm = z.copy()
+    z, e_half, zeta = _classical_setup(x, eta)
     for m in range(N + 1):
         pw = zeta**m
-        g_prev = np.zeros_like(e_half)
-        g = e_half.copy()  # j = 0: L_0^{(m)} = 1
-        for jj in range(0, N - m + 1):
-            if jj > 0:
-                g_prev, g = g, (
-                    (2.0 * (jj - 1) + m + 1.0 - zm) * g - (jj - 1 + m) * g_prev
-                ) / jj
-            scale = math.exp(0.5 * (math.lgamma(jj + 1) - math.lgamma(jj + m + 1)))
-            yield jj, jj + m, (2.0 * scale * (-1.0) ** jj) * g * pw
+        for jj, g in enumerate(_laguerre_rows(N - m, m, z, e_half)):
+            yield jj, jj + m, _classical_prefactor(jj, m) * g * pw

@@ -136,11 +136,43 @@ def test_wigner_csv_stdout(capsys):
     assert meta["contract"]["max_residual"] <= 1e-8
 
 
-def test_wigner_high_degree_skips_spot_check(capsys):
-    rc = main(["wigner", "--j", "20", "--k", "10", "--grid", "3"])
+def _explicit_laguerre_sum(k, alpha, x):
+    """The explicit alternating sum for L_k^(alpha), which loses its digits
+    from moderate degree."""
+    x = np.asarray(x, dtype=float)
+    term = np.full_like(x, math.comb(k + alpha, k), dtype=float)
+    acc = term.copy()
+    for m in range(1, k + 1):
+        term = term * (-(k - m + 1) / ((alpha + m) * m)) * x
+        acc += term
+    return acc if acc.shape else float(acc)
+
+
+def test_wigner_high_degree_runs_spot_check(capsys, monkeypatch):
+    rc = main(["wigner", "--j", "64", "--k", "60", "--grid", "3"])
     assert rc == 0
     meta = json.loads("\n".join(capsys.readouterr().err.splitlines()[1:]))
-    assert "degree too high" in meta["contract"]["name"]
+    assert meta["contract"]["name"] == "closed form vs definition integral at 3 spot points"
+    assert meta["contract"]["max_residual"] <= 1e-8
+    assert meta["contract"]["spot_radius"] == 3.0
+    assert "policy" in meta["quadrature"]
+    # a wrong Laguerre kernel must fail the contract at this degree
+    monkeypatch.setattr("gaussweyl.wigner.laguerre_eval", _explicit_laguerre_sum)
+    assert main(["wigner", "--j", "64", "--k", "60", "--grid", "3"]) == 2
+    meta = json.loads("\n".join(capsys.readouterr().err.splitlines()[1:]))
+    assert meta["contract"]["passed"] is False
+
+
+def test_wigner_spot_radius(capsys):
+    """Spot points lie within min(radius, 3 sqrt(h)), where the defining
+    integral's factor e^{zeta^2/h} stays moderate."""
+    for extra, radius in ((["--radius", "8"], 3.0), (["--h", "0.1"], 3.0 * math.sqrt(0.1)),
+                          (["--h", "4", "--radius", "2"], 2.0)):
+        rc = main(["wigner", "--j", "3", "--k", "5", "--grid", "3", *extra])
+        assert rc == 0
+        meta = json.loads("\n".join(capsys.readouterr().err.splitlines()[1:]))
+        assert meta["contract"]["spot_radius"] == radius
+        assert meta["contract"]["max_residual"] <= 1e-8
 
 
 def test_wigner_symbol_grid_json(capsys):

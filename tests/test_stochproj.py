@@ -108,6 +108,16 @@ def test_mc_rate_scales_like_sqrt_s(p):
     assert e4 == pytest.approx(2.0 * e1, rel=1e-12)
 
 
+def test_mc_rate_subnormal_tail():
+    """tail_sq(1024) = 2^-1024 is subnormal; the estimate keeps its digits
+    and brackets the closed-form rate within 3 standard errors."""
+    a = geometric_direction()
+    exact = exact_conv_rate(a, 1024, 2.0, 1.0)
+    est, se = mc_conv_rate(a, 1024, 2.0, 1.0, 4000, seed=5)
+    assert se > 0.0
+    assert abs(est - exact) <= 3.0 * se
+
+
 def test_mc_rate_zero_tail_and_guards():
     a = finite_direction([1.0, 0.5])
     assert mc_conv_rate(a, 2, 2.0, 1.0, 2000) == (0.0, 0.0)

@@ -15,7 +15,6 @@ from gaussweyl.symbols import (
     const_symbol,
     custom_symbol,
     cv_class_params,
-    epsilon_from_quadratic_form,
     eval_ddot,
     gaussian_symbol,
     lemma_epsilon,
@@ -239,9 +238,3 @@ def test_cv_class_params_guards():
     multi = cv_class_params(radial_symbol(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), 2), 1)
     assert multi.method == "analytic-majorant"
     assert multi.M > 1.0
-
-
-def test_epsilon_from_quadratic_form():
-    assert epsilon_from_quadratic_form([(4.0, 1.0), (0.25, 9.0)]) == [2.0, 3.0]
-    with pytest.raises(ValueError):
-        epsilon_from_quadratic_form([(-1.0, 0.0)])

@@ -4,6 +4,7 @@ generating function, tensorization, and the classical (h-free) table."""
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from gaussweyl.basis import CalcContext, MultiIndex, hermite_eval
@@ -14,7 +15,6 @@ from gaussweyl.wigner import (
     classical_wigner_closed,
     classical_wigner_diagonals,
     classical_wigner_direct,
-    classical_wigner_gamma_pair,
     overlap,
     wigner_bargman,
     wigner_closed,
@@ -65,6 +65,36 @@ def test_closed_vectorized_and_guards():
         assert vals[i] == wigner_closed(1, 2, float(x), 0.5 * float(x), ctx)
     with pytest.raises(ValueError):
         wigner_closed(-1, 0, 0.0, 0.0, ctx)
+
+
+@pytest.mark.parametrize("j,k", [(30, 30), (40, 40), (64, 60)])
+def test_closed_high_degree_matches_oracle(j, k):
+    """The degrees of the bench's Wigner tables, where an explicit Laguerre
+    sum loses its digits (it gave -412.81 for -318.66 at (40, 40, 3, 0))."""
+    ctx = CalcContext(h=1.0)
+    axis = np.linspace(-3.0, 3.0, 9)
+    x, xi = np.repeat(axis, 9), np.tile(axis, 9)
+    got = wigner_closed(j, k, x, xi, ctx)
+    want = np.array([oracles.wigner_closed(j, k, a, b, 1.0) for a, b in zip(x, xi)])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if j == k == 40:
+        got = wigner_closed(40, 40, 3.0, 0.0, ctx)
+        want = oracles.wigner_closed(40, 40, 3.0, 0.0, 1.0)
+        assert abs(want + 318.66133920848507) <= 1e-9
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_closed_where_the_damping_underflows():
+    """At small h, z = 2 r^2 / h passes Z_CUT, where e^{-z/2} underflows; the
+    Gaussian-normalized closed form carries no such damping and must stay
+    finite and right there."""
+    h = 1e-3
+    ctx = CalcContext(h=h)
+    for j, k, x, xi in [(3, 5, 0.9, 0.5), (12, 7, -0.8, 0.6), (0, 0, 1.0, 1.0)]:
+        assert 2.0 * (x * x + xi * xi) / h > 1380.0
+        got = wigner_closed(j, k, x, xi, ctx)
+        want = oracles.wigner_closed(j, k, x, xi, h)
+        assert np.isfinite(got) and abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_definition_route_frozen():
@@ -182,21 +212,15 @@ def test_classical_bridge_h_free(h):
 
 def test_bridge_identity_frozen():
     """e^{-(x^2+xi^2)/h} W_h(psi_j, psi_j)(x, xi) =
-    1/2 W_cl(gamma psi_j, gamma psi_j)(x, xi/(2 pi h))."""
+    1/2 W_cl(gamma psi_j, gamma psi_j)(x, xi/(2 pi h)), where gamma psi_j is
+    the sqrt(2 pi h)-dilation of phi_j."""
     j, x, xi, h = 1, 0.6, -0.4, 0.7
     ctx = CalcContext(h=h)
+    lam = math.sqrt(2.0 * math.pi * h)
     lhs = math.exp(-(x * x + xi * xi) / h) * wigner_closed(j, j, x, xi, ctx)
-    rhs = 0.5 * classical_wigner_gamma_pair(j, j, x, xi / (2.0 * math.pi * h), ctx)
+    rhs = 0.5 * classical_wigner_closed(j, j, x / lam, lam * xi / (2.0 * math.pi * h))
     assert abs(lhs - 0.2310798723927446) <= 1e-12
     assert abs(lhs - rhs) <= 1e-12
-
-
-def test_gamma_pair_dilation():
-    ctx = CalcContext(h=0.9)
-    lam = math.sqrt(2.0 * math.pi * ctx.h)
-    got = classical_wigner_gamma_pair(1, 3, 0.5, -0.2, ctx)
-    want = classical_wigner_closed(1, 3, 0.5 / lam, -0.2 * lam)
-    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_diagonal_stream_matches_table():

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import CalcContext, TruncationSet
-from .gaussian import QuadratureConvergenceError, gh_rule, gl_panel_rule, integrate_tensor, ladder
+from .gaussian import gh_rule, integrate_tensor, ladder
 from .quadform import HermiteExpansion, assemble_matrix, eig_hermitian, quadratic_form
 from .symbols import (
     PhiSpec,
@@ -31,9 +31,7 @@ from .symbols import (
     gaussian_symbol,
     lemma_epsilon,
 )
-from .wigner import classical_wigner_bridge, classical_wigner_closed, classical_wigner_diagonals, wigner_closed
-
-MAX_FLANDRIN_N = 128
+from .wigner import MAX_FLANDRIN_N, _classical_rect, _classical_rect_doubled, flandrin_domain_radius, wigner_closed
 
 
 # ---------------------------------------------------------------------------
@@ -307,70 +305,13 @@ def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def flandrin_domain_radius(N: int) -> float:
-    """Radius beyond which every W_cl(phi_j, phi_k), j,k <= N, is negligible
-    (past the Laguerre turning point with a wide margin)."""
-    return math.sqrt((4.0 * N + 6.0 * math.sqrt(2.0 * N + 1.0) + 25.0) / (4.0 * math.pi)) + 1.0
-
-
-def _axis_points(L: float, N: int) -> int:
-    # ~4.8 points per oscillation: zero spacing of the table entries is
-    # ~0.44/sqrt(N) in the radius, uniformly over the support.
-    return max(48, int(math.ceil(4.8 * L * math.sqrt(N + 1.0))) + 32)
-
-
-def _grid(rule_x, rule_y):
-    x = np.repeat(rule_x.nodes, rule_y.nodes.size)
-    y = np.tile(rule_y.nodes, rule_x.nodes.size)
-    w = np.multiply.outer(rule_x.weights, rule_y.weights).ravel()
-    return x, y, w
-
-
-def _quarter_angle(m: int) -> complex:
-    """int_0^{pi/2} e^{i m theta} d theta."""
-    return complex(math.pi / 2.0) if m == 0 else (np.exp(0.5j * math.pi * m) - 1.0) / (1j * m)
-
-
 def flandrin_matrix(a: float, N: int, points: int | None = None, nodes: int = 16, bridge_ctx: CalcContext | None = None) -> np.ndarray:
-    """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N.
-
-    The region beyond R(N) contributes below double precision.  For the
-    quarter plane (a = inf, table route) the polar separation
-    W_cl(r, theta) = W_cl(r, 0) e^{i m theta}, m = k - j, gives
-
-        M_jk(inf) = int_0^{pi/2} e^{i m theta} d theta * int_0^R W_cl(r, 0) r dr,
-
-    an exact angle factor times one radial Gauss-Legendre panel rule of about
-    `points` nodes on [0, R(N)].  Otherwise (finite boxes, and the bridge) the
-    integral runs on the 2-D grid of that panel rule on [0, min(a, R(N))]^2.
-    With bridge_ctx the entries are rebuilt through the h-dependent Gaussian
+    """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N: the
+    square case of the classical rectangle sweep (polar at a = inf, the 2-D
+    panel grid on [0, min(a, R(N))]^2 otherwise, `points` per axis).  With
+    bridge_ctx the entries are rebuilt through the h-dependent Gaussian
     bridge instead of the h-free table (the h-cancellation self-check)."""
-    L = flandrin_domain_radius(N) if math.isinf(a) else min(a, flandrin_domain_radius(N))
-    pts = points or _axis_points(L, N)
-    rule = gl_panel_rule(0.0, L, max(3, math.ceil(pts / nodes)), nodes)
-    M = np.zeros((N + 1, N + 1), dtype=complex)
-    if math.isinf(a) and bridge_ctx is None:
-        r = rule.nodes
-        wr = rule.weights * r
-        for j, k, vals in classical_wigner_diagonals(N, r, np.zeros_like(r)):
-            s = _quarter_angle(k - j) * complex(np.dot(vals, wr))
-            M[j, k] = s
-            M[k, j] = np.conjugate(s)
-        return M
-    x, y, w = _grid(rule, rule)
-    w = w.astype(complex)
-    if bridge_ctx is None:
-        for j, k, vals in classical_wigner_diagonals(N, x, y):
-            s = complex(np.dot(vals, w))
-            M[j, k] = s
-            M[k, j] = np.conjugate(s)
-    else:
-        for j in range(N + 1):
-            for k in range(j, N + 1):
-                s = complex(np.dot(classical_wigner_bridge(j, k, x, y, bridge_ctx), w))
-                M[j, k] = s
-                M[k, j] = np.conjugate(s)
-    return M
+    return _classical_rect(N, a, a, (points, points) if points else None, nodes, bridge_ctx)
 
 
 @dataclass(frozen=True)
@@ -408,8 +349,9 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None
     section of degree N, with panel-doubling quadrature control, an
     N-convergence table from nested sections, and the two-h bridge check.
 
-    At a = inf the matrix comes from the polar route of flandrin_matrix, so
-    the doubling refines its radial rule and the bridge (2-D panels) is an
+    The matrix comes from the classical rectangle sweep with its shared
+    panel-doubling control.  At a = inf that is the polar route, so the
+    doubling refines its radial rule and the bridge (2-D panels) is an
     independent second route; for finite a both run on 2-D panels.
 
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
@@ -426,23 +368,9 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None
     max_doublings = int(opts.pop("max_doublings", 2))
     if opts:
         raise ValueError(f"unknown quadrature options {sorted(opts)}")
-    L = flandrin_domain_radius(N) if math.isinf(a) else min(a, flandrin_domain_radius(N))
-    pts = int(pts) if pts else _axis_points(L, N)
-
-    M = flandrin_matrix(a, N, pts, nodes)
-    agreement = math.inf
-    for _ in range(max_doublings):
-        pts *= 2
-        M2 = flandrin_matrix(a, N, pts, nodes)
-        agreement = float(np.max(np.abs(M2 - M)))
-        M = M2
-        if agreement <= 1e-9:
-            break
-    else:
-        raise QuadratureConvergenceError(
-            f"panel doubling stalled at {agreement:.3e} > 1e-9 ({pts} pts/axis)"
-        )
-
+    L = min(a, flandrin_domain_radius(N))
+    points = (int(pts), int(pts)) if pts else None
+    M, (pts, _), agreement = _classical_rect_doubled(N, a, a, points, nodes, max_doublings)
     sections = sorted({n for n in (2, 4, 8, 16, 32, 64, 128) if n <= N} | {N})
     convergence = tuple(
         (n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))) for n in sections
@@ -477,30 +405,6 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None
     )
 
 
-def _classical_rect_integral(j: int, k: int, lx: float, ly: float) -> complex:
-    """int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k) dx deta with panel doubling."""
-    deg = max(j, k)
-    R = flandrin_domain_radius(deg)
-    lx = min(lx, R)
-    ly = min(ly, R)
-    if lx <= 0.0 or ly <= 0.0:
-        return 0.0j
-
-    def shot(scale: int) -> complex:
-        rx = gl_panel_rule(0.0, lx, max(3, math.ceil(_axis_points(lx, deg) * scale / 16)), 16)
-        ry = gl_panel_rule(0.0, ly, max(3, math.ceil(_axis_points(ly, deg) * scale / 16)), 16)
-        x, y, w = _grid(rx, ry)
-        return complex(np.dot(classical_wigner_closed(j, k, x, y), w))
-
-    prev = shot(1)
-    for scale in (2, 4):
-        cur = shot(scale)
-        if abs(cur - prev) <= 1e-10:
-            return cur
-        prev = cur
-    return prev
-
-
 def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
     """Check the change of variables tying the Gaussian box form to the
     classical rectangle integral:
@@ -508,6 +412,10 @@ def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
         Q(box(a))(f, f) = sum c_j conj(c_k) int_{[0, s a) x [0, a/s)}
                             W_cl(phi_j, phi_k) du dv,   s = sqrt(2 pi h).
 
+    The left side is the box section (the h-free table swept over the
+    rectangle); the right side sweeps the same rectangle through the Gaussian
+    bridge at ctx.h, i.e. the Gaussian closed form in Gaussian variables.
+    Either raises QuadratureConvergenceError if its panel doubling stalls.
     Returns (lhs, rhs, residual); at a = inf both sides are the quarter-plane
     mass (1/4 for the ground state).
     """
@@ -515,14 +423,10 @@ def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
         raise ValueError("the reduction check needs a one-dimensional expansion")
     lhs = quadratic_form(box_symbol(a), f, f, ctx)
     lam = math.sqrt(2.0 * math.pi * ctx.h)
-    cache: dict[tuple[int, int], complex] = {}
-    rhs = 0.0j
-    for aidx, ca in f.items():
-        for bidx, cb in f.items():
-            key = (aidx.degree(1), bidx.degree(1))
-            if key not in cache:
-                cache[key] = _classical_rect_integral(key[0], key[1], lam * a, a / lam)
-            rhs += ca * np.conjugate(cb) * cache[key]
+    N = max((idx.degree(1) for idx, _ in f.items()), default=0)
+    M, _, _ = _classical_rect_doubled(N, lam * a, a / lam, bridge_ctx=ctx)
+    rhs = sum(ca * np.conjugate(cb) * M[i.degree(1), j.degree(1)]
+              for i, ca in f.items() for j, cb in f.items())
     lhs = lhs.real if abs(lhs.imag) < 1e-10 else lhs
     rhs = rhs.real if abs(rhs.imag) < 1e-10 else rhs
     return lhs, rhs, float(abs(lhs - rhs))

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
-from .gaussian import gh_rule, gl_panel_rule, integrate_tensor, ladder, quad_budget
+from .gaussian import gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import wigner_closed, wigner_on_rule
+from .wigner import MAX_FLANDRIN_N, _classical_rect_doubled, wigner_closed, wigner_on_rule
 
 MAX_MATRIX_SIZE = 4096
 
@@ -166,8 +166,10 @@ ROUTE_LADDER = "tensor ladder"
 
 def section_route(sym, wigner_route: str = "closed") -> str:
     """The route that computes matrix elements of `sym`: the closed diagonal
-    law for Gaussian mixtures (closed Wigner route only), the panel rule for
-    boxes, and the tensor Gauss-Hermite ladder otherwise."""
+    law for Gaussian mixtures (closed Wigner route only), for boxes one
+    doubled panel sweep of the classical table over [0, lambda a) x
+    [0, a/lambda) (degrees <= 128), and the tensor Gauss-Hermite ladder
+    otherwise."""
     if sym.family == "box":
         return ROUTE_BOX
     if wigner_route == "closed" and sym.gauss_mixture() is not None:
@@ -237,41 +239,22 @@ def _tensor_element(sym, alpha, beta, ctx, rule=None, wigner_route="closed"):
     )
 
 
-def _box_cut(j: int, k: int, h: float) -> float:
-    # Gaussian-weighted Hermite-pair mass is negligible past the turning
-    # point sqrt(h (2(j+k)+1)/2) plus a wide safety margin.
-    return math.sqrt(h) * (math.sqrt(2.0 * (j + k) + 1.0) + 12.0)
+def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
+    """The one-pair section of box(a), 0 <= j,k <= N, and the points per axis
+    of its accepted rule.  (x, xi) = lambda (u, v), lambda = sqrt(2 pi h),
+    turns W(psi_j, psi_k) e^{-r^2/h} dx dxi / (pi h) into W_cl(phi_j, phi_k)
+    du dv and the box into the rectangle [0, lambda a) x [0, a/lambda)."""
+    if wigner_route != "closed":
+        raise ValueError("box matrix elements support only the closed Wigner route")
+    if N > MAX_FLANDRIN_N:
+        raise ValueError(f"box sections need Hermite degree <= {MAX_FLANDRIN_N}, got {N}")
+    lam = math.sqrt(2.0 * math.pi * ctx.h)
+    table, points, _ = _classical_rect_doubled(N, lam * sym.a, sym.a / lam)
+    return table, max(points)
 
 
-def _box_shot(sym, j, k, ctx, panels: int, nodes: int) -> complex:
-    h = ctx.h
-    cut = _box_cut(j, k, h)
-    xhi = min(2.0 * math.pi * h * sym.a, cut)
-    yhi = min(sym.a, cut)
-    if xhi <= 0.0 or yhi <= 0.0:
-        return 0.0j
-    rx = gl_panel_rule(0.0, xhi, panels, nodes)
-    ry = gl_panel_rule(0.0, yhi, panels, nodes)
-    x = rx.nodes[:, None]
-    xi = ry.nodes[None, :]
-    vals = wigner_closed(j, k, x, xi, ctx) * np.exp(-(x * x + xi * xi) / h) / (math.pi * h)
-    return complex(np.einsum("i,j,ij->", rx.weights, ry.weights, vals))
-
-
-def _box_element(sym, j, k, ctx):
-    panels = max(4, (j + k) // 2 + 2)
-    nodes = 32
-    prev = _box_shot(sym, j, k, ctx, panels, nodes)
-    for _ in range(3):
-        cur = _box_shot(sym, j, k, ctx, 2 * panels, nodes)
-        if abs(cur - prev) <= max(1e-11, 1e-9 * abs(cur)):
-            return cur, 2 * panels * nodes
-        panels *= 2
-        prev = cur
-    return prev, panels * nodes
-
-
-def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed"):
+def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed", box=None):
+    # box: a precomputed _box_table covering both degrees
     alpha = _as_index(alpha)
     beta = _as_index(beta)
     d = sym.d
@@ -282,9 +265,9 @@ def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed")
             return 0.0j, 0
     route = section_route(sym, wigner_route)
     if route == ROUTE_BOX:
-        if wigner_route != "closed":
-            raise ValueError("box matrix elements support only the closed Wigner route")
-        return _box_element(sym, alpha.degree(1), beta.degree(1), ctx)
+        j, k = alpha.degree(1), beta.degree(1)
+        table, order = box or _box_table(sym, max(j, k), ctx, wigner_route)
+        return complex(table[j, k]), order
     if route == ROUTE_CLOSED:
         if alpha != beta:
             return 0.0j, 0
@@ -318,7 +301,9 @@ def assemble_matrix(
 
     Gaussian mixtures on the closed Wigner route give a diagonal section,
     evaluated by the closed law in one pass over the truncation's degree
-    array; no dense matrix is built until `entries` is read.  Boxes, custom
+    array; no dense matrix is built until `entries` is read.  Boxes read
+    every entry from one sweep of the classical table (`_box_table`), zero
+    where the degrees differ at a coordinate beyond the first.  Custom
     symbols and the quadrature Wigner route fill a dense matrix entry by
     entry; there per-pair radial symbols skip their structural zeros, and
     non-custom symbols fill the lower triangle by Hermitian symmetry.
@@ -335,6 +320,12 @@ def assemble_matrix(
     if route == ROUTE_CLOSED:
         diagonal = _mixture_diagonal(sym.gauss_mixture(), truncation.degrees, ctx.h).astype(complex)
         structural = size * (size - 1) // 2
+    elif route == ROUTE_BOX:
+        degrees = truncation.degrees
+        table, max_order = _box_table(sym, int(degrees[:, 0].max()), ctx, wigner_route)
+        dense = table[np.ix_(degrees[:, 0], degrees[:, 0])]
+        # pairs beyond the first integrate to delta factors
+        dense[np.any(degrees[:, None, 1:] != degrees[None, :, 1:], axis=2)] = 0.0
     else:
         idxs = truncation.indices()
         dense = np.zeros((size, size), dtype=complex)
@@ -369,6 +360,10 @@ def assemble_matrix(
 def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext, rule=None, wigner_route="closed") -> complex:
     """<Op(F) f, g> = sum_{alpha,beta} c_alpha conj(c'_beta) I_{alpha beta}."""
     pairwise_radial = sym.is_pairwise_radial()
+    box = None
+    if section_route(sym, wigner_route) == ROUTE_BOX:
+        top = max((idx.degree(1) for e in (f, g) for idx, _ in e.items()), default=0)
+        box = _box_table(sym, top, ctx, wigner_route)
     total = 0.0j
     seen: dict[tuple[MultiIndex, MultiIndex], complex] = {}
     for a, ca in f.items():
@@ -377,7 +372,7 @@ def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcConte
                 continue
             key = (a, b)
             if key not in seen:
-                seen[key], _ = _element_with_order(sym, a, b, ctx, rule, wigner_route)
+                seen[key], _ = _element_with_order(sym, a, b, ctx, rule, wigner_route, box)
             total += ca * np.conjugate(cb) * seen[key]
     return complex(total)
 

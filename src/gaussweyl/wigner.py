@@ -22,11 +22,15 @@ import math
 import numpy as np
 
 from .basis import CalcContext, MultiIndex, _laguerre_rows, hermite_eval, laguerre_eval
-from .gaussian import gh_rule, integrate_tensor, ladder
+from .gaussian import QuadratureConvergenceError, gh_rule, gl_panel_rule, integrate_tensor, ladder
 
 # e^{-z/2} is below double precision past this; points there are masked to 0
 # before any power/Laguerre evaluation so no overflow can occur.
 Z_CUT = 1380.0
+
+# Largest degree of the classical table: above it the separate zeta**m and
+# lgamma prefactor of `classical_wigner_diagonals` can overflow.
+MAX_FLANDRIN_N = 128
 
 
 def wigner_closed(j: int, k: int, x, xi, ctx: CalcContext):
@@ -219,3 +223,94 @@ def classical_wigner_diagonals(N: int, x, eta):
         pw = zeta**m
         for jj, g in enumerate(_laguerre_rows(N - m, m, z, e_half)):
             yield jj, jj + m, _classical_prefactor(jj, m) * g * pw
+
+
+# ---------------------------------------------------------------------------
+# Rectangle integrals of the classical table.
+# ---------------------------------------------------------------------------
+
+
+def flandrin_domain_radius(N: int) -> float:
+    """Radius beyond which every W_cl(phi_j, phi_k), j,k <= N, is negligible
+    (past the Laguerre turning point with a wide margin)."""
+    return math.sqrt((4.0 * N + 6.0 * math.sqrt(2.0 * N + 1.0) + 25.0) / (4.0 * math.pi)) + 1.0
+
+
+def _axis_points(L: float, N: int) -> int:
+    # ~4.8 points per oscillation on the side cut at R(N): zero spacing of the
+    # table entries is ~0.44/sqrt(N) in the radius, uniformly over the support.
+    L = min(L, flandrin_domain_radius(N))
+    return max(48, int(math.ceil(4.8 * L * math.sqrt(N + 1.0))) + 32)
+
+
+def _grid(rule_x, rule_y):
+    x = np.repeat(rule_x.nodes, rule_y.nodes.size)
+    y = np.tile(rule_y.nodes, rule_x.nodes.size)
+    w = np.multiply.outer(rule_x.weights, rule_y.weights).ravel()
+    return x, y, w
+
+
+def _quarter_angle(m: int) -> complex:
+    """int_0^{pi/2} e^{i m theta} d theta."""
+    return complex(math.pi / 2.0) if m == 0 else (np.exp(0.5j * math.pi * m) - 1.0) / (1j * m)
+
+
+def _panel_rule(L: float, points: int, nodes: int):
+    return gl_panel_rule(0.0, L, max(3, math.ceil(points / nodes)), nodes)
+
+
+def _classical_rect(N: int, lx: float, ly: float, points=None, nodes: int = 16, bridge_ctx=None) -> np.ndarray:
+    """M_jk = int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k) du dv, 0 <= j,k <= N, in
+    one table sweep on Gauss-Legendre panels (`points` = (px, py) per axis).
+
+    Each side is cut at R(N), past which the table is below double precision.
+    The quarter plane (both sides inf) separates in polar coordinates,
+    W_cl(r, theta) = W_cl(r, 0) e^{i m theta} with m = k - j, into an exact
+    angle factor times one radial rule of px points on [0, R(N)].  With
+    bridge_ctx the values come from the h-dependent Gaussian bridge on the
+    2-D grid instead of the h-free table.
+    """
+    px, py = points or (_axis_points(lx, N), _axis_points(ly, N))
+    polar = math.isinf(lx) and math.isinf(ly) and bridge_ctx is None
+    R = flandrin_domain_radius(N)
+    lx, ly = min(lx, R), min(ly, R)
+    if polar:
+        rule = _panel_rule(R, px, nodes)
+        x, y, w = rule.nodes, np.zeros_like(rule.nodes), rule.weights * rule.nodes
+    else:
+        rule_x = _panel_rule(lx, px, nodes)
+        rule_y = rule_x if (ly, py) == (lx, px) else _panel_rule(ly, py, nodes)
+        x, y, w = _grid(rule_x, rule_y)
+        w = w.astype(complex)
+    if bridge_ctx is None:
+        entries = classical_wigner_diagonals(N, x, y)
+    else:
+        pairs = ((j, k) for j in range(N + 1) for k in range(j, N + 1))
+        entries = ((j, k, classical_wigner_bridge(j, k, x, y, bridge_ctx)) for j, k in pairs)
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    for j, k, vals in entries:
+        s = complex(np.dot(vals, w))
+        M[j, k] = _quarter_angle(k - j) * s if polar else s
+        M[k, j] = np.conjugate(M[j, k])
+    return M
+
+
+def _classical_rect_doubled(N: int, lx: float, ly: float, points=None, nodes: int = 16,
+                            max_doublings: int = 2, bridge_ctx=None):
+    """`_classical_rect` with the points on both axes doubled until two sweeps
+    agree entrywise to 1e-9 (each axis starts from at least 3 panels, so every
+    doubling refines both rules).  Returns (M, (px, py), agreement) of the
+    last sweep; raises QuadratureConvergenceError after `max_doublings`."""
+    px, py = points or (_axis_points(lx, N), _axis_points(ly, N))
+    px, py = max(px, 3 * nodes), max(py, 3 * nodes)
+    M = _classical_rect(N, lx, ly, (px, py), nodes, bridge_ctx)
+    agreement = math.inf
+    for _ in range(max_doublings):
+        px, py = 2 * px, 2 * py
+        M, prev = _classical_rect(N, lx, ly, (px, py), nodes, bridge_ctx), M
+        agreement = float(np.max(np.abs(M - prev)))
+        if agreement <= 1e-9:
+            return M, (px, py), agreement
+    raise QuadratureConvergenceError(
+        f"panel doubling stalled at {agreement:.3e} > 1e-9 ({px}, {py} pts per axis)"
+    )

@@ -9,6 +9,7 @@ the test modules.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -283,13 +284,19 @@ def classical_wigner_direct(j: int, k: int, x: float, eta: float) -> complex:
     return re + 1j * im
 
 
+@functools.lru_cache(maxsize=None)
+def _genlaguerre(n: int, alpha: int):
+    # built once per (n, alpha): dblquad evaluates the same polynomial many times
+    return special.genlaguerre(n, alpha)
+
+
 def classical_wigner_closed(j: int, k: int, x: float, eta: float) -> complex:
     """Bridge closed form: 2 e^{-2 pi r^2} * sqrt(lo!/hi!) (-1)^lo (4 pi)^{m/2} w^m L_lo^{(m)}(4 pi r^2)."""
     r2 = x * x + eta * eta
     m = abs(j - k)
     lo = min(j, k)
     hi = max(j, k)
-    lag = special.genlaguerre(lo, m)(4.0 * math.pi * r2)
+    lag = _genlaguerre(lo, m)(4.0 * math.pi * r2)
     pref = (
         2.0
         * math.exp(-2.0 * math.pi * r2)
@@ -303,7 +310,14 @@ def classical_wigner_closed(j: int, k: int, x: float, eta: float) -> complex:
 
 def flandrin_entry(j: int, k: int, a: float) -> complex:
     """M_{jk}(a) = squared-region integral of W_cl(phi_j, phi_k); a = inf -> quarter plane."""
-    return _flandrin_quad(j, k, 12.0 if math.isinf(a) else a)
+    side = 12.0 if math.isinf(a) else a
+    return _flandrin_quad(j, k, side, side)
+
+
+def flandrin_rect_entry(j: int, k: int, lx: float, ly: float) -> complex:
+    """int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k).  An infinite side is cut at 6,
+    where low-degree entries are below 1e-40 (e^{-2 pi r^2} = e^{-226})."""
+    return _flandrin_quad(j, k, min(lx, 6.0), min(ly, 6.0))
 
 
 def flandrin_quarter_entry(j: int, k: int) -> complex:
@@ -343,22 +357,22 @@ def flandrin_quarter_tops(N: int) -> dict:
     return {n: float(np.linalg.eigvalsh(M[: n + 1, : n + 1])[-1]) for n in sections}
 
 
-def _flandrin_quad(j: int, k: int, hi: float) -> complex:
+def _flandrin_quad(j: int, k: int, lx: float, ly: float) -> complex:
     re, _ = integrate.dblquad(
         lambda y, x: classical_wigner_closed(j, k, x, y).real,
         0.0,
-        hi,
+        lx,
         0.0,
-        hi,
+        ly,
         epsabs=1e-12,
         epsrel=1e-12,
     )
     im, _ = integrate.dblquad(
         lambda y, x: classical_wigner_closed(j, k, x, y).imag,
         0.0,
-        hi,
+        lx,
         0.0,
-        hi,
+        ly,
         epsabs=1e-12,
         epsrel=1e-12,
     )
@@ -472,11 +486,11 @@ def main() -> None:
 
     print("== flandrin ==")
     for (j, k) in [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)]:
-        print(f"M_({j}{k})(inf)             ", repr(_flandrin_quad(j, k, 12.0)))
+        print(f"M_({j}{k})(inf)             ", repr(flandrin_entry(j, k, math.inf)))
     for n, top in flandrin_quarter_tops(64).items():
         print(f"top M(inf), section {n:<2d}    ", repr(top))
-    print("M_00(a=1)                  ", repr(_flandrin_quad(0, 0, 1.0)))
-    print("M_01(a=1)                  ", repr(_flandrin_quad(0, 1, 1.0)))
+    print("M_00(a=1)                  ", repr(flandrin_entry(0, 0, 1.0)))
+    print("M_01(a=1)                  ", repr(flandrin_entry(0, 1, 1.0)))
     print("W_cl direct(0,0)(0.2,0.3)  ", repr(classical_wigner_direct(0, 0, 0.2, 0.3)))
     print("W_cl closed(0,0)(0.2,0.3)  ", repr(classical_wigner_closed(0, 0, 0.2, 0.3)))
     print("W_cl direct(1,2)(0.2,-0.4) ", repr(classical_wigner_direct(1, 2, 0.2, -0.4)))

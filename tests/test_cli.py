@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 import oracles
 
-from gaussweyl import __version__, cli, quadform
+from gaussweyl import __version__, cli, quadform, wigner
 from gaussweyl.cli import main
 
 GAUSS = "gaussian:nu=2.0,anorm=1.0"
@@ -376,6 +376,19 @@ def test_quadrature_stall_exits_2(capsys):
     assert record["contract"]["passed"] is False
     assert record["contract"]["name"] == "quadrature convergence"
     assert "stalled" in record["contract"]["error"]
+
+
+def test_box_stall_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
+    assert main(["spectrum", "--symbol", "box:a=inf", "--N", "48"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["contract"]["name"] == "quadrature convergence"
+    assert "stalled" in record["contract"]["error"]
+
+
+def test_box_degree_limit_exits_1(capsys):
+    assert main(["spectrum", "--symbol", "box:a=1.0", "--N", "129"]) == 1
+    assert "128" in capsys.readouterr().err
 
 
 def test_contract_failure_exits_2(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from gaussweyl.positivity import (
     radial_lower_bound,
     radial_positivity_check,
 )
+from gaussweyl import quadform, wigner
 from gaussweyl.quadform import HermiteExpansion
 from gaussweyl.symbols import (
     PhiSpec,
@@ -318,3 +319,27 @@ def test_flandrin_reduction_mixed_state():
     assert residual <= 1e-8
     with pytest.raises(ValueError):
         flandrin_reduction_check(1.0, ctx, HermiteExpansion.single((0, 1), 1.0))
+
+
+def test_flandrin_reduction_check_sees_a_perturbed_section(monkeypatch):
+    # the right side is built through the Gaussian bridge, not from the box
+    # section, so a wrong section shows up in the residual
+    ctx = CalcContext(h=0.5)
+    r = 1.0 / math.sqrt(2.0)
+    f = HermiteExpansion.from_pairs([((0,), r), ((1,), r * 1j)])
+    sweep = quadform._classical_rect_doubled
+
+    def perturbed(*args, **kwargs):
+        table, points, agreement = sweep(*args, **kwargs)
+        return table + 1e-6, points, agreement
+
+    monkeypatch.setattr(quadform, "_classical_rect_doubled", perturbed)
+    _, _, residual = flandrin_reduction_check(1.0, ctx, f)
+    assert residual > 1e-8
+
+
+def test_flandrin_reduction_check_raises_on_stalled_doubling(monkeypatch):
+    monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
+    f = HermiteExpansion.single((48,), 1.0)
+    with pytest.raises(QuadratureConvergenceError, match="stalled"):
+        flandrin_reduction_check(math.inf, CalcContext(h=1.0), f)

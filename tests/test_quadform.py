@@ -4,9 +4,12 @@ quadrature routes, and rotation integration-by-parts."""
 import math
 
 import numpy as np
+import oracles
 import pytest
 
+from gaussweyl import wigner
 from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet
+from gaussweyl.gaussian import QuadratureConvergenceError
 from gaussweyl.heat import heat_apply
 from gaussweyl.quadform import (
     ROUTE_BOX,
@@ -164,6 +167,73 @@ def test_box_respects_h_side_coupling():
         epsabs=1e-12,
     )
     assert abs(got - want) <= 1e-9
+
+
+def test_box_section_matches_rectangle_oracle():
+    """Box entries against scipy dblquad of W_cl(phi_j, phi_k) over the
+    classical rectangle [0, lambda a) x [0, a/lambda), lambda = sqrt(2 pi h)."""
+    pairs = ((0, 0), (0, 1), (1, 3), (2, 2))
+    want: dict = {}
+    for h in (0.5, 2.0):
+        lam = math.sqrt(2.0 * math.pi * h)
+        for a in (0.5, 2.0, math.inf):
+            M = assemble_matrix(box_symbol(a), TruncationSet(1, 3), CalcContext(h=h)).entries
+            rect = (lam * a, a / lam)
+            for j, k in pairs:
+                if (j, k, rect) not in want:
+                    want[j, k, rect] = oracles.flandrin_rect_entry(j, k, *rect)
+                assert abs(M[j, k] - want[j, k, rect]) <= 1e-10, (h, a, j, k)
+
+
+def test_box_section_embeds_the_one_pair_section():
+    # the box sees the first pair only: I_ab = M[a_1, b_1] delta(a_2, b_2)
+    ctx = CalcContext(h=1.0)
+    M = assemble_matrix(box_symbol(1.0), TruncationSet(1, 3), ctx).entries
+    trunc = TruncationSet(2, 3)
+    got = assemble_matrix(box_symbol(1.0), trunc, ctx).entries
+    deg = trunc.degrees
+    want = M[np.ix_(deg[:, 0], deg[:, 0])] * (deg[:, None, 1] == deg[None, :, 1])
+    assert np.array_equal(got, want)
+    a, b = MultiIndex.from_tuple((1, 2)), MultiIndex.from_tuple((3, 2))
+    assert matrix_element(box_symbol(1.0), a, b, ctx) == M[1, 3]
+    assert matrix_element(box_symbol(1.0), a, MultiIndex.from_tuple((3, 1)), ctx) == 0.0
+
+
+def test_box_needs_the_closed_wigner_route():
+    ctx = CalcContext(h=1.0)
+    f = HermiteExpansion.single((1,), 1.0)
+    with pytest.raises(ValueError):
+        matrix_element(box_symbol(1.0), MultiIndex(), MultiIndex(), ctx, wigner_route="quadrature")
+    with pytest.raises(ValueError):
+        assemble_matrix(box_symbol(1.0), TruncationSet(1, 2), ctx, wigner_route="quadrature")
+    with pytest.raises(ValueError):
+        quadratic_form(box_symbol(1.0), f, f, ctx, wigner_route="quadrature")
+
+
+def test_box_degree_limit():
+    # the classical table's zeta**m and prefactor overflow past degree 128
+    ctx = CalcContext(h=1.0)
+    with pytest.raises(ValueError, match="128"):
+        assemble_matrix(box_symbol(1.0), TruncationSet(1, 129), ctx)
+    with pytest.raises(ValueError, match="128"):
+        matrix_element(box_symbol(1.0), MultiIndex.from_tuple((129,)), MultiIndex(), ctx)
+    om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 128), ctx)
+    assert np.all(np.isfinite(om.entries))
+
+
+def test_box_stalled_doubling_raises(monkeypatch):
+    # three panels per axis, doubled twice, cannot resolve degree 48
+    monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
+    ctx = CalcContext(h=1.0)
+    f = HermiteExpansion.single((48,), 1.0)
+    with pytest.raises(QuadratureConvergenceError, match="stalled"):
+        assemble_matrix(box_symbol(math.inf), TruncationSet(1, 48), ctx)
+    with pytest.raises(QuadratureConvergenceError, match="stalled"):
+        matrix_element(box_symbol(math.inf), MultiIndex.from_tuple((48,)), MultiIndex(), ctx)
+    with pytest.raises(QuadratureConvergenceError, match="stalled"):
+        quadratic_form(box_symbol(math.inf), f, f, ctx)
+    # small degrees still converge on the same coarse start
+    assert abs(matrix_element(box_symbol(math.inf), MultiIndex(), MultiIndex(), ctx) - 0.25) <= 1e-12
 
 
 def test_hermite_expansion_bookkeeping():

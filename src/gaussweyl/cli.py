@@ -47,7 +47,13 @@ from .quadform import (
     quadratic_form,
     section_route,
 )
-from .stochproj import exact_conv_rate, geometric_direction, mc_conv_rate, power_direction
+from .stochproj import (
+    EXPLICIT_TAIL_COORDS,
+    exact_conv_rate,
+    geometric_direction,
+    mc_conv_rate,
+    power_direction,
+)
 from .symbols import SymbolDomainError, SymbolSyntaxError, eval_ddot, parse_symbol
 from .wigner import wigner_closed, wigner_hermite_quadrature
 
@@ -459,13 +465,21 @@ def cmd_stochext(args) -> int:
         },
     )
     a = geometric_direction() if args.direction == "geometric" else power_direction()
-    ns = sorted({0, 1, 2} | {2**k for k in range(2, 12) if 2**k <= args.nmax} | {args.nmax})
+    ns = sorted(n for n in {0, 1, 2, args.nmax} | {2**k for k in range(2, 12)} if n <= args.nmax)
+    # Both directions have infinite support, so a zero closed-form tail is an
+    # underflow (geometric 2^-n from n = 1075), not a rate to check.
+    for n in ns:
+        if a.tail_sq(n) == 0.0:
+            raise ValueError(
+                f"--nmax {args.nmax}: the closed-form {a.name} tail underflows to 0 "
+                f"at n = {n}; the geometric direction allows --nmax <= 1074"
+            )
     rows = []
     worst = 0.0
     ok = True
-    for n in ns:
+    estimates = mc_conv_rate(a, ns, args.p, args.s, args.samples, cfg.seed)
+    for n, (est, se) in zip(ns, estimates):
         exact = exact_conv_rate(a, n, args.p, args.s)
-        est, se = mc_conv_rate(a, n, args.p, args.s, args.samples, cfg.seed)
         rows.append((n, exact, est, se))
         if se > 0:
             z = abs(est - exact) / se
@@ -485,7 +499,7 @@ def cmd_stochext(args) -> int:
             {"n": n, "exact": e, "mc_estimate": m, "std_error": s} for n, e, m, s in rows
         ],
     }
-    quad = {"samples": args.samples, "explicit_tail_coords": 64}
+    quad = {"samples": args.samples, "explicit_tail_coords": EXPLICIT_TAIL_COORDS}
     return _emit(cfg, quad, contract, results, ("n", "exact", "mc_estimate", "std_error"), rows)
 
 

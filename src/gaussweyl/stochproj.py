@@ -141,18 +141,25 @@ def _pth_moment_root(vals: np.ndarray, p: float):
     return est, se
 
 
-def mc_conv_rate(a: DirectionVector, n: int, p: float, s: float, samples: int, seed: int = 0):
-    """Monte Carlo estimate of ||ell_a - ell_{a_n}||_{L^p(mu_{B,s})}.
+def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed: int = 0):
+    """Monte Carlo estimates of ||ell_a - ell_{a_n}||_{L^p(mu_{B,s})} for
+    every truncation n in `ns`.
 
-    The difference sum_{j>n} a_j x_j is simulated exactly: coordinates
-    n+1..n+64 are drawn from their keyed streams and the rest is one Gaussian
-    remainder with variance s * tail_sq(n+64) on the reserved stream.  The
-    tail is simulated divided by tail_norm(n), and the estimate and its error
-    are scaled back, so the moments keep their digits where the tail is tiny
-    (the geometric tail_sq(n) = 2^-n is subnormal from n = 1023).
+    For each n the difference sum_{j>n} a_j x_j is simulated exactly:
+    coordinates n+1..n+64 are drawn from their keyed streams and the rest is
+    one Gaussian remainder with variance s * tail_sq(n+64) on the reserved
+    stream.  The tail is simulated divided by tail_norm(n), and the estimate
+    and its error are scaled back, so the moments keep their digits where the
+    tail is tiny (the geometric tail_sq(n) = 2^-n is subnormal from n = 1023).
 
-    Returns (estimate, std_error); the estimate brackets the closed-form rate
-    within a few standard errors.
+    All rows share one sweep over the distinct coordinate keys in ascending
+    order: each keyed stream, and the remainder, is drawn once and added into
+    every row whose window [n+1, n+64] holds it.  A row is closed as soon as
+    the sweep passes n+64, so only the open windows' running sums are held.
+    Each row's sum runs in the same order as a sweep over that row alone.
+
+    Returns one (estimate, std_error) per entry of `ns`, in order; each
+    estimate brackets the closed-form rate within a few standard errors.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}")
@@ -160,21 +167,48 @@ def mc_conv_rate(a: DirectionVector, n: int, p: float, s: float, samples: int, s
         raise ValueError("p must be >= 1")
     if s <= 0:
         raise ValueError("s must be > 0")
-    tail_sq = a.tail_sq(n)
-    if tail_sq == 0.0:
-        return 0.0, 0.0
-    norm = math.sqrt(tail_sq)
+    out = {}
+    scale = {}  # n -> (tail_norm(n), remainder variance of the normalized tail)
+    for n in sorted(set(ns)):
+        tail_sq = a.tail_sq(n)
+        if tail_sq == 0.0:
+            out[n] = (0.0, 0.0)
+        else:
+            scale[n] = (math.sqrt(tail_sq), s * a.tail_sq(n + EXPLICIT_TAIL_COORDS) / tail_sq)
     root = math.sqrt(s)
-    diff = np.zeros(samples)
-    for j in range(n + 1, n + EXPLICIT_TAIL_COORDS + 1):
-        cj = a.coord(j) / norm
-        if cj != 0.0:
-            diff += cj * root * coordinate_stream(seed, j).standard_normal(samples)
-    rem_var = s * a.tail_sq(n + EXPLICIT_TAIL_COORDS) / tail_sq
-    if rem_var > 0.0:
-        diff += math.sqrt(rem_var) * coordinate_stream(seed, REMAINDER_KEY).standard_normal(samples)
-    est, se = _pth_moment_root(np.abs(diff) ** p, p)
-    return est * norm, se * norm
+    rem = None
+    if any(rem_var > 0.0 for _, rem_var in scale.values()):
+        rem = coordinate_stream(seed, REMAINDER_KEY).standard_normal(samples)
+
+    def close(n: int, diff: np.ndarray) -> None:
+        norm, rem_var = scale[n]
+        if rem_var > 0.0:
+            diff += math.sqrt(rem_var) * rem
+        est, se = _pth_moment_root(np.abs(diff) ** p, p)
+        out[n] = (est * norm, se * norm)
+
+    keys = sorted({j for n in scale for j in range(n + 1, n + EXPLICIT_TAIL_COORDS + 1)})
+    pending = sorted(scale, reverse=True)
+    sums = {}  # open rows: n -> running sum of the normalized tail
+    # One draw buffer and one term buffer for the whole sweep: a fresh pair of
+    # sample-sized arrays per key costs more in page faults than in arithmetic.
+    z = np.empty(samples)
+    term = np.empty(samples)
+    for j in keys:
+        for n in [m for m in sums if m + EXPLICIT_TAIL_COORDS < j]:
+            close(n, sums.pop(n))
+        while pending and pending[-1] < j:
+            sums[pending.pop()] = np.zeros(samples)
+        aj = a.coord(j)
+        coeffs = [(n, aj / scale[n][0]) for n in sums]
+        coeffs = [(n, cj) for n, cj in coeffs if cj != 0.0]
+        if coeffs:
+            coordinate_stream(seed, j).standard_normal(out=z)
+            for n, cj in coeffs:
+                sums[n] += np.multiply(cj * root, z, out=term)
+    for n in list(sums):
+        close(n, sums.pop(n))
+    return [out[n] for n in ns]
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def test_criterion_09_stochastic_extension():
     worst_z = 0.0
     for seed in range(30):
         for p in (1.0, 2.0, 4.0):
-            est, se = mc_conv_rate(a, n, p, s, samples, seed=seed)
+            [(est, se)] = mc_conv_rate(a, [n], p, s, samples, seed=seed)
             z = abs(est - exact_conv_rate(a, n, p, s)) / se
             worst_z = max(worst_z, z)
             total += 1

@@ -234,6 +234,24 @@ def test_stochext_csv_and_determinism(capsys):
     assert rc3 == 0 and cap3.out != cap1.out
 
 
+def test_stochext_rows_stay_within_nmax(capsys):
+    assert main(["stochext", "--nmax", "1", "--samples", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 1]
+
+
+def test_stochext_geometric_underflow_exits_1(capsys):
+    argv = ["stochext", "--direction", "geometric", "--samples", "1000", "--format", "json"]
+    assert main(argv + ["--nmax", "1075"]) == 1
+    assert "underflows to 0 at n = 1075" in capsys.readouterr().err
+    assert main(argv + ["--nmax", "1074"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    rows = rep["results"]["rows"]
+    assert rows[-1]["n"] == 1074
+    assert all(r["std_error"] > 0.0 for r in rows)
+    assert rep["quadrature"]["explicit_tail_coords"] == 64
+
+
 def test_usage_and_domain_errors_exit_1(capsys):
     cases = [
         ["bogus"],

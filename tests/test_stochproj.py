@@ -2,11 +2,13 @@
 approximation along subspace filtrations, and projected covariances."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from gaussweyl import stochproj
 from gaussweyl.stochproj import (
     DirectionVector,
     covariance_and_bound,
@@ -89,22 +91,22 @@ def test_exact_rate_guards():
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
 def test_mc_rate_brackets_exact(p):
     a = geometric_direction()
-    est, se = mc_conv_rate(a, 4, p, 1.0, 20000, seed=7)
+    [(est, se)] = mc_conv_rate(a, [4], p, 1.0, 20000, seed=7)
     assert se > 0.0
     assert abs(est - exact_conv_rate(a, 4, p, 1.0)) <= 3.0 * se
 
 
 def test_mc_rate_power_direction():
     a = power_direction()
-    est, se = mc_conv_rate(a, 4, 2.0, 1.0, 20000, seed=11)
+    [(est, se)] = mc_conv_rate(a, [4], 2.0, 1.0, 20000, seed=11)
     assert abs(est - exact_conv_rate(a, 4, 2.0, 1.0)) <= 3.0 * se
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
 def test_mc_rate_scales_like_sqrt_s(p):
     a = geometric_direction()
-    e1, _ = mc_conv_rate(a, 4, p, 1.0, 5000, seed=3)
-    e4, _ = mc_conv_rate(a, 4, p, 4.0, 5000, seed=3)
+    [(e1, _)] = mc_conv_rate(a, [4], p, 1.0, 5000, seed=3)
+    [(e4, _)] = mc_conv_rate(a, [4], p, 4.0, 5000, seed=3)
     assert e4 == pytest.approx(2.0 * e1, rel=1e-12)
 
 
@@ -113,21 +115,69 @@ def test_mc_rate_subnormal_tail():
     and brackets the closed-form rate within 3 standard errors."""
     a = geometric_direction()
     exact = exact_conv_rate(a, 1024, 2.0, 1.0)
-    est, se = mc_conv_rate(a, 1024, 2.0, 1.0, 4000, seed=5)
+    [(est, se)] = mc_conv_rate(a, [1024], 2.0, 1.0, 4000, seed=5)
     assert se > 0.0
     assert abs(est - exact) <= 3.0 * se
 
 
 def test_mc_rate_zero_tail_and_guards():
     a = finite_direction([1.0, 0.5])
-    assert mc_conv_rate(a, 2, 2.0, 1.0, 2000) == (0.0, 0.0)
+    assert mc_conv_rate(a, [2], 2.0, 1.0, 2000) == [(0.0, 0.0)]
     g = geometric_direction()
     with pytest.raises(ValueError):
-        mc_conv_rate(g, 4, 2.0, 1.0, 999)
+        mc_conv_rate(g, [4], 2.0, 1.0, 999)
     with pytest.raises(ValueError):
-        mc_conv_rate(g, 4, 0.5, 1.0, 2000)
+        mc_conv_rate(g, [4], 0.5, 1.0, 2000)
     with pytest.raises(ValueError):
-        mc_conv_rate(g, 4, 2.0, -1.0, 2000)
+        mc_conv_rate(g, [4], 2.0, -1.0, 2000)
+
+
+CLI_ROWS = [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]  # stochext --nmax 1024
+
+
+@pytest.mark.parametrize(
+    "a",
+    [geometric_direction(), power_direction(), finite_direction([1.0 / j for j in range(1, 101)])],
+    ids=["geometric", "power", "finite"],
+)
+def test_mc_rate_shared_sweep_matches_one_row_calls(a):
+    """One sweep over all rows gives, bit for bit, the one-row results, in
+    the order asked for, duplicates included."""
+    ns = CLI_ROWS[::-1] + CLI_ROWS[3:6] + [0]
+    shared = mc_conv_rate(a, ns, 2.0, 1.0, 1000, seed=9)
+    assert len(shared) == len(ns)
+    for n, row in zip(ns, shared):
+        assert row == mc_conv_rate(a, [n], 2.0, 1.0, 1000, seed=9)[0], n
+
+
+def test_mc_rate_draws_each_key_once(monkeypatch):
+    drawn = []
+    real = stochproj.coordinate_stream
+
+    def counting(stream, key):
+        drawn.append(key)
+        return real(stream, key)
+
+    monkeypatch.setattr(stochproj, "coordinate_stream", counting)
+    mc_conv_rate(geometric_direction(), CLI_ROWS, 2.0, 1.0, 1000, seed=4)
+    assert len(drawn) == len(set(drawn)) == 385  # 384 coordinates + the remainder
+
+
+def test_mc_rate_memory_bounded_by_open_windows():
+    """Sixteen power rows whose windows do not overlap hold one running sum
+    at a time: the peak stays below eight sample-sized arrays."""
+    samples = 20000
+    ns = list(range(0, 2048, 128))
+    mc_conv_rate(power_direction(), ns[:1], 2.0, 1.0, 1000)  # numpy.random imports lazily
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mc_conv_rate(power_direction(), ns, 2.0, 1.0, samples, seed=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * samples * 8
 
 
 def _phi3(coords):

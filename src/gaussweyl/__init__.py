@@ -24,7 +24,6 @@ from .gaussian import (
     ell_norm,
     gh_rule,
     gl_panel_rule,
-    integrate_1d,
     integrate_tensor,
     ladder,
     mc_sample_array,

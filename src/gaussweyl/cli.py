@@ -429,10 +429,7 @@ def cmd_flandrin(args) -> int:
         N=args.N,
         params={"a": "inf" if math.isinf(a) else a, "points": args.points, "nodes": args.nodes},
     )
-    quad_opts = {"nodes": args.nodes}
-    if args.points:
-        quad_opts["points_per_axis"] = args.points
-    rep = flandrin_search(a, _ctx(cfg), args.N, quad_opts)
+    rep = flandrin_search(a, _ctx(cfg), args.N, args.points, args.nodes)
     contract = {
         "name": "quadrature agreement <= 1e-9 and h-independence <= 1e-8 "
         "(the eigenvalue excess is reported, not asserted)",

@@ -16,6 +16,9 @@ import numpy as np
 
 MAX_GH_ORDER = 256
 DEFAULT_QUAD_BUDGET = 10**8
+# Rows of the tensor grid per block: caps the memory of a tensor quadrature
+# (points, weights and the integrand's intermediates) whatever n^m is.
+TENSOR_BLOCK = 2**18
 
 # Dedicated sub-stream key for the tail remainder in exact-law sampling of
 # ell_a minus its projection (see stochproj); keeps coordinate keys clean.
@@ -122,16 +125,31 @@ def gl_panel_rule(lo: float, hi: float, panels: int, nodes: int) -> QuadratureRu
     return QuadratureRule(nodes=xs, weights=ws, variance=0.0, order=panels * nodes)
 
 
-def integrate_1d(f, rule: QuadratureRule) -> complex:
-    vals = np.asarray(f(rule.nodes))
-    return complex(np.sum(vals * rule.weights))
+def _tensor_blocks(rule: QuadratureRule, m: int, rows: int):
+    """The tensor grid of `rule` on R^m in blocks of at most `rows` rows, in the
+    C order of one meshgrid over m axes (the first axis varies slowest).
+
+    Yields (points, weights): an (r, m) array of nodes and the r products of
+    their weights, multiplied left to right."""
+    n = rule.order
+    size = n**m
+    for start in range(0, size, rows):
+        flat = np.arange(start, min(start + rows, size))
+        points = np.empty((flat.size, m))
+        weights = np.ones(flat.size)
+        for axis in range(m):
+            digit = flat // n ** (m - 1 - axis) % n
+            points[:, axis] = rule.nodes[digit]
+            weights = weights * rule.weights[digit]
+        yield points, weights
 
 
 def integrate_tensor(f, rule: QuadratureRule, m: int) -> complex:
     """Tensor-product quadrature of f against mu_{R^m, s}.
 
-    f is called once on an (n^m, m) array of points and must broadcast to a
-    length-n^m vector (constants are accepted).
+    f is called on (r, m) arrays of points, r <= TENSOR_BLOCK, and must
+    broadcast to a length-r vector (constants are accepted); the sum runs
+    block by block, so memory is bounded by the block, not by n^m.
 
     Raises
     ------
@@ -145,16 +163,10 @@ def integrate_tensor(f, rule: QuadratureRule, m: int) -> complex:
         raise ValueError(
             f"tensor quadrature budget exceeded: {rule.order}^{m} = {npts} points"
         )
-    grids = np.meshgrid(*([rule.nodes] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([rule.weights] * m), indexing="ij")
-    wts = np.ones(npts)
-    for wg in wgrids:
-        wts = wts * wg.ravel()
-    vals = np.asarray(f(pts))
-    if vals.shape == ():
-        vals = np.full(npts, complex(vals))
-    return complex(np.sum(vals * wts))
+    total = 0.0j
+    for pts, wts in _tensor_blocks(rule, m, TENSOR_BLOCK):
+        total += complex(np.sum(np.asarray(f(pts)) * wts))
+    return total
 
 
 def ell_norm(p: float, s: float, b_norm: float) -> float:
@@ -209,9 +221,14 @@ def ladder(value_at_order, start: int = 48, step: int = 16, cap: int = 192):
     """Raise quadrature order until two successive orders agree.
 
     Acceptance: |v(n+step) - v(n)| <= max(1e-10, 1e-9 |v(n+step)|).  Returns
-    (value, order_used); raises QuadratureConvergenceError past the cap.
+    (value, order_used); raises QuadratureConvergenceError past the cap, and
+    before any evaluation when start >= cap leaves no second order to compare.
     """
     n = min(start, cap)
+    if n == cap:
+        raise QuadratureConvergenceError(
+            f"order ladder starts at its cap {cap}: no second order to compare"
+        )
     prev = value_at_order(n)
     while n < cap:
         n = min(n + step, cap)

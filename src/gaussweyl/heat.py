@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .basis import CalcContext
-from .gaussian import gh_rule, ladder
+from .gaussian import TENSOR_BLOCK, _tensor_blocks, gh_rule, ladder
 from .quadform import HermiteExpansion, quadratic_form
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot, mixture_symbol
 
@@ -111,38 +111,32 @@ def heat_apply(sym: SymbolDescriptor, J, t: float) -> HeatedSymbol:
     return HeatedSymbol(base=sym, heated_pairs=_validate_pairs(J, sym.d), t=float(t))
 
 
-def heat_convolution_eval(sym, J, t, x, xi, ctx=None, order=None):
+def heat_convolution_eval(sym, J, t, x, xi, ctx=None):
     """Generic heated evaluator: 2|J|-dimensional Gaussian convolution of the
     base evaluator by tensor Gauss-Hermite quadrature (the slow dual route to
-    the closed forms)."""
+    the closed forms).  The shifts run in blocks of the tensor grid, each
+    block with every point in one call of the base evaluator."""
     J = sorted(_validate_pairs(J, sym.d))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if not J:
         return eval_ddot(sym, x, xi, ctx)
+    cols = np.array(J) - 1
+    npts = x.shape[0]
 
     def value_at(n: int):
-        rule = gh_rule(n, t)
-        grids = np.meshgrid(*([rule.nodes] * (2 * len(J))), indexing="ij")
-        shifts = np.stack([g.ravel() for g in grids], axis=-1)  # (n^{2|J|}, 2|J|)
-        wg = np.meshgrid(*([rule.weights] * (2 * len(J))), indexing="ij")
-        wts = np.ones(shifts.shape[0])
-        for w in wg:
-            wts = wts * w.ravel()
-        acc = np.zeros(x.shape[0], dtype=complex)
-        for row, w in zip(shifts, wts):
-            xs = x.copy()
-            xis = xi.copy()
-            for pos, j in enumerate(J):
-                xs[:, j - 1] -= row[2 * pos]
-                xis[:, j - 1] -= row[2 * pos + 1]
-            acc += w * np.asarray(eval_ddot(sym, xs, xis, ctx), dtype=complex)
+        acc = np.zeros(npts, dtype=complex)
+        blocks = _tensor_blocks(gh_rule(n, t), 2 * len(J), max(1, TENSOR_BLOCK // npts))
+        for shifts, wts in blocks:
+            xs = np.repeat(x[None], len(wts), axis=0)
+            xis = np.repeat(xi[None], len(wts), axis=0)
+            xs[:, :, cols] -= shifts[:, None, 0::2]
+            xis[:, :, cols] -= shifts[:, None, 1::2]
+            vals = eval_ddot(sym, xs.reshape(-1, sym.d), xis.reshape(-1, sym.d), ctx)
+            acc += wts @ np.asarray(vals, dtype=complex).reshape(len(wts), npts)
         return acc
 
-    if order is not None:
-        vals = value_at(order)
-    else:
-        vals, _ = ladder(value_at, start=32, step=16, cap=96)
+    vals, _ = ladder(value_at, start=32, step=16, cap=96)
     return vals.real if np.allclose(vals.imag, 0.0) else vals
 
 
@@ -197,14 +191,13 @@ def antiwick_form(
     f: HermiteExpansion,
     g: HermiteExpansion,
     ctx: CalcContext,
-    rule=None,
 ) -> complex:
     """Q^AW(F)(f, g): the Weyl form of the symbol heated at t = h/2 on every
     pair.  Nonnegative symbols give nonnegative forms (f = g)."""
     if not sym.smooth:
         raise ValueError("the anti-Wick form needs a smooth symbol")
     heated = heat_apply(sym, range(1, sym.d + 1), ctx.h / 2.0)
-    return quadratic_form(heated.descriptor(ctx), f, g, ctx, rule)
+    return quadratic_form(heated.descriptor(ctx), f, g, ctx)
 
 
 def hybrid_form(
@@ -213,7 +206,6 @@ def hybrid_form(
     f: HermiteExpansion,
     g: HermiteExpansion,
     ctx: CalcContext,
-    rule=None,
 ) -> complex:
     """The hybrid form: Weyl in the pairs of e_pairs, anti-Wick outside.
 
@@ -225,6 +217,6 @@ def hybrid_form(
     e_pairs = _validate_pairs(e_pairs, sym.d)
     comp = frozenset(range(1, sym.d + 1)) - e_pairs
     if not comp:
-        return quadratic_form(sym, f, g, ctx, rule)
+        return quadratic_form(sym, f, g, ctx)
     heated = heat_apply(sym, comp, ctx.h / 2.0)
-    return quadratic_form(heated.descriptor(ctx), f, g, ctx, rule)
+    return quadratic_form(heated.descriptor(ctx), f, g, ctx)

@@ -344,7 +344,7 @@ class FlandrinReport:
         }
 
 
-def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None) -> FlandrinReport:
+def flandrin_search(a: float, ctx: CalcContext, N: int, points: int | None = None, nodes: int = 16) -> FlandrinReport:
     """Top eigenvalue of the box-localization matrix M(a) on the Hermite
     section of degree N, with panel-doubling quadrature control, an
     N-convergence table from nested sections, and the two-h bridge check.
@@ -353,6 +353,9 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None
     panel-doubling control.  At a = inf that is the polar route, so the
     doubling refines its radial rule and the bridge (2-D panels) is an
     independent second route; for finite a both run on 2-D panels.
+    `points` sets the starting size of the radial rule at a = inf and of
+    each panel axis otherwise (default: from a and N); `nodes` is the
+    Gauss-Legendre nodes per panel.
 
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
     [0,a)^2 exceeds its norm; the report carries the measured excess and its
@@ -362,15 +365,8 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, quad: dict | None = None
         raise ValueError(f"a must be > 0 (or inf), got {a!r}")
     if not 0 <= N <= MAX_FLANDRIN_N:
         raise ValueError(f"N must lie in [0, {MAX_FLANDRIN_N}]")
-    opts = dict(quad or {})
-    nodes = int(opts.pop("nodes", 16))
-    pts = opts.pop("points_per_axis", None)
-    max_doublings = int(opts.pop("max_doublings", 2))
-    if opts:
-        raise ValueError(f"unknown quadrature options {sorted(opts)}")
     L = min(a, flandrin_domain_radius(N))
-    points = (int(pts), int(pts)) if pts else None
-    M, (pts, _), agreement = _classical_rect_doubled(N, a, a, points, nodes, max_doublings)
+    M, (pts, _), agreement = _classical_rect_doubled(N, a, a, (points, points) if points else None, nodes)
     sections = sorted({n for n in (2, 4, 8, 16, 32, 64, 128) if n <= N} | {N})
     convergence = tuple(
         (n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))) for n in sections

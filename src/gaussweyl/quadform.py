@@ -222,9 +222,7 @@ def _tensor_shot(sym, alpha, beta, ctx, n: int, wigner_route: str) -> complex:
     return complex(integrate_tensor(f, rule, 2 * d))
 
 
-def _tensor_element(sym, alpha, beta, ctx, rule=None, wigner_route="closed"):
-    if rule is not None:
-        return _tensor_shot(sym, alpha, beta, ctx, rule.order, wigner_route), rule.order
+def _tensor_element(sym, alpha, beta, ctx, wigner_route="closed"):
     maxdeg = max(
         [alpha.degree(i) for i in range(1, sym.d + 1)]
         + [beta.degree(i) for i in range(1, sym.d + 1)]
@@ -253,7 +251,7 @@ def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
     return table, max(points)
 
 
-def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed", box=None):
+def _element_with_order(sym, alpha, beta, ctx, wigner_route="closed", box=None):
     # box: a precomputed _box_table covering both degrees
     alpha = _as_index(alpha)
     beta = _as_index(beta)
@@ -273,20 +271,20 @@ def _element_with_order(sym, alpha, beta, ctx, rule=None, wigner_route="closed",
             return 0.0j, 0
         degrees = np.array([[alpha.degree(i) for i in range(1, d + 1)]])
         return complex(_mixture_diagonal(sym.gauss_mixture(), degrees, ctx.h)[0]), 0
-    return _tensor_element(sym, alpha, beta, ctx, rule, wigner_route)
+    return _tensor_element(sym, alpha, beta, ctx, wigner_route)
 
 
-def matrix_element(sym, alpha, beta, ctx: CalcContext, rule=None, wigner_route="closed"):
+def matrix_element(sym, alpha, beta, ctx: CalcContext, wigner_route="closed"):
     """I_{alpha beta}(F): the (alpha, beta) matrix entry of the operator with
     symbol `sym`.
 
     Entries with alpha_j != beta_j at a coordinate beyond the symbol's base
     dimension vanish identically and are returned as exact zeros.  The route
-    is section_route(sym, wigner_route); on the tensor ladder, `rule` fixes
-    the order, and wigner_route="quadrature" computes the per-pair Wigner
-    factors from the defining integral instead of the closed form.
+    is section_route(sym, wigner_route); on the tensor ladder,
+    wigner_route="quadrature" computes the per-pair Wigner factors from the
+    defining integral instead of the closed form.
     """
-    val, _ = _element_with_order(sym, alpha, beta, ctx, rule, wigner_route)
+    val, _ = _element_with_order(sym, alpha, beta, ctx, wigner_route)
     return val
 
 
@@ -294,7 +292,6 @@ def assemble_matrix(
     sym,
     truncation: TruncationSet,
     ctx: CalcContext,
-    rule=None,
     wigner_route="closed",
 ) -> OperatorMatrix:
     """All I_{alpha beta} over a graded truncation set.
@@ -337,7 +334,7 @@ def assemble_matrix(
                 if pairwise_radial and a != b:
                     structural += 1
                     continue
-                val, order = _element_with_order(sym, a, b, ctx, rule, wigner_route)
+                val, order = _element_with_order(sym, a, b, ctx, wigner_route)
                 max_order = max(max_order, order)
                 dense[p, q] = val
                 if hermitian and q > p:
@@ -357,7 +354,7 @@ def assemble_matrix(
                           diagonal=diagonal, dense=dense)
 
 
-def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext, rule=None, wigner_route="closed") -> complex:
+def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext, wigner_route="closed") -> complex:
     """<Op(F) f, g> = sum_{alpha,beta} c_alpha conj(c'_beta) I_{alpha beta}."""
     pairwise_radial = sym.is_pairwise_radial()
     box = None
@@ -372,7 +369,7 @@ def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcConte
                 continue
             key = (a, b)
             if key not in seen:
-                seen[key], _ = _element_with_order(sym, a, b, ctx, rule, wigner_route, box)
+                seen[key], _ = _element_with_order(sym, a, b, ctx, wigner_route, box)
             total += ca * np.conjugate(cb) * seen[key]
     return complex(total)
 
@@ -444,7 +441,7 @@ def _poly1_eval(P, t):
     return out
 
 
-def ipp_check(F, n: int, s: int, eps: int, P, ctx: CalcContext, rule=None) -> IppResult:
+def ipp_check(F, n: int, s: int, eps: int, P, ctx: CalcContext) -> IppResult:
     """Two-sided check of the rotation integration-by-parts identity
 
         (-s i eps)^n int F (x + i eps xi)^s P(r^2) e^{-r^2/h} dx dxi
@@ -490,11 +487,8 @@ def ipp_check(F, n: int, s: int, eps: int, P, ctx: CalcContext, rule=None) -> Ip
         # un-normalize: dmu = e^{-r^2/h} dx dxi / (pi h)
         return (math.pi * h) * np.array([lhs_i, rhs_i])
 
-    if rule is not None:
-        both = shot(rule.order)
-    else:
-        start = 2 * (s + extra_deg + pdeg + 2) + 16
-        both, _ = ladder(lambda o: shot(o), start=min(start, 192))
+    start = 2 * (s + extra_deg + pdeg + 2) + 16
+    both, _ = ladder(shot, start=min(start, 192))
     lhs = (-s * 1j * eps) ** n * both[0]
     rhs = both[1]
     residual = abs(lhs - rhs)
@@ -509,7 +503,7 @@ def ipp_check(F, n: int, s: int, eps: int, P, ctx: CalcContext, rule=None) -> Ip
     return IppResult(lhs=complex(lhs), rhs=complex(rhs), residual=float(residual), method=method, fd_warning=fd_warning)
 
 
-def rotation_reduction(sym, alpha, beta, coord: int, n: int, ctx: CalcContext, rule=None):
+def rotation_reduction(sym, alpha, beta, coord: int, n: int, ctx: CalcContext):
     """I_{alpha beta} via the transported rotation derivative at `coord`:
 
         I_{alpha beta}(F) = i^n / (beta_j - alpha_j)^n *
@@ -538,7 +532,7 @@ def rotation_reduction(sym, alpha, beta, coord: int, n: int, ctx: CalcContext, r
             raise ValueError("finite-difference rotation is only supported for d=1")
         fd = _fd_rot(lambda x, xi: sym.evaluator(x[..., None], xi[..., None]), n)
         rot_sym = custom_symbol(lambda xb, xib: fd(xb[..., 0], xib[..., 0]), d=1)
-    val, _ = _tensor_element(rot_sym, alpha, beta, ctx, rule, "closed")
+    val, _ = _tensor_element(rot_sym, alpha, beta, ctx)
     return (1j**n / (bj - aj) ** n) * val
 
 

@@ -32,6 +32,9 @@ Z_CUT = 1380.0
 # lgamma prefactor of `classical_wigner_diagonals` can overflow.
 MAX_FLANDRIN_N = 128
 
+# Panel doublings `_classical_rect_doubled` tries before it reports a stall.
+MAX_DOUBLINGS = 2
+
 
 def wigner_closed(j: int, k: int, x, xi, ctx: CalcContext):
     """Closed-form W_{h,R}(psi_j, psi_k)(x, xi); vectorized over x, xi."""
@@ -72,15 +75,11 @@ def wigner_on_rule(fhat, ghat, z, zeta, ctx: CalcContext, rule):
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
-def wigner_quadrature(fhat, ghat, z: float, zeta: float, ctx: CalcContext, rule=None):
+def wigner_quadrature(fhat, ghat, z: float, zeta: float, ctx: CalcContext):
     """W_{h,R}(fhat, ghat)(z, zeta) by quadrature of the defining integral
-    (see `wigner_on_rule`).
-
-    With rule=None the order is raised on the standard ladder until two
+    (see `wigner_on_rule`), the order raised on the standard ladder until two
     successive orders agree.
     """
-    if rule is not None:
-        return wigner_on_rule(fhat, ghat, z, zeta, ctx, rule)
     val, _ = ladder(lambda n: wigner_on_rule(fhat, ghat, z, zeta, ctx, gh_rule(n, ctx.h / 2.0)))
     return val
 
@@ -113,16 +112,14 @@ def wigner_bargman(u: complex, v: complex, x: float, xi: float, ctx: CalcContext
     return complex(np.exp(-u * v + c * x * (u + v) + 1j * c * xi * (v - u)))
 
 
-def overlap(j: int, k: int, ctx: CalcContext, rule=None) -> float:
+def overlap(j: int, k: int, ctx: CalcContext) -> float:
     """int W(psi_j, psi_k) dmu_{R^2,h/2}; equals delta_{jk}."""
 
-    def value(r) -> complex:
-        return integrate_tensor(lambda pts: wigner_closed(j, k, pts[:, 0], pts[:, 1], ctx), r, 2)
+    def value(n: int) -> complex:
+        rule = gh_rule(n, ctx.h / 2.0)
+        return integrate_tensor(lambda pts: wigner_closed(j, k, pts[:, 0], pts[:, 1], ctx), rule, 2)
 
-    if rule is not None:
-        val = value(rule)
-    else:
-        val, _ = ladder(lambda n: value(gh_rule(n, ctx.h / 2.0)), start=max(48, j + k + 16))
+    val, _ = ladder(value, start=max(48, j + k + 16))
     return val.real if abs(val.imag) < 1e-12 else val
 
 
@@ -295,17 +292,16 @@ def _classical_rect(N: int, lx: float, ly: float, points=None, nodes: int = 16, 
     return M
 
 
-def _classical_rect_doubled(N: int, lx: float, ly: float, points=None, nodes: int = 16,
-                            max_doublings: int = 2, bridge_ctx=None):
+def _classical_rect_doubled(N: int, lx: float, ly: float, points=None, nodes: int = 16, bridge_ctx=None):
     """`_classical_rect` with the points on both axes doubled until two sweeps
     agree entrywise to 1e-9 (each axis starts from at least 3 panels, so every
     doubling refines both rules).  Returns (M, (px, py), agreement) of the
-    last sweep; raises QuadratureConvergenceError after `max_doublings`."""
+    last sweep; raises QuadratureConvergenceError after MAX_DOUBLINGS."""
     px, py = points or (_axis_points(lx, N), _axis_points(ly, N))
     px, py = max(px, 3 * nodes), max(py, 3 * nodes)
     M = _classical_rect(N, lx, ly, (px, py), nodes, bridge_ctx)
     agreement = math.inf
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         px, py = 2 * px, 2 * py
         M, prev = _classical_rect(N, lx, ly, (px, py), nodes, bridge_ctx), M
         agreement = float(np.max(np.abs(M - prev)))

@@ -2,6 +2,7 @@
 stream-keyed sampling stability, and the adaptive order ladder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from gaussweyl.gaussian import (
     coordinate_stream,
     ell_norm,
     gh_rule,
+    TENSOR_BLOCK,
     gl_panel_rule,
-    integrate_1d,
     integrate_tensor,
     ladder,
     mc_sample_array,
@@ -115,10 +116,45 @@ def test_gl_panel_rule():
 
 def test_integrate_1d_and_tensor():
     rule = gh_rule(12, 0.5)
-    assert abs(integrate_1d(lambda x: x**2, rule) - 0.5) <= 1e-13
+    assert abs(integrate_tensor(lambda pts: pts[:, 0] ** 2, rule, 1) - 0.5) <= 1e-13
     # E[x1^2 x2^2] = s^2 for the product measure
     val = integrate_tensor(lambda pts: pts[:, 0] ** 2 * pts[:, 1] ** 2, rule, 2)
     assert abs(val - 0.25) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_integrate_tensor_blocks_match_one_meshgrid(m):
+    """23^4 points fill one block and part of a second; the blocked sum
+    equals the sum over one meshgrid of the whole grid."""
+    rule = gh_rule(23, 0.7)
+    assert TENSOR_BLOCK < 23**4 < 2 * TENSOR_BLOCK
+    c = np.array([0.3, -0.5, 0.2, 0.9])[:m]
+
+    def f(pts):
+        return np.exp(1j * pts @ c) * (1.0 + pts[:, 0] ** 2)
+
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([rule.nodes] * m), indexing="ij")], axis=-1)
+    wts = np.ones(len(pts))
+    for wg in np.meshgrid(*([rule.weights] * m), indexing="ij"):
+        wts = wts * wg.ravel()
+    want = complex(np.sum(f(pts) * wts))
+    got = integrate_tensor(f, rule, m)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_integrate_tensor_memory_is_bounded_by_the_block():
+    """40^4 points would take 40^4 * 4 * 8 bytes (78 MiB) as one array; the
+    blocked sum stays within a fixed multiple of one block."""
+    rule = gh_rule(40, 1.0)
+    tracemalloc.start()
+    try:
+        val = integrate_tensor(lambda pts: pts[:, 0] ** 2 * pts[:, 3] ** 2, rule, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(val - 1.0) <= 1e-12
+    assert peak <= 16 * TENSOR_BLOCK * 8
+    assert peak < 40**4 * 4 * 8 / 2
 
 
 def test_tensor_budget_guard(monkeypatch):
@@ -179,3 +215,17 @@ def test_ladder_converges_and_raises():
     # vector-valued ladders compare elementwise
     val, _ = ladder(lambda n: np.array([1.0, 2.0 + 3.0**-n]))
     assert np.max(np.abs(val - np.array([1.0, 2.0]))) <= 1e-9
+
+
+def test_ladder_raises_before_a_shot_at_its_cap():
+    """A start at or above the cap leaves no second order to compare."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return 1.0
+
+    for start, cap in [(21, 21), (22, 21)]:
+        with pytest.raises(QuadratureConvergenceError, match="cap"):
+            ladder(counted, start=start, cap=cap)
+    assert calls == []

@@ -24,6 +24,7 @@ from gaussweyl.symbols import (
     custom_symbol,
     eval_ddot,
     gaussian_symbol,
+    mixture_symbol,
     radial_symbol,
     tensor_radial_symbol,
 )
@@ -55,6 +56,18 @@ def test_heated_gaussian_convolution_route():
     for x, xi in [(0.0, 0.0), (-0.4, 1.1)]:
         conv = heat_convolution_eval(gaussian_symbol(1.0, 1.0), [1], 0.5, [x], [xi])
         assert abs(float(conv[0]) - closed.eval([x], [xi])) <= 1e-8
+
+
+def test_heated_custom_two_pairs_matches_closed_mixture():
+    """Dual route over two heated pairs (a 4-D grid of shifts): the custom
+    evaluator of a mixture, convolved, against the mixture's closed nu-shift."""
+    mix = mixture_symbol([(1.0, {1: 1.0, 2: 0.5}), (-0.3, {2: 2.0})], 2)
+    custom = custom_symbol(lambda xb, xib: eval_ddot(mix, xb, xib), d=2)
+    x = np.array([[0.3, -0.7], [1.1, 0.2]])
+    xi = np.array([[0.5, 0.1], [-0.4, 0.9]])
+    got = heat_convolution_eval(custom, [1, 2], 0.5, x, xi)
+    want = heat_apply(mix, [1, 2], 0.5).eval(x, xi)
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_heat_semigroup():

@@ -296,10 +296,8 @@ def test_flandrin_search_guards():
         flandrin_search(0.0, ctx, 4)
     with pytest.raises(ValueError):
         flandrin_search(1.0, ctx, 129)
-    with pytest.raises(ValueError):
-        flandrin_search(1.0, ctx, 4, quad={"bogus": 1})
     with pytest.raises(QuadratureConvergenceError):
-        flandrin_search(1.0, ctx, 8, quad={"points_per_axis": 4, "max_doublings": 0})
+        flandrin_search(1.0, ctx, 8, points=6, nodes=2)
 
 
 def test_flandrin_reduction_ground_state_quarter():

@@ -2,6 +2,9 @@
 quadrature routes, and rotation integration-by-parts."""
 
 import math
+import subprocess
+import sys
+import time
 
 import numpy as np
 import oracles
@@ -366,14 +369,16 @@ def _ladder_diagonal(sym, truncation, h, wigner_route, cache):
     """Diagonal of a mixture section by Fubini over pairs,
     sum_k c_k prod_j I_{a_j a_j}(e^{-nu_kj r^2}), each one-pair factor by the
     tensor ladder (_tensor_element).  The ladder over all 2d coordinates
-    needs over 1 GB per entry at d = 2."""
+    takes about a second per entry at d = 2 (a 4-D grid, orders up to
+    100), and at d = 3 its cap of 21 orders leaves no second order to
+    compare from degree 2 on."""
 
     def pair(nu, j):
         key = (nu, j)
         if key not in cache:
             a = MultiIndex({1: j})
             one_pair = mixture_symbol([(1.0, {1: nu})], 1)
-            cache[key], _ = _tensor_element(one_pair, a, a, CalcContext(h=h), None, wigner_route)
+            cache[key], _ = _tensor_element(one_pair, a, a, CalcContext(h=h), wigner_route)
         return cache[key]
 
     return np.array([
@@ -419,6 +424,35 @@ def test_closed_section_matches_full_ladder_one_pair(h):
                     continue
                 want, _ = _tensor_element(sym, a, b, ctx)
                 assert abs(M[p, q] - want) <= 1e-12, (sym, a, b)
+
+
+def test_tensor_ladder_entry_memory_is_bounded():
+    """One d = 2 degree-3 entry on the ladder over all four coordinates runs
+    in blocks of the tensor grid and stays under 300 MB resident."""
+    script = (
+        "import resource\n"
+        "from gaussweyl.basis import CalcContext, MultiIndex\n"
+        "from gaussweyl.quadform import _tensor_element\n"
+        "from gaussweyl.symbols import parse_symbol\n"
+        "a = MultiIndex.from_tuple((3, 3))\n"
+        "val, _ = _tensor_element(parse_symbol('radial:phi=exp:nu=0.7,d=2'), a, a, CalcContext(h=1.0))\n"
+        "print(val.real, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    val, maxrss_kib = proc.stdout.split()
+    assert abs(float(val) - diag_law(3, 0.7, 1.0) ** 2) <= 1e-12
+    assert int(maxrss_kib) < 300 * 1024
+
+
+def test_tensor_ladder_at_its_cap_raises_at_once():
+    """At d = 3 the point budget caps the ladder at order 21, where a degree-2
+    entry already starts: it raises before evaluating any shot."""
+    a = MultiIndex({1: 2})
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureConvergenceError, match="cap 21"):
+        _tensor_element(MIXTURES["tensorradial d=3"], a, a, CalcContext(h=1.0))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_single_entries_use_the_closed_law():

@@ -19,7 +19,7 @@ from gaussweyl.wigner import (
     wigner_bargman,
     wigner_closed,
     wigner_hermite_quadrature,
-    wigner_quadrature,
+    wigner_on_rule,
     wigner_tensor,
 )
 
@@ -119,13 +119,13 @@ def test_closed_matches_definition_grid(h):
 def test_quadrature_fixed_rule_path():
     ctx = CalcContext(h=1.0)
     rule = gh_rule(80, ctx.h / 2.0)
-    got = wigner_quadrature(
+    got = wigner_on_rule(
         lambda t: hermite_eval(2, t, ctx),
         lambda t: hermite_eval(2, t, ctx),
         0.3,
         0.1,
         ctx,
-        rule=rule,
+        rule,
     )
     want = wigner_closed(2, 2, 0.3, 0.1, ctx)
     assert abs(got - want) <= 1e-10

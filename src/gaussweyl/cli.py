@@ -23,7 +23,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -159,17 +158,43 @@ def _csv_cell(v):
     return str(v)
 
 
-def _csv_rows(rows: list) -> list:
-    """`rows` ready for csv.writer.writerows.  One type scan over all cells
-    decides: tables of plain str/int/float cells (every large table) pass
-    through unchanged, others are converted cell by cell."""
-    if _CSV_PLAIN.issuperset(map(type, chain.from_iterable(rows))):
-        return rows
-    return [[_csv_cell(c) for c in row] for row in rows]
+def _csv_quote(cell: str) -> str:
+    """`cell` as csv.writer spells a string cell in a row of two or more cells
+    (QUOTE_MINIMAL)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((cell, ""))
+    return buf.getvalue()[: -len(",\r\n")]
 
 
-def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_rows=None) -> int:
-    """Write the report; return the exit code mandated by the contract."""
+def _csv_column(cells) -> list:
+    """One column ready for str.format, which spells a float by its repr and
+    an int by str, as csv.writer does.  One type scan decides: columns of plain
+    str/int/float cells (every large table) pass through, others are converted
+    cell by cell; each distinct string is quoted once."""
+    kinds = set(map(type, cells))
+    if not _CSV_PLAIN.issuperset(kinds):
+        cells = [_csv_cell(c) for c in cells]
+        kinds = set(map(type, cells))
+    if str in kinds:
+        quoted = {c: _csv_quote(c) for c in set(cells) if type(c) is str}
+        if any(q != c for c, q in quoted.items()):
+            cells = [quoted[c] if type(c) is str else c for c in cells]
+    return cells
+
+
+def _csv_text(header, columns) -> str:
+    """The CSV table, header first, each line joined by one format string."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"
+    text = line.format(*map(_csv_quote, header))
+    if columns:
+        text += "".join(map(line.format, *map(_csv_column, columns)))
+    return text
+
+
+def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_rows=None,
+          csv_columns=None) -> int:
+    """Write the report; return the exit code mandated by the contract.  A CSV
+    table comes as `csv_rows` or, column by column, as `csv_columns`."""
     proposition = _PROPOSITIONS[cfg.command]
     ok = bool(contract.get("passed", False))
     report = {
@@ -194,11 +219,9 @@ def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_ro
         else:
             sys.stdout.write(text)
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(list(csv_header))
-        w.writerows(_csv_rows(csv_rows))
-        data = buf.getvalue()
+        if csv_columns is None:
+            csv_columns = list(zip(*csv_rows))
+        data = _csv_text(csv_header, csv_columns)
         meta = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
         if cfg.output:
             with open(cfg.output, "w", newline="") as fh:
@@ -285,9 +308,15 @@ def cmd_wigner(args) -> int:
             "spot_radius": r,
         }
         quad = _quad_block(True)
-    rows = list(zip(xg.tolist(), gg.tolist(), vals.real.tolist(), vals.imag.tolist()))
-    results = {"points": len(rows), "rows": rows if cfg.format == "json" else None}
-    return _emit(cfg, quad, contract, results, ("x", "xi", "re", "im"), rows)
+    results = {"points": args.grid**2, "rows": None}
+    if cfg.format == "json":
+        results["rows"] = list(zip(xg.tolist(), gg.tolist(), vals.real.tolist(), vals.imag.tolist()))
+        return _emit(cfg, quad, contract, results)
+    # Each axis value is spelled once and reused down the x and xi columns.
+    cells = [repr(v) for v in axis.tolist()]
+    columns = ([c for c in cells for _ in range(args.grid)], cells * args.grid,
+               vals.real.tolist(), vals.imag.tolist())
+    return _emit(cfg, quad, contract, results, ("x", "xi", "re", "im"), csv_columns=columns)
 
 
 def _symbol_matrix(args, command):

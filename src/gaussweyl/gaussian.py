@@ -125,6 +125,13 @@ def gl_panel_rule(lo: float, hi: float, panels: int, nodes: int) -> QuadratureRu
     return QuadratureRule(nodes=xs, weights=ws, variance=0.0, order=panels * nodes)
 
 
+def _check_tensor_budget(order: int, m: int) -> None:
+    """Refuse a tensor grid of order^m points above `quad_budget()`."""
+    npts = order**m
+    if npts > quad_budget():
+        raise ValueError(f"tensor quadrature budget exceeded: {order}^{m} = {npts} points")
+
+
 def _tensor_blocks(rule: QuadratureRule, m: int, rows: int):
     """The tensor grid of `rule` on R^m in blocks of at most `rows` rows, in the
     C order of one meshgrid over m axes (the first axis varies slowest).
@@ -158,11 +165,7 @@ def integrate_tensor(f, rule: QuadratureRule, m: int) -> complex:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    npts = rule.order**m
-    if npts > quad_budget():
-        raise ValueError(
-            f"tensor quadrature budget exceeded: {rule.order}^{m} = {npts} points"
-        )
+    _check_tensor_budget(rule.order, m)
     total = 0.0j
     for pts, wts in _tensor_blocks(rule, m, TENSOR_BLOCK):
         total += complex(np.sum(np.asarray(f(pts)) * wts))

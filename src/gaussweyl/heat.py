@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .basis import CalcContext
-from .gaussian import TENSOR_BLOCK, _tensor_blocks, gh_rule, ladder
+from .gaussian import TENSOR_BLOCK, _check_tensor_budget, _tensor_blocks, gh_rule, ladder
 from .quadform import HermiteExpansion, quadratic_form
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot, mixture_symbol
 
@@ -115,7 +115,8 @@ def heat_convolution_eval(sym, J, t, x, xi, ctx=None):
     """Generic heated evaluator: 2|J|-dimensional Gaussian convolution of the
     base evaluator by tensor Gauss-Hermite quadrature (the slow dual route to
     the closed forms).  The shifts run in blocks of the tensor grid, each
-    block with every point in one call of the base evaluator."""
+    block with every point in one call of the base evaluator.  Each shot
+    refuses n^(2|J|) shifts above `quad_budget()`, as `integrate_tensor` does."""
     J = sorted(_validate_pairs(J, sym.d))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -125,6 +126,7 @@ def heat_convolution_eval(sym, J, t, x, xi, ctx=None):
     npts = x.shape[0]
 
     def value_at(n: int):
+        _check_tensor_budget(n, 2 * len(J))
         acc = np.zeros(npts, dtype=complex)
         blocks = _tensor_blocks(gh_rule(n, t), 2 * len(J), max(1, TENSOR_BLOCK // npts))
         for shifts, wts in blocks:

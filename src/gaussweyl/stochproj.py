@@ -11,7 +11,10 @@ its Gaussian law on a dedicated remainder stream.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import tee
 
 import numpy as np
 
@@ -141,6 +144,14 @@ def _pth_moment_root(vals: np.ndarray, p: float):
     return est, se
 
 
+def _draw_workers() -> int:
+    """Threads that fill the keyed draws: two, or one where this process may
+    run on a single CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
 def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed: int = 0):
     """Monte Carlo estimates of ||ell_a - ell_{a_n}||_{L^p(mu_{B,s})} for
     every truncation n in `ns`.
@@ -158,9 +169,17 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
     the sweep passes n+64, so only the open windows' running sums are held.
     Each row's sum runs in the same order as a sweep over that row alone.
 
+    The keyed normals are filled on up to two worker threads (numpy releases
+    the GIL while it fills) into a ring of workers + 1 buffers, while this
+    thread adds the previous keys into the rows; every stream is built here,
+    and a buffer is refilled only after its adds are done, so the result is
+    bit-identical for any number of workers.
+
     Returns one (estimate, std_error) per entry of `ns`, in order; each
     estimate brackets the closed-form rate within a few standard errors.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}")
     if p < 1:
@@ -179,33 +198,54 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
     rem = None
     if any(rem_var > 0.0 for _, rem_var in scale.values()):
         rem = coordinate_stream(seed, REMAINDER_KEY).standard_normal(samples)
+    # One term buffer for the whole sweep: a fresh sample-sized array per key
+    # costs more in page faults than in arithmetic.
+    term = np.empty(samples)
 
     def close(n: int, diff: np.ndarray) -> None:
         norm, rem_var = scale[n]
         if rem_var > 0.0:
-            diff += math.sqrt(rem_var) * rem
-        est, se = _pth_moment_root(np.abs(diff) ** p, p)
+            diff += np.multiply(math.sqrt(rem_var), rem, out=term)
+        np.abs(diff, out=diff)
+        diff **= p
+        est, se = _pth_moment_root(diff, p)
         out[n] = (est * norm, se * norm)
 
     keys = sorted({j for n in scale for j in range(n + 1, n + EXPLICIT_TAIL_COORDS + 1)})
+
+    def plan():
+        """(key, nonzero (row, coefficient) pairs) for every key, ascending."""
+        for j in keys:
+            aj = a.coord(j)
+            coeffs = [(n, aj / norm) for n, (norm, _) in scale.items()
+                      if n < j <= n + EXPLICIT_TAIL_COORDS]
+            yield j, [(n, cj) for n, cj in coeffs if cj != 0.0]
+
+    # The look-ahead copy of the plan runs at most len(ring) drawn keys ahead.
+    steps, lookahead = tee(plan())
+    drawn = (j for j, coeffs in lookahead if coeffs)
+    workers = _draw_workers()
+    ring = [np.empty(samples) for _ in range(workers + 1)]
     pending = sorted(scale, reverse=True)
     sums = {}  # open rows: n -> running sum of the normalized tail
-    # One draw buffer and one term buffer for the whole sweep: a fresh pair of
-    # sample-sized arrays per key costs more in page faults than in arithmetic.
-    z = np.empty(samples)
-    term = np.empty(samples)
-    for j in keys:
-        for n in [m for m in sums if m + EXPLICIT_TAIL_COORDS < j]:
-            close(n, sums.pop(n))
-        while pending and pending[-1] < j:
-            sums[pending.pop()] = np.zeros(samples)
-        aj = a.coord(j)
-        coeffs = [(n, aj / scale[n][0]) for n in sums]
-        coeffs = [(n, cj) for n, cj in coeffs if cj != 0.0]
-        if coeffs:
-            coordinate_stream(seed, j).standard_normal(out=z)
-            for n, cj in coeffs:
-                sums[n] += np.multiply(cj * root, z, out=term)
+    with ThreadPoolExecutor(workers) as pool:
+
+        def fill(buf: np.ndarray, j: int):
+            return pool.submit(coordinate_stream(seed, j).standard_normal, out=buf)
+
+        filling = deque(fill(buf, j) for buf, j in zip(ring, drawn))
+        for j, coeffs in steps:
+            for n in [m for m in sums if m + EXPLICIT_TAIL_COORDS < j]:
+                close(n, sums.pop(n))
+            while pending and pending[-1] < j:
+                sums[pending.pop()] = np.zeros(samples)
+            if coeffs:
+                z = filling.popleft().result()
+                for n, cj in coeffs:
+                    sums[n] += np.multiply(cj * root, z, out=term)
+                nxt = next(drawn, None)
+                if nxt is not None:
+                    filling.append(fill(z, nxt))
     for n in list(sums):
         close(n, sums.pop(n))
     return [out[n] for n in ns]

@@ -11,8 +11,10 @@ from itertools import product
 
 import numpy as np
 import oracles
+import pytest
 
 from gaussweyl import __version__, cli, quadform, wigner
+from gaussweyl.basis import CalcContext
 from gaussweyl.cli import main
 
 GAUSS = "gaussian:nu=2.0,anorm=1.0"
@@ -477,6 +479,36 @@ def test_csv_emission_is_byte_identical_to_per_cell_formatting(capsys):
             writer.writerow([_csv_cell_per_cell(c) for c in row])
         assert cli._emit(cfg, {}, {"passed": True}, {}, ("a", "b", "c", "d"), table) == 0
         assert capsys.readouterr().out == buf.getvalue()
+
+
+@pytest.mark.parametrize("j, k, grid", [(0, 0, 401), (64, 60, 121)])
+def test_wigner_csv_matches_csv_writer(j, k, grid, capsys):
+    """The column-wise table equals csv.writer's rendering of the same values."""
+    assert main(["wigner", "--j", str(j), "--k", str(k), "--grid", str(grid)]) == 0
+    axis = np.linspace(-3.0, 3.0, grid)
+    x, xi = np.repeat(axis, grid), np.tile(axis, grid)
+    vals = np.asarray(wigner.wigner_closed(j, k, x, xi, CalcContext(h=1.0)), dtype=complex)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["x", "xi", "re", "im"])
+    writer.writerows(zip(x.tolist(), xi.tolist(), vals.real.tolist(), vals.imag.tolist()))
+    assert capsys.readouterr().out == buf.getvalue()
+
+
+def test_csv_emission_quotes_strings_as_csv_writer(capsys):
+    cells = [",", '"', "\n", "\r", " lead", "", "a,b", 'say "hi"', "x\r\ny", "plain"]
+    table = [(c, cells[-1 - i], i, 0.5 * i) for i, c in enumerate(cells)]
+    header = ("a b", "c,d", 'e"f', "g")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(table)
+    cfg = cli.RunConfig(command="wigner", format="csv")
+    assert cli._emit(cfg, {}, {"passed": True}, {}, header, table) == 0
+    assert capsys.readouterr().out == buf.getvalue()
+    columns = [list(col) for col in zip(*table)]
+    assert cli._emit(cfg, {}, {"passed": True}, {}, header, csv_columns=columns) == 0
+    assert capsys.readouterr().out == buf.getvalue()
 
 
 SEEDLESS = [

@@ -2,6 +2,7 @@
 anti-Wick / hybrid quadratic forms built from them."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_heated_custom_two_pairs_matches_closed_mixture():
     got = heat_convolution_eval(custom, [1, 2], 0.5, x, xi)
     want = heat_apply(mix, [1, 2], 0.5).eval(x, xi)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_heat_convolution_refuses_shots_over_the_budget():
+    """Three heated pairs start the ladder at 32^6 shifts per point, over the
+    default budget: refused before any evaluation, not after minutes."""
+    custom = custom_symbol(lambda xb, xib: np.exp(-np.sum(xb**2 + xib**2, axis=-1)), d=3)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget exceeded: 32\\^6"):
+        heat_convolution_eval(custom, [1, 2, 3], 0.5, [[0.1, 0.2, 0.3]], [[0.0, 0.1, -0.2]])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_heat_convolution_budget_follows_the_environment(monkeypatch):
+    monkeypatch.setenv("GAUSSWEYL_QUAD_MAX", "1000")
+    with pytest.raises(ValueError, match="budget exceeded: 32\\^2 = 1024 points"):
+        heat_convolution_eval(gaussian_symbol(1.0, 1.0), [1], 0.5, [0.7], [-0.3])
 
 
 def test_heat_semigroup():

@@ -2,6 +2,8 @@
 approximation along subspace filtrations, and projected covariances."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -178,6 +180,43 @@ def test_mc_rate_memory_bounded_by_open_windows():
     finally:
         tracemalloc.stop()
     assert peak < 8 * samples * 8
+
+
+@pytest.mark.parametrize(
+    "a",
+    [geometric_direction(), power_direction(), finite_direction([1.0 / j for j in range(1, 101)])],
+    ids=["geometric", "power", "finite"],
+)
+def test_mc_rate_same_for_any_number_of_draw_workers(a, monkeypatch):
+    """The draws fill on worker threads; the result does not depend on how
+    many, bit for bit, rows reversed and duplicated.  Four workers on a short
+    switch interval would expose a buffer refilled before its adds end."""
+    ns = CLI_ROWS[::-1] + CLI_ROWS[3:6] + [0]
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(stochproj, "_draw_workers", lambda w=workers: w)
+            results.append(mc_conv_rate(a, ns, 2.0, 1.0, 1000, seed=9))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+
+
+def test_mc_rate_builds_every_stream_on_the_calling_thread(monkeypatch):
+    threads = []
+    real = stochproj.coordinate_stream
+
+    def recording(stream, key):
+        threads.append(threading.get_ident())
+        return real(stream, key)
+
+    monkeypatch.setattr(stochproj, "_draw_workers", lambda: 2)
+    monkeypatch.setattr(stochproj, "coordinate_stream", recording)
+    mc_conv_rate(power_direction(), CLI_ROWS, 2.0, 1.0, 1000, seed=4)
+    assert len(threads) == 385
+    assert set(threads) == {threading.get_ident()}
 
 
 def _phi3(coords):

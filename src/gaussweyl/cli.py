@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .basis import CalcContext, TruncationSet
-from .gaussian import QuadratureConvergenceError, coordinate_stream
+from .gaussian import LADDER_POLICY, QuadratureConvergenceError, coordinate_stream
 from .heat import antiwick_form, decomposition_residual
 from .positivity import (
     NONPOS_QUADRATURE_ROUTE,
@@ -57,8 +57,6 @@ from .symbols import SymbolDomainError, SymbolSyntaxError, eval_ddot, parse_symb
 from .wigner import wigner_closed, wigner_hermite_quadrature
 
 TOOL = "gaussweyl"
-
-_LADDER_POLICY = {"start": 48, "step": 16, "cap": 192, "rtol": 1e-9, "atol": 1e-10}
 
 _PROPOSITIONS = {
     "wigner": "Eq. (Wigner-gaussienne)",
@@ -256,7 +254,7 @@ def _ctx(cfg: RunConfig) -> CalcContext:
 
 def _quad_block(ladder_ran: bool, **extra) -> dict:
     """Quadrature provenance; the ladder policy appears only when a ladder ran."""
-    block = {"policy": dict(_LADDER_POLICY)} if ladder_ran else {}
+    block = {"policy": dict(LADDER_POLICY)} if ladder_ran else {}
     block.update(extra)
     return block
 

@@ -220,12 +220,19 @@ class QuadratureConvergenceError(RuntimeError):
     """Raised when the adaptive order ladder hits its cap without stabilizing."""
 
 
-def ladder(value_at_order, start: int = 48, step: int = 16, cap: int = 192):
+# The order ladder's default orders and acceptance tolerances; reports quote
+# this block as their quadrature policy.
+LADDER_POLICY = {"start": 48, "step": 16, "cap": 192, "rtol": 1e-9, "atol": 1e-10}
+
+
+def ladder(value_at_order, start: int = LADDER_POLICY["start"], step: int = LADDER_POLICY["step"],
+           cap: int = LADDER_POLICY["cap"]):
     """Raise quadrature order until two successive orders agree.
 
-    Acceptance: |v(n+step) - v(n)| <= max(1e-10, 1e-9 |v(n+step)|).  Returns
-    (value, order_used); raises QuadratureConvergenceError past the cap, and
-    before any evaluation when start >= cap leaves no second order to compare.
+    Acceptance: |v(n+step) - v(n)| <= max(atol, rtol |v(n+step)|) with the
+    LADDER_POLICY tolerances.  Returns (value, order_used); raises
+    QuadratureConvergenceError past the cap, and before any evaluation when
+    start >= cap leaves no second order to compare.
     """
     n = min(start, cap)
     if n == cap:
@@ -238,7 +245,7 @@ def ladder(value_at_order, start: int = 48, step: int = 16, cap: int = 192):
         cur = value_at_order(n)
         delta = float(np.max(np.abs(np.asarray(cur) - np.asarray(prev))))
         scale = float(np.max(np.abs(np.asarray(cur))))
-        if delta <= max(1e-10, 1e-9 * scale):
+        if delta <= max(LADDER_POLICY["atol"], LADDER_POLICY["rtol"] * scale):
             return cur, n
         prev = cur
     raise QuadratureConvergenceError(

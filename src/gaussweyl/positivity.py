@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import CalcContext, TruncationSet
-from .gaussian import gh_rule, integrate_tensor, ladder
+from .gaussian import coordinate_stream, gh_rule, integrate_tensor, ladder
 from .quadform import HermiteExpansion, assemble_matrix, eig_hermitian, quadratic_form
 from .symbols import (
     PhiSpec,
@@ -100,11 +100,6 @@ def radial_lower_bound(phi, ctx: CalcContext) -> float:
     return res
 
 
-def _block_bound(phi: PhiSpec, dj: int, h: float) -> float:
-    """Closed form of the d-pair bound: sum_i c_i / (1 + nu_i h)^d."""
-    return sum(c / (1.0 + nu * h) ** dj for c, nu in phi.exp_terms())
-
-
 @dataclass(frozen=True)
 class RadialPositivity:
     bound: float
@@ -127,19 +122,15 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
     bound is a theorem only for nondecreasing profiles; `increasing` reports
     whether that hypothesis holds, and `ok` reports the raw comparison.
     """
-    if sym.family == "radial":
-        parts = ((sym.phi, sym.d),)
-    elif sym.family == "tensor_radial":
-        parts = sym.parts
-    else:
+    if sym.family not in ("radial", "tensor_radial"):
         raise ValueError("radial_positivity_check needs a radial or tensorradial symbol")
     bound = 1.0
-    for phi, dj in parts:
-        bound *= _block_bound(phi, dj, ctx.h)
+    for phi, dj in sym.parts:
+        bound *= phi.laplace_mean(ctx.h, dj)
     om = assemble_matrix(sym, truncation, ctx)
     diagonal = np.real(om.diagonal)
     min_eig = float(np.min(diagonal))
-    increasing = all(phi.is_increasing() for phi, _ in parts)
+    increasing = all(phi.is_increasing() for phi, _ in sym.parts)
     return RadialPositivity(
         bound=float(bound),
         min_eig=min_eig,
@@ -267,15 +258,13 @@ def _assert_nonneg(sym, ctx: CalcContext) -> None:
     if sym.family == "gaussian":
         return
     if sym.family in ("radial", "tensor_radial"):
-        parts = sym.parts if sym.family == "tensor_radial" else ((sym.phi, sym.d),)
         t = np.linspace(0.0, 80.0, 4001)
-        for phi, _ in parts:
+        for phi, _ in sym.parts:
             if np.min(phi.value(t)) < -1e-12:
                 raise ValueError("radial profile takes negative values")
         return
     # mixture/custom: seeded point-cloud check
-    rng = np.random.Generator(np.random.Philox(key=[11, 11]))
-    pts = rng.normal(0.0, math.sqrt(3.0 * ctx.h), size=(2000, 2 * sym.d))
+    pts = coordinate_stream(11, 11).normal(0.0, math.sqrt(3.0 * ctx.h), size=(2000, 2 * sym.d))
     vals = np.asarray(eval_ddot(sym, pts[:, : sym.d], pts[:, sym.d :], ctx))
     scale = max(1.0, float(np.max(np.abs(vals))))
     if float(np.min(np.real(vals))) < -1e-10 * scale:

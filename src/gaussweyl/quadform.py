@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
-from .gaussian import gh_rule, integrate_tensor, ladder, quad_budget
+from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
 from .wigner import MAX_FLANDRIN_N, _classical_rect_doubled, wigner_closed, wigner_on_rule
 
@@ -228,7 +228,7 @@ def _tensor_element(sym, alpha, beta, ctx, wigner_route="closed"):
         + [beta.degree(i) for i in range(1, sym.d + 1)]
         + [0]
     )
-    cap = min(192, int(quad_budget() ** (1.0 / (2 * sym.d))))
+    cap = min(LADDER_POLICY["cap"], int(quad_budget() ** (1.0 / (2 * sym.d))))
     start = min(2 * (maxdeg + 1) + 16, cap)
     return ladder(
         lambda n: _tensor_shot(sym, alpha, beta, ctx, n, wigner_route),
@@ -251,27 +251,48 @@ def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
     return table, max(points)
 
 
-def _element_with_order(sym, alpha, beta, ctx, wigner_route="closed", box=None):
-    # box: a precomputed _box_table covering both degrees
-    alpha = _as_index(alpha)
-    beta = _as_index(beta)
+def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed", hermitian=False):
+    """(I_{alpha beta} for alpha in rows, beta in cols; largest ladder order;
+    structural zeros).  Entries whose degrees differ beyond sym.d are zero
+    (delta factors).  Boxes read one `_box_table`, the closed route fills its
+    diagonal law where row and column match, and the tensor ladder skips (and
+    counts) the off-diagonal entries of per-pair radial symbols; with
+    `hermitian` (rows == cols) it computes the upper triangle only."""
+    rows = [_as_index(a) for a in rows]
+    cols = [_as_index(b) for b in cols]
     d = sym.d
-    top = max(alpha.max_coordinate(), beta.max_coordinate())
-    for i in range(d + 1, top + 1):
-        if alpha.degree(i) != beta.degree(i):
-            # the pair's Wigner factor integrates to delta_{jk}
-            return 0.0j, 0
+    width = max([d] + [idx.max_coordinate() for idx in rows + cols])
+    R, C = (np.array([[idx.degree(i) for i in range(1, width + 1)] for idx in idxs], dtype=int)
+            .reshape(len(idxs), width) for idxs in (rows, cols))
     route = section_route(sym, wigner_route)
     if route == ROUTE_BOX:
-        j, k = alpha.degree(1), beta.degree(1)
-        table, order = box or _box_table(sym, max(j, k), ctx, wigner_route)
-        return complex(table[j, k]), order
+        top = max(R[:, 0].max(initial=0), C[:, 0].max(initial=0))
+        table, order = _box_table(sym, int(top), ctx, wigner_route)
+        out = table[np.ix_(R[:, 0], C[:, 0])]
+        out[np.any(R[:, None, d:] != C[None, :, d:], axis=2)] = 0.0
+        return out, order, 0
     if route == ROUTE_CLOSED:
-        if alpha != beta:
-            return 0.0j, 0
-        degrees = np.array([[alpha.degree(i) for i in range(1, d + 1)]])
-        return complex(_mixture_diagonal(sym.gauss_mixture(), degrees, ctx.h)[0]), 0
-    return _tensor_element(sym, alpha, beta, ctx, wigner_route)
+        diagonal = _mixture_diagonal(sym.gauss_mixture(), R, ctx.h).astype(complex)
+        match = np.all(R[:, None, :] == C[None, :, :], axis=2)
+        return np.where(match, diagonal[:, None], 0.0j), 0, 0
+    pairwise_radial = sym.is_pairwise_radial()
+    row_tails = [tuple(t) for t in R[:, d:].tolist()]
+    col_tails = [tuple(t) for t in C[:, d:].tolist()]
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    max_order = structural = 0
+    for p, a in enumerate(rows):
+        for q in range(p if hermitian else 0, len(cols)):
+            b = cols[q]
+            if pairwise_radial and a != b:
+                structural += 1
+                continue
+            if row_tails[p] != col_tails[q]:
+                continue  # a delta factor beyond the symbol's pairs
+            out[p, q], order = _tensor_element(sym, a, b, ctx, wigner_route)
+            max_order = max(max_order, order)
+            if hermitian and q > p:
+                out[q, p] = np.conjugate(out[p, q])
+    return out, max_order, structural
 
 
 def matrix_element(sym, alpha, beta, ctx: CalcContext, wigner_route="closed"):
@@ -284,8 +305,8 @@ def matrix_element(sym, alpha, beta, ctx: CalcContext, wigner_route="closed"):
     wigner_route="quadrature" computes the per-pair Wigner factors from the
     defining integral instead of the closed form.
     """
-    val, _ = _element_with_order(sym, alpha, beta, ctx, wigner_route)
-    return val
+    table, _, _ = _entries(sym, [alpha], [beta], ctx, wigner_route)
+    return complex(table[0, 0])
 
 
 def assemble_matrix(
@@ -298,12 +319,11 @@ def assemble_matrix(
 
     Gaussian mixtures on the closed Wigner route give a diagonal section,
     evaluated by the closed law in one pass over the truncation's degree
-    array; no dense matrix is built until `entries` is read.  Boxes read
-    every entry from one sweep of the classical table (`_box_table`), zero
-    where the degrees differ at a coordinate beyond the first.  Custom
-    symbols and the quadrature Wigner route fill a dense matrix entry by
-    entry; there per-pair radial symbols skip their structural zeros, and
-    non-custom symbols fill the lower triangle by Hermitian symmetry.
+    array; no dense matrix is built until `entries` is read.  Other sections
+    are dense, from the entry builder `_entries`: boxes from one sweep of
+    the classical table, custom symbols and the quadrature Wigner route
+    entry by entry, non-custom symbols filling the lower triangle by
+    Hermitian symmetry.
     """
     if truncation.size > MAX_MATRIX_SIZE:
         raise ValueError(
@@ -311,34 +331,14 @@ def assemble_matrix(
         )
     size = truncation.size
     route = section_route(sym, wigner_route)
-    pairwise_radial = sym.is_pairwise_radial()
     diagonal = dense = None
-    structural = max_order = 0
     if route == ROUTE_CLOSED:
         diagonal = _mixture_diagonal(sym.gauss_mixture(), truncation.degrees, ctx.h).astype(complex)
-        structural = size * (size - 1) // 2
-    elif route == ROUTE_BOX:
-        degrees = truncation.degrees
-        table, max_order = _box_table(sym, int(degrees[:, 0].max()), ctx, wigner_route)
-        dense = table[np.ix_(degrees[:, 0], degrees[:, 0])]
-        # pairs beyond the first integrate to delta factors
-        dense[np.any(degrees[:, None, 1:] != degrees[None, :, 1:], axis=2)] = 0.0
+        max_order, structural = 0, size * (size - 1) // 2
     else:
         idxs = truncation.indices()
-        dense = np.zeros((size, size), dtype=complex)
-        hermitian = sym.family != "custom"
-        for p in range(size):
-            qlo = p if hermitian else 0
-            for q in range(qlo, size):
-                a, b = idxs[p], idxs[q]
-                if pairwise_radial and a != b:
-                    structural += 1
-                    continue
-                val, order = _element_with_order(sym, a, b, ctx, wigner_route)
-                max_order = max(max_order, order)
-                dense[p, q] = val
-                if hermitian and q > p:
-                    dense[q, p] = np.conjugate(val)
+        dense, max_order, structural = _entries(sym, idxs, idxs, ctx, wigner_route,
+                                                hermitian=sym.family != "custom")
     try:
         text = sym.text()
     except ValueError:
@@ -348,7 +348,7 @@ def assemble_matrix(
         "wigner_route": wigner_route,
         "max_order": max_order,
         "structural_zeros": structural,
-        "pairwise_radial": pairwise_radial,
+        "pairwise_radial": sym.is_pairwise_radial(),
     }
     return OperatorMatrix(truncation=truncation, symbol_text=text, h=ctx.h, d=sym.d, meta=meta,
                           diagonal=diagonal, dense=dense)
@@ -356,22 +356,10 @@ def assemble_matrix(
 
 def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext, wigner_route="closed") -> complex:
     """<Op(F) f, g> = sum_{alpha,beta} c_alpha conj(c'_beta) I_{alpha beta}."""
-    pairwise_radial = sym.is_pairwise_radial()
-    box = None
-    if section_route(sym, wigner_route) == ROUTE_BOX:
-        top = max((idx.degree(1) for e in (f, g) for idx, _ in e.items()), default=0)
-        box = _box_table(sym, top, ctx, wigner_route)
-    total = 0.0j
-    seen: dict[tuple[MultiIndex, MultiIndex], complex] = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
-            if pairwise_radial and a != b:
-                continue
-            key = (a, b)
-            if key not in seen:
-                seen[key], _ = _element_with_order(sym, a, b, ctx, wigner_route, box)
-            total += ca * np.conjugate(cb) * seen[key]
-    return complex(total)
+    table, _, _ = _entries(sym, [a for a, _ in f.items()], [b for b, _ in g.items()], ctx, wigner_route)
+    fc = np.array([c for _, c in f.items()], dtype=complex)
+    gc = np.array([c for _, c in g.items()], dtype=complex)
+    return complex(np.sum(np.multiply.outer(fc, np.conj(gc)) * table))
 
 
 def eig_hermitian(matrix) -> np.ndarray:
@@ -488,7 +476,7 @@ def ipp_check(F, n: int, s: int, eps: int, P, ctx: CalcContext) -> IppResult:
         return (math.pi * h) * np.array([lhs_i, rhs_i])
 
     start = 2 * (s + extra_deg + pdeg + 2) + 16
-    both, _ = ladder(shot, start=min(start, 192))
+    both, _ = ladder(shot, start=min(start, LADDER_POLICY["cap"]))
     lhs = (-s * 1j * eps) ** n * both[0]
     rhs = both[1]
     residual = abs(lhs - rhs)

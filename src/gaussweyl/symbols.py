@@ -74,53 +74,42 @@ class PhiSpec:
         if self.kind == "polyexp" and not self.coeffs:
             raise SymbolDomainError("polyexp", "needs at least one coefficient")
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "one":
-            return np.ones_like(t)
-        if self.kind == "exp":
-            return np.exp(-self.nu * t)
-        acc = np.zeros_like(t)
-        for i, c in enumerate(self.coeffs):
-            acc += c * np.exp(-i * t)
-        return acc
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "one":
-            return np.zeros_like(t)
-        if self.kind == "exp":
-            return -self.nu * np.exp(-self.nu * t)
-        acc = np.zeros_like(t)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                acc -= i * c * np.exp(-i * t)
-        return acc
-
-    def is_increasing(self) -> bool:
-        """Phi' >= 0 on R+ (the positivity hypothesis H2)."""
-        if self.kind == "one":
-            return True
-        if self.kind == "exp":
-            return False  # strictly decreasing for nu > 0
-        t = np.linspace(0.0, 60.0, 4001)
-        return bool(np.all(self.derivative(t) >= -1e-14))
-
-    def laplace_mean(self, h: float) -> float:
-        """(1/h) int_0^inf Phi(t) e^{-t/h} dt, in closed form."""
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "exp":
-            return 1.0 / (1.0 + self.nu * h)
-        return sum(c / (1.0 + i * h) for i, c in enumerate(self.coeffs))
-
     def exp_terms(self) -> list[tuple[float, float]]:
-        """Phi(t) = sum of c * e^{-nu t} terms, as (c, nu) pairs."""
+        """Phi(t) = sum of c * e^{-nu t} terms, as (c, nu) pairs; every closed
+        form below is one sum over them."""
         if self.kind == "one":
             return [(1.0, 0.0)]
         if self.kind == "exp":
             return [(1.0, self.nu)]
         return [(c, float(i)) for i, c in enumerate(self.coeffs)]
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        acc = np.zeros_like(t)
+        for c, nu in self.exp_terms():
+            acc += c * np.exp(-nu * t)
+        return acc
+
+    def derivative(self, t):
+        t = np.asarray(t, dtype=float)
+        acc = np.zeros_like(t)
+        for c, nu in self.exp_terms():
+            if nu:
+                acc -= nu * c * np.exp(-nu * t)
+        return acc
+
+    def is_increasing(self) -> bool:
+        """Phi' >= 0 on R+ (the positivity hypothesis H2)."""
+        if self.kind == "exp":
+            return False  # strictly decreasing for nu > 0
+        t = np.linspace(0.0, 60.0, 4001)
+        return bool(np.all(self.derivative(t) >= -1e-14))
+
+    def laplace_mean(self, h: float, d: int = 1) -> float:
+        """(1/h^d) int_0^inf Phi(t) t^{d-1}/(d-1)! e^{-t/h} dt, in closed form:
+        sum of c / (1 + nu h)^d.  For d = 1 it is the one-pair operator lower
+        bound; for d pairs, the bound of the profile Phi(r_1^2 + ... + r_d^2)."""
+        return sum(c / (1.0 + nu * h) ** d for c, nu in self.exp_terms())
 
     def text(self) -> str:
         if self.kind == "one":
@@ -140,7 +129,8 @@ class SymbolDescriptor:
     c: float = 0.0
     nu: float = 0.0
     anorm: float = 0.0
-    phi: PhiSpec | None = None
+    # radial and tensor_radial: Phi_1(|block_1|^2) Phi_2(|block_2|^2) ...;
+    # radial is the one-part case
     parts: tuple[tuple[PhiSpec, int], ...] = ()
     a: float = 0.0
     # mixture: sum_k c_k prod_j e^{-nu_{k,j} r_j^2}, stored as
@@ -157,7 +147,8 @@ class SymbolDescriptor:
         if self.family == "gaussian":
             return f"gaussian:nu={self.nu!r},anorm={self.anorm!r}"
         if self.family == "radial":
-            return f"radial:phi={self.phi.text()},d={self.d}"
+            ((phi, _),) = self.parts
+            return f"radial:phi={phi.text()},d={self.d}"
         if self.family == "tensor_radial":
             body = ";".join(f"({p.text()},{dj})" for p, dj in self.parts)
             return f"tensorradial:{body}"
@@ -176,12 +167,7 @@ class SymbolDescriptor:
             return [(self.c, {})]
         if self.family == "gaussian":
             return [(1.0, {1: self.nu * self.anorm**2})]
-        if self.family == "radial":
-            return [
-                (c, {j: nu for j in range(1, self.d + 1)} if nu else {})
-                for c, nu in self.phi.exp_terms()
-            ]
-        if self.family == "tensor_radial":
+        if self.family in ("radial", "tensor_radial"):
             offset = 0
             per_block = []
             for spec, dj in self.parts:
@@ -224,7 +210,7 @@ def gaussian_symbol(nu: float, anorm: float) -> SymbolDescriptor:
 def radial_symbol(phi: PhiSpec, d: int) -> SymbolDescriptor:
     if d < 1:
         raise SymbolDomainError("d", f"must be >= 1, got {d!r}")
-    return SymbolDescriptor(family="radial", d=d, phi=phi)
+    return SymbolDescriptor(family="radial", d=d, parts=((phi, d),))
 
 
 def tensor_radial_symbol(parts: Sequence[tuple[PhiSpec, int]]) -> SymbolDescriptor:
@@ -279,13 +265,7 @@ def eval_ddot(sym: SymbolDescriptor, x, xi, ctx: CalcContext | None = None):
         )
     squeeze = x.shape[0] == 1 and np.ndim(x) == 2
 
-    if sym.family == "constant":
-        out = np.full(x.shape[0], float(sym.c))
-    elif sym.family == "gaussian":
-        out = np.exp(-sym.nu * sym.anorm**2 * (x[:, 0] ** 2 + xi[:, 0] ** 2))
-    elif sym.family == "radial":
-        out = sym.phi.value(np.sum(x * x + xi * xi, axis=1))
-    elif sym.family == "tensor_radial":
+    if sym.family in ("radial", "tensor_radial"):
         out = np.ones(x.shape[0])
         offset = 0
         for spec, dj in sym.parts:
@@ -302,11 +282,11 @@ def eval_ddot(sym: SymbolDescriptor, x, xi, ctx: CalcContext | None = None):
             & (xi[:, 0] >= 0.0)
             & (xi[:, 0] < sym.a)
         ).astype(float)
-    elif sym.family == "mixture":
+    elif sym.family in ("constant", "gaussian", "mixture"):
         out = np.zeros(x.shape[0])
-        for c, pairs in sym.mixture_terms:
+        for c, nus in sym.gauss_mixture():
             term = np.full(x.shape[0], float(c))
-            for j, nu in pairs:
+            for j, nu in nus.items():
                 term = term * np.exp(-nu * (x[:, j - 1] ** 2 + xi[:, j - 1] ** 2))
             out = out + term
     elif sym.family == "custom":

@@ -35,6 +35,7 @@ from gaussweyl.symbols import (
     PhiSpec,
     box_symbol,
     const_symbol,
+    custom_symbol,
     gaussian_symbol,
     mixture_symbol,
     radial_symbol,
@@ -259,6 +260,47 @@ def test_quadratic_form_diagonal_mix():
     # <Op(1) f, f> = |f|^2
     got1 = quadratic_form(const_symbol(1.0), f, f, ctx)
     assert abs(got1 - 1.0) <= 1e-10
+
+
+def _skew_custom(x, xi):
+    """e^{-r^2/2} (1 + 0.3 i xi): a complex, non-radial custom symbol."""
+    return np.exp(-0.5 * (x[:, 0] ** 2 + xi[:, 0] ** 2)) * (1.0 + 0.3j * xi[:, 0])
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        tensor_radial_symbol([(PhiSpec(kind="exp", nu=0.7), 1), (PhiSpec(kind="polyexp", coeffs=(1.0, -0.5)), 1)]),
+        box_symbol(1.0),
+        custom_symbol(_skew_custom, d=1),
+        gaussian_symbol(0.5, 1.0),
+    ],
+    ids=["tensorradial", "box", "custom", "gaussian"],
+)
+def test_quadratic_form_is_the_entrywise_sum(sym):
+    """<Op(F) f, g> with f != g equals sum c_a conj(c'_b) I_ab entry by entry,
+    on the closed, box and ladder routes, with supports mixing pairs the
+    symbol sees and pair 3, which it does not."""
+    ctx = CalcContext(h=1.0)
+    f = HermiteExpansion.from_pairs([((0,), 0.6), ((1, 0, 1), 0.3 - 0.2j), ((2,), 0.1j), ((0, 1), 0.4)])
+    g = HermiteExpansion.from_pairs([((1,), 0.5), ((0, 0, 1), 0.4j), ((2,), -0.3), ((1, 0, 1), 0.2), ((0, 1), 0.7)])
+    want = sum(ca * np.conjugate(cb) * matrix_element(sym, a, b, ctx) for a, ca in f.items() for b, cb in g.items())
+    got = quadratic_form(sym, f, g, ctx)
+    assert abs(want) > 1e-3
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_ladder_section_meta_pins():
+    """Ladder-route bookkeeping at h = 1 on the two-pair degree-1 set: a
+    per-pair radial symbol skips all 6 upper off-diagonal pairs, including
+    those differing only beyond its pair; a custom symbol skips none."""
+    ctx = CalcContext(h=1.0)
+    trunc = TruncationSet(2, 1)
+    radial = assemble_matrix(radial_symbol(PhiSpec(kind="exp", nu=0.7), 1), trunc, ctx, wigner_route="quadrature")
+    assert (radial.meta["structural_zeros"], radial.meta["max_order"]) == (6, 52)
+    custom = custom_symbol(lambda x, xi: np.exp(-0.5 * (x[:, 0] ** 2 + xi[:, 0] ** 2)) * (1.0 + 0.3 * x[:, 0]), d=1)
+    om = assemble_matrix(custom, trunc, ctx, wigner_route="quadrature")
+    assert (om.meta["structural_zeros"], om.meta["max_order"]) == (0, 36)
 
 
 def test_eig_hermitian():

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from gaussweyl.basis import CalcContext
+from gaussweyl.basis import CalcContext, TruncationSet
+from gaussweyl.quadform import assemble_matrix
 from gaussweyl.symbols import (
     PhiSpec,
     SymbolDomainError,
@@ -145,6 +147,33 @@ def test_eval_radial_and_tensor():
 
     with pytest.raises(ValueError):
         eval_ddot(r, x3, xi3)  # wrong dimension
+
+    # radial is the one-part tensorradial, apart from its spelling
+    one_part = tensor_radial_symbol([(phi, 2)])
+    cloud = np.random.default_rng(5).normal(size=(64, 4))
+    assert np.array_equal(eval_ddot(one_part, cloud[:, :2], cloud[:, 2:]), eval_ddot(r, cloud[:, :2], cloud[:, 2:]))
+    ctx = CalcContext(h=0.5)
+    trunc = TruncationSet(2, 4)
+    assert np.array_equal(assemble_matrix(one_part, trunc, ctx).diagonal, assemble_matrix(r, trunc, ctx).diagonal)
+    assert one_part.text() == "tensorradial:(polyexp:1.0,-1.0,2)"
+    assert r.text() == "radial:phi=polyexp:1.0,-1.0,d=2"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "phi",
+    [PhiSpec(kind="one"), PhiSpec(kind="exp", nu=0.7), PhiSpec(kind="polyexp", coeffs=(1.0, -0.5, 0.25))],
+    ids=["one", "exp", "polyexp"],
+)
+def test_laplace_mean_matches_quadrature(phi, d):
+    """laplace_mean(h, d) = (1/h^d) int_0^inf Phi(s) s^{d-1}/(d-1)! e^{-s/h} ds,
+    integrated by scipy in u = s/h."""
+    h = 0.7
+    val, _ = integrate.quad(
+        lambda u: float(phi.value(h * u)) * u ** (d - 1) / math.factorial(d - 1) * math.exp(-u),
+        0.0, math.inf, epsabs=1e-14, epsrel=1e-13,
+    )
+    assert abs(phi.laplace_mean(h, d) - val) <= 1e-12
 
 
 def test_eval_box_half_open_and_h_coupling():

@@ -60,7 +60,6 @@ from .quadform import (
     eig_hermitian,
     ipp_check,
     matrix_element,
-    matrix_metadata,
     poly_symbol,
     quadratic_form,
     rotation_reduction,

@@ -42,7 +42,6 @@ from .quadform import (
     HermiteExpansion,
     assemble_matrix,
     eig_hermitian,
-    matrix_metadata,
     quadratic_form,
     section_route,
 )
@@ -342,7 +341,7 @@ def cmd_opmatrix(args) -> int:
         "passed": bool(herm <= 1e-8 * scale),
         "hermiticity_defect": herm,
     }
-    quad = _section_quad_block(matrix_metadata(om))
+    quad = _section_quad_block(om.meta)
     row_index, col_index = np.indices(om.entries.shape).reshape(2, -1).tolist()
     rows = list(zip(row_index, col_index, om.entries.real.ravel().tolist(), om.entries.imag.ravel().tolist()))
     results = {"basis_size": om.size, "entries": rows if cfg.format == "json" else None}
@@ -358,7 +357,7 @@ def cmd_spectrum(args) -> int:
         "min_eig": float(eigs[0]),
         "max_eig": float(eigs[-1]),
     }
-    quad = _section_quad_block(matrix_metadata(om))
+    quad = _section_quad_block(om.meta)
     rows = [(i, float(v)) for i, v in enumerate(eigs)]
     results = {"eigenvalues": [float(v) for v in eigs]}
     return _emit(cfg, quad, contract, results, ("index", "eigenvalue"), rows)

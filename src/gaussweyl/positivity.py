@@ -25,13 +25,13 @@ from .quadform import HermiteExpansion, assemble_matrix, eig_hermitian, quadrati
 from .symbols import (
     PhiSpec,
     SymbolDomainError,
+    _eps_resolver,
     box_symbol,
     cv_class_params,
     eval_ddot,
     gaussian_symbol,
-    lemma_epsilon,
 )
-from .wigner import MAX_FLANDRIN_N, _classical_rect, _classical_rect_doubled, flandrin_domain_radius, wigner_closed
+from .wigner import _classical_rect, _classical_rect_doubled, flandrin_domain_radius, wigner_closed
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +149,6 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
 _TAIL_REL = 3e-14
 
 
-def _eps_resolver(spec):
-    """Built-in epsilon sequences with closed square tails, or a callable."""
-    if callable(spec):
-        return spec, getattr(spec, "__name__", "custom"), None
-    name = str(spec)
-    if name in ("j^-2", "j**-2", "lemma"):
-        return lemma_epsilon, "j^-2", lambda J: 1.0 / (3.0 * J**3)
-    if name in ("2^-j", "geometric"):
-        return (lambda j: 2.0**-j), "2^-j", lambda J: 4.0**-J / 3.0
-    if name in ("zero", "0"):
-        return (lambda j: 0.0), "zero", lambda J: 0.0
-    raise ValueError(f"unknown epsilon spec {spec!r}")
-
-
 @dataclass(frozen=True)
 class GardingReport:
     """Everything behind the bound -M sum(lambda) prod(1+lambda) with
@@ -275,12 +261,13 @@ def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2,
     """Measure the least eigenvalue of the operator section and compare with
     the Garding bound computed from the symbol-class norm (depth m) and the
     epsilon sequence eps (any spec garding_bound accepts; default j^{-2}).
+    The class norm M and the lambda_j come from the same sequence.
 
     The class norm from cv_class_params can only overestimate, which loosens
     (never tightens) the bound, so a passing margin is meaningful.
     """
     _assert_nonneg(sym, ctx)
-    params = cv_class_params(sym, m)
+    params = cv_class_params(sym, m, eps)
     rep = garding_bound(eps, ctx.h, params.M)
     om = assemble_matrix(sym, truncation, ctx)
     min_eig = float(eig_hermitian(om)[0])
@@ -352,8 +339,6 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, points: int | None = Non
     """
     if not a > 0:
         raise ValueError(f"a must be > 0 (or inf), got {a!r}")
-    if not 0 <= N <= MAX_FLANDRIN_N:
-        raise ValueError(f"N must lie in [0, {MAX_FLANDRIN_N}]")
     L = min(a, flandrin_domain_radius(N))
     M, (pts, _), agreement = _classical_rect_doubled(N, a, a, (points, points) if points else None, nodes)
     sections = sorted({n for n in (2, 4, 8, 16, 32, 64, 128) if n <= N} | {N})

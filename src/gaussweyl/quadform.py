@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
-from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder, quad_budget
+from .gaussian import LADDER_POLICY, MAX_GH_ORDER, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import MAX_FLANDRIN_N, _classical_rect_doubled, wigner_closed, wigner_on_rule
+from .wigner import _classical_rect_doubled, wigner_closed, wigner_on_rule
 
 MAX_MATRIX_SIZE = 4096
 
@@ -130,16 +130,14 @@ class HermiteExpansion:
 
 @dataclass
 class OperatorMatrix:
-    """Assembled matrix of I_{alpha beta} over a truncation set, with the
-    bookkeeping needed to reproduce it (symbol text, h, route, orders).
+    """Assembled matrix of I_{alpha beta} over a truncation set; `meta` is
+    the one provenance record reports print, everything needed to reproduce
+    it (symbol, h, route, orders).
 
     A diagonal section carries `diagonal` and builds the dense `entries`
     only when they are read; other sections carry `dense`."""
 
     truncation: TruncationSet
-    symbol_text: str
-    h: float
-    d: int
     meta: dict = field(default_factory=dict)
     diagonal: np.ndarray | None = None
     dense: np.ndarray | None = field(default=None, repr=False)
@@ -207,7 +205,9 @@ def _tensor_shot(sym, alpha, beta, ctx, n: int, wigner_route: str) -> complex:
                 if wigner_route == "closed":
                     w = wigner_closed(a_i, b_i, x[:, i - 1], xi[:, i - 1], ctx)
                 else:
-                    inner = gh_rule(max(64, 2 * (max(a_i, b_i) + 1) + 16), ctx.h / 2.0)
+                    # e^{xi^2/h} amplifies the inner rule's error at the
+                    # outer nodes, so the inner order grows with the outer one
+                    inner = gh_rule(max(64, 2 * (max(a_i, b_i) + 1) + 16, 2 * n), ctx.h / 2.0)
                     w = wigner_on_rule(
                         lambda t: hermite_eval(a_i, t, ctx),
                         lambda t: hermite_eval(b_i, t, ctx),
@@ -229,6 +229,8 @@ def _tensor_element(sym, alpha, beta, ctx, wigner_route="closed"):
         + [0]
     )
     cap = min(LADDER_POLICY["cap"], int(quad_budget() ** (1.0 / (2 * sym.d))))
+    if wigner_route != "closed":
+        cap = min(cap, MAX_GH_ORDER // 2)  # the inner rule takes twice the outer order
     start = min(2 * (maxdeg + 1) + 16, cap)
     return ladder(
         lambda n: _tensor_shot(sym, alpha, beta, ctx, n, wigner_route),
@@ -244,20 +246,18 @@ def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
     du dv and the box into the rectangle [0, lambda a) x [0, a/lambda)."""
     if wigner_route != "closed":
         raise ValueError("box matrix elements support only the closed Wigner route")
-    if N > MAX_FLANDRIN_N:
-        raise ValueError(f"box sections need Hermite degree <= {MAX_FLANDRIN_N}, got {N}")
     lam = math.sqrt(2.0 * math.pi * ctx.h)
     table, points, _ = _classical_rect_doubled(N, lam * sym.a, sym.a / lam)
     return table, max(points)
 
 
-def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed", hermitian=False):
+def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed"):
     """(I_{alpha beta} for alpha in rows, beta in cols; largest ladder order;
-    structural zeros).  Entries whose degrees differ beyond sym.d are zero
-    (delta factors).  Boxes read one `_box_table`, the closed route fills its
-    diagonal law where row and column match, and the tensor ladder skips (and
-    counts) the off-diagonal entries of per-pair radial symbols; with
-    `hermitian` (rows == cols) it computes the upper triangle only."""
+    structural zeros above the diagonal).  Entries whose degrees differ
+    beyond sym.d are zero (delta factors).  Boxes read one `_box_table`, the
+    closed route fills its diagonal law where row and column match, and the
+    tensor ladder skips (and counts) the off-diagonal entries of per-pair
+    radial symbols."""
     rows = [_as_index(a) for a in rows]
     cols = [_as_index(b) for b in cols]
     d = sym.d
@@ -281,17 +281,14 @@ def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed", hermitian
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     max_order = structural = 0
     for p, a in enumerate(rows):
-        for q in range(p if hermitian else 0, len(cols)):
-            b = cols[q]
+        for q, b in enumerate(cols):
             if pairwise_radial and a != b:
-                structural += 1
+                structural += q > p
                 continue
             if row_tails[p] != col_tails[q]:
                 continue  # a delta factor beyond the symbol's pairs
             out[p, q], order = _tensor_element(sym, a, b, ctx, wigner_route)
             max_order = max(max_order, order)
-            if hermitian and q > p:
-                out[q, p] = np.conjugate(out[p, q])
     return out, max_order, structural
 
 
@@ -322,8 +319,7 @@ def assemble_matrix(
     array; no dense matrix is built until `entries` is read.  Other sections
     are dense, from the entry builder `_entries`: boxes from one sweep of
     the classical table, custom symbols and the quadrature Wigner route
-    entry by entry, non-custom symbols filling the lower triangle by
-    Hermitian symmetry.
+    entry by entry.
     """
     if truncation.size > MAX_MATRIX_SIZE:
         raise ValueError(
@@ -337,21 +333,24 @@ def assemble_matrix(
         max_order, structural = 0, size * (size - 1) // 2
     else:
         idxs = truncation.indices()
-        dense, max_order, structural = _entries(sym, idxs, idxs, ctx, wigner_route,
-                                                hermitian=sym.family != "custom")
+        dense, max_order, structural = _entries(sym, idxs, idxs, ctx, wigner_route)
     try:
         text = sym.text()
     except ValueError:
         text = f"<{sym.family}>"
     meta = {
+        "symbol": text,
+        "h": ctx.h,
+        "N": truncation.max_degree,
+        "d": truncation.dims,
+        "symbol_d": sym.d,
+        "basis_size": size,
         "route": route,
         "wigner_route": wigner_route,
-        "max_order": max_order,
+        "quadrature_order": max_order,
         "structural_zeros": structural,
-        "pairwise_radial": sym.is_pairwise_radial(),
     }
-    return OperatorMatrix(truncation=truncation, symbol_text=text, h=ctx.h, d=sym.d, meta=meta,
-                          diagonal=diagonal, dense=dense)
+    return OperatorMatrix(truncation=truncation, meta=meta, diagonal=diagonal, dense=dense)
 
 
 def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext, wigner_route="closed") -> complex:
@@ -522,24 +521,3 @@ def rotation_reduction(sym, alpha, beta, coord: int, n: int, ctx: CalcContext):
         rot_sym = custom_symbol(lambda xb, xib: fd(xb[..., 0], xib[..., 0]), d=1)
     val, _ = _tensor_element(rot_sym, alpha, beta, ctx)
     return (1j**n / (bj - aj) ** n) * val
-
-
-# ---------------------------------------------------------------------------
-# Reproducibility metadata.
-# ---------------------------------------------------------------------------
-
-
-def matrix_metadata(om: OperatorMatrix) -> dict:
-    """JSON-sidecar payload: everything needed to reproduce the matrix."""
-    return {
-        "symbol": om.symbol_text,
-        "h": om.h,
-        "N": om.truncation.max_degree,
-        "d": om.truncation.dims,
-        "symbol_d": om.d,
-        "basis_size": om.size,
-        "route": om.meta.get("route"),
-        "wigner_route": om.meta.get("wigner_route", "closed"),
-        "quadrature_order": om.meta.get("max_order", 0),
-        "structural_zeros": om.meta.get("structural_zeros", 0),
-    }

@@ -434,8 +434,6 @@ class SymbolClassParams:
     eps: Callable[[int], float]
     m: int
     M: float
-    summable: bool
-    square_summable: bool
     method: str
 
 
@@ -446,14 +444,33 @@ def lemma_epsilon(j: int) -> float:
     return float(j) ** -2.0
 
 
-def cv_class_params(sym: SymbolDescriptor, m: int) -> SymbolClassParams:
-    """Class parameters for a smooth bounded symbol, with eps_j = j^{-2}.
+def _eps_resolver(spec):
+    """(sequence, name, closed square tail or None) of an epsilon spec: a
+    built-in name or a callable.  The one reader of such specs, so the class
+    norm and the Garding bound always see the same sequence."""
+    if callable(spec):
+        return spec, getattr(spec, "__name__", "custom"), None
+    name = str(spec)
+    if name in ("j^-2", "j**-2", "lemma"):
+        return lemma_epsilon, "j^-2", lambda J: 1.0 / (3.0 * J**3)
+    if name in ("2^-j", "geometric"):
+        return (lambda j: 2.0**-j), "2^-j", lambda J: 4.0**-J / 3.0
+    if name in ("zero", "0"):
+        return (lambda j: 0.0), "zero", lambda J: 0.0
+    raise ValueError(f"unknown epsilon spec {spec!r}")
+
+
+def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> SymbolClassParams:
+    """Class parameters for a smooth bounded symbol under the epsilon sequence
+    `eps` (any spec the Garding bound accepts; default eps_j = j^{-2}).
 
     M is the sup over multi-index pairs (alpha, beta) of depth <= m supported
-    on {1..d} of the j^{2(alpha_j+beta_j)}-weighted derivative sups.  For the
-    Gaussian-mixture families the per-coordinate sups are analytic
+    on {1..d} of the (1/|eps_j|)^{alpha_j+beta_j}-weighted derivative sups.
+    For the Gaussian-mixture families the per-coordinate sups are analytic
     (sup |d^n e^{-nu t^2}| = nu^{n/2} sup|H_n| e^{-u^2}); multi-term mixtures
-    use the triangle inequality, which can only overestimate M.
+    use the triangle inequality, which can only overestimate M.  A symbol
+    that varies in a coordinate with eps_j = 0 lies in no class: that raises
+    SymbolDomainError naming the coordinate.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -464,6 +481,7 @@ def cv_class_params(sym: SymbolDescriptor, m: int) -> SymbolClassParams:
     mix = sym.gauss_mixture()
     if mix is None:
         raise ValueError(f"no derivative bounds available for family {sym.family!r}")
+    eps_fn = _eps_resolver(eps)[0]
 
     best = 0.0
     for coeff, nus in mix:
@@ -472,23 +490,20 @@ def cv_class_params(sym: SymbolDescriptor, m: int) -> SymbolClassParams:
         term = abs(coeff)
         for j in range(1, sym.d + 1):
             nu = nus.get(j, 0.0)
-            w = float(j) ** 2
-            cands = []
-            for a in range(m + 1):
-                for b in range(m + 1):
-                    if nu == 0.0 and (a or b):
-                        continue
-                    cands.append(
-                        w ** (a + b) * _gauss_deriv_sup(nu, a) * _gauss_deriv_sup(nu, b)
-                    )
-            term *= max(cands)
+            if nu == 0.0 or m == 0:
+                continue  # only order 0, whose sup and weight are 1: eps_j is never inverted
+            e = abs(float(eps_fn(j)))
+            if e == 0.0:
+                raise SymbolDomainError(
+                    "eps", f"eps_{j} = 0 but the symbol varies in coordinate {j}, "
+                    "so it lies in no class S(M, eps)"
+                )
+            w = 1.0 / e
+            term *= max(
+                w ** (a + b) * _gauss_deriv_sup(nu, a) * _gauss_deriv_sup(nu, b)
+                for a in range(m + 1)
+                for b in range(m + 1)
+            )
         best += term
     method = "analytic" if len(mix) == 1 else "analytic-majorant"
-    return SymbolClassParams(
-        eps=lemma_epsilon,
-        m=m,
-        M=best,
-        summable=True,
-        square_summable=True,
-        method=method,
-    )
+    return SymbolClassParams(eps=eps_fn, m=m, M=best, method=method)

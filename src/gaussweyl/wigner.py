@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .basis import CalcContext, MultiIndex, _laguerre_rows, hermite_eval, laguerre_eval
-from .gaussian import QuadratureConvergenceError, gh_rule, gl_panel_rule, integrate_tensor, ladder
+from .gaussian import TENSOR_BLOCK, QuadratureConvergenceError, gh_rule, gl_panel_rule, integrate_tensor, ladder
 
 # e^{-z/2} is below double precision past this; points there are masked to 0
 # before any power/Laguerre evaluation so no overflow can occur.
@@ -62,16 +62,21 @@ def wigner_on_rule(fhat, ghat, z, zeta, ctx: CalcContext, rule):
 
         e^{zeta^2/h} int e^{-2 i zeta t / h} fhat(z+t) conj(ghat(z-t)) dmu_{R,h/2}(t);
 
-    vectorized over the points (z, zeta).  The factor e^{zeta^2/h} amplifies
-    the rule's error, so the route is accurate only where zeta^2/h is moderate.
+    vectorized over the points (z, zeta), in blocks of at most TENSOR_BLOCK
+    (point, node) pairs.  The factor e^{zeta^2/h} amplifies the rule's error,
+    so the route is accurate only where zeta^2/h is moderate.
     """
     h = ctx.h
     z, zeta = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(zeta, dtype=float))
-    zc = z.reshape(-1, 1)
-    zetac = zeta.reshape(-1, 1)
+    zs = z.reshape(-1, 1)
+    zetas = zeta.reshape(-1, 1)
     t = rule.nodes
-    vals = np.exp(-2j * zetac * t / h) * np.asarray(fhat(zc + t)) * np.conjugate(np.asarray(ghat(zc - t)))
-    out = (vals @ rule.weights) * np.exp(zetac[:, 0] ** 2 / h)
+    out = np.empty(len(zs), dtype=complex)
+    rows = max(1, TENSOR_BLOCK // t.size)
+    for lo in range(0, len(zs), rows):
+        zc, zetac = zs[lo : lo + rows], zetas[lo : lo + rows]
+        vals = np.exp(-2j * zetac * t / h) * np.asarray(fhat(zc + t)) * np.conjugate(np.asarray(ghat(zc - t)))
+        out[lo : lo + rows] = (vals @ rule.weights) * np.exp(zetac[:, 0] ** 2 / h)
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
@@ -265,8 +270,11 @@ def _classical_rect(N: int, lx: float, ly: float, points=None, nodes: int = 16, 
     W_cl(r, theta) = W_cl(r, 0) e^{i m theta} with m = k - j, into an exact
     angle factor times one radial rule of px points on [0, R(N)].  With
     bridge_ctx the values come from the h-dependent Gaussian bridge on the
-    2-D grid instead of the h-free table.
+    2-D grid instead of the h-free table.  Every table sweep enters here, so
+    this is the one check of the degree limit MAX_FLANDRIN_N.
     """
+    if not 0 <= N <= MAX_FLANDRIN_N:
+        raise ValueError(f"the classical table needs Hermite degree N in [0, {MAX_FLANDRIN_N}], got {N}")
     px, py = points or (_axis_points(lx, N), _axis_points(ly, N))
     polar = math.isinf(lx) and math.isinf(ly) and bridge_ctx is None
     R = flandrin_domain_radius(N)

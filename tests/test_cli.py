@@ -95,6 +95,57 @@ def test_garding_eps_is_wired_through(capsys):
     assert main(["garding", "--symbol", GAUSS, "--N", "6", "--eps", "bogus"]) == 1
 
 
+def test_garding_eps_sets_the_class_norm(capsys):
+    """--eps sets both M and the lambda_j: under 2^-j the Gaussian's class
+    norm is 256, not the j^-2 value 16."""
+    assert main(["garding", "--symbol", GAUSS, "--N", "6", "--eps", "2^-j"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["epsilon"] == "2^-j" and res["M"] == 256.0
+    assert res["bound"] == -256.0 * res["sum_lambda"] * res["prod_one_plus_lambda"]
+    assert main(["garding", "--symbol", "tensorradial:(one,1);(exp:nu=2.0,2)", "--N", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["M"] == 429981696.0
+
+
+@pytest.mark.parametrize("symbol,coordinate", [
+    (GAUSS, 1),
+    ("tensorradial:(one,1);(exp:nu=2.0,2)", 2),
+])
+def test_garding_eps_zero_refuses_varying_symbols(capsys, symbol, coordinate):
+    assert main(["garding", "--symbol", symbol, "--N", "4", "--eps", "zero"]) == 1
+    err = capsys.readouterr().err
+    assert "'eps'" in err and f"coordinate {coordinate}," in err
+
+
+def test_garding_eps_zero_constant_symbol(capsys):
+    assert main(["garding", "--symbol", "const:c=2.0", "--N", "4", "--eps", "zero"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert (res["M"], res["bound"]) == (2.0, 0.0)
+
+
+@pytest.mark.parametrize("symbol,rc", [
+    ("radial:phi=polyexp:0.0,-1.0,d=1", 1),
+    ("tensorradial:(polyexp:0.5,-1.0,1);(one,1)", 1),
+    ("radial:phi=polyexp:1.0,-1.0,d=1", 0),
+])
+def test_garding_refuses_negative_profiles(capsys, symbol, rc):
+    assert main(["garding", "--symbol", symbol, "--N", "4"]) == rc
+    err = capsys.readouterr().err
+    assert ("radial profile takes negative values" in err) == (rc == 1)
+
+
+def test_section_commands_print_one_quadrature_record(capsys):
+    """opmatrix, spectrum, radial and garding print the section's one
+    provenance record, key for key."""
+    symbol = "radial:phi=exp:nu=0.7,d=2"
+    blocks = []
+    for command in ("opmatrix", "spectrum", "radial", "garding"):
+        assert main([command, "--symbol", symbol, "--N", "3", "--format", "json"]) == 0
+        blocks.append(json.loads(capsys.readouterr().out)["quadrature"])
+    assert list(blocks[0]) == ["symbol", "h", "N", "d", "symbol_d", "basis_size", "route",
+                               "wigner_route", "quadrature_order", "structural_zeros"]
+    assert all(block == blocks[0] and list(block) == list(blocks[0]) for block in blocks)
+
+
 def test_radial_hypothesis_branches(capsys):
     rc = main(["radial", "--symbol", "radial:phi=polyexp:1.0,-1.0,d=1", "--N", "4"])
     assert rc == 0

@@ -26,7 +26,6 @@ from gaussweyl.quadform import (
     eig_hermitian,
     ipp_check,
     matrix_element,
-    matrix_metadata,
     poly_symbol,
     quadratic_form,
     rotation_reduction,
@@ -103,7 +102,7 @@ def test_radial_matrix_is_diagonal_with_laplace_means():
     sym = radial_symbol(phi, 2)
     trunc = TruncationSet(2, 1)
     om = assemble_matrix(sym, trunc, ctx)
-    assert om.meta["pairwise_radial"]
+    assert sym.is_pairwise_radial() and om.meta["structural_zeros"] == 6
     idxs = trunc.indices()
     for p, alpha in enumerate(idxs):
         for q, beta in enumerate(idxs):
@@ -120,7 +119,7 @@ def test_assemble_matrix_matches_cli_example():
     want = np.diag([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0])
     assert np.max(np.abs(om.entries - want)) <= 1e-11
     assert om.meta["structural_zeros"] == 3  # upper-triangle pairs only
-    md = matrix_metadata(om)
+    md = om.meta
     assert md["symbol"] == "gaussian:nu=2.0,anorm=1.0"
     assert md["basis_size"] == 3 and md["N"] == 2 and md["d"] == 1
     assert md["wigner_route"] == "closed"
@@ -297,10 +296,10 @@ def test_ladder_section_meta_pins():
     ctx = CalcContext(h=1.0)
     trunc = TruncationSet(2, 1)
     radial = assemble_matrix(radial_symbol(PhiSpec(kind="exp", nu=0.7), 1), trunc, ctx, wigner_route="quadrature")
-    assert (radial.meta["structural_zeros"], radial.meta["max_order"]) == (6, 52)
+    assert (radial.meta["structural_zeros"], radial.meta["quadrature_order"]) == (6, 52)
     custom = custom_symbol(lambda x, xi: np.exp(-0.5 * (x[:, 0] ** 2 + xi[:, 0] ** 2)) * (1.0 + 0.3 * x[:, 0]), d=1)
     om = assemble_matrix(custom, trunc, ctx, wigner_route="quadrature")
-    assert (om.meta["structural_zeros"], om.meta["max_order"]) == (0, 36)
+    assert (om.meta["structural_zeros"], om.meta["quadrature_order"]) == (0, 36)
 
 
 def test_eig_hermitian():
@@ -430,8 +429,9 @@ def _ladder_diagonal(sym, truncation, h, wigner_route, cache):
     ])
 
 
-# The defining-integral Wigner route loses accuracy where the outer rule
-# reaches large |xi| (small nu h): 2.3e-9 for gaussian nu=0.5 at h=0.5.
+# The defining-integral Wigner route is held to the README's 1e-8; with its
+# inner rule at twice the outer order it is within 6.8e-14 for gaussian
+# nu=0.5 at h=0.5 (2.3e-9 with a fixed inner rule).
 @pytest.mark.parametrize("wigner_route,tol", [("closed", 1e-12), ("quadrature", 1e-8)])
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
 def test_closed_section_matches_tensor_ladder(h, wigner_route, tol):
@@ -446,6 +446,27 @@ def test_closed_section_matches_tensor_ladder(h, wigner_route, tol):
             want = _ladder_diagonal(sym, trunc, h, wigner_route, cache)
             err = float(np.max(np.abs(om.diagonal - want)))
             assert err <= tol, (name, trunc, err)
+
+
+@pytest.mark.parametrize("deg,h", [(1, 0.5), (2, 0.5), (2, 1.0)])
+def test_defining_integral_route_is_right(deg, h):
+    """The defining-integral Wigner route on gaussian nu=0.5, |a|=0.5: its
+    inner rule follows the outer order, so the entries the outer ladder
+    drives far (off by up to 2.6e-3 with a fixed inner rule) match the
+    closed law."""
+    ctx = CalcContext(h=h)
+    sym = gaussian_symbol(0.5, 0.5)
+    alpha = MultiIndex({1: deg})
+    got = matrix_element(sym, alpha, alpha, ctx, wigner_route="quadrature")
+    assert abs(got - diag_law(deg, 0.5 * 0.25, h)) <= 1e-8
+
+
+def test_defining_integral_route_raises_where_it_stalls():
+    """nu |a|^2 h = 16: the outer ladder cannot converge under its cap on
+    this route (the cap is halved so the inner rule stays within gh_rule)."""
+    with pytest.raises(QuadratureConvergenceError):
+        matrix_element(gaussian_symbol(2.0, 2.0), MultiIndex({1: 1}), MultiIndex({1: 1}),
+                       CalcContext(h=2.0), wigner_route="quadrature")
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
@@ -525,11 +546,11 @@ def test_full_cap_section_spectrum():
 
 def test_eig_hermitian_diagonal_section():
     trunc = TruncationSet(1, 2)
-    real = OperatorMatrix(trunc, "diag", 1.0, 1, diagonal=np.array([0.5, -1.0, 0.25], dtype=complex))
+    real = OperatorMatrix(trunc, diagonal=np.array([0.5, -1.0, 0.25], dtype=complex))
     assert list(eig_hermitian(real)) == [-1.0, 0.25, 0.5]
     assert real.dense is None
     assert np.array_equal(real.entries, np.diag(real.diagonal))
-    skew = OperatorMatrix(trunc, "diag", 1.0, 1, diagonal=np.array([0.5, 1.0 + 1e-3j, 0.25]))
+    skew = OperatorMatrix(trunc, diagonal=np.array([0.5, 1.0 + 1e-3j, 0.25]))
     with pytest.raises(ValueError, match="not Hermitian"):
         eig_hermitian(skew)
 
@@ -547,5 +568,5 @@ def test_matrix_metadata_names_the_route():
     assert ROUTE_CLOSED == "closed: Gaussian-mixture diagonal law"
     assert (ROUTE_BOX, ROUTE_LADDER) == ("box panels", "tensor ladder")
     for om, route in cases:
-        assert matrix_metadata(om)["route"] == route
+        assert om.meta["route"] == route
         assert (om.diagonal is not None) == (route == ROUTE_CLOSED)

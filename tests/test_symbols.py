@@ -4,6 +4,7 @@ radial profiles, and symbol-class (derivative-bound) metadata."""
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy import integrate
 
@@ -251,7 +252,6 @@ def test_cv_class_params_gaussian():
     params = cv_class_params(gaussian_symbol(2.0, 1.0), 2)
     assert abs(params.M - 16.0) <= 1e-12
     assert params.method == "analytic"
-    assert params.summable and params.square_summable
     assert params.eps(3) == lemma_epsilon(3) == 1.0 / 9.0
     with pytest.raises(ValueError):
         lemma_epsilon(0)
@@ -267,3 +267,44 @@ def test_cv_class_params_guards():
     multi = cv_class_params(radial_symbol(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), 2), 1)
     assert multi.method == "analytic-majorant"
     assert multi.M > 1.0
+
+
+def _oracle_class_norm(nu: float, weights, m: int = 2) -> float:
+    """prod over the varying coordinates of max_{a,b<=m} w^{a+b} times the
+    derivative sups nu^{n/2} sup|H_n| e^{-u^2}, from the oracle's Hermite sups."""
+    sup = [nu ** (n / 2.0) * oracles.hermite_weighted_sup(n) for n in range(m + 1)]
+    return math.prod(
+        max(w ** (a + b) * sup[a] * sup[b] for a in range(m + 1) for b in range(m + 1))
+        for w in weights
+    )
+
+
+def test_cv_class_params_follows_eps():
+    """M weights coordinate j by (1/eps_j)^{a+b}: 2^j under 2^-j, j^2 under
+    the default; coordinates where the symbol is constant keep weight 1."""
+    gauss = gaussian_symbol(2.0, 1.0)
+    tensor = parse_symbol("tensorradial:(one,1);(exp:nu=2.0,2)")
+    geo_gauss = cv_class_params(gauss, 2, "2^-j")
+    assert geo_gauss.M == pytest.approx(_oracle_class_norm(2.0, [2.0]), rel=1e-9)
+    assert geo_gauss.M == pytest.approx(256.0, rel=1e-12)
+    assert geo_gauss.eps(3) == 0.125
+    geo_tensor = cv_class_params(tensor, 2, "2^-j")
+    assert geo_tensor.M == pytest.approx(_oracle_class_norm(2.0, [4.0, 8.0]), rel=1e-9)
+    assert geo_tensor.M == pytest.approx(2.0**28, rel=1e-12)
+    lemma_tensor = cv_class_params(tensor, 2)
+    assert lemma_tensor.M == pytest.approx(_oracle_class_norm(2.0, [4.0, 9.0]), rel=1e-9)
+    assert lemma_tensor.M == 429981696.0
+    assert cv_class_params(tensor, 2, lemma_epsilon).M == lemma_tensor.M
+
+
+def test_cv_class_params_zero_eps():
+    """eps_j = 0 where the symbol varies puts it in no class; the error names
+    the first such coordinate, and constant coordinates never invert eps_j."""
+    with pytest.raises(SymbolDomainError, match="coordinate 1") as info:
+        cv_class_params(gaussian_symbol(2.0, 1.0), 2, "zero")
+    assert info.value.param == "eps"
+    with pytest.raises(SymbolDomainError, match="coordinate 2"):
+        cv_class_params(parse_symbol("tensorradial:(one,1);(exp:nu=2.0,2)"), 2, "zero")
+    assert cv_class_params(const_symbol(2.0), 2, "zero").M == 2.0
+    assert cv_class_params(gaussian_symbol(2.0, 1.0), 0, "zero").M == 1.0
+

@@ -80,11 +80,12 @@ class RunConfig:
     """Everything a run depends on; echoed verbatim into every output.
 
     `seed` is None for the deterministic commands, which take no --seed and
+    echo none; `h` is None for the h-free commands, which take no --h and
     echo none."""
 
     command: str
     symbol: str | None = None
-    h: float = 1.0
+    h: float | None = None
     N: int = 0
     d: int = 1
     seed: int | None = None
@@ -93,18 +94,12 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.command not in _PROPOSITIONS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not self.h > 0:
+        if self.h is not None and not self.h > 0:
             raise ValueError("--h must be > 0")
         if self.N < 0:
             raise ValueError("--N must be >= 0")
-        if self.d < 1:
-            raise ValueError("--d must be >= 1")
         if self.seed is not None and self.seed < 0:
             raise ValueError("--seed must be >= 0")
-        if self.format not in ("csv", "json"):
-            raise ValueError("--format must be csv or json")
 
     def as_dict(self) -> dict:
         out = {
@@ -118,8 +113,9 @@ class RunConfig:
             "format": self.format,
             "params": dict(self.params),
         }
-        if self.seed is None:
-            del out["seed"]
+        for key in ("h", "seed"):
+            if out[key] is None:
+                del out[key]
         return out
 
 
@@ -232,12 +228,12 @@ def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_ro
 
 
 def _config(args, command: str, **fields) -> RunConfig:
-    """The validated RunConfig of `command`: h, output, format and, where the
-    command registers --seed, the seed come from `args`; `fields` holds the
-    command's own fields."""
+    """The validated RunConfig of `command`: output, format and, where the
+    command registers them, h and the seed come from `args`; `fields` holds
+    the command's own fields."""
     cfg = RunConfig(
         command=command,
-        h=args.h,
+        h=getattr(args, "h", None),
         seed=getattr(args, "seed", None),
         output=args.output,
         format=args.format,
@@ -318,12 +314,8 @@ def cmd_wigner(args) -> int:
 
 def _symbol_matrix(args, command):
     sym = parse_symbol(args.symbol)
-    d = args.d if args.d is not None else sym.d
-    if d != sym.d:
-        raise ValueError(f"--d {d} does not match the symbol's pair count {sym.d}")
-    cfg = _config(args, command, symbol=args.symbol, N=args.N, d=d)
-    ctx = _ctx(cfg)
-    om = assemble_matrix(sym, TruncationSet(d, args.N), ctx)
+    cfg = _config(args, command, symbol=args.symbol, N=args.N, d=sym.d)
+    om = assemble_matrix(sym, TruncationSet(sym.d, args.N), _ctx(cfg))
     return cfg, om
 
 
@@ -453,9 +445,9 @@ def cmd_flandrin(args) -> int:
         args,
         "flandrin",
         N=args.N,
-        params={"a": "inf" if math.isinf(a) else a, "points": args.points, "nodes": args.nodes},
+        params={"a": "inf" if math.isinf(a) else a},
     )
-    rep = flandrin_search(a, _ctx(cfg), args.N, args.points, args.nodes)
+    rep = flandrin_search(a, args.N)
     contract = {
         "name": "quadrature agreement <= 1e-9 and h-independence <= 1e-8 "
         "(the eigenvalue excess is reported, not asserted)",
@@ -570,7 +562,11 @@ def cmd_heatcheck(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1 (2 is reserved for
-    contract violations)."""
+    contract violations) and no prefix matching, so an option a command does
+    not take (`--h` on flandrin) is refused, not read as another (`--help`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -578,13 +574,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p, default_format: str, with_symbol: bool = False, with_n: bool = False,
-                with_seed: bool = False):
+                with_h: bool = True, with_seed: bool = False):
     if with_symbol:
         p.add_argument("--symbol", required=True, help="symbol text, e.g. gaussian:nu=2.0,anorm=1.0")
     if with_n:
         p.add_argument("--N", type=int, default=4, help="truncation degree")
-        p.add_argument("--d", type=int, default=None, help="pair count (defaults to the symbol's)")
-    p.add_argument("--h", type=float, default=1.0, help="semiclassical parameter")
+    if with_h:
+        p.add_argument("--h", type=float, default=1.0, help="semiclassical parameter")
     if with_seed:
         p.add_argument("--seed", type=int, default=0, help="RNG stream (default 0)")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
@@ -638,10 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="top eigenvalue of the box-localization matrix")
     p.add_argument("--a", required=True, help="box size (positive float or inf)")
     p.add_argument("--N", type=int, default=32, help="Hermite section degree")
-    p.add_argument("--points", type=int, default=None,
-                   help="quadrature points: of the radial rule at a=inf, per axis of the 2-D panels otherwise")
-    p.add_argument("--nodes", type=int, default=16, help="GL nodes per panel")
-    _add_common(p, "json")
+    _add_common(p, "json", with_h=False)
     p.set_defaults(func=cmd_flandrin)
 
     p = sub.add_parser("stochext",
@@ -651,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=4000)
     p.add_argument("--nmax", type=int, default=32)
-    _add_common(p, "csv", with_seed=True)
+    _add_common(p, "csv", with_h=False, with_seed=True)
     p.set_defaults(func=cmd_stochext)
 
     p = sub.add_parser("heatcheck",

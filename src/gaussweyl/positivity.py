@@ -31,7 +31,7 @@ from .symbols import (
     eval_ddot,
     gaussian_symbol,
 )
-from .wigner import _classical_rect, _classical_rect_doubled, flandrin_domain_radius, wigner_closed
+from .wigner import PANEL_NODES, _classical_rect, _classical_rect_doubled, flandrin_domain_radius, wigner_closed
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +281,18 @@ def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def flandrin_matrix(a: float, N: int, points: int | None = None, nodes: int = 16, bridge_ctx: CalcContext | None = None) -> np.ndarray:
+def flandrin_matrix(a: float, N: int, bridge_ctx: CalcContext | None = None) -> np.ndarray:
     """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N: the
     square case of the classical rectangle sweep (polar at a = inf, the 2-D
-    panel grid on [0, min(a, R(N))]^2 otherwise, `points` per axis).  With
-    bridge_ctx the entries are rebuilt through the h-dependent Gaussian
-    bridge instead of the h-free table (the h-cancellation self-check)."""
-    return _classical_rect(N, a, a, (points, points) if points else None, nodes, bridge_ctx)
+    panel grid on [0, min(a, R(N))]^2 otherwise).  With bridge_ctx the
+    entries are rebuilt through the h-dependent Gaussian bridge instead of
+    the h-free table (the h-cancellation self-check)."""
+    return _classical_rect(N, a, a, bridge_ctx=bridge_ctx)
 
 
 @dataclass(frozen=True)
 class FlandrinReport:
     a: float
-    h: float
     N: int
     quad: str
     top_eigenvalue: float
@@ -307,7 +306,6 @@ class FlandrinReport:
     def as_dict(self) -> dict:
         return {
             "a": "inf" if math.isinf(self.a) else self.a,
-            "h": self.h,
             "N": self.N,
             "quadrature": self.quad,
             "top_eigenvalue": self.top_eigenvalue,
@@ -320,7 +318,7 @@ class FlandrinReport:
         }
 
 
-def flandrin_search(a: float, ctx: CalcContext, N: int, points: int | None = None, nodes: int = 16) -> FlandrinReport:
+def flandrin_search(a: float, N: int) -> FlandrinReport:
     """Top eigenvalue of the box-localization matrix M(a) on the Hermite
     section of degree N, with panel-doubling quadrature control, an
     N-convergence table from nested sections, and the two-h bridge check.
@@ -329,9 +327,6 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, points: int | None = Non
     panel-doubling control.  At a = inf that is the polar route, so the
     doubling refines its radial rule and the bridge (2-D panels) is an
     independent second route; for finite a both run on 2-D panels.
-    `points` sets the starting size of the radial rule at a = inf and of
-    each panel axis otherwise (default: from a and N); `nodes` is the
-    Gauss-Legendre nodes per panel.
 
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
     [0,a)^2 exceeds its norm; the report carries the measured excess and its
@@ -340,7 +335,7 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, points: int | None = Non
     if not a > 0:
         raise ValueError(f"a must be > 0 (or inf), got {a!r}")
     L = min(a, flandrin_domain_radius(N))
-    M, (pts, _), agreement = _classical_rect_doubled(N, a, a, (points, points) if points else None, nodes)
+    M, (pts, _), agreement = _classical_rect_doubled(N, a, a)
     sections = sorted({n for n in (2, 4, 8, 16, 32, 64, 128) if n <= N} | {N})
     convergence = tuple(
         (n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))) for n in sections
@@ -350,19 +345,18 @@ def flandrin_search(a: float, ctx: CalcContext, N: int, points: int | None = Non
     # h-cancellation: rebuild a small section through the Gaussian bridge at
     # two different h values and compare (with the table as a third route).
     nh = min(N, 8)
-    mb1 = flandrin_matrix(a, nh, None, nodes, bridge_ctx=CalcContext(h=0.5))
-    mb2 = flandrin_matrix(a, nh, None, nodes, bridge_ctx=CalcContext(h=2.0))
-    mt = flandrin_matrix(a, nh, None, nodes)
+    mb1 = flandrin_matrix(a, nh, bridge_ctx=CalcContext(h=0.5))
+    mb2 = flandrin_matrix(a, nh, bridge_ctx=CalcContext(h=2.0))
+    mt = flandrin_matrix(a, nh)
     h_dev = float(np.max(np.abs(mb1 - mb2)))
     bridge_dev = float(max(np.max(np.abs(mb1 - mt)), np.max(np.abs(mb2 - mt))))
 
     if math.isinf(a):
-        quad_desc = f"polar: exact angle, radial GL panels on [0,{L:.6g}], {pts} pts, {nodes} nodes/panel"
+        quad_desc = f"polar: exact angle, radial GL panels on [0,{L:.6g}], {pts} pts, {PANEL_NODES} nodes/panel"
     else:
-        quad_desc = f"GL panels on [0,{L:.6g}]^2, {pts} pts/axis, {nodes} nodes/panel"
+        quad_desc = f"GL panels on [0,{L:.6g}]^2, {pts} pts/axis, {PANEL_NODES} nodes/panel"
     return FlandrinReport(
         a=a,
-        h=ctx.h,
         N=N,
         quad=quad_desc,
         top_eigenvalue=top,

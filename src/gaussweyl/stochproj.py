@@ -358,7 +358,7 @@ class CovarianceMatrix:
         return self.eigenvalues[-1] if self.eigenvalues else 0.0
 
 
-def covariance_and_bound(basis, d: int, s: float, check_inverse: bool = True) -> CovarianceMatrix:
+def covariance_and_bound(basis, d: int, s: float) -> CovarianceMatrix:
     """Covariance of the first d projected coordinates for the subspace
     spanned by `basis` (orthonormal rows in R^D, D >= d).
 
@@ -379,7 +379,7 @@ def covariance_and_bound(basis, d: int, s: float, check_inverse: bool = True) ->
     if eigs[0] < -1e-10 or eigs[-1] > s + 1e-10:
         raise AssertionError(f"projected covariance spectrum escaped [0, s]: {eigs!r}")
     det = float(np.linalg.det(K))
-    if check_inverse and eigs[0] > 1e-12 * max(1.0, s):
+    if eigs[0] > 1e-12 * max(1.0, s):
         Ki = np.linalg.inv(K)
         rng = coordinate_stream(271828, 0)
         for _ in range(16):

@@ -35,6 +35,9 @@ MAX_FLANDRIN_N = 128
 # Panel doublings `_classical_rect_doubled` tries before it reports a stall.
 MAX_DOUBLINGS = 2
 
+# Gauss-Legendre nodes per panel of every classical rectangle sweep.
+PANEL_NODES = 16
+
 
 def wigner_closed(j: int, k: int, x, xi, ctx: CalcContext):
     """Closed-form W_{h,R}(psi_j, psi_k)(x, xi); vectorized over x, xi."""
@@ -199,12 +202,12 @@ def classical_wigner_bridge(j: int, k: int, x, eta, ctx: CalcContext):
     return val if np.shape(val) else complex(val)
 
 
-def classical_wigner_direct(u, v, x: float, eta: float, half_width: float = 30.0, n: int = 400) -> complex:
-    """W_cl(u, v)(x, eta) by direct Gauss-Legendre quadrature in z (reference/
-    cross-check path; u, v vectorized callables on R)."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    z = half_width * t
-    wz = half_width * w
+def classical_wigner_direct(u, v, x: float, eta: float) -> complex:
+    """W_cl(u, v)(x, eta) by direct 400-node Gauss-Legendre quadrature in z on
+    [-30, 30] (reference/cross-check path; u, v vectorized callables on R)."""
+    t, w = np.polynomial.legendre.leggauss(400)
+    z = 30.0 * t
+    wz = 30.0 * w
     vals = (
         np.exp(-2j * math.pi * z * eta)
         * np.asarray(u(x + z / 2.0))
@@ -234,7 +237,10 @@ def classical_wigner_diagonals(N: int, x, eta):
 
 def flandrin_domain_radius(N: int) -> float:
     """Radius beyond which every W_cl(phi_j, phi_k), j,k <= N, is negligible
-    (past the Laguerre turning point with a wide margin)."""
+    (past the Laguerre turning point with a wide margin).  Every table sweep
+    starts here, so this is the one check of the degree limit MAX_FLANDRIN_N."""
+    if not 0 <= N <= MAX_FLANDRIN_N:
+        raise ValueError(f"the classical table needs Hermite degree N in [0, {MAX_FLANDRIN_N}], got {N}")
     return math.sqrt((4.0 * N + 6.0 * math.sqrt(2.0 * N + 1.0) + 25.0) / (4.0 * math.pi)) + 1.0
 
 
@@ -257,34 +263,32 @@ def _quarter_angle(m: int) -> complex:
     return complex(math.pi / 2.0) if m == 0 else (np.exp(0.5j * math.pi * m) - 1.0) / (1j * m)
 
 
-def _panel_rule(L: float, points: int, nodes: int):
-    return gl_panel_rule(0.0, L, max(3, math.ceil(points / nodes)), nodes)
+def _panel_rule(L: float, points: int):
+    return gl_panel_rule(0.0, L, max(3, math.ceil(points / PANEL_NODES)), PANEL_NODES)
 
 
-def _classical_rect(N: int, lx: float, ly: float, points=None, nodes: int = 16, bridge_ctx=None) -> np.ndarray:
+def _classical_rect(N: int, lx: float, ly: float, points=None, bridge_ctx=None) -> np.ndarray:
     """M_jk = int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k) du dv, 0 <= j,k <= N, in
-    one table sweep on Gauss-Legendre panels (`points` = (px, py) per axis).
+    one table sweep on Gauss-Legendre panels of PANEL_NODES nodes (`points` =
+    (px, py) per axis).
 
     Each side is cut at R(N), past which the table is below double precision.
     The quarter plane (both sides inf) separates in polar coordinates,
     W_cl(r, theta) = W_cl(r, 0) e^{i m theta} with m = k - j, into an exact
     angle factor times one radial rule of px points on [0, R(N)].  With
     bridge_ctx the values come from the h-dependent Gaussian bridge on the
-    2-D grid instead of the h-free table.  Every table sweep enters here, so
-    this is the one check of the degree limit MAX_FLANDRIN_N.
+    2-D grid instead of the h-free table.
     """
-    if not 0 <= N <= MAX_FLANDRIN_N:
-        raise ValueError(f"the classical table needs Hermite degree N in [0, {MAX_FLANDRIN_N}], got {N}")
     px, py = points or (_axis_points(lx, N), _axis_points(ly, N))
     polar = math.isinf(lx) and math.isinf(ly) and bridge_ctx is None
     R = flandrin_domain_radius(N)
     lx, ly = min(lx, R), min(ly, R)
     if polar:
-        rule = _panel_rule(R, px, nodes)
+        rule = _panel_rule(R, px)
         x, y, w = rule.nodes, np.zeros_like(rule.nodes), rule.weights * rule.nodes
     else:
-        rule_x = _panel_rule(lx, px, nodes)
-        rule_y = rule_x if (ly, py) == (lx, px) else _panel_rule(ly, py, nodes)
+        rule_x = _panel_rule(lx, px)
+        rule_y = rule_x if (ly, py) == (lx, px) else _panel_rule(ly, py)
         x, y, w = _grid(rule_x, rule_y)
         w = w.astype(complex)
     if bridge_ctx is None:
@@ -300,18 +304,18 @@ def _classical_rect(N: int, lx: float, ly: float, points=None, nodes: int = 16, 
     return M
 
 
-def _classical_rect_doubled(N: int, lx: float, ly: float, points=None, nodes: int = 16, bridge_ctx=None):
+def _classical_rect_doubled(N: int, lx: float, ly: float, bridge_ctx=None):
     """`_classical_rect` with the points on both axes doubled until two sweeps
     agree entrywise to 1e-9 (each axis starts from at least 3 panels, so every
     doubling refines both rules).  Returns (M, (px, py), agreement) of the
     last sweep; raises QuadratureConvergenceError after MAX_DOUBLINGS."""
-    px, py = points or (_axis_points(lx, N), _axis_points(ly, N))
-    px, py = max(px, 3 * nodes), max(py, 3 * nodes)
-    M = _classical_rect(N, lx, ly, (px, py), nodes, bridge_ctx)
+    px = max(_axis_points(lx, N), 3 * PANEL_NODES)
+    py = max(_axis_points(ly, N), 3 * PANEL_NODES)
+    M = _classical_rect(N, lx, ly, (px, py), bridge_ctx)
     agreement = math.inf
     for _ in range(MAX_DOUBLINGS):
         px, py = 2 * px, 2 * py
-        M, prev = _classical_rect(N, lx, ly, (px, py), nodes, bridge_ctx), M
+        M, prev = _classical_rect(N, lx, ly, (px, py), bridge_ctx), M
         agreement = float(np.max(np.abs(M - prev)))
         if agreement <= 1e-9:
             return M, (px, py), agreement

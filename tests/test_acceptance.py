@@ -311,7 +311,7 @@ def test_criterion_10_flandrin_localization():
     _, _, resid1 = flandrin_reduction_check(1.5, ctx, fm)
     ok_reduction = resid0 <= 1e-8 and abs(lhs - 0.25) <= 1e-8 and resid1 <= 1e-8
     # full convergence table over N <= 128 with the h-invariance checks
-    rep = flandrin_search(math.inf, ctx, 128)
+    rep = flandrin_search(math.inf, 128)
     ok_invariance = rep.h_invariance_dev <= 1e-8 and rep.bridge_vs_table <= 1e-8
     ns = [n for n, _ in rep.convergence]
     tops = [v for _, v in rep.convergence]
@@ -319,10 +319,10 @@ def test_criterion_10_flandrin_localization():
         b >= a - 1e-12 for a, b in zip(tops, tops[1:])
     )
     # monotone in a on small boxes; the global claim fails and is pinned
-    small = [flandrin_search(a, ctx, 16).top_eigenvalue for a in (0.5, 1.0, 2.0)]
+    small = [flandrin_search(a, 16).top_eigenvalue for a in (0.5, 1.0, 2.0)]
     ok_small_mono = small[0] < small[1] < small[2]
-    top_box = flandrin_search(2.0, ctx, 32).top_eigenvalue
-    top_quarter = flandrin_search(math.inf, ctx, 32).top_eigenvalue
+    top_box = flandrin_search(2.0, 32).top_eigenvalue
+    top_quarter = flandrin_search(math.inf, 32).top_eigenvalue
     counterexample_pinned = top_box > top_quarter + 1e-4
     record_acceptance(
         10,

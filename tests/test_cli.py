@@ -425,10 +425,29 @@ def test_nonpos_contract_checks_the_mixture_law(monkeypatch, capsys):
 
 
 def test_flandrin_rejects_order_and_seed(capsys):
-    # flandrin has no fixed-order rule and no randomness, so neither flag exists
-    for flag, value in (("--order", "5"), ("--seed", "3")):
-        assert main(["flandrin", "--a", "inf", flag, value]) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+    # flandrin has no fixed-order rule and no randomness, so neither flag
+    # exists; flandrin and stochext are h-free, their rule is sized from a and
+    # N, and the sections take their pair count from the symbol
+    cases = [["flandrin", "--a", "inf", flag, value]
+             for flag, value in (("--order", "5"), ("--seed", "3"), ("--h", "0.5"),
+                                 ("--points", "200"), ("--nodes", "20"))]
+    cases.append(["stochext", "--h", "0.5"])
+    cases += [[command, "--symbol", GAUSS, "--d", "1"]
+              for command in ("opmatrix", "spectrum", "radial", "garding")]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_config_echoes_only_what_the_run_used(capsys):
+    for argv in (["flandrin", "--a", "inf", "--N", "4"],
+                 ["stochext", "--nmax", "4", "--samples", "1000", "--format", "json"]):
+        assert main(argv) == 0, argv
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert "h" not in config, argv
+    assert main(["spectrum", "--symbol", "tensorradial:(one,1);(exp:nu=2.0,1)", "--N", "2",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["d"] == 2
 
 
 def test_flandrin_spec_names_the_route(capsys):
@@ -440,8 +459,11 @@ def test_flandrin_spec_names_the_route(capsys):
     assert specs["1.0"].startswith("GL panels on [0,1]^2")
 
 
-def test_quadrature_stall_exits_2(capsys):
-    rc = main(["flandrin", "--a", "1.0", "--N", "8", "--points", "6", "--nodes", "2"])
+def test_quadrature_stall_exits_2(monkeypatch, capsys):
+    # an under-resolved rule: 6 points per axis on 2-node panels
+    monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 6)
+    monkeypatch.setattr(wigner, "PANEL_NODES", 2)
+    rc = main(["flandrin", "--a", "1.0", "--N", "8"])
     assert rc == 2
     record = json.loads(capsys.readouterr().err)
     assert record["contract"]["passed"] is False

@@ -258,8 +258,7 @@ def test_flandrin_quarter_plane_tops_match_polar_oracle():
 
 
 def test_flandrin_search_quarter_plane():
-    ctx = CalcContext(h=1.0)
-    rep = flandrin_search(math.inf, ctx, 16)
+    rep = flandrin_search(math.inf, 16)
     assert abs(rep.top_eigenvalue - 1.000771558) <= 1e-8
     assert rep.excess == pytest.approx(rep.top_eigenvalue - 1.0)
     tops = [v for _, v in rep.convergence]
@@ -272,32 +271,36 @@ def test_flandrin_search_quarter_plane():
 
 
 def test_flandrin_small_a_monotone_and_vanishing():
-    ctx = CalcContext(h=1.0)
-    tops = [flandrin_search(a, ctx, 16).top_eigenvalue for a in (0.5, 1.0, 2.0)]
+    tops = [flandrin_search(a, 16).top_eigenvalue for a in (0.5, 1.0, 2.0)]
     assert tops[0] < tops[1] < tops[2]
-    assert flandrin_search(0.1, ctx, 16).top_eigenvalue < 0.05
+    assert flandrin_search(0.1, 16).top_eigenvalue < 0.05
 
 
 def test_flandrin_finite_box_can_beat_quarter_plane():
     """The localization operator family is NOT monotone in a: the signed
     Wigner tails make the finite box a = 2 capture more mass than the whole
     quarter plane.  Pinned so the behavior is explicit, not accidental."""
-    ctx = CalcContext(h=1.0)
-    top_box = flandrin_search(2.0, ctx, 32).top_eigenvalue
-    top_quarter = flandrin_search(math.inf, ctx, 32).top_eigenvalue
+    top_box = flandrin_search(2.0, 32).top_eigenvalue
+    top_quarter = flandrin_search(math.inf, 32).top_eigenvalue
     assert top_box > top_quarter + 1e-4
     assert abs(top_box - 1.002064639852) <= 1e-7
     assert abs(top_quarter - 1.001335319814) <= 1e-7
 
 
-def test_flandrin_search_guards():
-    ctx = CalcContext(h=1.0)
+def test_flandrin_search_guards(monkeypatch):
     with pytest.raises(ValueError):
-        flandrin_search(0.0, ctx, 4)
-    with pytest.raises(ValueError):
-        flandrin_search(1.0, ctx, 129)
+        flandrin_search(0.0, 4)
+    for N in (-1, 129):
+        # the degree is checked before any radius is formed
+        with pytest.raises(ValueError, match=r"degree N in \[0, 128\]"):
+            flandrin_search(1.0, N)
+        with pytest.raises(ValueError, match=r"degree N in \[0, 128\]"):
+            flandrin_matrix(1.0, N)
+    # an under-resolved rule (6 points per axis on 2-node panels) stalls
+    monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 6)
+    monkeypatch.setattr(wigner, "PANEL_NODES", 2)
     with pytest.raises(QuadratureConvergenceError):
-        flandrin_search(1.0, ctx, 8, points=6, nodes=2)
+        flandrin_search(1.0, 8)
 
 
 def test_flandrin_reduction_ground_state_quarter():

@@ -201,33 +201,49 @@ def hermite_batch(jmax: int, x, ctx: CalcContext) -> np.ndarray:
     return out
 
 
-def _laguerre_rows(nmax: int, alpha: int, z: np.ndarray, start):
-    """Yield start * L_n^(alpha)(z) for n = 0..nmax by the forward recurrence
+def _laguerre_normalized(nmax: int, alpha: int, z: np.ndarray, start, rows=None):
+    """Yield start * L_n^(alpha)(z) / sqrt(C(n + alpha, n)) for n = 0..nmax by
+    the normalized forward recurrence
 
-        n L_n = (2n - 1 + alpha - z) L_{n-1} - (n - 1 + alpha) L_{n-2},
+        l_n = ((2n - 1 + alpha - z) l_{n-1} - sqrt((n-1)(n-1+alpha)) l_{n-2})
+              / sqrt(n (n + alpha)),
 
-    with L_{-1} = 0, L_0 = 1.  The recurrence is linear, so start = e^{-z/2}
-    gives the damped rows e^{-z/2} L_n without overflow.  The rows live in two
-    buffers updated in place: a yielded row is overwritten two steps later."""
-    prev = np.zeros_like(z)
-    cur = prev + start
-    tmp = np.empty_like(z)
-    yield cur
+    with l_{-1} = 0, l_0 = start.  The normalization keeps the rows of
+    z^{alpha/2} e^{-z/2} / sqrt(alpha!) * l_n within [-1, 1], where the plain
+    rows pass the double range from n + alpha ~ 170.  z is flat; row n is
+    written into rows[n % r] of the (r, z.size) buffer `rows` (r >= 2, two
+    rows by default) beside one scratch row, so a yielded row is overwritten
+    r steps later.  The recurrence reads its last two rows back from the
+    buffer, so a caller may rescale them in place between steps."""
+    if rows is None:
+        rows = np.zeros((2, z.size))
+    r = len(rows)
+    tmp = np.empty_like(rows[0])
+    rows[r - 1] = 0.0
+    rows[0] = start
+    yield rows[0]
     for n in range(1, nmax + 1):
-        # (-d prev + (c - z) cur) / n in place, with one scratch row instead of
-        # a fresh array per step; bit-identical to ((c - z) cur - d prev) / n.
-        prev *= -(n - 1.0 + alpha)
-        np.subtract(2.0 * (n - 1) + alpha + 1.0, z, out=tmp)
+        new, cur, prev = rows[n % r], rows[(n - 1) % r], rows[(n - 2) % r]
+        np.subtract(2.0 * n - 1.0 + alpha, z, out=tmp)
         tmp *= cur
-        prev += tmp
-        prev /= n
-        prev, cur = cur, prev
-        yield cur
+        # new may be prev itself (two rows): scale prev into it first
+        np.multiply(prev, -math.sqrt((n - 1.0) * (n - 1.0 + alpha)), out=new)
+        new += tmp
+        new /= math.sqrt(n * (n + alpha))
+        yield new
+
+
+def _laguerre_rows(nmax: int, alpha: int, z: np.ndarray, start):
+    """Yield start * L_n^(alpha)(z) for n = 0..nmax: the rows of
+    `_laguerre_normalized` multiplied back by sqrt(C(n + alpha, n))."""
+    for n, row in enumerate(_laguerre_normalized(nmax, alpha, z, start)):
+        yield row * math.sqrt(math.comb(n + alpha, n))
 
 
 def laguerre_eval(k: int, alpha: int, x):
-    """Generalized Laguerre polynomial L_k^(alpha)(x) by the forward
-    three-term recurrence (the last row of `_laguerre_rows`).
+    """Generalized Laguerre polynomial L_k^(alpha)(x) by the normalized
+    forward recurrence of `_laguerre_normalized`, started at
+    sqrt(C(k + alpha, k)) so that its last row is L_k^(alpha)(x).
 
     Guarded to k + alpha <= 200, the degree range the recurrence is tested on.
     """
@@ -238,9 +254,9 @@ def laguerre_eval(k: int, alpha: int, x):
             f"k + alpha = {k + alpha} exceeds the overflow guard ({MAX_LAGUERRE_TOTAL})"
         )
     x = np.asarray(x, dtype=float)
-    for row in _laguerre_rows(k, alpha, x, 1.0):
+    for row in _laguerre_normalized(k, alpha, x.reshape(-1), math.sqrt(math.comb(k + alpha, k))):
         pass
-    return row if row.shape else float(row)
+    return row.reshape(x.shape).copy() if x.shape else float(row[0])
 
 
 def bargman_eval(v: complex, x, ctx: CalcContext):

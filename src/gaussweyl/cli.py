@@ -79,15 +79,16 @@ _PROPOSITIONS = {
 class RunConfig:
     """Everything a run depends on; echoed verbatim into every output.
 
-    `seed` is None for the deterministic commands, which take no --seed and
-    echo none; `h` is None for the h-free commands, which take no --h and
-    echo none."""
+    A field the command does not use stays None and is not echoed: `seed`
+    for the deterministic commands, `h` for the h-free ones, `symbol` and
+    `d` where no symbol sets the run's dimension, `N` where no truncation
+    degree is taken."""
 
     command: str
     symbol: str | None = None
     h: float | None = None
-    N: int = 0
-    d: int = 1
+    N: int | None = None
+    d: int | None = None
     seed: int | None = None
     output: str | None = None
     format: str = "json"
@@ -96,7 +97,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.h is not None and not self.h > 0:
             raise ValueError("--h must be > 0")
-        if self.N < 0:
+        if self.N is not None and self.N < 0:
             raise ValueError("--N must be >= 0")
         if self.seed is not None and self.seed < 0:
             raise ValueError("--seed must be >= 0")
@@ -113,10 +114,7 @@ class RunConfig:
             "format": self.format,
             "params": dict(self.params),
         }
-        for key in ("h", "seed"):
-            if out[key] is None:
-                del out[key]
-        return out
+        return {key: value for key, value in out.items() if value is not None or key == "output"}
 
 
 def _jsonable(v):
@@ -261,7 +259,9 @@ def _quad_block(ladder_ran: bool, **extra) -> dict:
 
 def cmd_wigner(args) -> int:
     params = {"j": args.j, "k": args.k, "grid": args.grid, "radius": args.radius}
-    cfg = _config(args, "wigner", symbol=args.symbol, N=max(args.j or 0, args.k or 0), params=params)
+    degrees = (args.j, args.k)
+    N = None if None in degrees else max(degrees)
+    cfg = _config(args, "wigner", symbol=args.symbol, N=N, params=params)
     if (args.symbol is None) == (args.j is None or args.k is None):
         raise ValueError("give either --j and --k, or --symbol (not both)")
     if args.grid < 2 or not args.radius > 0:
@@ -470,7 +470,6 @@ def cmd_stochext(args) -> int:
     cfg = _config(
         args,
         "stochext",
-        N=args.nmax,
         params={
             "direction": args.direction,
             "p": args.p,

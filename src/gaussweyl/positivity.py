@@ -31,7 +31,17 @@ from .symbols import (
     eval_ddot,
     gaussian_symbol,
 )
-from .wigner import PANEL_NODES, _classical_rect, _classical_rect_doubled, flandrin_domain_radius, wigner_closed
+from .wigner import (
+    CHECK_NODES,
+    PANEL_NODES,
+    _classical_rect,
+    _classical_rect_doubled,
+    _panel_count,
+    _quarter_plane,
+    _quarter_plane_matrix,
+    flandrin_domain_radius,
+    wigner_closed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +291,19 @@ def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2,
 # ---------------------------------------------------------------------------
 
 
+# The polar check of the closed quarter plane runs on the leading block of
+# this degree: nested sections share their leading entries.
+POLAR_CHECK_N = 128
+
+
 def flandrin_matrix(a: float, N: int, bridge_ctx: CalcContext | None = None) -> np.ndarray:
     """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N: the
-    square case of the classical rectangle sweep (polar at a = inf, the 2-D
-    panel grid on [0, min(a, R(N))]^2 otherwise).  With bridge_ctx the
-    entries are rebuilt through the h-dependent Gaussian bridge instead of
-    the h-free table (the h-cancellation self-check)."""
+    closed quarter plane at a = inf, otherwise the square case of the
+    classical rectangle sweep (the 2-D panel grid on [0, min(a, R(N))]^2).
+    With bridge_ctx the entries are rebuilt through the h-dependent Gaussian
+    bridge on the 2-D grid instead (the h-cancellation self-check)."""
+    if math.isinf(a) and bridge_ctx is None:
+        return _quarter_plane_matrix(N)
     return _classical_rect(N, a, a, bridge_ctx=bridge_ctx)
 
 
@@ -320,13 +337,16 @@ class FlandrinReport:
 
 def flandrin_search(a: float, N: int) -> FlandrinReport:
     """Top eigenvalue of the box-localization matrix M(a) on the Hermite
-    section of degree N, with panel-doubling quadrature control, an
-    N-convergence table from nested sections, and the two-h bridge check.
+    section of degree N, with an independent check of the matrix, an
+    N-convergence table from nested sections (powers of two up to N, and N),
+    and the two-h bridge check.
 
-    The matrix comes from the classical rectangle sweep with its shared
-    panel-doubling control.  At a = inf that is the polar route, so the
-    doubling refines its radial rule and the bridge (2-D panels) is an
-    independent second route; for finite a both run on 2-D panels.
+    At a = inf the matrix is the closed quarter plane, solved as the real
+    symmetric R of `_quarter_plane`; the check is one polar sweep on the
+    leading block n = min(N, POLAR_CHECK_N), compared entrywise.  For finite a
+    the matrix comes from the classical rectangle sweep, checked by the sweep
+    on the same panels with CHECK_NODES nodes.  The bridge (2-D panels) is a
+    further independent route on the section min(N, 8).
 
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
     [0,a)^2 exceeds its norm; the report carries the measured excess and its
@@ -334,9 +354,19 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     """
     if not a > 0:
         raise ValueError(f"a must be > 0 (or inf), got {a!r}")
-    L = min(a, flandrin_domain_radius(N))
-    M, (pts, _), agreement = _classical_rect_doubled(N, a, a)
-    sections = sorted({n for n in (2, 4, 8, 16, 32, 64, 128) if n <= N} | {N})
+    if math.isinf(a):
+        M = _quarter_plane(N)
+        nb = min(N, POLAR_CHECK_N)
+        L = flandrin_domain_radius(nb)
+        agreement = float(np.max(np.abs(_classical_rect(nb, a, a) - _quarter_plane_matrix(nb))))
+        quad_desc = (f"closed: 2F1 recurrence; polar check on n <= {nb}: exact angle, radial GL panels "
+                     f"on [0,{L:.6g}], {_panel_count(a, nb) * PANEL_NODES} pts, {PANEL_NODES} nodes/panel")
+    else:
+        L = min(a, flandrin_domain_radius(N))
+        M, (pts, _), agreement = _classical_rect_doubled(N, a, a)
+        quad_desc = (f"GL panels on [0,{L:.6g}]^2, {pts} pts/axis, {PANEL_NODES} nodes/panel, "
+                     f"checked against {CHECK_NODES} nodes/panel")
+    sections = sorted({2**k for k in range(1, N.bit_length())} | {N})
     convergence = tuple(
         (n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))) for n in sections
     )
@@ -351,10 +381,6 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     h_dev = float(np.max(np.abs(mb1 - mb2)))
     bridge_dev = float(max(np.max(np.abs(mb1 - mt)), np.max(np.abs(mb2 - mt))))
 
-    if math.isinf(a):
-        quad_desc = f"polar: exact angle, radial GL panels on [0,{L:.6g}], {pts} pts, {PANEL_NODES} nodes/panel"
-    else:
-        quad_desc = f"GL panels on [0,{L:.6g}]^2, {pts} pts/axis, {PANEL_NODES} nodes/panel"
     return FlandrinReport(
         a=a,
         N=N,
@@ -377,9 +403,10 @@ def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
                             W_cl(phi_j, phi_k) du dv,   s = sqrt(2 pi h).
 
     The left side is the box section (the h-free table swept over the
-    rectangle); the right side sweeps the same rectangle through the Gaussian
-    bridge at ctx.h, i.e. the Gaussian closed form in Gaussian variables.
-    Either raises QuadratureConvergenceError if its panel doubling stalls.
+    rectangle, or the closed quarter plane at a = inf); the right side sweeps
+    the same rectangle through the Gaussian bridge at ctx.h, i.e. the
+    Gaussian closed form in Gaussian variables.  A sweep raises
+    QuadratureConvergenceError if its panel doubling stalls.
     Returns (lhs, rhs, residual); at a = inf both sides are the quarter-plane
     mass (1/4 for the ground state).
     """

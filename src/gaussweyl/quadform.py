@@ -22,7 +22,7 @@ import numpy as np
 from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
 from .gaussian import LADDER_POLICY, MAX_GH_ORDER, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import _classical_rect_doubled, wigner_closed, wigner_on_rule
+from .wigner import _classical_rect_doubled, _quarter_plane_matrix, wigner_closed, wigner_on_rule
 
 MAX_MATRIX_SIZE = 4096
 
@@ -159,17 +159,18 @@ class OperatorMatrix:
 
 ROUTE_CLOSED = "closed: Gaussian-mixture diagonal law"
 ROUTE_BOX = "box panels"
+ROUTE_QUARTER = "closed: quarter-plane 2F1 recurrence"
 ROUTE_LADDER = "tensor ladder"
 
 
 def section_route(sym, wigner_route: str = "closed") -> str:
     """The route that computes matrix elements of `sym`: the closed diagonal
-    law for Gaussian mixtures (closed Wigner route only), for boxes one
-    doubled panel sweep of the classical table over [0, lambda a) x
-    [0, a/lambda) (degrees <= 128), and the tensor Gauss-Hermite ladder
-    otherwise."""
+    law for Gaussian mixtures (closed Wigner route only), for finite boxes one
+    checked panel sweep of the classical table over [0, lambda a) x
+    [0, a/lambda) (degrees <= 1024), the closed quarter plane for box(inf)
+    (degrees <= 4096), and the tensor Gauss-Hermite ladder otherwise."""
     if sym.family == "box":
-        return ROUTE_BOX
+        return ROUTE_QUARTER if math.isinf(sym.a) else ROUTE_BOX
     if wigner_route == "closed" and sym.gauss_mixture() is not None:
         return ROUTE_CLOSED
     return ROUTE_LADDER
@@ -241,11 +242,14 @@ def _tensor_element(sym, alpha, beta, ctx, wigner_route="closed"):
 
 def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
     """The one-pair section of box(a), 0 <= j,k <= N, and the points per axis
-    of its accepted rule.  (x, xi) = lambda (u, v), lambda = sqrt(2 pi h),
-    turns W(psi_j, psi_k) e^{-r^2/h} dx dxi / (pi h) into W_cl(phi_j, phi_k)
-    du dv and the box into the rectangle [0, lambda a) x [0, a/lambda)."""
+    of its accepted rule (0 for the closed quarter plane at a = inf).
+    (x, xi) = lambda (u, v), lambda = sqrt(2 pi h), turns W(psi_j, psi_k)
+    e^{-r^2/h} dx dxi / (pi h) into W_cl(phi_j, phi_k) du dv and the box into
+    the rectangle [0, lambda a) x [0, a/lambda)."""
     if wigner_route != "closed":
         raise ValueError("box matrix elements support only the closed Wigner route")
+    if math.isinf(sym.a):
+        return _quarter_plane_matrix(N), 0
     lam = math.sqrt(2.0 * math.pi * ctx.h)
     table, points, _ = _classical_rect_doubled(N, lam * sym.a, sym.a / lam)
     return table, max(points)
@@ -265,7 +269,7 @@ def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed"):
     R, C = (np.array([[idx.degree(i) for i in range(1, width + 1)] for idx in idxs], dtype=int)
             .reshape(len(idxs), width) for idxs in (rows, cols))
     route = section_route(sym, wigner_route)
-    if route == ROUTE_BOX:
+    if route in (ROUTE_BOX, ROUTE_QUARTER):
         top = max(R[:, 0].max(initial=0), C[:, 0].max(initial=0))
         table, order = _box_table(sym, int(top), ctx, wigner_route)
         out = table[np.ix_(R[:, 0], C[:, 0])]
@@ -317,9 +321,9 @@ def assemble_matrix(
     Gaussian mixtures on the closed Wigner route give a diagonal section,
     evaluated by the closed law in one pass over the truncation's degree
     array; no dense matrix is built until `entries` is read.  Other sections
-    are dense, from the entry builder `_entries`: boxes from one sweep of
-    the classical table, custom symbols and the quadrature Wigner route
-    entry by entry.
+    are dense, from the entry builder `_entries`: finite boxes from one
+    checked sweep of the classical table, box(inf) from the closed quarter
+    plane, custom symbols and the quadrature Wigner route entry by entry.
     """
     if truncation.size > MAX_MATRIX_SIZE:
         raise ValueError(

@@ -21,22 +21,37 @@ import math
 
 import numpy as np
 
-from .basis import CalcContext, MultiIndex, _laguerre_rows, hermite_eval, laguerre_eval
+from .basis import CalcContext, MultiIndex, _laguerre_normalized, hermite_eval, laguerre_eval
 from .gaussian import TENSOR_BLOCK, QuadratureConvergenceError, gh_rule, gl_panel_rule, integrate_tensor, ladder
 
-# e^{-z/2} is below double precision past this; points there are masked to 0
-# before any power/Laguerre evaluation so no overflow can occur.
-Z_CUT = 1380.0
-
-# Largest degree of the classical table: above it the separate zeta**m and
-# lgamma prefactor of `classical_wigner_diagonals` can overflow.
-MAX_FLANDRIN_N = 128
+# Largest Hermite degree of the classical table on a quadrature rule (finite
+# boxes, box sections, the polar check), and of the closed quarter plane.
+MAX_FLANDRIN_N = 1024
+MAX_QUARTER_N = 4096
 
 # Panel doublings `_classical_rect_doubled` tries before it reports a stall.
-MAX_DOUBLINGS = 2
+# Each check certifies the rule it returns, so one doubling reaches twice the
+# sized points, the finest rule that a pairwise doubling control certifies
+# after two.
+MAX_DOUBLINGS = 1
 
-# Gauss-Legendre nodes per panel of every classical rectangle sweep.
+# Gauss-Legendre nodes per panel of every classical rectangle sweep, and of
+# the sweep on the same panels that checks it.
 PANEL_NODES = 16
+CHECK_NODES = 20
+
+# The table's normalized Laguerre rows are reduced TABLE_BLOCK at a time;
+# between blocks the last two rows are divided by RESCALE at the points where
+# they passed it.  Inside R(N) one step grows a row by less than a factor
+# 5000 for N <= MAX_FLANDRIN_N, so no row passes the double range within a
+# block.
+TABLE_BLOCK = 8
+RESCALE = 1e150
+
+# sin(pi m / 4) and e^{i pi m / 4} for m mod 8, exact where they are 0 or +-1.
+_R2 = math.sqrt(0.5)
+_SIN_EIGHTH = np.array([0.0, _R2, 1.0, _R2, 0.0, -_R2, -1.0, -_R2])
+_EIGHTH_ROOTS = np.array([1.0, _R2 + _R2 * 1j, 1j, -_R2 + _R2 * 1j, -1.0, -_R2 - _R2 * 1j, -1j, _R2 - _R2 * 1j])
 
 
 def wigner_closed(j: int, k: int, x, xi, ctx: CalcContext):
@@ -148,23 +163,84 @@ def classical_hermite(j: int, x):
     )
 
 
-def _classical_setup(x, eta):
-    """Flat points of the classical table: z = 4 pi r^2, e^{-z/2} and
-    zeta = 2 sqrt(pi) (x + i eta), so that zeta^m = (4 pi)^{m/2} w^m.  Points
-    with z > Z_CUT are masked (e^{-z/2} and zeta set to 0) before any power or
-    Laguerre row is formed, so nothing overflows."""
+def _table_radius(N: int) -> float:
+    """R(N): past it every W_cl(phi_j, phi_k), j, k <= N, is below double
+    precision (past the Laguerre turning point with a wide margin)."""
+    return math.sqrt((4.0 * N + 6.0 * math.sqrt(2.0 * N + 1.0) + 25.0) / (4.0 * math.pi)) + 1.0
+
+
+def _table_points(N: int, x, eta):
+    """The flat points of a classical table of degree N that lie inside R(N):
+    (mask, z = 4 pi r^2, log z, angle theta).  The points outside are dropped,
+    so the table there is exactly 0 and no row can overflow."""
     x = np.asarray(x, dtype=float).ravel()
     eta = np.asarray(eta, dtype=float).ravel()
     z = 4.0 * math.pi * (x * x + eta * eta)
-    mask = z <= Z_CUT
-    e_half = np.where(mask, np.exp(-np.minimum(z, Z_CUT) / 2.0), 0.0)
-    zeta = np.where(mask, 2.0 * math.sqrt(math.pi) * (x + 1j * eta), 0.0)
-    return z, e_half, zeta
+    keep = z <= 4.0 * math.pi * _table_radius(N) ** 2
+    z = z[keep]
+    log_z = np.log(z, out=np.full_like(z, -np.inf), where=z > 0.0)
+    return keep, z, log_z, np.arctan2(eta[keep], x[keep])
 
 
-def _classical_prefactor(lo: int, m: int) -> float:
-    """2 sqrt(lo!/(lo+m)!) (-1)^lo, the table's factor beyond zeta^m e^{-z/2} L."""
-    return 2.0 * math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + m + 1))) * (-1.0) ** lo
+def _diagonal_blocks(m: int, nmax: int, z: np.ndarray, log_z: np.ndarray):
+    """Yield (n0, rows, scale) for n0 = 0, TABLE_BLOCK, ...: rows[i] * scale is
+    the radial profile of diagonal m of the classical table,
+
+        g_n(z) = sqrt(n!/(n+m)!) z^{m/2} e^{-z/2} L_n^{(m)}(z),   n = n0 + i <= nmax,
+
+    so that W_cl(phi_j, phi_{j+m}) = 2 (-1)^j g_j e^{i m theta}.  The rows are
+    the normalized Laguerre rows started at 1 under the per-point scale
+    z^{m/2} e^{-z/2} / sqrt(m!), formed in logs.  Where the rows pass RESCALE
+    they are divided by it before the next block and the scale is raised
+    (`scale` is then a new array).  A block is overwritten by the next one."""
+    if m == 0:
+        log_scale = -0.5 * z
+    else:
+        log_scale = 0.5 * m * log_z - 0.5 * z - 0.5 * math.lgamma(m + 1.0)
+    scale = np.exp(log_scale)
+    rows = np.zeros((TABLE_BLOCK, z.size))
+    n0 = 0
+    for n, _ in enumerate(_laguerre_normalized(nmax, m, z, 1.0, rows)):
+        if n == nmax or n % TABLE_BLOCK == TABLE_BLOCK - 1:
+            yield n0, rows[: n + 1 - n0], scale
+            n0 = n + 1
+            # the recurrence reads its last two rows back from the buffer
+            last = rows[TABLE_BLOCK - 2 :]
+            big = np.any(np.abs(last) > RESCALE, axis=0)
+            if big.any():
+                last[:, big] /= RESCALE
+                log_scale[big] += math.log(RESCALE)
+                scale = np.exp(log_scale)
+
+
+def _table_sums(N: int, x, eta, w, mirror: bool = False) -> np.ndarray:
+    """S_jk = sum_p w_p W_cl(phi_j, phi_k)(x_p, eta_p), 0 <= j, k <= N
+    (Hermitian).  Each diagonal m dots the real rows of `_diagonal_blocks`
+    with the real and imaginary parts of one complex weight per point,
+    e^{i m theta} w scale, as one matrix product per block.  BLAS divides a
+    product's rows and columns among its threads, never the point axis, so
+    the sums do not depend on the thread count.
+
+    With `mirror` each point also stands for its mirror image (eta, x), at
+    angle pi/2 - theta, whose weight e^{i m (pi/2 - theta)} = i^m
+    e^{-i m theta} joins its own: a square grid folded on its diagonal."""
+    keep, z, log_z, theta = _table_points(N, x, eta)
+    turn = np.exp(1j * theta)
+    phase = np.asarray(w, dtype=float).ravel()[keep].astype(complex)  # w e^{i m theta}
+    sign = np.where(np.arange(N + 1) % 2 == 0, 2.0, -2.0)
+    S = np.zeros((N + 1, N + 1), dtype=complex)
+    for m in range(N + 1):
+        if m:
+            phase *= turn
+        both = phase + 1j**m * phase.conj() if mirror else phase
+        weights = last = None
+        for n0, rows, scale in _diagonal_blocks(m, N - m, z, log_z):
+            if scale is not last:
+                weights, last = (both * scale).view(float).reshape(-1, 2), scale
+            sums = rows @ weights
+            j = np.arange(n0, n0 + len(rows))
+            S[j, j + m] = sign[j] * (sums[:, 0] + 1j * sums[:, 1])
+    return S + np.triu(S, 1).conj().T
 
 
 def classical_wigner_closed(j: int, k: int, x, eta):
@@ -172,15 +248,17 @@ def classical_wigner_closed(j: int, k: int, x, eta):
 
     Equal to 2 e^{-2 pi r^2} sqrt(lo!/hi!) (-1)^lo (4 pi)^{m/2} w^m
     L_lo^{(m)}(4 pi r^2); independent of any semiclassical parameter.  The
-    Laguerre factor is the damped row e^{-z/2} L_lo^{(m)}(z), z = 4 pi r^2.
+    Laguerre factor comes from the normalized rows of `_diagonal_blocks`, and
+    the value is exactly 0 past R(max(j, k)).
     """
     x, eta = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
-    z, e_half, zeta = _classical_setup(x, eta)
     lo, m = min(j, k), abs(j - k)
-    for g in _laguerre_rows(lo, m, z, e_half):
+    keep, z, log_z, theta = _table_points(max(j, k), x, eta)
+    for _, rows, scale in _diagonal_blocks(m, lo, z, log_z):
         pass
-    w = zeta if k >= j else np.conjugate(zeta)
-    val = (_classical_prefactor(lo, m) * g * w**m).reshape(x.shape)
+    val = np.zeros(x.size, dtype=complex)
+    val[keep] = 2.0 * (-1.0) ** lo * rows[-1] * scale * np.exp((1j if k >= j else -1j) * m * theta)
+    val = val.reshape(x.shape)
     return val if x.shape else complex(val)
 
 
@@ -220,14 +298,17 @@ def classical_wigner_diagonals(N: int, x, eta):
     """Stream the whole classical Wigner table W_cl(phi_j, phi_k), 0<=j<=k<=N,
     evaluated on a flat point set.
 
-    Yields (j, k, values).  One damped Laguerre sweep per diagonal m = k - j
-    gives e^{-z/2} L_j^{(m)}(z), z = 4 pi r^2, for every j at once.
+    Yields (j, k, values).  One normalized Laguerre sweep per diagonal
+    m = k - j (`_diagonal_blocks`) gives every j at once.
     """
-    z, e_half, zeta = _classical_setup(x, eta)
+    keep, z, log_z, theta = _table_points(N, x, eta)
     for m in range(N + 1):
-        pw = zeta**m
-        for jj, g in enumerate(_laguerre_rows(N - m, m, z, e_half)):
-            yield jj, jj + m, _classical_prefactor(jj, m) * g * pw
+        phase = np.exp(1j * m * theta)
+        for n0, rows, scale in _diagonal_blocks(m, N - m, z, log_z):
+            for jj, row in enumerate(rows, start=n0):
+                vals = np.zeros(keep.size, dtype=complex)
+                vals[keep] = 2.0 * (-1.0) ** jj * row * scale * phase
+                yield jj, jj + m, vals
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +322,7 @@ def flandrin_domain_radius(N: int) -> float:
     starts here, so this is the one check of the degree limit MAX_FLANDRIN_N."""
     if not 0 <= N <= MAX_FLANDRIN_N:
         raise ValueError(f"the classical table needs Hermite degree N in [0, {MAX_FLANDRIN_N}], got {N}")
-    return math.sqrt((4.0 * N + 6.0 * math.sqrt(2.0 * N + 1.0) + 25.0) / (4.0 * math.pi)) + 1.0
+    return _table_radius(N)
 
 
 def _axis_points(L: float, N: int) -> int:
@@ -251,6 +332,11 @@ def _axis_points(L: float, N: int) -> int:
     return max(48, int(math.ceil(4.8 * L * math.sqrt(N + 1.0))) + 32)
 
 
+def _panel_count(L: float, N: int) -> int:
+    """Panels on one axis: `_axis_points` on PANEL_NODES-node panels, at least 3."""
+    return max(3, math.ceil(_axis_points(L, N) / PANEL_NODES))
+
+
 def _grid(rule_x, rule_y):
     x = np.repeat(rule_x.nodes, rule_y.nodes.size)
     y = np.tile(rule_y.nodes, rule_x.nodes.size)
@@ -258,67 +344,124 @@ def _grid(rule_x, rule_y):
     return x, y, w
 
 
-def _quarter_angle(m: int) -> complex:
-    """int_0^{pi/2} e^{i m theta} d theta."""
-    return complex(math.pi / 2.0) if m == 0 else (np.exp(0.5j * math.pi * m) - 1.0) / (1j * m)
+def _quarter_angle(m) -> np.ndarray:
+    """s_m = 2 sin(m pi/4)/m (pi/2 at m = 0), elementwise over integer m: the
+    quarter-plane angle factor int_0^{pi/2} e^{i m theta} d theta is
+    e^{i m pi/4} s_m.  Exactly 0 at m = 0 mod 4, m != 0."""
+    m = np.asarray(m)
+    return np.where(m == 0, math.pi / 2.0, 2.0 * _SIN_EIGHTH[m % 8] / np.where(m == 0, 1, m))
 
 
-def _panel_rule(L: float, points: int):
-    return gl_panel_rule(0.0, L, max(3, math.ceil(points / PANEL_NODES)), PANEL_NODES)
-
-
-def _classical_rect(N: int, lx: float, ly: float, points=None, bridge_ctx=None) -> np.ndarray:
+def _classical_rect(N: int, lx: float, ly: float, panels=None, nodes=None, bridge_ctx=None) -> np.ndarray:
     """M_jk = int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k) du dv, 0 <= j,k <= N, in
-    one table sweep on Gauss-Legendre panels of PANEL_NODES nodes (`points` =
-    (px, py) per axis).
+    one table sweep on Gauss-Legendre panels (`panels` = (px, py) per axis,
+    by default `_panel_count`) of `nodes` nodes (default PANEL_NODES).
 
     Each side is cut at R(N), past which the table is below double precision.
     The quarter plane (both sides inf) separates in polar coordinates,
     W_cl(r, theta) = W_cl(r, 0) e^{i m theta} with m = k - j, into an exact
-    angle factor times one radial rule of px points on [0, R(N)].  With
+    angle factor times one radial rule of px panels on [0, R(N)].  With
     bridge_ctx the values come from the h-dependent Gaussian bridge on the
     2-D grid instead of the h-free table.
     """
-    px, py = points or (_axis_points(lx, N), _axis_points(ly, N))
+    nodes = nodes or PANEL_NODES
+    px, py = panels or (_panel_count(lx, N), _panel_count(ly, N))
     polar = math.isinf(lx) and math.isinf(ly) and bridge_ctx is None
     R = flandrin_domain_radius(N)
     lx, ly = min(lx, R), min(ly, R)
+    square = not polar and (ly, py) == (lx, px)
     if polar:
-        rule = _panel_rule(R, px)
+        rule = gl_panel_rule(0.0, R, px, nodes)
         x, y, w = rule.nodes, np.zeros_like(rule.nodes), rule.weights * rule.nodes
+    elif square and bridge_ctx is None:
+        # the table at (eta, x) is the one at (x, eta) turned by pi/2 - 2 theta,
+        # so the square grid folds onto its upper triangle (half weight on
+        # the diagonal)
+        rule = gl_panel_rule(0.0, lx, px, nodes)
+        a, b = np.triu_indices(rule.nodes.size)
+        x, y = rule.nodes[a], rule.nodes[b]
+        w = rule.weights[a] * rule.weights[b] * np.where(a == b, 0.5, 1.0)
     else:
-        rule_x = _panel_rule(lx, px)
-        rule_y = rule_x if (ly, py) == (lx, px) else _panel_rule(ly, py)
+        rule_x = gl_panel_rule(0.0, lx, px, nodes)
+        rule_y = rule_x if square else gl_panel_rule(0.0, ly, py, nodes)
         x, y, w = _grid(rule_x, rule_y)
-        w = w.astype(complex)
     if bridge_ctx is None:
-        entries = classical_wigner_diagonals(N, x, y)
-    else:
-        pairs = ((j, k) for j in range(N + 1) for k in range(j, N + 1))
-        entries = ((j, k, classical_wigner_bridge(j, k, x, y, bridge_ctx)) for j, k in pairs)
+        M = _table_sums(N, x, y, w, mirror=square)
+        if polar:
+            j = np.arange(N + 1)
+            m = j[None, :] - j[:, None]
+            M *= _EIGHTH_ROOTS[m % 8] * _quarter_angle(m)
+        return M
     M = np.zeros((N + 1, N + 1), dtype=complex)
-    for j, k, vals in entries:
-        s = complex(np.dot(vals, w))
-        M[j, k] = _quarter_angle(k - j) * s if polar else s
-        M[k, j] = np.conjugate(M[j, k])
+    for j in range(N + 1):
+        for k in range(j, N + 1):
+            # numpy's pairwise sum: its order does not depend on the thread count
+            M[j, k] = np.sum(classical_wigner_bridge(j, k, x, y, bridge_ctx) * w)
+            M[k, j] = np.conjugate(M[j, k])
     return M
 
 
 def _classical_rect_doubled(N: int, lx: float, ly: float, bridge_ctx=None):
-    """`_classical_rect` with the points on both axes doubled until two sweeps
-    agree entrywise to 1e-9 (each axis starts from at least 3 panels, so every
-    doubling refines both rules).  Returns (M, (px, py), agreement) of the
-    last sweep; raises QuadratureConvergenceError after MAX_DOUBLINGS."""
-    px = max(_axis_points(lx, N), 3 * PANEL_NODES)
-    py = max(_axis_points(ly, N), 3 * PANEL_NODES)
-    M = _classical_rect(N, lx, ly, (px, py), bridge_ctx)
-    agreement = math.inf
-    for _ in range(MAX_DOUBLINGS):
-        px, py = 2 * px, 2 * py
-        M, prev = _classical_rect(N, lx, ly, (px, py), bridge_ctx), M
-        agreement = float(np.max(np.abs(M - prev)))
+    """`_classical_rect` on PANEL_NODES-node panels, checked by a sweep on the
+    same panels with CHECK_NODES nodes (1.25 times the points per axis).  Only
+    while the two disagree entrywise by more than 1e-9 are the panels doubled
+    on both axes (each axis starts from at least 3).  Returns (M, (px, py),
+    agreement) of the accepted PANEL_NODES sweep, in points per axis; raises
+    QuadratureConvergenceError after MAX_DOUBLINGS."""
+    panels = (_panel_count(lx, N), _panel_count(ly, N))
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if doubling:
+            panels = (2 * panels[0], 2 * panels[1])
+        M = _classical_rect(N, lx, ly, panels, PANEL_NODES, bridge_ctx)
+        check = _classical_rect(N, lx, ly, panels, CHECK_NODES, bridge_ctx)
+        agreement = float(np.max(np.abs(M - check)))
+        points = (panels[0] * PANEL_NODES, panels[1] * PANEL_NODES)
         if agreement <= 1e-9:
-            return M, (px, py), agreement
+            return M, points, agreement
     raise QuadratureConvergenceError(
-        f"panel doubling stalled at {agreement:.3e} > 1e-9 ({px}, {py} pts per axis)"
+        f"panel doubling stalled at {agreement:.3e} > 1e-9 ({points[0]}, {points[1]} pts per axis)"
     )
+
+
+# ---------------------------------------------------------------------------
+# The quarter plane in closed form.
+# ---------------------------------------------------------------------------
+
+
+def _quarter_plane(N: int) -> np.ndarray:
+    """The quarter-plane matrix M(inf), 0 <= j,k <= N, as the real symmetric
+    R = D M D*, D = diag(e^{i pi j/4}), which has the same spectrum.
+
+    With m = k - j >= 0 the entry is M_jk = e^{i m pi/4} s_m c_m u_j, where
+    e^{i m pi/4} s_m is the angle factor (`_quarter_angle`),
+    c_m = Gamma(m/2+1) 2^{m/2+1} / (4 pi sqrt(m!)) and u_j is the normalized
+    2F1(-j, m/2+1; m+1; 2) of the exact radial integral, from Gauss's
+    contiguous relation:
+
+        u_0 = 1,  u_n = (u_{n-1} + sqrt((n-1)(n-1+m)) u_{n-2}) / sqrt(n (n+m)).
+
+    So R_jk = s_m c_m u_j: exactly 0 at m = 0 mod 4, m > 0, and 1/4 on the
+    diagonal.  No quadrature runs.
+    """
+    if not 0 <= N <= MAX_QUARTER_N:
+        raise ValueError(f"the closed quarter plane needs Hermite degree N in [0, {MAX_QUARTER_N}], got {N}")
+    m = np.arange(N + 1)
+    log_c = [math.lgamma(k / 2.0 + 1.0) + (k / 2.0 + 1.0) * math.log(2.0) - 0.5 * math.lgamma(k + 1.0)
+             for k in range(N + 1)]
+    coef = _quarter_angle(m) * np.exp(log_c) / (4.0 * math.pi)
+    R = np.empty((N + 1, N + 1))
+    prev, u = np.zeros(N + 1), np.ones(N + 1)
+    for n in range(N + 1):
+        L = N + 1 - n
+        if n:
+            mm = m[:L]
+            prev, u = u[:L], (u[:L] + np.sqrt((n - 1.0) * (n - 1.0 + mm)) * prev[:L]) / np.sqrt(n * (n + mm))
+        R[n, n:] = R[n:, n] = coef[:L] * u
+    return R
+
+
+def _quarter_plane_matrix(N: int) -> np.ndarray:
+    """M(inf) = D* R D in closed form (see `_quarter_plane`); the leading
+    block of the degree-N matrix is the matrix of that degree, bit for bit."""
+    d = _EIGHTH_ROOTS[np.arange(N + 1) % 8]
+    return _quarter_plane(N) * np.multiply.outer(d.conj(), d)

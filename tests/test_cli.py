@@ -320,7 +320,7 @@ def test_usage_and_domain_errors_exit_1(capsys):
         ["wigner", "--j", "0", "--k", "0", "--grid", "1"],
         ["wigner", "--symbol", "tensorradial:(one,1);(one,1)"],
         ["flandrin", "--a", "0.0"],
-        ["flandrin", "--a", "1.0", "--N", "200"],
+        ["flandrin", "--a", "1.0", "--N", "1025"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -445,6 +445,13 @@ def test_config_echoes_only_what_the_run_used(capsys):
         assert main(argv) == 0, argv
         config = json.loads(capsys.readouterr().out)["config"]
         assert "h" not in config, argv
+        # neither command reads a symbol, so none sets the dimension
+        assert "symbol" not in config and "d" not in config, argv
+    assert main(["stochext", "--nmax", "4", "--samples", "1000", "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert "N" not in config and config["params"]["nmax"] == 4  # one nmax
+    assert main(["flandrin", "--a", "inf", "--N", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["N"] == 4
     assert main(["spectrum", "--symbol", "tensorradial:(one,1);(exp:nu=2.0,1)", "--N", "2",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["d"] == 2
@@ -455,8 +462,17 @@ def test_flandrin_spec_names_the_route(capsys):
     for a in ("inf", "1.0"):
         assert main(["flandrin", "--a", a, "--N", "4"]) == 0
         specs[a] = json.loads(capsys.readouterr().out)["quadrature"]["spec"]
-    assert specs["inf"].startswith("polar: exact angle, radial GL panels on [0,")
+    assert specs["inf"].startswith("closed: 2F1 recurrence")
     assert specs["1.0"].startswith("GL panels on [0,1]^2")
+
+
+def test_flandrin_finite_box_at_degree_256_passes(capsys):
+    assert main(["flandrin", "--a", "2.0", "--N", "256"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["contract"]["passed"] is True
+    table = dict(rep["results"]["convergence"])
+    assert sorted(table) == [2, 4, 8, 16, 32, 64, 128, 256]
+    assert abs(table[32] - 1.002064639852) <= 1e-7  # the N = 32 top of the a = 2 box
 
 
 def test_quadrature_stall_exits_2(monkeypatch, capsys):
@@ -473,15 +489,15 @@ def test_quadrature_stall_exits_2(monkeypatch, capsys):
 
 def test_box_stall_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
-    assert main(["spectrum", "--symbol", "box:a=inf", "--N", "48"]) == 2
+    assert main(["spectrum", "--symbol", "box:a=3.0", "--N", "48"]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["contract"]["name"] == "quadrature convergence"
     assert "stalled" in record["contract"]["error"]
 
 
 def test_box_degree_limit_exits_1(capsys):
-    assert main(["spectrum", "--symbol", "box:a=1.0", "--N", "129"]) == 1
-    assert "128" in capsys.readouterr().err
+    assert main(["spectrum", "--symbol", "box:a=1.0", "--N", "1025"]) == 1
+    assert "1024" in capsys.readouterr().err
 
 
 def test_contract_failure_exits_2(monkeypatch, capsys):

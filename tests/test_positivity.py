@@ -4,6 +4,7 @@ Garding bound, and the classical box-localization spectrum."""
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from gaussweyl.basis import CalcContext, TruncationSet
@@ -257,6 +258,85 @@ def test_flandrin_quarter_plane_tops_match_polar_oracle():
         assert abs(top - want) <= 1e-10, n
 
 
+def test_quarter_plane_closed_entries_match_mpmath_oracle():
+    # the 2F1 recurrence against the hypergeometric closed form in mpmath
+    M = flandrin_matrix(math.inf, 256)
+    for j, k in [(0, 0), (0, 5), (1, 4), (3, 3), (17, 100), (60, 61), (90, 180),
+                 (128, 255), (200, 203), (10, 250), (255, 256), (256, 256)]:
+        want = oracles.flandrin_quarter_entry(j, k)
+        assert abs(M[j, k] - want) <= 1e-14, (j, k)
+        assert abs(M[k, j] - np.conjugate(want)) <= 1e-14, (j, k)
+
+
+def test_quarter_plane_vanishes_at_multiples_of_four():
+    # R = D M D* is real symmetric, and its angle factor 2 sin(m pi/4)/m is
+    # exactly 0 at m = 0 mod 4 (m > 0): those entries are exact zeros
+    R = wigner._quarter_plane(64)
+    M = flandrin_matrix(math.inf, 64)
+    assert R.dtype == float and np.array_equal(R, R.T)
+    assert np.all(np.diag(R) == 0.25)
+    for m in range(4, 65, 4):
+        j = np.arange(65 - m)
+        assert np.all(R[j, j + m] == 0.0) and np.all(M[j, j + m] == 0.0), m
+    assert np.all(R[np.arange(63), np.arange(63) + 2] != 0.0)
+
+
+@pytest.mark.parametrize("N", [16, 64, 128])
+def test_quarter_plane_closed_matches_polar_sweep(N):
+    closed = flandrin_matrix(math.inf, N)
+    polar = wigner._classical_rect(N, math.inf, math.inf)
+    assert np.max(np.abs(closed - polar)) <= 1e-12
+
+
+def test_quarter_plane_top_at_256_frozen():
+    # frozen from oracles.flandrin_quarter_tops(256) (mpmath entries)
+    rep = flandrin_search(math.inf, 256)
+    assert abs(rep.top_eigenvalue - 1.0029195458385436) <= 1e-12
+    assert [n for n, _ in rep.convergence] == [2, 4, 8, 16, 32, 64, 128, 256]
+    assert rep.quad.startswith("closed: 2F1 recurrence; polar check on n <= 128")
+    assert rep.panel_agreement <= 1e-12
+    assert rep.h_invariance_dev <= 1e-8 and rep.bridge_vs_table <= 1e-8
+
+
+def test_panel_check_sweeps_the_same_panels_with_more_nodes(monkeypatch):
+    sweeps = []
+    sweep = wigner._classical_rect
+
+    def recording(N, lx, ly, panels=None, nodes=None, bridge_ctx=None):
+        sweeps.append((panels, nodes))
+        return sweep(N, lx, ly, panels, nodes, bridge_ctx)
+
+    monkeypatch.setattr(wigner, "_classical_rect", recording)
+    M, points, agreement = wigner._classical_rect_doubled(16, 2.0, 2.0)
+    p = wigner._panel_count(2.0, 16)
+    assert sweeps == [((p, p), 16), ((p, p), 20)]
+    assert points == (16 * p, 16 * p) and agreement <= 1e-9
+    assert np.array_equal(M, sweep(16, 2.0, 2.0))  # the accepted sweep is the 16-node one
+
+
+@pytest.mark.parametrize("rule", ["2-node panels", "coarse start"])
+def test_panel_check_flags_under_resolved_rules(monkeypatch, rule):
+    """The 16/20-node comparison sees an under-resolved rule: 6 points per
+    axis on 2-node panels (the rule the stall exit test uses), and a coarse
+    start of 3 panels per axis at degree 48.  Each still disagrees by more
+    than 1e-9 after its doubling, so the sweep raises; the rule sized from a
+    and N passes on the same square."""
+    N, a = (8, 1.0) if rule == "2-node panels" else (48, 5.5)
+    _, _, agreement = wigner._classical_rect_doubled(N, a, a)
+    assert agreement <= 1e-9
+    if rule == "2-node panels":
+        monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 6)
+        monkeypatch.setattr(wigner, "PANEL_NODES", 2)
+    else:
+        monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
+    with pytest.raises(QuadratureConvergenceError, match="stalled"):
+        wigner._classical_rect_doubled(N, a, a)
+
+
+def test_flandrin_search_is_deterministic():
+    assert flandrin_search(2.0, 16) == flandrin_search(2.0, 16)
+
+
 def test_flandrin_search_quarter_plane():
     rep = flandrin_search(math.inf, 16)
     assert abs(rep.top_eigenvalue - 1.000771558) <= 1e-8
@@ -290,12 +370,12 @@ def test_flandrin_finite_box_can_beat_quarter_plane():
 def test_flandrin_search_guards(monkeypatch):
     with pytest.raises(ValueError):
         flandrin_search(0.0, 4)
-    for N in (-1, 129):
+    for a, N, limit in ((1.0, -1, 1024), (1.0, 1025, 1024), (math.inf, -1, 4096), (math.inf, 4097, 4096)):
         # the degree is checked before any radius is formed
-        with pytest.raises(ValueError, match=r"degree N in \[0, 128\]"):
-            flandrin_search(1.0, N)
-        with pytest.raises(ValueError, match=r"degree N in \[0, 128\]"):
-            flandrin_matrix(1.0, N)
+        with pytest.raises(ValueError, match=rf"degree N in \[0, {limit}\]"):
+            flandrin_search(a, N)
+        with pytest.raises(ValueError, match=rf"degree N in \[0, {limit}\]"):
+            flandrin_matrix(a, N)
     # an under-resolved rule (6 points per axis on 2-node panels) stalls
     monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 6)
     monkeypatch.setattr(wigner, "PANEL_NODES", 2)

@@ -188,6 +188,25 @@ def test_box_section_matches_rectangle_oracle():
                 assert abs(M[j, k] - want[j, k, rect]) <= 1e-10, (h, a, j, k)
 
 
+def test_box_section_at_degree_256_matches_rectangle_oracle():
+    # above the former limit 128 the normalized rows keep the whole section
+    # finite, and its low-degree corner is the rectangle integral
+    lam = math.sqrt(2.0 * math.pi)
+    om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 256), CalcContext(h=1.0))
+    M = om.entries
+    assert M.shape == (257, 257) and np.all(np.isfinite(M))
+    assert om.meta["route"] == "box panels"
+    for j, k in ((0, 0), (0, 1), (1, 3), (2, 2)):
+        assert abs(M[j, k] - oracles.flandrin_rect_entry(j, k, lam, 1.0 / lam)) <= 1e-10, (j, k)
+
+
+def test_quarter_plane_box_section_is_closed():
+    om = assemble_matrix(box_symbol(math.inf), TruncationSet(1, 40), CalcContext(h=0.3))
+    assert om.meta["route"] == "closed: quarter-plane 2F1 recurrence"
+    assert om.meta["quadrature_order"] == 0
+    assert np.max(np.abs(om.entries - wigner._quarter_plane_matrix(40))) == 0.0
+
+
 def test_box_section_embeds_the_one_pair_section():
     # the box sees the first pair only: I_ab = M[a_1, b_1] delta(a_2, b_2)
     ctx = CalcContext(h=1.0)
@@ -214,29 +233,33 @@ def test_box_needs_the_closed_wigner_route():
 
 
 def test_box_degree_limit():
-    # the classical table's zeta**m and prefactor overflow past degree 128
+    # the classical table on a quadrature rule stops at degree 1024
     ctx = CalcContext(h=1.0)
-    with pytest.raises(ValueError, match="128"):
-        assemble_matrix(box_symbol(1.0), TruncationSet(1, 129), ctx)
-    with pytest.raises(ValueError, match="128"):
-        matrix_element(box_symbol(1.0), MultiIndex.from_tuple((129,)), MultiIndex(), ctx)
+    with pytest.raises(ValueError, match="1024"):
+        assemble_matrix(box_symbol(1.0), TruncationSet(1, 1025), ctx)
+    with pytest.raises(ValueError, match="1024"):
+        matrix_element(box_symbol(1.0), MultiIndex.from_tuple((1025,)), MultiIndex(), ctx)
     om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 128), ctx)
     assert np.all(np.isfinite(om.entries))
 
 
 def test_box_stalled_doubling_raises(monkeypatch):
-    # three panels per axis, doubled twice, cannot resolve degree 48
+    # three panels per axis, doubled once, cannot resolve degree 48 on the
+    # rectangle of box(3) (the quarter plane runs no quadrature)
     monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
     ctx = CalcContext(h=1.0)
     f = HermiteExpansion.single((48,), 1.0)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
-        assemble_matrix(box_symbol(math.inf), TruncationSet(1, 48), ctx)
+        assemble_matrix(box_symbol(3.0), TruncationSet(1, 48), ctx)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
-        matrix_element(box_symbol(math.inf), MultiIndex.from_tuple((48,)), MultiIndex(), ctx)
+        matrix_element(box_symbol(3.0), MultiIndex.from_tuple((48,)), MultiIndex(), ctx)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
-        quadratic_form(box_symbol(math.inf), f, f, ctx)
-    # small degrees still converge on the same coarse start
-    assert abs(matrix_element(box_symbol(math.inf), MultiIndex(), MultiIndex(), ctx) - 0.25) <= 1e-12
+        quadratic_form(box_symbol(3.0), f, f, ctx)
+    # small degrees still converge on the same coarse start: I_00 is the
+    # rectangle mass of 2 e^{-2 pi r^2}, (1/4) erf(s lambda a) erf(s a/lambda)
+    lam = s = math.sqrt(2.0 * math.pi)
+    want = 0.25 * math.erf(s * lam * 3.0) * math.erf(s * 3.0 / lam)
+    assert abs(matrix_element(box_symbol(3.0), MultiIndex(), MultiIndex(), ctx) - want) <= 1e-12
 
 
 def test_hermite_expansion_bookkeeping():

@@ -3,10 +3,12 @@ generating function, tensorization, and the classical (h-free) table."""
 
 import math
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
 
+from gaussweyl import wigner
 from gaussweyl.basis import CalcContext, MultiIndex, hermite_eval
 from gaussweyl.gaussian import gh_rule
 from gaussweyl.wigner import (
@@ -243,3 +245,28 @@ def test_diagonal_stream_masks_far_field():
     for j, k, vals in classical_wigner_diagonals(60, x, eta):
         assert np.all(np.isfinite(vals))
         assert vals[1] == 0.0
+
+
+def test_normalized_rows_match_mpmath_where_plain_rows_pass_1e150():
+    """The table's radial rows g_n = sqrt(n!/(n+m)!) z^{m/2} e^{-z/2}
+    L_n^{(m)}(z) against 50-digit mpmath, at degrees where the rows pass
+    RESCALE and are rescaled (the plain rows leave the double range there)."""
+    m, nmax = 40, 300
+    z = np.linspace(0.5, 4.0 * nmax + 2.0 * m + 60.0, 25)
+    keep, zz, log_z, _ = wigner._table_points(nmax + m, np.sqrt(z / (4.0 * math.pi)), np.zeros_like(z))
+    assert keep.all()
+    got, scales, peak = {}, [], 0.0
+    for n0, rows, scale in wigner._diagonal_blocks(m, nmax, zz, log_z):
+        peak = max(peak, float(np.max(np.abs(rows))))
+        if not scales or scale is not scales[-1]:
+            scales.append(scale)
+        for n, row in enumerate(rows, start=n0):
+            if n in (0, 37, 150, 299, 300):
+                got[n] = row * scale
+    assert peak > wigner.RESCALE and len(scales) > 1
+    with mpmath.workdps(50):
+        for n, g in got.items():
+            norm = mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(n + m))
+            want = np.array([float(norm * mpmath.mpf(t) ** (m / 2) * mpmath.exp(-mpmath.mpf(t) / 2)
+                                   * mpmath.laguerre(n, m, mpmath.mpf(t))) for t in zz])
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want)), n

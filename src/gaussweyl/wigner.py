@@ -274,9 +274,10 @@ def classical_wigner_bridge(j: int, k: int, x, eta, ctx: CalcContext):
     x = np.asarray(x, dtype=float)
     eta = np.asarray(eta, dtype=float)
     c = math.sqrt(2.0 * math.pi * ctx.h)
-    val = 2.0 * np.exp(-2.0 * math.pi * (x * x + eta * eta)) * wigner_closed(
-        j, k, c * x, c * eta, ctx
-    )
+    val = wigner_closed(j, k, c * x, c * eta, ctx)
+    # in place: a fresh grid-sized product per call costs more in page
+    # faults than in arithmetic
+    val *= 2.0 * np.exp(-2.0 * math.pi * (x * x + eta * eta))
     return val if np.shape(val) else complex(val)
 
 
@@ -395,8 +396,10 @@ def _classical_rect(N: int, lx: float, ly: float, panels=None, nodes=None, bridg
     M = np.zeros((N + 1, N + 1), dtype=complex)
     for j in range(N + 1):
         for k in range(j, N + 1):
+            vals = classical_wigner_bridge(j, k, x, y, bridge_ctx)
+            vals *= w
             # numpy's pairwise sum: its order does not depend on the thread count
-            M[j, k] = np.sum(classical_wigner_bridge(j, k, x, y, bridge_ctx) * w)
+            M[j, k] = np.sum(vals)
             M[k, j] = np.conjugate(M[j, k])
     return M
 

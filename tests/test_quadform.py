@@ -257,7 +257,8 @@ def test_box_stalled_doubling_raises(monkeypatch):
         quadratic_form(box_symbol(3.0), f, f, ctx)
     # small degrees still converge on the same coarse start: I_00 is the
     # rectangle mass of 2 e^{-2 pi r^2}, (1/4) erf(s lambda a) erf(s a/lambda)
-    lam = s = math.sqrt(2.0 * math.pi)
+    s = math.sqrt(2.0 * math.pi)
+    lam = math.sqrt(2.0 * math.pi * ctx.h)
     want = 0.25 * math.erf(s * lam * 3.0) * math.erf(s * 3.0 / lam)
     assert abs(matrix_element(box_symbol(3.0), MultiIndex(), MultiIndex(), ctx) - want) <= 1e-12
 

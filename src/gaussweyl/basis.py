@@ -233,13 +233,6 @@ def _laguerre_normalized(nmax: int, alpha: int, z: np.ndarray, start, rows=None)
         yield new
 
 
-def _laguerre_rows(nmax: int, alpha: int, z: np.ndarray, start):
-    """Yield start * L_n^(alpha)(z) for n = 0..nmax: the rows of
-    `_laguerre_normalized` multiplied back by sqrt(C(n + alpha, n))."""
-    for n, row in enumerate(_laguerre_normalized(nmax, alpha, z, start)):
-        yield row * math.sqrt(math.comb(n + alpha, n))
-
-
 def laguerre_eval(k: int, alpha: int, x):
     """Generalized Laguerre polynomial L_k^(alpha)(x) by the normalized
     forward recurrence of `_laguerre_normalized`, started at

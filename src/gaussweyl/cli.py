@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,50 +70,8 @@ _PROPOSITIONS = {
 
 
 # ---------------------------------------------------------------------------
-# Config echo and report plumbing.
+# Report plumbing.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; echoed verbatim into every output.
-
-    A field the command does not use stays None and is not echoed: `seed`
-    for the deterministic commands, `h` for the h-free ones, `symbol` and
-    `d` where no symbol sets the run's dimension, `N` where no truncation
-    degree is taken."""
-
-    command: str
-    symbol: str | None = None
-    h: float | None = None
-    N: int | None = None
-    d: int | None = None
-    seed: int | None = None
-    output: str | None = None
-    format: str = "json"
-    params: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.h is not None and not self.h > 0:
-            raise ValueError("--h must be > 0")
-        if self.N is not None and self.N < 0:
-            raise ValueError("--N must be >= 0")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("--seed must be >= 0")
-
-    def as_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "symbol": self.symbol,
-            "h": self.h,
-            "N": self.N,
-            "d": self.d,
-            "seed": self.seed,
-            "output": self.output,
-            "format": self.format,
-            "params": dict(self.params),
-        }
-        return {key: value for key, value in out.items() if value is not None or key == "output"}
 
 
 def _jsonable(v):
@@ -182,30 +139,31 @@ def _csv_text(header, columns) -> str:
     return text
 
 
-def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_rows=None,
+def _emit(args, quadrature, contract, results, csv_header=None, csv_rows=None,
           csv_columns=None) -> int:
-    """Write the report; return the exit code mandated by the contract.  A CSV
+    """Write the report; return the exit code mandated by the contract.  The
+    report's `config` is the parsed command line, in parser order.  A CSV
     table comes as `csv_rows` or, column by column, as `csv_columns`."""
-    proposition = _PROPOSITIONS[cfg.command]
+    proposition = _PROPOSITIONS[args.command]
     ok = bool(contract.get("passed", False))
     report = {
         "tool": TOOL,
         "version": __version__,
-        "command": cfg.command,
+        "command": args.command,
         "proposition": proposition,
-        "config": _jsonable(cfg.as_dict()),
+        "config": _jsonable({k: v for k, v in vars(args).items() if k != "func"}),
         "quadrature": _jsonable(quadrature),
         "contract": _jsonable(contract),
     }
     sys.stderr.write(
-        f"# {TOOL} {__version__} {cfg.command} | {proposition} | "
+        f"# {TOOL} {__version__} {args.command} | {proposition} | "
         f"contract {'PASS' if ok else 'FAIL'}\n"
     )
-    if cfg.format == "json":
+    if args.format == "json":
         report["results"] = _jsonable(results)
         text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-        if cfg.output:
-            with open(cfg.output, "w", newline="") as fh:
+        if args.output:
+            with open(args.output, "w", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
@@ -214,35 +172,15 @@ def _emit(cfg: RunConfig, quadrature, contract, results, csv_header=None, csv_ro
             csv_columns = list(zip(*csv_rows))
         data = _csv_text(csv_header, csv_columns)
         meta = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-        if cfg.output:
-            with open(cfg.output, "w", newline="") as fh:
+        if args.output:
+            with open(args.output, "w", newline="") as fh:
                 fh.write(data)
-            with open(cfg.output + ".meta.json", "w", newline="") as fh:
+            with open(args.output + ".meta.json", "w", newline="") as fh:
                 fh.write(meta)
         else:
             sys.stdout.write(data)
             sys.stderr.write(meta)
     return 0 if ok else 2
-
-
-def _config(args, command: str, **fields) -> RunConfig:
-    """The validated RunConfig of `command`: output, format and, where the
-    command registers them, h and the seed come from `args`; `fields` holds
-    the command's own fields."""
-    cfg = RunConfig(
-        command=command,
-        h=getattr(args, "h", None),
-        seed=getattr(args, "seed", None),
-        output=args.output,
-        format=args.format,
-        **fields,
-    )
-    cfg.validate()
-    return cfg
-
-
-def _ctx(cfg: RunConfig) -> CalcContext:
-    return CalcContext(h=cfg.h)
 
 
 def _quad_block(ladder_ran: bool, **extra) -> dict:
@@ -258,15 +196,11 @@ def _quad_block(ladder_ran: bool, **extra) -> dict:
 
 
 def cmd_wigner(args) -> int:
-    params = {"j": args.j, "k": args.k, "grid": args.grid, "radius": args.radius}
-    degrees = (args.j, args.k)
-    N = None if None in degrees else max(degrees)
-    cfg = _config(args, "wigner", symbol=args.symbol, N=N, params=params)
     if (args.symbol is None) == (args.j is None or args.k is None):
         raise ValueError("give either --j and --k, or --symbol (not both)")
     if args.grid < 2 or not args.radius > 0:
         raise ValueError("--grid must be >= 2 and --radius > 0")
-    ctx = _ctx(cfg)
+    ctx = CalcContext(h=args.h)
     axis = np.linspace(-args.radius, args.radius, args.grid)
     xg = np.repeat(axis, args.grid)
     gg = np.tile(axis, args.grid)
@@ -286,7 +220,7 @@ def cmd_wigner(args) -> int:
         vals = np.asarray(wigner_closed(args.j, args.k, xg, gg, ctx), dtype=complex)
         # The defining integral carries e^{zeta^2/h}; spot points within
         # 3 sqrt(h) keep its conditioning that of the default run.
-        r = min(args.radius, 3.0 * math.sqrt(cfg.h))
+        r = min(args.radius, 3.0 * math.sqrt(ctx.h))
         pts = [(0.37 * r, -0.21 * r), (0.11 * r, 0.64 * r), (-0.53 * r, 0.29 * r)]
         resid = 0.0
         for px, pxi in pts:
@@ -302,21 +236,19 @@ def cmd_wigner(args) -> int:
         }
         quad = _quad_block(True)
     results = {"points": args.grid**2, "rows": None}
-    if cfg.format == "json":
+    if args.format == "json":
         results["rows"] = list(zip(xg.tolist(), gg.tolist(), vals.real.tolist(), vals.imag.tolist()))
-        return _emit(cfg, quad, contract, results)
+        return _emit(args, quad, contract, results)
     # Each axis value is spelled once and reused down the x and xi columns.
     cells = [repr(v) for v in axis.tolist()]
     columns = ([c for c in cells for _ in range(args.grid)], cells * args.grid,
                vals.real.tolist(), vals.imag.tolist())
-    return _emit(cfg, quad, contract, results, ("x", "xi", "re", "im"), csv_columns=columns)
+    return _emit(args, quad, contract, results, ("x", "xi", "re", "im"), csv_columns=columns)
 
 
-def _symbol_matrix(args, command):
+def _symbol_matrix(args):
     sym = parse_symbol(args.symbol)
-    cfg = _config(args, command, symbol=args.symbol, N=args.N, d=sym.d)
-    om = assemble_matrix(sym, TruncationSet(sym.d, args.N), _ctx(cfg))
-    return cfg, om
+    return assemble_matrix(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h))
 
 
 def _section_quad_block(meta: dict) -> dict:
@@ -325,7 +257,7 @@ def _section_quad_block(meta: dict) -> dict:
 
 
 def cmd_opmatrix(args) -> int:
-    cfg, om = _symbol_matrix(args, "opmatrix")
+    om = _symbol_matrix(args)
     herm = float(np.max(np.abs(om.entries - om.entries.conj().T)))
     scale = max(1.0, float(np.max(np.abs(om.entries))))
     contract = {
@@ -336,12 +268,12 @@ def cmd_opmatrix(args) -> int:
     quad = _section_quad_block(om.meta)
     row_index, col_index = np.indices(om.entries.shape).reshape(2, -1).tolist()
     rows = list(zip(row_index, col_index, om.entries.real.ravel().tolist(), om.entries.imag.ravel().tolist()))
-    results = {"basis_size": om.size, "entries": rows if cfg.format == "json" else None}
-    return _emit(cfg, quad, contract, results, ("row_index", "col_index", "re", "im"), rows)
+    results = {"basis_size": om.size, "entries": rows if args.format == "json" else None}
+    return _emit(args, quad, contract, results, ("row_index", "col_index", "re", "im"), rows)
 
 
 def cmd_spectrum(args) -> int:
-    cfg, om = _symbol_matrix(args, "spectrum")
+    om = _symbol_matrix(args)
     eigs = eig_hermitian(om)
     contract = {
         "name": "real spectrum of the hermitian section",
@@ -352,18 +284,11 @@ def cmd_spectrum(args) -> int:
     quad = _section_quad_block(om.meta)
     rows = [(i, float(v)) for i, v in enumerate(eigs)]
     results = {"eigenvalues": [float(v) for v in eigs]}
-    return _emit(cfg, quad, contract, results, ("index", "eigenvalue"), rows)
+    return _emit(args, quad, contract, results, ("index", "eigenvalue"), rows)
 
 
 def cmd_nonpos(args) -> int:
-    cfg = _config(
-        args,
-        "nonpos",
-        symbol=f"gaussian:nu={args.nu},anorm={args.anorm}",
-        N=1,
-        params={"nu": args.nu, "anorm": args.anorm},
-    )
-    ctx = _ctx(cfg)
+    ctx = CalcContext(h=args.h)
     closed, quadval = nonpos_witness(args.nu, args.anorm, ctx)
     diff = abs(closed - quadval)
     contract = {
@@ -372,7 +297,7 @@ def cmd_nonpos(args) -> int:
         "abs_diff": diff,
         "tolerance": 1e-8,
     }
-    u = cfg.h * args.nu * args.anorm**2
+    u = ctx.h * args.nu * args.anorm**2
     results = {
         "closed": closed,
         "quadrature": quadval,
@@ -382,15 +307,14 @@ def cmd_nonpos(args) -> int:
     }
     rows = [("closed", closed), ("quadrature", quadval), ("abs_diff", diff)]
     quad = _quad_block(True, route=NONPOS_QUADRATURE_ROUTE)
-    return _emit(cfg, quad, contract, results, ("quantity", "value"), rows)
+    return _emit(args, quad, contract, results, ("quantity", "value"), rows)
 
 
 def cmd_radial(args) -> int:
     sym = parse_symbol(args.symbol)
     if sym.family not in ("radial", "tensor_radial"):
         raise ValueError("radial needs a radial: or tensorradial: symbol")
-    cfg = _config(args, "radial", symbol=args.symbol, N=args.N, d=sym.d)
-    rp = radial_positivity_check(sym, TruncationSet(sym.d, args.N), _ctx(cfg))
+    rp = radial_positivity_check(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h))
     # The lower bound is a theorem only under the nondecreasing-profile
     # hypothesis; outside it the comparison is reported but not enforced.
     passed = rp.ok if rp.increasing else True
@@ -412,13 +336,12 @@ def cmd_radial(args) -> int:
     rows.append(("bound", rp.bound))
     rows.append(("min_eig", rp.min_eig))
     quad = _section_quad_block(rp.quad_meta)
-    return _emit(cfg, quad, contract, results, ("index", "value"), rows)
+    return _emit(args, quad, contract, results, ("index", "value"), rows)
 
 
 def cmd_garding(args) -> int:
     sym = parse_symbol(args.symbol)
-    cfg = _config(args, "garding", symbol=args.symbol, N=args.N, d=sym.d, params={"eps": args.eps})
-    rep = garding_verify(sym, TruncationSet(sym.d, args.N), _ctx(cfg), eps=args.eps)
+    rep = garding_verify(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h), eps=args.eps)
     contract = {
         "name": "measured min eigenvalue >= Garding bound (margin >= -1e-9)",
         "passed": bool(rep.margin >= -1e-9),
@@ -436,18 +359,11 @@ def cmd_garding(args) -> int:
         ("margin", rep.margin),
     ]
     quad = _section_quad_block(rep.quad_meta)
-    return _emit(cfg, quad, contract, results, ("quantity", "value"), rows)
+    return _emit(args, quad, contract, results, ("quantity", "value"), rows)
 
 
 def cmd_flandrin(args) -> int:
-    a = float(args.a)
-    cfg = _config(
-        args,
-        "flandrin",
-        N=args.N,
-        params={"a": "inf" if math.isinf(a) else a},
-    )
-    rep = flandrin_search(a, args.N)
+    rep = flandrin_search(args.a, args.N)
     contract = {
         "name": "quadrature agreement <= 1e-9 and h-independence <= 1e-8 "
         "(the eigenvalue excess is reported, not asserted)",
@@ -463,21 +379,10 @@ def cmd_flandrin(args) -> int:
     results = rep.as_dict()
     rows = [(n, v) for n, v in rep.convergence]
     quad = {"spec": rep.quad, "domain_radius": rep.domain_radius}
-    return _emit(cfg, quad, contract, results, ("N", "top_eigenvalue"), rows)
+    return _emit(args, quad, contract, results, ("N", "top_eigenvalue"), rows)
 
 
 def cmd_stochext(args) -> int:
-    cfg = _config(
-        args,
-        "stochext",
-        params={
-            "direction": args.direction,
-            "p": args.p,
-            "s": args.s,
-            "samples": args.samples,
-            "nmax": args.nmax,
-        },
-    )
     a = geometric_direction() if args.direction == "geometric" else power_direction()
     ns = sorted(n for n in {0, 1, 2, args.nmax} | {2**k for k in range(2, 12)} if n <= args.nmax)
     # Both directions have infinite support, so a zero closed-form tail is an
@@ -491,7 +396,7 @@ def cmd_stochext(args) -> int:
     rows = []
     worst = 0.0
     ok = True
-    estimates = mc_conv_rate(a, ns, args.p, args.s, args.samples, cfg.seed)
+    estimates = mc_conv_rate(a, ns, args.p, args.s, args.samples, args.seed)
     for n, (est, se) in zip(ns, estimates):
         exact = exact_conv_rate(a, n, args.p, args.s)
         rows.append((n, exact, est, se))
@@ -514,7 +419,7 @@ def cmd_stochext(args) -> int:
         ],
     }
     quad = {"samples": args.samples, "explicit_tail_coords": EXPLICIT_TAIL_COORDS}
-    return _emit(cfg, quad, contract, results, ("n", "exact", "mc_estimate", "std_error"), rows)
+    return _emit(args, quad, contract, results, ("n", "exact", "mc_estimate", "std_error"), rows)
 
 
 def cmd_heatcheck(args) -> int:
@@ -523,11 +428,10 @@ def cmd_heatcheck(args) -> int:
         lam = tuple(int(t) for t in args.lam.split(","))
     else:
         lam = tuple(range(1, min(sym.d, 3) + 1))
-    cfg = _config(args, "heatcheck", symbol=args.symbol, d=sym.d, params={"lam": list(lam), "points": args.points})
-    ctx = _ctx(cfg)
-    rng = coordinate_stream(cfg.seed, 97)
-    x = rng.normal(0.0, math.sqrt(3.0 * cfg.h), size=(args.points, sym.d))
-    xi = rng.normal(0.0, math.sqrt(3.0 * cfg.h), size=(args.points, sym.d))
+    ctx = CalcContext(h=args.h)
+    rng = coordinate_stream(args.seed, 97)
+    x = rng.normal(0.0, math.sqrt(3.0 * ctx.h), size=(args.points, sym.d))
+    xi = rng.normal(0.0, math.sqrt(3.0 * ctx.h), size=(args.points, sym.d))
     residual = decomposition_residual(sym, lam, ctx, (x, xi))
     psi0 = HermiteExpansion.single((), 1.0)
     weyl = quadratic_form(sym, psi0, psi0, ctx)
@@ -551,7 +455,7 @@ def cmd_heatcheck(args) -> int:
         ("antiwick_ground_re", float(np.real(aw))),
     ]
     quad = _section_quad_block({"route": section_route(sym), "grid_points": args.points})
-    return _emit(cfg, quad, contract, results, ("quantity", "value"), rows)
+    return _emit(args, quad, contract, results, ("quantity", "value"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -572,16 +476,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of --N and --seed: a negative value is a usage error,
+    refused before the run starts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(p, default_format: str, with_symbol: bool = False, with_n: bool = False,
                 with_h: bool = True, with_seed: bool = False):
     if with_symbol:
         p.add_argument("--symbol", required=True, help="symbol text, e.g. gaussian:nu=2.0,anorm=1.0")
     if with_n:
-        p.add_argument("--N", type=int, default=4, help="truncation degree")
+        p.add_argument("--N", type=_nonnegative_int, default=4, help="truncation degree")
     if with_h:
         p.add_argument("--h", type=float, default=1.0, help="semiclassical parameter")
     if with_seed:
-        p.add_argument("--seed", type=int, default=0, help="RNG stream (default 0)")
+        p.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG stream (default 0)")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
 
@@ -631,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flandrin",
                        help="top eigenvalue of the box-localization matrix")
-    p.add_argument("--a", required=True, help="box size (positive float or inf)")
-    p.add_argument("--N", type=int, default=32, help="Hermite section degree")
+    p.add_argument("--a", type=float, required=True, help="box size (positive float or inf)")
+    p.add_argument("--N", type=_nonnegative_int, default=32, help="Hermite section degree")
     _add_common(p, "json", with_h=False)
     p.set_defaults(func=cmd_flandrin)
 

@@ -24,7 +24,6 @@ from .gaussian import coordinate_stream, gh_rule, integrate_tensor, ladder
 from .quadform import HermiteExpansion, assemble_matrix, eig_hermitian, quadratic_form
 from .symbols import (
     PhiSpec,
-    SymbolDomainError,
     _eps_resolver,
     box_symbol,
     cv_class_params,
@@ -70,10 +69,6 @@ def nonpos_witness(nu: float, anorm: float, ctx: CalcContext):
     F dmu_{R^2,h/2} = dmu_{R^2,s} / (1 + u) for s = h / (2 (1 + u)), against
     which the closed-form W(psi_1, psi_1) is integrated by the order ladder.
     """
-    if not nu > 0:
-        raise SymbolDomainError("nu", f"must be > 0, got {nu!r}")
-    if not anorm > 0:
-        raise SymbolDomainError("anorm", f"must be > 0, got {anorm!r}")
     h = ctx.h
     ell = HermiteExpansion.single((1,), anorm * math.sqrt(h / 2.0))
     closed = quadratic_form(gaussian_symbol(nu, anorm), ell, ell, ctx).real

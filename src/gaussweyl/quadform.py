@@ -347,7 +347,6 @@ def assemble_matrix(
         "h": ctx.h,
         "N": truncation.max_degree,
         "d": truncation.dims,
-        "symbol_d": sym.d,
         "basis_size": size,
         "route": route,
         "wigner_route": wigner_route,

@@ -328,10 +328,7 @@ def _parse_phispec(text: str, start: int, end: int) -> PhiSpec:
     if body.startswith("exp:"):
         pos = start + 4
         pos = _expect(text, pos, "nu=")
-        nu = _parse_real(text[:end], pos, "nu")
-        if nu <= 0:
-            raise SymbolDomainError("nu", f"must be > 0, got {nu!r}")
-        return PhiSpec(kind="exp", nu=nu)
+        return PhiSpec(kind="exp", nu=_parse_real(text[:end], pos, "nu"))
     if body.startswith("polyexp:"):
         coeff_text = body[len("polyexp:"):]
         if not coeff_text:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report headers, CSV/JSON formats,
 sidecar metadata, and byte determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -141,7 +142,7 @@ def test_section_commands_print_one_quadrature_record(capsys):
     for command in ("opmatrix", "spectrum", "radial", "garding"):
         assert main([command, "--symbol", symbol, "--N", "3", "--format", "json"]) == 0
         blocks.append(json.loads(capsys.readouterr().out)["quadrature"])
-    assert list(blocks[0]) == ["symbol", "h", "N", "d", "symbol_d", "basis_size", "route",
+    assert list(blocks[0]) == ["symbol", "h", "N", "d", "basis_size", "route",
                                "wigner_route", "quadrature_order", "structural_zeros"]
     assert all(block == blocks[0] and list(block) == list(blocks[0]) for block in blocks)
 
@@ -250,7 +251,7 @@ def test_flandrin_csv_output(tmp_path, capsys):
     assert abs(table[2] - 0.722858581) <= 1e-7
     assert abs(table[4] - 0.928749657) <= 1e-7
     meta = json.loads((tmp_path / "fl.csv.meta.json").read_text())
-    assert meta["config"]["params"]["a"] == "inf"
+    assert meta["config"]["a"] == "inf"
     assert meta["proposition"] == "Prop. Flandrin1"
     assert meta["contract"]["passed"] is True
     assert "GL panels" in meta["quadrature"]["spec"]
@@ -449,12 +450,75 @@ def test_config_echoes_only_what_the_run_used(capsys):
         assert "symbol" not in config and "d" not in config, argv
     assert main(["stochext", "--nmax", "4", "--samples", "1000", "--format", "json"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert "N" not in config and config["params"]["nmax"] == 4  # one nmax
+    assert "N" not in config and config["nmax"] == 4  # one nmax
     assert main(["flandrin", "--a", "inf", "--N", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["N"] == 4
     assert main(["spectrum", "--symbol", "tensorradial:(one,1);(exp:nu=2.0,1)", "--N", "2",
                  "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["d"] == 2
+    assert json.loads(capsys.readouterr().out)["quadrature"]["d"] == 2
+
+
+SECTION_KEYS = ["command", "symbol", "N", "h", "output", "format"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["wigner", "--j", "1", "--k", "2", "--grid", "3"],
+     ["command", "j", "k", "symbol", "grid", "radius", "h", "output", "format"]),
+    (["opmatrix", "--symbol", GAUSS, "--N", "2"], SECTION_KEYS),
+    (["spectrum", "--symbol", GAUSS, "--N", "2"], SECTION_KEYS),
+    (["nonpos", "--nu", "2.0", "--anorm", "1.0"], ["command", "nu", "anorm", "h", "output", "format"]),
+    (["radial", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--N", "2"], SECTION_KEYS),
+    (["garding", "--symbol", GAUSS, "--N", "2"], ["command", "eps", *SECTION_KEYS[1:]]),
+    (["flandrin", "--a", "inf", "--N", "4"], ["command", "a", "N", "output", "format"]),
+    (["stochext", "--nmax", "4", "--samples", "1000"],
+     ["command", "direction", "p", "s", "samples", "nmax", "seed", "output", "format"]),
+    (["heatcheck", "--symbol", GAUSS, "--points", "10"],
+     ["command", "lam", "points", "symbol", "h", "seed", "output", "format"]),
+])
+def test_config_is_the_parsed_command_line(argv, keys, capsys):
+    """config holds exactly the options the subcommand registers, in parser
+    order, plus the command; an absent optional option echoes null."""
+    assert main(argv + ["--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config) == keys
+    assert config["command"] == argv[0] and config["output"] is None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    for option, text in given.items():
+        assert str(config[option[2:]]) == text, option
+    for key in ("symbol", "lam"):
+        if key in config and f"--{key}" not in given:
+            assert config[key] is None, key
+
+
+@pytest.mark.parametrize("argv", [
+    ["stochext", "--seed", "-1"],
+    ["heatcheck", "--symbol", GAUSS, "--seed", "-1"],
+    ["opmatrix", "--symbol", GAUSS, "--N", "-1"],
+    ["spectrum", "--symbol", GAUSS, "--N", "-1"],
+    ["radial", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--N", "-1"],
+    ["garding", "--symbol", GAUSS, "--N", "-1"],
+    ["flandrin", "--a", "inf", "--N", "-1"],
+])
+def test_negative_seed_and_degree_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    cap = capsys.readouterr()
+    assert f"error: argument {argv[-2]}: must be >= 0, got -1" in cap.err
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
+def test_json_output_file_equals_the_stdout_report(tmp_path, capsys):
+    argv = ["garding", "--symbol", GAUSS, "--N", "3"]
+    assert main(argv) == 0
+    streamed = capsys.readouterr()
+    out = tmp_path / "garding.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == streamed.err  # the header line only
+    written = json.loads(out.read_text())
+    want = json.loads(streamed.out)
+    assert written["config"].pop("output") == str(out)
+    assert want["config"].pop("output") is None
+    assert json.dumps(written) == json.dumps(want)  # key order included
 
 
 def test_flandrin_spec_names_the_route(capsys):
@@ -559,7 +623,7 @@ def test_csv_emission_is_byte_identical_to_per_cell_formatting(capsys):
         (np.float64(math.nan), 1e-310, 2.5e300, np.float64(math.inf)),
     ]
     plain = [(0.1, -0.0, 3, "x"), (math.inf, math.nan, -1, "y")]
-    cfg = cli.RunConfig(command="wigner", format="csv")
+    cfg = argparse.Namespace(command="wigner", format="csv", output=None)
     for table in (rows, plain):
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -592,7 +656,7 @@ def test_csv_emission_quotes_strings_as_csv_writer(capsys):
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(table)
-    cfg = cli.RunConfig(command="wigner", format="csv")
+    cfg = argparse.Namespace(command="wigner", format="csv", output=None)
     assert cli._emit(cfg, {}, {"passed": True}, {}, header, table) == 0
     assert capsys.readouterr().out == buf.getvalue()
     columns = [list(col) for col in zip(*table)]

@@ -393,24 +393,24 @@ def cmd_stochext(args) -> int:
                 f"--nmax {args.nmax}: the closed-form {a.name} tail underflows to 0 "
                 f"at n = {n}; the geometric direction allows --nmax <= 1074"
             )
-    rows = []
-    worst = 0.0
-    ok = True
+    # One family at the two-sided rate of a single 3 sigma row: by Bonferroni,
+    # correct code fails some row with at most that chance (rows share draws).
+    from statistics import NormalDist  # only this command needs it
+
+    rate = 0.0027
+    sigmas = NormalDist().inv_cdf(1.0 - 0.5 * rate / len(ns))
     estimates = mc_conv_rate(a, ns, args.p, args.s, args.samples, args.seed)
-    for n, (est, se) in zip(ns, estimates):
-        exact = exact_conv_rate(a, n, args.p, args.s)
-        rows.append((n, exact, est, se))
-        if se > 0:
-            z = abs(est - exact) / se
-            worst = max(worst, z)
-            ok = ok and z <= 3.0
-        else:
-            ok = ok and est == exact
+    rows = [(n, exact_conv_rate(a, n, args.p, args.s), est, se) for n, (est, se) in zip(ns, estimates)]
+    z = [abs(est - exact) / se for _, exact, est, se in rows if se > 0]
+    worst = max(z, default=0.0)
+    ok = all(v <= sigmas for v in z) and all(est == exact for _, exact, est, se in rows if se == 0)
     contract = {
-        "name": "MC estimate brackets the closed-form rate within 3 standard errors",
+        "name": "MC estimates bracket the closed-form rates, all rows at a family-wise false-alarm rate of 0.27%",
         "passed": bool(ok),
         "worst_z_score": worst,
-        "tolerance_sigmas": 3.0,
+        "rows": len(ns),
+        "per_row_sigmas": sigmas,
+        "family_wise_rate": rate,
     }
     results = {
         "direction": a.name,

@@ -31,11 +31,9 @@ from .symbols import (
     gaussian_symbol,
 )
 from .wigner import (
-    CHECK_NODES,
-    PANEL_NODES,
     _classical_rect,
     _classical_rect_doubled,
-    _panel_count,
+    _polar_spec,
     _quarter_plane,
     _quarter_plane_matrix,
     flandrin_domain_radius,
@@ -294,7 +292,7 @@ POLAR_CHECK_N = 128
 def flandrin_matrix(a: float, N: int, bridge_ctx: CalcContext | None = None) -> np.ndarray:
     """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N: the
     closed quarter plane at a = inf, otherwise the square case of the
-    classical rectangle sweep (the 2-D panel grid on [0, min(a, R(N))]^2).
+    classical rectangle sweep (the polar rule on [0, a)^2 cut at R(N)).
     With bridge_ctx the entries are rebuilt through the h-dependent Gaussian
     bridge on the 2-D grid instead (the h-cancellation self-check)."""
     if math.isinf(a) and bridge_ctx is None:
@@ -339,8 +337,8 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     At a = inf the matrix is the closed quarter plane, solved as the real
     symmetric R of `_quarter_plane`; the check is one polar sweep on the
     leading block n = min(N, POLAR_CHECK_N), compared entrywise.  For finite a
-    the matrix comes from the classical rectangle sweep, checked by the sweep
-    on the same panels with CHECK_NODES nodes.  The bridge (2-D panels) is a
+    the matrix comes from the polar sweep of the square, checked by the sweep
+    on the same radial panels with more nodes.  The bridge (2-D panels) is a
     further independent route on the section min(N, 8).
 
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
@@ -354,13 +352,11 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
         nb = min(N, POLAR_CHECK_N)
         L = flandrin_domain_radius(nb)
         agreement = float(np.max(np.abs(_classical_rect(nb, a, a) - _quarter_plane_matrix(nb))))
-        quad_desc = (f"closed: 2F1 recurrence; polar check on n <= {nb}: exact angle, radial GL panels "
-                     f"on [0,{L:.6g}], {_panel_count(a, nb) * PANEL_NODES} pts, {PANEL_NODES} nodes/panel")
+        quad_desc = f"closed: 2F1 recurrence; polar check on n <= {nb}: {_polar_spec(nb, a, a)[1]}"
     else:
         L = min(a, flandrin_domain_radius(N))
-        M, (pts, _), agreement = _classical_rect_doubled(N, a, a)
-        quad_desc = (f"GL panels on [0,{L:.6g}]^2, {pts} pts/axis, {PANEL_NODES} nodes/panel, "
-                     f"checked against {CHECK_NODES} nodes/panel")
+        M, refine, agreement = _classical_rect_doubled(N, a, a)
+        quad_desc = f"polar: {_polar_spec(N, a, a, refine)[1]}"
     sections = sorted({2**k for k in range(1, N.bit_length())} | {N})
     convergence = tuple(
         (n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))) for n in sections

@@ -22,7 +22,7 @@ import numpy as np
 from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
 from .gaussian import LADDER_POLICY, MAX_GH_ORDER, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import _classical_rect_doubled, _quarter_plane_matrix, wigner_closed, wigner_on_rule
+from .wigner import _classical_rect_doubled, _polar_spec, _quarter_plane_matrix, wigner_closed, wigner_on_rule
 
 MAX_MATRIX_SIZE = 4096
 
@@ -241,8 +241,8 @@ def _tensor_element(sym, alpha, beta, ctx, wigner_route="closed"):
 
 
 def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
-    """The one-pair section of box(a), 0 <= j,k <= N, and the points per axis
-    of its accepted rule (0 for the closed quarter plane at a = inf).
+    """The one-pair section of box(a), 0 <= j,k <= N, and the radial points
+    of its accepted polar rule (0 for the closed quarter plane at a = inf).
     (x, xi) = lambda (u, v), lambda = sqrt(2 pi h), turns W(psi_j, psi_k)
     e^{-r^2/h} dx dxi / (pi h) into W_cl(phi_j, phi_k) du dv and the box into
     the rectangle [0, lambda a) x [0, a/lambda)."""
@@ -251,8 +251,8 @@ def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
     if math.isinf(sym.a):
         return _quarter_plane_matrix(N), 0
     lam = math.sqrt(2.0 * math.pi * ctx.h)
-    table, points, _ = _classical_rect_doubled(N, lam * sym.a, sym.a / lam)
-    return table, max(points)
+    table, refine, _ = _classical_rect_doubled(N, lam * sym.a, sym.a / lam)
+    return table, _polar_spec(N, lam * sym.a, sym.a / lam, refine)[0]
 
 
 def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed"):

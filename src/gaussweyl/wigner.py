@@ -213,30 +213,26 @@ def _diagonal_blocks(m: int, nmax: int, z: np.ndarray, log_z: np.ndarray):
                 scale = np.exp(log_scale)
 
 
-def _table_sums(N: int, x, eta, w, mirror: bool = False) -> np.ndarray:
-    """S_jk = sum_p w_p W_cl(phi_j, phi_k)(x_p, eta_p), 0 <= j, k <= N
-    (Hermitian).  Each diagonal m dots the real rows of `_diagonal_blocks`
-    with the real and imaginary parts of one complex weight per point,
-    e^{i m theta} w scale, as one matrix product per block.  BLAS divides a
-    product's rows and columns among its threads, never the point axis, so
-    the sums do not depend on the thread count.
-
-    With `mirror` each point also stands for its mirror image (eta, x), at
-    angle pi/2 - theta, whose weight e^{i m (pi/2 - theta)} = i^m
-    e^{-i m theta} joins its own: a square grid folded on its diagonal."""
-    keep, z, log_z, theta = _table_points(N, x, eta)
-    turn = np.exp(1j * theta)
-    phase = np.asarray(w, dtype=float).ravel()[keep].astype(complex)  # w e^{i m theta}
+def _table_sums(N: int, r, w, theta1, theta2) -> np.ndarray:
+    """S_jk = int W_cl(phi_j, phi_k) over the arcs theta1(r) <= theta <=
+    theta2(r), 0 <= j, k <= N (Hermitian), on a radial rule (nodes r inside
+    R(N), weights w of r dr).  Diagonal m is 2 (-1)^j g_j e^{i m theta}, so
+    the angle integrates exactly: node p weighs it by w_p (e^{i m theta2_p} -
+    e^{i m theta1_p})/(i m), w_p (theta2_p - theta1_p) at m = 0.  Each
+    diagonal dots the real rows of `_diagonal_blocks` with the real and
+    imaginary parts of those weights, one matrix product per block.  BLAS
+    divides a product's rows and columns among its threads, never the point
+    axis, so the sums do not depend on the thread count."""
+    z = 4.0 * math.pi * r * r
+    log_z = np.log(z)
     sign = np.where(np.arange(N + 1) % 2 == 0, 2.0, -2.0)
     S = np.zeros((N + 1, N + 1), dtype=complex)
     for m in range(N + 1):
-        if m:
-            phase *= turn
-        both = phase + 1j**m * phase.conj() if mirror else phase
+        arc = w * (np.exp(1j * m * theta2) - np.exp(1j * m * theta1)) / (1j * m) if m else w * (theta2 - theta1) + 0j
         weights = last = None
         for n0, rows, scale in _diagonal_blocks(m, N - m, z, log_z):
             if scale is not last:
-                weights, last = (both * scale).view(float).reshape(-1, 2), scale
+                weights, last = (arc * scale).view(float).reshape(-1, 2), scale
             sums = rows @ weights
             j = np.arange(n0, n0 + len(rows))
             S[j, j + m] = sign[j] * (sums[:, 0] + 1j * sums[:, 1])
@@ -333,66 +329,77 @@ def _axis_points(L: float, N: int) -> int:
     return max(48, int(math.ceil(4.8 * L * math.sqrt(N + 1.0))) + 32)
 
 
-def _panel_count(L: float, N: int) -> int:
-    """Panels on one axis: `_axis_points` on PANEL_NODES-node panels, at least 3."""
-    return max(3, math.ceil(_axis_points(L, N) / PANEL_NODES))
+def _polar_points(length, sweep, N: int):
+    """Points of a piece of the polar rule: as `_axis_points` per unit of
+    `length`, plus N + 1 per radian its arc ends sweep (e^{i m theta} turns
+    with them, m <= N), plus 32.  Elementwise over arrays."""
+    return 4.8 * length * math.sqrt(N + 1.0) + (N + 1.0) * sweep + 32.0
 
 
-def _grid(rule_x, rule_y):
-    x = np.repeat(rule_x.nodes, rule_y.nodes.size)
-    y = np.tile(rule_y.nodes, rule_x.nodes.size)
-    w = np.multiply.outer(rule_x.weights, rule_y.weights).ravel()
-    return x, y, w
+def _polar_rule(N: int, lx: float, ly: float, nodes: int, refine: int):
+    """(r, weights of r dr, theta1(r), theta2(r)) for the rectangle
+    [0, lx) x [0, ly) cut at R(N): the circle of radius r meets it in the arc
+    arccos(min(1, lx/r)) <= theta <= arcsin(min(1, ly/r)).
+
+    Three pieces end at the short side, the long side and the corner.  Where
+    a piece starts at c > 0 an arc end moves with a square-root singularity;
+    r = c cosh s removes it (arcsin(c/r) = pi/2 - arctan(sinh s)).  Each
+    piece has `refine` times one panel per PANEL_NODES of its `_polar_points`,
+    with `nodes` Gauss-Legendre nodes in s; the edges are placed where the
+    count, tabulated in s, passes equal steps."""
+    R = flandrin_domain_radius(N)
+
+    def arc(r):
+        with np.errstate(divide="ignore"):  # r = 0 meets the whole quarter
+            return np.arccos(np.minimum(1.0, lx / r)), np.arcsin(np.minimum(1.0, ly / r))
+
+    t, v = np.polynomial.legendre.leggauss(nodes)
+    pieces = []
+    start, width = 0.0, math.pi / 2.0
+    for end in sorted(min(e, R) for e in (lx, ly, math.hypot(lx, ly))):
+        if end <= start:
+            continue
+        s = np.linspace(0.0, math.acosh(end / start) if start else end, 4097)
+        rs = start * np.cosh(s) if start else s
+        theta1, theta2 = arc(rs)
+        spent = _polar_points(rs - start, width - (theta2 - theta1), N)
+        panels = refine * math.ceil(spent[-1] / PANEL_NODES)
+        edges = np.interp(np.linspace(spent[0], spent[-1], panels + 1), spent, s)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        s = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * t).ravel()
+        ws = (half[:, None] * v).ravel()
+        if start:
+            s, ws = start * np.cosh(s), ws * start * np.sinh(s)
+        pieces.append((s, ws))
+        start, width = end, float(theta2[-1] - theta1[-1])
+    r, w = map(np.concatenate, zip(*pieces))
+    return r, w * r, *arc(r)
 
 
-def _quarter_angle(m) -> np.ndarray:
-    """s_m = 2 sin(m pi/4)/m (pi/2 at m = 0), elementwise over integer m: the
-    quarter-plane angle factor int_0^{pi/2} e^{i m theta} d theta is
-    e^{i m pi/4} s_m.  Exactly 0 at m = 0 mod 4, m != 0."""
-    m = np.asarray(m)
-    return np.where(m == 0, math.pi / 2.0, 2.0 * _SIN_EIGHTH[m % 8] / np.where(m == 0, 1, m))
+def _polar_spec(N: int, lx: float, ly: float, refine=None):
+    """(points, description) of the polar rule accepted at `refine` (None: one unchecked sweep)."""
+    points = _polar_rule(N, lx, ly, PANEL_NODES, refine or 1)[0].size
+    L = min(math.hypot(lx, ly), flandrin_domain_radius(N))
+    spec = f"exact arc, radial GL panels on [0,{L:.6g}], {points} pts, {PANEL_NODES} nodes/panel"
+    return points, spec + (f", checked against {CHECK_NODES} nodes/panel" if refine else "")
 
 
-def _classical_rect(N: int, lx: float, ly: float, panels=None, nodes=None, bridge_ctx=None) -> np.ndarray:
+def _classical_rect(N: int, lx: float, ly: float, refine: int = 1, nodes=None, bridge_ctx=None) -> np.ndarray:
     """M_jk = int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k) du dv, 0 <= j,k <= N, in
-    one table sweep on Gauss-Legendre panels (`panels` = (px, py) per axis,
-    by default `_panel_count`) of `nodes` nodes (default PANEL_NODES).
-
-    Each side is cut at R(N), past which the table is below double precision.
-    The quarter plane (both sides inf) separates in polar coordinates,
-    W_cl(r, theta) = W_cl(r, 0) e^{i m theta} with m = k - j, into an exact
-    angle factor times one radial rule of px panels on [0, R(N)].  With
-    bridge_ctx the values come from the h-dependent Gaussian bridge on the
-    2-D grid instead of the h-free table.
+    one table sweep on `_polar_rule` (`nodes` per panel, default PANEL_NODES).
+    With bridge_ctx the values come instead from the h-dependent Gaussian
+    bridge, pair by pair, on a 2-D panel grid (`_axis_points` per side cut at
+    R(N)): the independent route.
     """
     nodes = nodes or PANEL_NODES
-    px, py = panels or (_panel_count(lx, N), _panel_count(ly, N))
-    polar = math.isinf(lx) and math.isinf(ly) and bridge_ctx is None
-    R = flandrin_domain_radius(N)
-    lx, ly = min(lx, R), min(ly, R)
-    square = not polar and (ly, py) == (lx, px)
-    if polar:
-        rule = gl_panel_rule(0.0, R, px, nodes)
-        x, y, w = rule.nodes, np.zeros_like(rule.nodes), rule.weights * rule.nodes
-    elif square and bridge_ctx is None:
-        # the table at (eta, x) is the one at (x, eta) turned by pi/2 - 2 theta,
-        # so the square grid folds onto its upper triangle (half weight on
-        # the diagonal)
-        rule = gl_panel_rule(0.0, lx, px, nodes)
-        a, b = np.triu_indices(rule.nodes.size)
-        x, y = rule.nodes[a], rule.nodes[b]
-        w = rule.weights[a] * rule.weights[b] * np.where(a == b, 0.5, 1.0)
-    else:
-        rule_x = gl_panel_rule(0.0, lx, px, nodes)
-        rule_y = rule_x if square else gl_panel_rule(0.0, ly, py, nodes)
-        x, y, w = _grid(rule_x, rule_y)
     if bridge_ctx is None:
-        M = _table_sums(N, x, y, w, mirror=square)
-        if polar:
-            j = np.arange(N + 1)
-            m = j[None, :] - j[:, None]
-            M *= _EIGHTH_ROOTS[m % 8] * _quarter_angle(m)
-        return M
+        return _table_sums(N, *_polar_rule(N, lx, ly, nodes, refine))
+    R = flandrin_domain_radius(N)
+    rules = {L: gl_panel_rule(0.0, min(L, R), refine * math.ceil(_axis_points(L, N) / PANEL_NODES), nodes)
+             for L in {lx, ly}}  # one rule for both sides of a square
+    x = np.repeat(rules[lx].nodes, rules[ly].nodes.size)
+    y = np.tile(rules[ly].nodes, rules[lx].nodes.size)
+    w = np.multiply.outer(rules[lx].weights, rules[ly].weights).ravel()
     M = np.zeros((N + 1, N + 1), dtype=complex)
     for j in range(N + 1):
         for k in range(j, N + 1):
@@ -406,23 +413,19 @@ def _classical_rect(N: int, lx: float, ly: float, panels=None, nodes=None, bridg
 
 def _classical_rect_doubled(N: int, lx: float, ly: float, bridge_ctx=None):
     """`_classical_rect` on PANEL_NODES-node panels, checked by a sweep on the
-    same panels with CHECK_NODES nodes (1.25 times the points per axis).  Only
-    while the two disagree entrywise by more than 1e-9 are the panels doubled
-    on both axes (each axis starts from at least 3).  Returns (M, (px, py),
-    agreement) of the accepted PANEL_NODES sweep, in points per axis; raises
-    QuadratureConvergenceError after MAX_DOUBLINGS."""
-    panels = (_panel_count(lx, N), _panel_count(ly, N))
+    same panels with CHECK_NODES nodes.  Only while the two disagree entrywise
+    by more than 1e-9 are the panels doubled.  Returns (M, refine, agreement)
+    of the accepted PANEL_NODES sweep, refine being its panel multiplier;
+    raises QuadratureConvergenceError after MAX_DOUBLINGS."""
     for doubling in range(MAX_DOUBLINGS + 1):
-        if doubling:
-            panels = (2 * panels[0], 2 * panels[1])
-        M = _classical_rect(N, lx, ly, panels, PANEL_NODES, bridge_ctx)
-        check = _classical_rect(N, lx, ly, panels, CHECK_NODES, bridge_ctx)
+        refine = 2**doubling
+        M = _classical_rect(N, lx, ly, refine, PANEL_NODES, bridge_ctx)
+        check = _classical_rect(N, lx, ly, refine, CHECK_NODES, bridge_ctx)
         agreement = float(np.max(np.abs(M - check)))
-        points = (panels[0] * PANEL_NODES, panels[1] * PANEL_NODES)
         if agreement <= 1e-9:
-            return M, points, agreement
+            return M, refine, agreement
     raise QuadratureConvergenceError(
-        f"panel doubling stalled at {agreement:.3e} > 1e-9 ({points[0]}, {points[1]} pts per axis)"
+        f"panel doubling stalled at {agreement:.3e} > 1e-9 at {refine}x the sized panels"
     )
 
 
@@ -436,8 +439,8 @@ def _quarter_plane(N: int) -> np.ndarray:
     R = D M D*, D = diag(e^{i pi j/4}), which has the same spectrum.
 
     With m = k - j >= 0 the entry is M_jk = e^{i m pi/4} s_m c_m u_j, where
-    e^{i m pi/4} s_m is the angle factor (`_quarter_angle`),
-    c_m = Gamma(m/2+1) 2^{m/2+1} / (4 pi sqrt(m!)) and u_j is the normalized
+    e^{i m pi/4} s_m = int_0^{pi/2} e^{i m theta} d theta, s_m = 2 sin(m pi/4)/m
+    (pi/2 at m = 0), c_m = Gamma(m/2+1) 2^{m/2+1} / (4 pi sqrt(m!)) and u_j is the normalized
     2F1(-j, m/2+1; m+1; 2) of the exact radial integral, from Gauss's
     contiguous relation:
 
@@ -451,7 +454,8 @@ def _quarter_plane(N: int) -> np.ndarray:
     m = np.arange(N + 1)
     log_c = [math.lgamma(k / 2.0 + 1.0) + (k / 2.0 + 1.0) * math.log(2.0) - 0.5 * math.lgamma(k + 1.0)
              for k in range(N + 1)]
-    coef = _quarter_angle(m) * np.exp(log_c) / (4.0 * math.pi)
+    angle = np.where(m == 0, math.pi / 2.0, 2.0 * _SIN_EIGHTH[m % 8] / np.maximum(m, 1))
+    coef = angle * np.exp(log_c) / (4.0 * math.pi)
     R = np.empty((N + 1, N + 1))
     prev, u = np.zeros(N + 1), np.ones(N + 1)
     for n in range(N + 1):

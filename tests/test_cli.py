@@ -294,6 +294,33 @@ def test_stochext_rows_stay_within_nmax(capsys):
     assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 1]
 
 
+@pytest.mark.parametrize("direction, seed", [("power", 110), ("power", 128), ("geometric", 113)])
+def test_stochext_rows_past_3_sigma_pass_as_a_family(direction, seed, capsys):
+    # one row of each run lies past 3 standard errors (z 3.07, 3.33, 3.26):
+    # correct code, inside the per-row bound of the 12-row family
+    argv = ["stochext", "--direction", direction, "--nmax", "1024", "--samples", "100000",
+            "--seed", str(seed), "--format", "json"]
+    assert main(argv) == 0
+    contract = json.loads(capsys.readouterr().out)["contract"]
+    assert contract["rows"] == 12 and contract["family_wise_rate"] == 0.0027
+    assert abs(contract["per_row_sigmas"] - 3.6892) <= 1e-4
+    assert 3.0 < contract["worst_z_score"] <= contract["per_row_sigmas"]
+
+
+def test_stochext_fails_a_row_off_by_5_standard_errors(monkeypatch, capsys):
+    argv = ["stochext", "--nmax", "1024", "--samples", "4000", "--seed", "7", "--format", "json"]
+    assert main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["results"]["rows"][4]
+    assert row["n"] == 8
+    # move the closed form 5 standard errors away from the estimate
+    shift = 5.0 * row["std_error"] * math.copysign(1.0, row["mc_estimate"] - row["exact"])
+    exact = cli.exact_conv_rate
+    monkeypatch.setattr(cli, "exact_conv_rate", lambda a, n, p, s: exact(a, n, p, s) - (shift if n == 8 else 0.0))
+    assert main(argv) == 2
+    contract = json.loads(capsys.readouterr().out)["contract"]
+    assert contract["passed"] is False and contract["worst_z_score"] >= 5.0
+
+
 def test_stochext_geometric_underflow_exits_1(capsys):
     argv = ["stochext", "--direction", "geometric", "--samples", "1000", "--format", "json"]
     assert main(argv + ["--nmax", "1075"]) == 1
@@ -526,8 +553,9 @@ def test_flandrin_spec_names_the_route(capsys):
     for a in ("inf", "1.0"):
         assert main(["flandrin", "--a", a, "--N", "4"]) == 0
         specs[a] = json.loads(capsys.readouterr().out)["quadrature"]["spec"]
-    assert specs["inf"].startswith("closed: 2F1 recurrence")
-    assert specs["1.0"].startswith("GL panels on [0,1]^2")
+    assert specs["inf"].startswith("closed: 2F1 recurrence; polar check on n <= 4: exact arc, radial GL panels")
+    assert specs["1.0"].startswith("polar: exact arc, radial GL panels on [0,1.41421]")
+    assert specs["1.0"].endswith("16 nodes/panel, checked against 20 nodes/panel")
 
 
 def test_flandrin_finite_box_at_degree_256_passes(capsys):
@@ -540,7 +568,8 @@ def test_flandrin_finite_box_at_degree_256_passes(capsys):
 
 
 def test_quadrature_stall_exits_2(monkeypatch, capsys):
-    # an under-resolved rule: 6 points per axis on 2-node panels
+    # an under-resolved rule: the polar rule on 2-node panels (and the
+    # bridge grid 6 points per axis)
     monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 6)
     monkeypatch.setattr(wigner, "PANEL_NODES", 2)
     rc = main(["flandrin", "--a", "1.0", "--N", "8"])
@@ -552,7 +581,8 @@ def test_quadrature_stall_exits_2(monkeypatch, capsys):
 
 
 def test_box_stall_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
+    # one point per unit radius and per radian swept
+    monkeypatch.setattr(wigner, "_polar_points", lambda length, sweep, N: length + sweep)
     assert main(["spectrum", "--symbol", "box:a=3.0", "--N", "48"]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["contract"]["name"] == "quadrature convergence"

@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from gaussweyl.basis import CalcContext, TruncationSet
-from gaussweyl.gaussian import QuadratureConvergenceError
+from gaussweyl.gaussian import QuadratureConvergenceError, gl_panel_rule
 from gaussweyl.positivity import (
     flandrin_domain_radius,
     flandrin_matrix,
@@ -22,6 +22,7 @@ from gaussweyl.positivity import (
 )
 from gaussweyl import quadform, wigner
 from gaussweyl.quadform import HermiteExpansion
+from gaussweyl.wigner import classical_wigner_diagonals
 from gaussweyl.symbols import (
     PhiSpec,
     SymbolDomainError,
@@ -231,13 +232,76 @@ def test_flandrin_domain_radius_clips_large_boxes():
     assert np.max(np.abs(M1 - M2)) <= 1e-12
 
 
+def _grid_table(N, lx, ly):
+    """int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k), 0 <= j,k <= N, on a 2-D
+    Gauss-Legendre grid (16-node panels, about 4 sqrt(N+1) points per unit
+    length, each side cut at R(N)), summed entry by entry over the streamed
+    table: the independent route to the polar sweep."""
+    R = flandrin_domain_radius(N)
+    rx, ry = (gl_panel_rule(0.0, min(L, R), 1 + math.ceil(4.0 * min(L, R) * math.sqrt(N + 1.0) / 16), 16)
+              for L in (lx, ly))
+    x = np.repeat(rx.nodes, ry.nodes.size)
+    y = np.tile(ry.nodes, rx.nodes.size)
+    w = np.multiply.outer(rx.weights, ry.weights).ravel()
+    M = np.zeros((N + 1, N + 1), dtype=complex)
+    for j, k, vals in classical_wigner_diagonals(N, x, y):
+        M[j, k] = vals @ w
+        M[k, j] = np.conjugate(M[j, k])
+    return M
+
+
 def test_flandrin_polar_route_matches_panel_grid():
-    # a = inf takes the polar route (exact angle, radial rule); a = R(N)
-    # integrates the same truncated domain on the 2-D panel grid
+    # a = inf (closed) and a = R(N) (the polar rule's one piece) integrate
+    # the same truncated domain as the 2-D grid on [0, R(N)]^2
     for N in (4, 16, 32):
-        polar = flandrin_matrix(math.inf, N)
-        grid = flandrin_matrix(flandrin_domain_radius(N), N)
-        assert np.max(np.abs(polar - grid)) <= 1e-12, N
+        R = flandrin_domain_radius(N)
+        grid = _grid_table(N, R, R)
+        for a in (math.inf, R):
+            assert np.max(np.abs(flandrin_matrix(a, N) - grid)) <= 1e-12, (N, a)
+
+
+@pytest.mark.parametrize("lx, ly, degrees", [
+    (1.0, 1.0, (8, 64, 128)),
+    (2.0, 2.0, (8, 64, 128)),
+    (6.0, 6.0, (8, 64)),
+    (2.5066, 0.3989, (8, 64, 128)),  # `box:a=1.0` at h = 1: lambda x 1/lambda
+    (0.3, 8.0, (8, 64, 128)),  # a moving arc end sweeps nearly the whole quarter
+], ids=["1x1", "2x2", "6x6", "box-a1-h1", "0.3x8"])
+def test_polar_sweep_matches_grid_sum(lx, ly, degrees):
+    # nested sections share their entries, so one grid at the largest degree
+    # checks every degree
+    grid = _grid_table(max(degrees), lx, ly)
+    for N in degrees:
+        M, refine, agreement = wigner._classical_rect_doubled(N, lx, ly)
+        assert refine == 1 and agreement <= 1e-9, N
+        assert np.max(np.abs(M - grid[: N + 1, : N + 1])) <= 1e-10, N
+
+
+def test_panel_check_refuses_a_rule_without_the_cosh_substitution(monkeypatch):
+    """The same pieces and points on panels uniform in r with plain
+    Gauss-Legendre nodes: the square-root singularity where the moving arc
+    end of 0.3 x 8 starts is left in the integrand, and the 16/20-node
+    check sees it through its doubling."""
+    def ungraded(N, lx, ly, nodes, refine):
+        R = flandrin_domain_radius(N)
+        r, w = [], []
+        start, width = 0.0, math.pi / 2.0
+        for end in sorted(min(e, R) for e in (lx, ly, math.hypot(lx, ly))):
+            if end > start:
+                t1, t2 = math.acos(min(1.0, lx / end)), math.asin(min(1.0, ly / end))
+                points = wigner._polar_points(end - start, width - (t2 - t1), N)
+                rule = gl_panel_rule(start, end, refine * math.ceil(points / wigner.PANEL_NODES), nodes)
+                r.append(rule.nodes)
+                w.append(rule.weights * rule.nodes)
+                start, width = end, t2 - t1
+        r = np.concatenate(r)
+        return r, np.concatenate(w), np.arccos(np.minimum(1.0, lx / r)), np.arcsin(np.minimum(1.0, ly / r))
+
+    _, _, agreement = wigner._classical_rect_doubled(128, 0.3, 8.0)
+    assert agreement <= 1e-9
+    monkeypatch.setattr(wigner, "_polar_rule", ungraded)
+    with pytest.raises(QuadratureConvergenceError, match="stalled"):
+        wigner._classical_rect_doubled(128, 0.3, 8.0)
 
 
 # Frozen from the mpmath polar closed form (oracles.flandrin_quarter_tops).
@@ -302,33 +366,34 @@ def test_panel_check_sweeps_the_same_panels_with_more_nodes(monkeypatch):
     sweeps = []
     sweep = wigner._classical_rect
 
-    def recording(N, lx, ly, panels=None, nodes=None, bridge_ctx=None):
-        sweeps.append((panels, nodes))
-        return sweep(N, lx, ly, panels, nodes, bridge_ctx)
+    def recording(N, lx, ly, refine=1, nodes=None, bridge_ctx=None):
+        sweeps.append((refine, nodes))
+        return sweep(N, lx, ly, refine, nodes, bridge_ctx)
 
     monkeypatch.setattr(wigner, "_classical_rect", recording)
-    M, points, agreement = wigner._classical_rect_doubled(16, 2.0, 2.0)
-    p = wigner._panel_count(2.0, 16)
-    assert sweeps == [((p, p), 16), ((p, p), 20)]
-    assert points == (16 * p, 16 * p) and agreement <= 1e-9
+    M, refine, agreement = wigner._classical_rect_doubled(16, 2.0, 2.0)
+    assert sweeps == [(1, 16), (1, 20)]
+    assert refine == 1 and agreement <= 1e-9
+    # the same panels: the 20-node rule has 1.25 times the points
+    points16, points20 = (wigner._polar_rule(16, 2.0, 2.0, n, 1)[0].size for n in (16, 20))
+    assert 20 * points16 == 16 * points20 == 20 * wigner._polar_spec(16, 2.0, 2.0, 1)[0]
     assert np.array_equal(M, sweep(16, 2.0, 2.0))  # the accepted sweep is the 16-node one
 
 
 @pytest.mark.parametrize("rule", ["2-node panels", "coarse start"])
 def test_panel_check_flags_under_resolved_rules(monkeypatch, rule):
-    """The 16/20-node comparison sees an under-resolved rule: 6 points per
-    axis on 2-node panels (the rule the stall exit test uses), and a coarse
-    start of 3 panels per axis at degree 48.  Each still disagrees by more
-    than 1e-9 after its doubling, so the sweep raises; the rule sized from a
-    and N passes on the same square."""
+    """The 16/20-node comparison sees an under-resolved rule: the sized
+    points on 2-node panels (the rule the stall exit test uses), and a coarse
+    start of one point per unit radius and per radian swept at degree 48.
+    Each still disagrees by more than 1e-9 after its doubling, so the sweep
+    raises; the rule sized from a and N passes on the same square."""
     N, a = (8, 1.0) if rule == "2-node panels" else (48, 5.5)
     _, _, agreement = wigner._classical_rect_doubled(N, a, a)
     assert agreement <= 1e-9
     if rule == "2-node panels":
-        monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 6)
         monkeypatch.setattr(wigner, "PANEL_NODES", 2)
     else:
-        monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
+        monkeypatch.setattr(wigner, "_polar_points", lambda length, sweep, N: length + sweep)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
         wigner._classical_rect_doubled(N, a, a)
 
@@ -376,7 +441,8 @@ def test_flandrin_search_guards(monkeypatch):
             flandrin_search(a, N)
         with pytest.raises(ValueError, match=rf"degree N in \[0, {limit}\]"):
             flandrin_matrix(a, N)
-    # an under-resolved rule (6 points per axis on 2-node panels) stalls
+    # an under-resolved rule (the polar rule on 2-node panels; the bridge
+    # grid 6 points per axis) stalls
     monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 6)
     monkeypatch.setattr(wigner, "PANEL_NODES", 2)
     with pytest.raises(QuadratureConvergenceError):

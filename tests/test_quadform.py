@@ -244,9 +244,10 @@ def test_box_degree_limit():
 
 
 def test_box_stalled_doubling_raises(monkeypatch):
-    # three panels per axis, doubled once, cannot resolve degree 48 on the
+    # one panel per piece of the polar rule (one point per unit radius and
+    # per radian swept), doubled once, cannot resolve degree 48 on the
     # rectangle of box(3) (the quarter plane runs no quadrature)
-    monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
+    monkeypatch.setattr(wigner, "_polar_points", lambda length, sweep, N: length + sweep)
     ctx = CalcContext(h=1.0)
     f = HermiteExpansion.single((48,), 1.0)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):

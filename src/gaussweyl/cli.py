@@ -37,7 +37,6 @@ from .positivity import (
     radial_positivity_check,
 )
 from .quadform import (
-    ROUTE_LADDER,
     HermiteExpansion,
     assemble_matrix,
     eig_hermitian,
@@ -183,11 +182,9 @@ def _emit(args, quadrature, contract, results, csv_header=None, csv_rows=None,
     return 0 if ok else 2
 
 
-def _quad_block(ladder_ran: bool, **extra) -> dict:
-    """Quadrature provenance; the ladder policy appears only when a ladder ran."""
-    block = {"policy": dict(LADDER_POLICY)} if ladder_ran else {}
-    block.update(extra)
-    return block
+def _ladder_block(**extra) -> dict:
+    """Quadrature provenance of a command whose check ran the order ladder."""
+    return {"policy": dict(LADDER_POLICY), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +195,8 @@ def _quad_block(ladder_ran: bool, **extra) -> dict:
 def cmd_wigner(args) -> int:
     if (args.symbol is None) == (args.j is None or args.k is None):
         raise ValueError("give either --j and --k, or --symbol (not both)")
-    if args.grid < 2 or not args.radius > 0:
-        raise ValueError("--grid must be >= 2 and --radius > 0")
+    if args.grid < 2 or not 0 < args.radius < math.inf:
+        raise ValueError("--grid must be >= 2 and --radius finite and > 0")
     ctx = CalcContext(h=args.h)
     axis = np.linspace(-args.radius, args.radius, args.grid)
     xg = np.repeat(axis, args.grid)
@@ -227,14 +224,16 @@ def cmd_wigner(args) -> int:
             c = wigner_closed(args.j, args.k, px, pxi, ctx)
             q = wigner_hermite_quadrature(args.j, args.k, px, pxi, ctx)
             resid = max(resid, abs(complex(c) - complex(q)))
+        nonfinite = int(np.count_nonzero(~np.isfinite(vals)))
         contract = {
             "name": "closed form vs definition integral at 3 spot points",
-            "passed": bool(resid <= 1e-8),
+            "passed": bool(resid <= 1e-8 and nonfinite == 0),
+            "nonfinite_values": nonfinite,
             "max_residual": resid,
             "tolerance": 1e-8,
             "spot_radius": r,
         }
-        quad = _quad_block(True)
+        quad = _ladder_block()
     results = {"points": args.grid**2, "rows": None}
     if args.format == "json":
         results["rows"] = list(zip(xg.tolist(), gg.tolist(), vals.real.tolist(), vals.imag.tolist()))
@@ -251,11 +250,6 @@ def _symbol_matrix(args):
     return assemble_matrix(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h))
 
 
-def _section_quad_block(meta: dict) -> dict:
-    """Quadrature block of a section command; `meta` names its route."""
-    return _quad_block(meta["route"] == ROUTE_LADDER, **meta)
-
-
 def cmd_opmatrix(args) -> int:
     om = _symbol_matrix(args)
     herm = float(np.max(np.abs(om.entries - om.entries.conj().T)))
@@ -265,11 +259,10 @@ def cmd_opmatrix(args) -> int:
         "passed": bool(herm <= 1e-8 * scale),
         "hermiticity_defect": herm,
     }
-    quad = _section_quad_block(om.meta)
     row_index, col_index = np.indices(om.entries.shape).reshape(2, -1).tolist()
     rows = list(zip(row_index, col_index, om.entries.real.ravel().tolist(), om.entries.imag.ravel().tolist()))
     results = {"basis_size": om.size, "entries": rows if args.format == "json" else None}
-    return _emit(args, quad, contract, results, ("row_index", "col_index", "re", "im"), rows)
+    return _emit(args, om.meta, contract, results, ("row_index", "col_index", "re", "im"), rows)
 
 
 def cmd_spectrum(args) -> int:
@@ -281,10 +274,9 @@ def cmd_spectrum(args) -> int:
         "min_eig": float(eigs[0]),
         "max_eig": float(eigs[-1]),
     }
-    quad = _section_quad_block(om.meta)
     rows = [(i, float(v)) for i, v in enumerate(eigs)]
     results = {"eigenvalues": [float(v) for v in eigs]}
-    return _emit(args, quad, contract, results, ("index", "eigenvalue"), rows)
+    return _emit(args, om.meta, contract, results, ("index", "eigenvalue"), rows)
 
 
 def cmd_nonpos(args) -> int:
@@ -306,7 +298,7 @@ def cmd_nonpos(args) -> int:
         "sign_change_at_h_nu_anorm_sq": 1.0,
     }
     rows = [("closed", closed), ("quadrature", quadval), ("abs_diff", diff)]
-    quad = _quad_block(True, route=NONPOS_QUADRATURE_ROUTE)
+    quad = _ladder_block(route=NONPOS_QUADRATURE_ROUTE)
     return _emit(args, quad, contract, results, ("quantity", "value"), rows)
 
 
@@ -335,8 +327,7 @@ def cmd_radial(args) -> int:
     rows = [(i, float(v)) for i, v in enumerate(rp.diagonal)]
     rows.append(("bound", rp.bound))
     rows.append(("min_eig", rp.min_eig))
-    quad = _section_quad_block(rp.quad_meta)
-    return _emit(args, quad, contract, results, ("index", "value"), rows)
+    return _emit(args, rp.quad_meta, contract, results, ("index", "value"), rows)
 
 
 def cmd_garding(args) -> int:
@@ -358,8 +349,7 @@ def cmd_garding(args) -> int:
         ("measured_min_eig", rep.measured_min_eig),
         ("margin", rep.margin),
     ]
-    quad = _section_quad_block(rep.quad_meta)
-    return _emit(args, quad, contract, results, ("quantity", "value"), rows)
+    return _emit(args, rep.quad_meta, contract, results, ("quantity", "value"), rows)
 
 
 def cmd_flandrin(args) -> int:
@@ -423,6 +413,8 @@ def cmd_stochext(args) -> int:
 
 
 def cmd_heatcheck(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     sym = parse_symbol(args.symbol)
     if args.lam:
         lam = tuple(int(t) for t in args.lam.split(","))
@@ -454,7 +446,7 @@ def cmd_heatcheck(args) -> int:
         ("weyl_ground_re", float(np.real(weyl))),
         ("antiwick_ground_re", float(np.real(aw))),
     ]
-    quad = _section_quad_block({"route": section_route(sym), "grid_points": args.points})
+    quad = {"route": section_route(sym), "grid_points": args.points}
     return _emit(args, quad, contract, results, ("quantity", "value"), rows)
 
 

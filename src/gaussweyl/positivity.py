@@ -31,9 +31,10 @@ from .symbols import (
     gaussian_symbol,
 )
 from .wigner import (
-    _classical_rect,
-    _classical_rect_doubled,
-    _polar_spec,
+    _bridge_sweep,
+    _checked,
+    _polar_desc,
+    _polar_sweep,
     _quarter_plane,
     _quarter_plane_matrix,
     flandrin_domain_radius,
@@ -289,15 +290,13 @@ def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2,
 POLAR_CHECK_N = 128
 
 
-def flandrin_matrix(a: float, N: int, bridge_ctx: CalcContext | None = None) -> np.ndarray:
+def flandrin_matrix(a: float, N: int) -> np.ndarray:
     """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N: the
     closed quarter plane at a = inf, otherwise the square case of the
-    classical rectangle sweep (the polar rule on [0, a)^2 cut at R(N)).
-    With bridge_ctx the entries are rebuilt through the h-dependent Gaussian
-    bridge on the 2-D grid instead (the h-cancellation self-check)."""
-    if math.isinf(a) and bridge_ctx is None:
+    classical rectangle sweep (the polar rule on [0, a)^2 cut at R(N))."""
+    if math.isinf(a):
         return _quarter_plane_matrix(N)
-    return _classical_rect(N, a, a, bridge_ctx=bridge_ctx)
+    return _polar_sweep(N, a, a)[0]
 
 
 @dataclass(frozen=True)
@@ -351,12 +350,13 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
         M = _quarter_plane(N)
         nb = min(N, POLAR_CHECK_N)
         L = flandrin_domain_radius(nb)
-        agreement = float(np.max(np.abs(_classical_rect(nb, a, a) - _quarter_plane_matrix(nb))))
-        quad_desc = f"closed: 2F1 recurrence; polar check on n <= {nb}: {_polar_spec(nb, a, a)[1]}"
+        polar, points = _polar_sweep(nb, a, a)
+        agreement = float(np.max(np.abs(polar - _quarter_plane_matrix(nb))))
+        quad_desc = f"closed: 2F1 recurrence; polar check on n <= {nb}: {_polar_desc(nb, a, a, points, False)}"
     else:
         L = min(a, flandrin_domain_radius(N))
-        M, refine, agreement = _classical_rect_doubled(N, a, a)
-        quad_desc = f"polar: {_polar_spec(N, a, a, refine)[1]}"
+        M, points, agreement = _checked(_polar_sweep, N, a, a)
+        quad_desc = f"polar: {_polar_desc(N, a, a, points, True)}"
     sections = sorted({2**k for k in range(1, N.bit_length())} | {N})
     convergence = tuple(
         (n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))) for n in sections
@@ -366,8 +366,8 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     # h-cancellation: rebuild a small section through the Gaussian bridge at
     # two different h values and compare (with the table as a third route).
     nh = min(N, 8)
-    mb1 = flandrin_matrix(a, nh, bridge_ctx=CalcContext(h=0.5))
-    mb2 = flandrin_matrix(a, nh, bridge_ctx=CalcContext(h=2.0))
+    mb1, _ = _bridge_sweep(nh, a, a, CalcContext(h=0.5))
+    mb2, _ = _bridge_sweep(nh, a, a, CalcContext(h=2.0))
     mt = flandrin_matrix(a, nh)
     h_dev = float(np.max(np.abs(mb1 - mb2)))
     bridge_dev = float(max(np.max(np.abs(mb1 - mt)), np.max(np.abs(mb2 - mt))))
@@ -406,7 +406,7 @@ def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
     lhs = quadratic_form(box_symbol(a), f, f, ctx)
     lam = math.sqrt(2.0 * math.pi * ctx.h)
     N = max((idx.degree(1) for idx, _ in f.items()), default=0)
-    M, _, _ = _classical_rect_doubled(N, lam * a, a / lam, bridge_ctx=ctx)
+    M, _, _ = _checked(_bridge_sweep, N, lam * a, a / lam, ctx)
     rhs = sum(ca * np.conjugate(cb) * M[i.degree(1), j.degree(1)]
               for i, ca in f.items() for j, cb in f.items())
     lhs = lhs.real if abs(lhs.imag) < 1e-10 else lhs

@@ -22,7 +22,7 @@ import numpy as np
 from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
 from .gaussian import LADDER_POLICY, MAX_GH_ORDER, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import _classical_rect_doubled, _polar_spec, _quarter_plane_matrix, wigner_closed, wigner_on_rule
+from .wigner import _checked, _polar_sweep, _quarter_plane_matrix, wigner_closed, wigner_on_rule
 
 MAX_MATRIX_SIZE = 4096
 
@@ -251,8 +251,7 @@ def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
     if math.isinf(sym.a):
         return _quarter_plane_matrix(N), 0
     lam = math.sqrt(2.0 * math.pi * ctx.h)
-    table, refine, _ = _classical_rect_doubled(N, lam * sym.a, sym.a / lam)
-    return table, _polar_spec(N, lam * sym.a, sym.a / lam, refine)[0]
+    return _checked(_polar_sweep, N, lam * sym.a, sym.a / lam)[:2]
 
 
 def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed"):

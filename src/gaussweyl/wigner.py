@@ -29,7 +29,7 @@ from .gaussian import TENSOR_BLOCK, QuadratureConvergenceError, gh_rule, gl_pane
 MAX_FLANDRIN_N = 1024
 MAX_QUARTER_N = 4096
 
-# Panel doublings `_classical_rect_doubled` tries before it reports a stall.
+# Panel doublings `_checked` tries before it reports a stall.
 # Each check certifies the rule it returns, so one doubling reaches twice the
 # sized points, the finest rule that a pairwise doubling control certifies
 # after two.
@@ -376,25 +376,20 @@ def _polar_rule(N: int, lx: float, ly: float, nodes: int, refine: int):
     return r, w * r, *arc(r)
 
 
-def _polar_spec(N: int, lx: float, ly: float, refine=None):
-    """(points, description) of the polar rule accepted at `refine` (None: one unchecked sweep)."""
-    points = _polar_rule(N, lx, ly, PANEL_NODES, refine or 1)[0].size
-    L = min(math.hypot(lx, ly), flandrin_domain_radius(N))
-    spec = f"exact arc, radial GL panels on [0,{L:.6g}], {points} pts, {PANEL_NODES} nodes/panel"
-    return points, spec + (f", checked against {CHECK_NODES} nodes/panel" if refine else "")
+def _polar_sweep(N: int, lx: float, ly: float, refine: int = 1, nodes=None):
+    """(M, points): M_jk = int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k) du dv,
+    0 <= j,k <= N, in one table sweep on `_polar_rule` (`nodes` per panel,
+    default PANEL_NODES), and the rule's radial points."""
+    r, w, theta1, theta2 = _polar_rule(N, lx, ly, nodes or PANEL_NODES, refine)
+    return _table_sums(N, r, w, theta1, theta2), r.size
 
 
-def _classical_rect(N: int, lx: float, ly: float, refine: int = 1, nodes=None, bridge_ctx=None) -> np.ndarray:
-    """M_jk = int_{[0,lx) x [0,ly)} W_cl(phi_j, phi_k) du dv, 0 <= j,k <= N, in
-    one table sweep on `_polar_rule` (`nodes` per panel, default PANEL_NODES).
-    With bridge_ctx the values come instead from the h-dependent Gaussian
-    bridge, pair by pair, on a 2-D panel grid (`_axis_points` per side cut at
-    R(N)): the independent route.
-    """
-    nodes = nodes or PANEL_NODES
-    if bridge_ctx is None:
-        return _table_sums(N, *_polar_rule(N, lx, ly, nodes, refine))
+def _bridge_sweep(N: int, lx: float, ly: float, ctx: CalcContext, refine: int = 1, nodes=None):
+    """(M, points): the matrix of `_polar_sweep` from the h-dependent Gaussian
+    bridge at ctx.h instead, pair by pair, on a 2-D panel grid
+    (`_axis_points` per side cut at R(N)): the independent route."""
     R = flandrin_domain_radius(N)
+    nodes = nodes or PANEL_NODES
     rules = {L: gl_panel_rule(0.0, min(L, R), refine * math.ceil(_axis_points(L, N) / PANEL_NODES), nodes)
              for L in {lx, ly}}  # one rule for both sides of a square
     x = np.repeat(rules[lx].nodes, rules[ly].nodes.size)
@@ -403,30 +398,37 @@ def _classical_rect(N: int, lx: float, ly: float, refine: int = 1, nodes=None, b
     M = np.zeros((N + 1, N + 1), dtype=complex)
     for j in range(N + 1):
         for k in range(j, N + 1):
-            vals = classical_wigner_bridge(j, k, x, y, bridge_ctx)
+            vals = classical_wigner_bridge(j, k, x, y, ctx)
             vals *= w
             # numpy's pairwise sum: its order does not depend on the thread count
             M[j, k] = np.sum(vals)
             M[k, j] = np.conjugate(M[j, k])
-    return M
+    return M, x.size
 
 
-def _classical_rect_doubled(N: int, lx: float, ly: float, bridge_ctx=None):
-    """`_classical_rect` on PANEL_NODES-node panels, checked by a sweep on the
-    same panels with CHECK_NODES nodes.  Only while the two disagree entrywise
-    by more than 1e-9 are the panels doubled.  Returns (M, refine, agreement)
-    of the accepted PANEL_NODES sweep, refine being its panel multiplier;
-    raises QuadratureConvergenceError after MAX_DOUBLINGS."""
+def _checked(sweep, N: int, lx: float, ly: float, *args):
+    """`sweep(N, lx, ly, *args, refine, nodes)` on PANEL_NODES-node panels,
+    checked by the sweep on the same panels with CHECK_NODES nodes.  Only
+    while the two disagree entrywise by more than 1e-9 are the panels
+    doubled.  Returns (M, points, agreement) of the accepted PANEL_NODES
+    sweep; raises QuadratureConvergenceError after MAX_DOUBLINGS."""
     for doubling in range(MAX_DOUBLINGS + 1):
         refine = 2**doubling
-        M = _classical_rect(N, lx, ly, refine, PANEL_NODES, bridge_ctx)
-        check = _classical_rect(N, lx, ly, refine, CHECK_NODES, bridge_ctx)
+        M, points = sweep(N, lx, ly, *args, refine, PANEL_NODES)
+        check, _ = sweep(N, lx, ly, *args, refine, CHECK_NODES)
         agreement = float(np.max(np.abs(M - check)))
         if agreement <= 1e-9:
-            return M, refine, agreement
+            return M, points, agreement
     raise QuadratureConvergenceError(
         f"panel doubling stalled at {agreement:.3e} > 1e-9 at {refine}x the sized panels"
     )
+
+
+def _polar_desc(N: int, lx: float, ly: float, points: int, checked: bool) -> str:
+    """The report's description of a polar rule of `points` radial points."""
+    L = min(math.hypot(lx, ly), flandrin_domain_radius(N))
+    spec = f"exact arc, radial GL panels on [0,{L:.6g}], {points} pts, {PANEL_NODES} nodes/panel"
+    return spec + (f", checked against {CHECK_NODES} nodes/panel" if checked else "")
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,31 @@ def test_wigner_spot_radius(capsys):
         assert meta["contract"]["max_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_wigner_refuses_a_non_finite_radius(radius, capsys):
+    assert main(["wigner", "--j", "1", "--k", "1", "--radius", radius, "--grid", "3"]) == 1
+    assert "--radius finite" in capsys.readouterr().err
+
+
+def test_wigner_contract_fails_on_non_finite_values(capsys):
+    # the grid overflows past the spot points, which stay within 3 sqrt(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["wigner", "--j", "1", "--k", "1", "--radius", "1e200", "--grid", "3"]) == 2
+    meta = json.loads("\n".join(capsys.readouterr().err.splitlines()[1:]))
+    assert meta["contract"]["passed"] is False
+    assert meta["contract"]["nonfinite_values"] == 8  # every point but the origin
+    assert meta["contract"]["max_residual"] <= 1e-8
+    assert main(["wigner", "--j", "1", "--k", "1", "--grid", "3"]) == 0
+    meta = json.loads("\n".join(capsys.readouterr().err.splitlines()[1:]))
+    assert meta["contract"]["nonfinite_values"] == 0
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_heatcheck_refuses_an_empty_grid(points, capsys):
+    assert main(["heatcheck", "--symbol", GAUSS, "--points", points]) == 1
+    assert f"--points must be >= 1, got {points}" in capsys.readouterr().err
+
+
 def test_wigner_symbol_grid_json(capsys):
     rc = main(["wigner", "--symbol", "radial:phi=one,d=1", "--grid", "3",
                "--radius", "1.0", "--format", "json"])
@@ -587,6 +612,32 @@ def test_box_stall_exits_2(monkeypatch, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["contract"]["name"] == "quadrature convergence"
     assert "stalled" in record["contract"]["error"]
+
+
+def test_thin_box_section_reports_the_doubled_rule(capsys):
+    # the rectangle 1.005e-4 x 5.0: its sized polar rule has 432 points
+    assert main(["spectrum", "--symbol", "box:a=0.02242", "--h", "3.2e-6", "--N", "64", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["quadrature"]["quadrature_order"] == 864
+
+
+def test_flandrin_fails_a_table_kernel_the_bridge_disagrees_with(monkeypatch, capsys):
+    """A table kernel off by 1e-6 moves both node counts of the polar check
+    together, so only the bridge sees it, and only because the bridge never
+    runs through `_table_sums`."""
+    kernel = wigner._table_sums
+    monkeypatch.setattr(wigner, "_table_sums", lambda *args: kernel(*args) + 1e-6)
+    assert main(["flandrin", "--a", "2.0", "--N", "16"]) == 2
+    contract = json.loads(capsys.readouterr().out)["contract"]
+    assert contract["passed"] is False and contract["panel_agreement"] <= 1e-9
+    assert contract["h_invariance_dev"] <= 1e-8 and abs(contract["bridge_vs_table"] - 1e-6) <= 1e-9
+
+    def refused(*args):
+        raise AssertionError("the bridge ran through the table kernel")
+
+    monkeypatch.setattr(wigner, "_table_sums", refused)
+    bridged, _, agreement = wigner._checked(wigner._bridge_sweep, 4, 2.0, 2.0, CalcContext(h=0.7))
+    assert agreement <= 1e-9
+    assert np.max(np.abs(bridged - kernel(4, *wigner._polar_rule(4, 2.0, 2.0, 16, 1)))) <= 1e-11
 
 
 def test_box_degree_limit_exits_1(capsys):

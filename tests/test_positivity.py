@@ -219,7 +219,8 @@ def test_flandrin_matrix_frozen_entries():
 
 def test_flandrin_matrix_bridge_route_matches_table():
     table = flandrin_matrix(2.0, 4)
-    bridged = flandrin_matrix(2.0, 4, bridge_ctx=CalcContext(h=0.7))
+    bridged, points = wigner._bridge_sweep(4, 2.0, 2.0, CalcContext(h=0.7))
+    assert points == 64**2  # four 16-node panels per side
     assert np.max(np.abs(table - bridged)) <= 1e-11
 
 
@@ -272,8 +273,9 @@ def test_polar_sweep_matches_grid_sum(lx, ly, degrees):
     # checks every degree
     grid = _grid_table(max(degrees), lx, ly)
     for N in degrees:
-        M, refine, agreement = wigner._classical_rect_doubled(N, lx, ly)
-        assert refine == 1 and agreement <= 1e-9, N
+        M, points, agreement = wigner._checked(wigner._polar_sweep, N, lx, ly)
+        sized = wigner._polar_rule(N, lx, ly, wigner.PANEL_NODES, 1)[0].size
+        assert points == sized and agreement <= 1e-9, N
         assert np.max(np.abs(M - grid[: N + 1, : N + 1])) <= 1e-10, N
 
 
@@ -297,11 +299,11 @@ def test_panel_check_refuses_a_rule_without_the_cosh_substitution(monkeypatch):
         r = np.concatenate(r)
         return r, np.concatenate(w), np.arccos(np.minimum(1.0, lx / r)), np.arcsin(np.minimum(1.0, ly / r))
 
-    _, _, agreement = wigner._classical_rect_doubled(128, 0.3, 8.0)
+    _, _, agreement = wigner._checked(wigner._polar_sweep, 128, 0.3, 8.0)
     assert agreement <= 1e-9
     monkeypatch.setattr(wigner, "_polar_rule", ungraded)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
-        wigner._classical_rect_doubled(128, 0.3, 8.0)
+        wigner._checked(wigner._polar_sweep, 128, 0.3, 8.0)
 
 
 # Frozen from the mpmath polar closed form (oracles.flandrin_quarter_tops).
@@ -348,7 +350,7 @@ def test_quarter_plane_vanishes_at_multiples_of_four():
 @pytest.mark.parametrize("N", [16, 64, 128])
 def test_quarter_plane_closed_matches_polar_sweep(N):
     closed = flandrin_matrix(math.inf, N)
-    polar = wigner._classical_rect(N, math.inf, math.inf)
+    polar, _ = wigner._polar_sweep(N, math.inf, math.inf)
     assert np.max(np.abs(closed - polar)) <= 1e-12
 
 
@@ -362,22 +364,21 @@ def test_quarter_plane_top_at_256_frozen():
     assert rep.h_invariance_dev <= 1e-8 and rep.bridge_vs_table <= 1e-8
 
 
-def test_panel_check_sweeps_the_same_panels_with_more_nodes(monkeypatch):
+def test_panel_check_sweeps_the_same_panels_with_more_nodes():
     sweeps = []
-    sweep = wigner._classical_rect
 
-    def recording(N, lx, ly, refine=1, nodes=None, bridge_ctx=None):
+    def recording(N, lx, ly, refine, nodes):
         sweeps.append((refine, nodes))
-        return sweep(N, lx, ly, refine, nodes, bridge_ctx)
+        return wigner._polar_sweep(N, lx, ly, refine, nodes)
 
-    monkeypatch.setattr(wigner, "_classical_rect", recording)
-    M, refine, agreement = wigner._classical_rect_doubled(16, 2.0, 2.0)
+    M, points, agreement = wigner._checked(recording, 16, 2.0, 2.0)
     assert sweeps == [(1, 16), (1, 20)]
-    assert refine == 1 and agreement <= 1e-9
+    assert agreement <= 1e-9
     # the same panels: the 20-node rule has 1.25 times the points
     points16, points20 = (wigner._polar_rule(16, 2.0, 2.0, n, 1)[0].size for n in (16, 20))
-    assert 20 * points16 == 16 * points20 == 20 * wigner._polar_spec(16, 2.0, 2.0, 1)[0]
-    assert np.array_equal(M, sweep(16, 2.0, 2.0))  # the accepted sweep is the 16-node one
+    assert 20 * points16 == 16 * points20 == 20 * points
+    # the accepted sweep is the 16-node one
+    assert np.array_equal(M, wigner._polar_sweep(16, 2.0, 2.0)[0])
 
 
 @pytest.mark.parametrize("rule", ["2-node panels", "coarse start"])
@@ -388,14 +389,27 @@ def test_panel_check_flags_under_resolved_rules(monkeypatch, rule):
     Each still disagrees by more than 1e-9 after its doubling, so the sweep
     raises; the rule sized from a and N passes on the same square."""
     N, a = (8, 1.0) if rule == "2-node panels" else (48, 5.5)
-    _, _, agreement = wigner._classical_rect_doubled(N, a, a)
+    _, _, agreement = wigner._checked(wigner._polar_sweep, N, a, a)
     assert agreement <= 1e-9
     if rule == "2-node panels":
         monkeypatch.setattr(wigner, "PANEL_NODES", 2)
     else:
         monkeypatch.setattr(wigner, "_polar_points", lambda length, sweep, N: length + sweep)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
-        wigner._classical_rect_doubled(N, a, a)
+        wigner._checked(wigner._polar_sweep, N, a, a)
+
+
+def test_thin_rectangle_is_accepted_after_one_doubling():
+    """`box:a=0.02242` at h = 3.2e-6 is the rectangle 1.005e-4 x 5.0: the
+    sized polar rule is 2e-9 off, the 16/20-node check sees it, and the rule
+    of twice the panels is accepted."""
+    N, lx, ly = 64, 1e-4, 5.0
+    M, points, agreement = wigner._checked(wigner._polar_sweep, N, lx, ly)
+    sized = wigner._polar_rule(N, lx, ly, wigner.PANEL_NODES, 1)[0].size
+    assert points == 2 * sized and agreement <= 1e-9
+    grid = _grid_table(N, lx, ly)
+    assert np.max(np.abs(M - grid)) <= 1e-12
+    assert np.max(np.abs(wigner._polar_sweep(N, lx, ly)[0] - grid)) > 1e-10
 
 
 def test_flandrin_search_is_deterministic():
@@ -474,13 +488,13 @@ def test_flandrin_reduction_check_sees_a_perturbed_section(monkeypatch):
     ctx = CalcContext(h=0.5)
     r = 1.0 / math.sqrt(2.0)
     f = HermiteExpansion.from_pairs([((0,), r), ((1,), r * 1j)])
-    sweep = quadform._classical_rect_doubled
+    checked = quadform._checked
 
-    def perturbed(*args, **kwargs):
-        table, points, agreement = sweep(*args, **kwargs)
+    def perturbed(*args):
+        table, points, agreement = checked(*args)
         return table + 1e-6, points, agreement
 
-    monkeypatch.setattr(quadform, "_classical_rect_doubled", perturbed)
+    monkeypatch.setattr(quadform, "_checked", perturbed)
     _, _, residual = flandrin_reduction_check(1.0, ctx, f)
     assert residual > 1e-8
 

@@ -54,6 +54,10 @@ from .symbols import SymbolDomainError, SymbolSyntaxError, eval_ddot, parse_symb
 from .wigner import wigner_closed, wigner_hermite_quadrature
 
 TOOL = "gaussweyl"
+# Points per axis of a `wigner` grid.  A grid point costs about 370 bytes
+# in CSV output and 940 in JSON, so one run at the cap peaks near 390 MB
+# (CSV) or 1 GB (JSON).
+MAX_WIGNER_GRID = 1024
 
 _PROPOSITIONS = {
     "wigner": "Eq. (Wigner-gaussienne)",
@@ -195,8 +199,8 @@ def _ladder_block(**extra) -> dict:
 def cmd_wigner(args) -> int:
     if (args.symbol is None) == (args.j is None or args.k is None):
         raise ValueError("give either --j and --k, or --symbol (not both)")
-    if args.grid < 2 or not 0 < args.radius < math.inf:
-        raise ValueError("--grid must be >= 2 and --radius finite and > 0")
+    if not 2 <= args.grid <= MAX_WIGNER_GRID or not 0 < args.radius < math.inf:
+        raise ValueError(f"--grid must be >= 2 and <= {MAX_WIGNER_GRID}, and --radius finite and > 0")
     ctx = CalcContext(h=args.h)
     axis = np.linspace(-args.radius, args.radius, args.grid)
     xg = np.repeat(axis, args.grid)
@@ -205,7 +209,10 @@ def cmd_wigner(args) -> int:
         sym = parse_symbol(args.symbol)
         if sym.d != 1:
             raise ValueError("grid output needs a one-pair symbol")
-        vals = np.asarray(eval_ddot(sym, xg[:, None], gg[:, None], ctx), dtype=complex)
+        # Far grid points may overflow; the contract counts what is not
+        # finite, so numpy's warnings would only break the stderr format.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(eval_ddot(sym, xg[:, None], gg[:, None], ctx), dtype=complex)
         contract = {
             "name": "finite symbol values on the grid",
             "passed": bool(np.all(np.isfinite(vals))),
@@ -214,7 +221,8 @@ def cmd_wigner(args) -> int:
     else:
         if not (0 <= args.j <= 64 and 0 <= args.k <= 64):
             raise ValueError("--j/--k must lie in [0, 64]")
-        vals = np.asarray(wigner_closed(args.j, args.k, xg, gg, ctx), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(wigner_closed(args.j, args.k, xg, gg, ctx), dtype=complex)
         # The defining integral carries e^{zeta^2/h}; spot points within
         # 3 sqrt(h) keep its conditioning that of the default run.
         r = min(args.radius, 3.0 * math.sqrt(ctx.h))

@@ -19,12 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CalcContext, MultiIndex, TruncationSet, hermite_eval
-from .gaussian import LADDER_POLICY, MAX_GH_ORDER, gh_rule, integrate_tensor, ladder, quad_budget
+from .basis import CalcContext, MultiIndex, TruncationSet
+from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import _checked, _polar_sweep, _quarter_plane_matrix, wigner_closed, wigner_on_rule
+from .wigner import _checked, _polar_sweep, _quarter_plane_matrix, wigner_closed
 
+# States of a dense section; a diagonal section keeps one degree row and one
+# complex value per state, so it takes a larger cap.
 MAX_MATRIX_SIZE = 4096
+MAX_DIAGONAL_SIZE = 1 << 18
 
 
 def _as_index(a) -> MultiIndex:
@@ -145,6 +148,7 @@ class OperatorMatrix:
     @property
     def entries(self) -> np.ndarray:
         if self.dense is None:
+            _refuse_dense(self.size)
             self.dense = np.diag(self.diagonal)
         return self.dense
 
@@ -163,15 +167,15 @@ ROUTE_QUARTER = "closed: quarter-plane 2F1 recurrence"
 ROUTE_LADDER = "tensor ladder"
 
 
-def section_route(sym, wigner_route: str = "closed") -> str:
+def section_route(sym) -> str:
     """The route that computes matrix elements of `sym`: the closed diagonal
-    law for Gaussian mixtures (closed Wigner route only), for finite boxes one
-    checked panel sweep of the classical table over [0, lambda a) x
-    [0, a/lambda) (degrees <= 1024), the closed quarter plane for box(inf)
-    (degrees <= 4096), and the tensor Gauss-Hermite ladder otherwise."""
+    law for Gaussian mixtures, for finite boxes one checked panel sweep of
+    the classical table over [0, lambda a) x [0, a/lambda) (degrees <= 1024),
+    the closed quarter plane for box(inf) (degrees <= 4096), and the tensor
+    Gauss-Hermite ladder otherwise."""
     if sym.family == "box":
         return ROUTE_QUARTER if math.isinf(sym.a) else ROUTE_BOX
-    if wigner_route == "closed" and sym.gauss_mixture() is not None:
+    if sym.gauss_mixture() is not None:
         return ROUTE_CLOSED
     return ROUTE_LADDER
 
@@ -192,7 +196,7 @@ def _mixture_diagonal(mix, degrees: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _tensor_shot(sym, alpha, beta, ctx, n: int, wigner_route: str) -> complex:
+def _tensor_shot(sym, alpha, beta, ctx, n: int) -> complex:
     d = sym.d
     rule = gh_rule(n, ctx.h / 2.0)
 
@@ -203,140 +207,112 @@ def _tensor_shot(sym, alpha, beta, ctx, n: int, wigner_route: str) -> complex:
         for i in range(1, d + 1):
             a_i, b_i = alpha.degree(i), beta.degree(i)
             if a_i or b_i:
-                if wigner_route == "closed":
-                    w = wigner_closed(a_i, b_i, x[:, i - 1], xi[:, i - 1], ctx)
-                else:
-                    # e^{xi^2/h} amplifies the inner rule's error at the
-                    # outer nodes, so the inner order grows with the outer one
-                    inner = gh_rule(max(64, 2 * (max(a_i, b_i) + 1) + 16, 2 * n), ctx.h / 2.0)
-                    w = wigner_on_rule(
-                        lambda t: hermite_eval(a_i, t, ctx),
-                        lambda t: hermite_eval(b_i, t, ctx),
-                        x[:, i - 1],
-                        xi[:, i - 1],
-                        ctx,
-                        inner,
-                    )
-                vals = vals * w
+                vals = vals * wigner_closed(a_i, b_i, x[:, i - 1], xi[:, i - 1], ctx)
         return vals
 
     return complex(integrate_tensor(f, rule, 2 * d))
 
 
-def _tensor_element(sym, alpha, beta, ctx, wigner_route="closed"):
+def _tensor_element(sym, alpha, beta, ctx):
     maxdeg = max(
         [alpha.degree(i) for i in range(1, sym.d + 1)]
         + [beta.degree(i) for i in range(1, sym.d + 1)]
         + [0]
     )
     cap = min(LADDER_POLICY["cap"], int(quad_budget() ** (1.0 / (2 * sym.d))))
-    if wigner_route != "closed":
-        cap = min(cap, MAX_GH_ORDER // 2)  # the inner rule takes twice the outer order
     start = min(2 * (maxdeg + 1) + 16, cap)
-    return ladder(
-        lambda n: _tensor_shot(sym, alpha, beta, ctx, n, wigner_route),
-        start=start,
-        cap=cap,
-    )
+    return ladder(lambda n: _tensor_shot(sym, alpha, beta, ctx, n), start=start, cap=cap)
 
 
-def _box_table(sym, N: int, ctx: CalcContext, wigner_route: str = "closed"):
+def _box_table(sym, N: int, ctx: CalcContext):
     """The one-pair section of box(a), 0 <= j,k <= N, and the radial points
     of its accepted polar rule (0 for the closed quarter plane at a = inf).
     (x, xi) = lambda (u, v), lambda = sqrt(2 pi h), turns W(psi_j, psi_k)
     e^{-r^2/h} dx dxi / (pi h) into W_cl(phi_j, phi_k) du dv and the box into
     the rectangle [0, lambda a) x [0, a/lambda)."""
-    if wigner_route != "closed":
-        raise ValueError("box matrix elements support only the closed Wigner route")
     if math.isinf(sym.a):
         return _quarter_plane_matrix(N), 0
     lam = math.sqrt(2.0 * math.pi * ctx.h)
     return _checked(_polar_sweep, N, lam * sym.a, sym.a / lam)[:2]
 
 
-def _entries(sym, rows, cols, ctx: CalcContext, wigner_route="closed"):
-    """(I_{alpha beta} for alpha in rows, beta in cols; largest ladder order;
-    structural zeros above the diagonal).  Entries whose degrees differ
-    beyond sym.d are zero (delta factors).  Boxes read one `_box_table`, the
-    closed route fills its diagonal law where row and column match, and the
-    tensor ladder skips (and counts) the off-diagonal entries of per-pair
-    radial symbols."""
+def _refuse_dense(size: int) -> None:
+    if size > MAX_MATRIX_SIZE:
+        raise ValueError(f"truncation has {size} elements; the dense-matrix cap is {MAX_MATRIX_SIZE}")
+
+
+def _entries(sym, rows, cols, ctx: CalcContext):
+    """(I_{alpha beta} for alpha in rows, beta in cols; largest ladder order).
+    Entries whose degrees differ beyond sym.d are zero (delta factors).
+    Boxes read one `_box_table`, the closed route fills its diagonal law
+    where row and column match, and the tensor ladder runs entry by entry."""
+    _refuse_dense(max(len(rows), len(cols)))
     rows = [_as_index(a) for a in rows]
     cols = [_as_index(b) for b in cols]
     d = sym.d
     width = max([d] + [idx.max_coordinate() for idx in rows + cols])
     R, C = (np.array([[idx.degree(i) for i in range(1, width + 1)] for idx in idxs], dtype=int)
             .reshape(len(idxs), width) for idxs in (rows, cols))
-    route = section_route(sym, wigner_route)
+    route = section_route(sym)
     if route in (ROUTE_BOX, ROUTE_QUARTER):
         top = max(R[:, 0].max(initial=0), C[:, 0].max(initial=0))
-        table, order = _box_table(sym, int(top), ctx, wigner_route)
+        table, order = _box_table(sym, int(top), ctx)
         out = table[np.ix_(R[:, 0], C[:, 0])]
         out[np.any(R[:, None, d:] != C[None, :, d:], axis=2)] = 0.0
-        return out, order, 0
+        return out, order
     if route == ROUTE_CLOSED:
         diagonal = _mixture_diagonal(sym.gauss_mixture(), R, ctx.h).astype(complex)
         match = np.all(R[:, None, :] == C[None, :, :], axis=2)
-        return np.where(match, diagonal[:, None], 0.0j), 0, 0
-    pairwise_radial = sym.is_pairwise_radial()
+        return np.where(match, diagonal[:, None], 0.0j), 0
     row_tails = [tuple(t) for t in R[:, d:].tolist()]
     col_tails = [tuple(t) for t in C[:, d:].tolist()]
     out = np.zeros((len(rows), len(cols)), dtype=complex)
-    max_order = structural = 0
+    max_order = 0
     for p, a in enumerate(rows):
         for q, b in enumerate(cols):
-            if pairwise_radial and a != b:
-                structural += q > p
-                continue
             if row_tails[p] != col_tails[q]:
                 continue  # a delta factor beyond the symbol's pairs
-            out[p, q], order = _tensor_element(sym, a, b, ctx, wigner_route)
+            out[p, q], order = _tensor_element(sym, a, b, ctx)
             max_order = max(max_order, order)
-    return out, max_order, structural
+    return out, max_order
 
 
-def matrix_element(sym, alpha, beta, ctx: CalcContext, wigner_route="closed"):
+def matrix_element(sym, alpha, beta, ctx: CalcContext):
     """I_{alpha beta}(F): the (alpha, beta) matrix entry of the operator with
-    symbol `sym`.
+    symbol `sym`, by the route section_route(sym).
 
     Entries with alpha_j != beta_j at a coordinate beyond the symbol's base
-    dimension vanish identically and are returned as exact zeros.  The route
-    is section_route(sym, wigner_route); on the tensor ladder,
-    wigner_route="quadrature" computes the per-pair Wigner factors from the
-    defining integral instead of the closed form.
+    dimension vanish identically and are returned as exact zeros.
     """
-    table, _, _ = _entries(sym, [alpha], [beta], ctx, wigner_route)
+    table, _ = _entries(sym, [alpha], [beta], ctx)
     return complex(table[0, 0])
 
 
-def assemble_matrix(
-    sym,
-    truncation: TruncationSet,
-    ctx: CalcContext,
-    wigner_route="closed",
-) -> OperatorMatrix:
+def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> OperatorMatrix:
     """All I_{alpha beta} over a graded truncation set.
 
-    Gaussian mixtures on the closed Wigner route give a diagonal section,
-    evaluated by the closed law in one pass over the truncation's degree
-    array; no dense matrix is built until `entries` is read.  Other sections
-    are dense, from the entry builder `_entries`: finite boxes from one
-    checked sweep of the classical table, box(inf) from the closed quarter
-    plane, custom symbols and the quadrature Wigner route entry by entry.
+    Gaussian mixtures give a diagonal section, evaluated by the closed law in
+    one pass over the truncation's degree array, up to MAX_DIAGONAL_SIZE
+    states; no dense matrix is built until `entries` is read.  Other sections
+    are dense, up to MAX_MATRIX_SIZE states, from the entry builder
+    `_entries`: finite boxes from one checked sweep of the classical table,
+    box(inf) from the closed quarter plane, custom symbols entry by entry on
+    the tensor ladder.
     """
-    if truncation.size > MAX_MATRIX_SIZE:
-        raise ValueError(
-            f"truncation has {truncation.size} elements; the dense-matrix cap is {MAX_MATRIX_SIZE}"
-        )
     size = truncation.size
-    route = section_route(sym, wigner_route)
+    route = section_route(sym)
     diagonal = dense = None
     if route == ROUTE_CLOSED:
+        if size > MAX_DIAGONAL_SIZE:
+            raise ValueError(
+                f"truncation has {size} elements; the diagonal-section cap is {MAX_DIAGONAL_SIZE}"
+            )
         diagonal = _mixture_diagonal(sym.gauss_mixture(), truncation.degrees, ctx.h).astype(complex)
         max_order, structural = 0, size * (size - 1) // 2
     else:
+        _refuse_dense(size)  # before the indices are built
         idxs = truncation.indices()
-        dense, max_order, structural = _entries(sym, idxs, idxs, ctx, wigner_route)
+        (dense, max_order), structural = _entries(sym, idxs, idxs, ctx), 0
     try:
         text = sym.text()
     except ValueError:
@@ -348,16 +324,15 @@ def assemble_matrix(
         "d": truncation.dims,
         "basis_size": size,
         "route": route,
-        "wigner_route": wigner_route,
         "quadrature_order": max_order,
         "structural_zeros": structural,
     }
     return OperatorMatrix(truncation=truncation, meta=meta, diagonal=diagonal, dense=dense)
 
 
-def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext, wigner_route="closed") -> complex:
+def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext) -> complex:
     """<Op(F) f, g> = sum_{alpha,beta} c_alpha conj(c'_beta) I_{alpha beta}."""
-    table, _, _ = _entries(sym, [a for a, _ in f.items()], [b for b, _ in g.items()], ctx, wigner_route)
+    table, _ = _entries(sym, [a for a, _ in f.items()], [b for b, _ in g.items()], ctx)
     fc = np.array([c for _, c in f.items()], dtype=complex)
     gc = np.array([c for _, c in g.items()], dtype=complex)
     return complex(np.sum(np.multiply.outer(fc, np.conj(gc)) * table))

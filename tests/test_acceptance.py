@@ -10,6 +10,7 @@ the analysis lives in the decisions ledger.
 
 import math
 
+import defining_integral
 import numpy as np
 from scipy.optimize import brentq
 
@@ -31,7 +32,6 @@ from gaussweyl.quadform import (
     assemble_matrix,
     eig_hermitian,
     ipp_check,
-    quadratic_form,
 )
 from gaussweyl.stochproj import (
     covariance_and_bound,
@@ -115,9 +115,9 @@ def test_criterion_04_nonpositivity_witness():
     root = brentq(lambda nu: nonpos_witness(nu, 1.0, ctx1)[0], 0.5, 2.0, xtol=1e-12)
     ok_root = abs(root * 1.0 * 1.0 - 1.0) <= 1e-10
     # independent quadrature route agrees on the sign on both sides
-    f1 = HermiteExpansion.single((1,), 1.0)
-    below = quadratic_form(gaussian_symbol(0.95, 1.0), f1, f1, ctx1, wigner_route="quadrature")
-    above = quadratic_form(gaussian_symbol(1.05, 1.0), f1, f1, ctx1, wigner_route="quadrature")
+    e1 = MultiIndex({1: 1})
+    below, _ = defining_integral.element(gaussian_symbol(0.95, 1.0), e1, e1, ctx1)
+    above, _ = defining_integral.element(gaussian_symbol(1.05, 1.0), e1, e1, ctx1)
     ok_signs = below.real > 0.0 > above.real
     record_acceptance(
         4,

@@ -16,7 +16,7 @@ import pytest
 
 from gaussweyl import __version__, cli, quadform, wigner
 from gaussweyl.basis import CalcContext
-from gaussweyl.cli import main
+from gaussweyl.cli import MAX_WIGNER_GRID, main
 
 GAUSS = "gaussian:nu=2.0,anorm=1.0"
 
@@ -143,7 +143,7 @@ def test_section_commands_print_one_quadrature_record(capsys):
         assert main([command, "--symbol", symbol, "--N", "3", "--format", "json"]) == 0
         blocks.append(json.loads(capsys.readouterr().out)["quadrature"])
     assert list(blocks[0]) == ["symbol", "h", "N", "d", "basis_size", "route",
-                               "wigner_route", "quadrature_order", "structural_zeros"]
+                               "quadrature_order", "structural_zeros"]
     assert all(block == blocks[0] and list(block) == list(blocks[0]) for block in blocks)
 
 
@@ -237,8 +237,7 @@ def test_wigner_refuses_a_non_finite_radius(radius, capsys):
 
 def test_wigner_contract_fails_on_non_finite_values(capsys):
     # the grid overflows past the spot points, which stay within 3 sqrt(h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["wigner", "--j", "1", "--k", "1", "--radius", "1e200", "--grid", "3"]) == 2
+    assert main(["wigner", "--j", "1", "--k", "1", "--radius", "1e200", "--grid", "3"]) == 2
     meta = json.loads("\n".join(capsys.readouterr().err.splitlines()[1:]))
     assert meta["contract"]["passed"] is False
     assert meta["contract"]["nonfinite_values"] == 8  # every point but the origin
@@ -246,6 +245,41 @@ def test_wigner_contract_fails_on_non_finite_values(capsys):
     assert main(["wigner", "--j", "1", "--k", "1", "--grid", "3"]) == 0
     meta = json.loads("\n".join(capsys.readouterr().err.splitlines()[1:]))
     assert meta["contract"]["nonfinite_values"] == 0
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["--j", "1", "--k", "1"], 2),
+    (["--symbol", "gaussian:nu=2.0,anorm=1.0"], 0),
+])
+def test_wigner_overflowing_grid_keeps_stderr_to_the_report(argv, rc):
+    """A grid that overflows writes no numpy warning: stderr is the header
+    line and one JSON object, whatever the contract says."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussweyl.cli", "wigner", *argv, "--radius", "1e200", "--grid", "3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == rc
+    header, meta = proc.stderr.split("\n", 1)
+    assert header.startswith("# gaussweyl ") and header.endswith("PASS" if rc == 0 else "FAIL")
+    assert json.loads(meta)["contract"]["passed"] is (rc == 0)
+
+
+def test_wigner_grid_cap(capsys):
+    # refused before any array is built; 1025^2 points would still be small
+    assert main(["wigner", "--j", "0", "--k", "0", "--grid", str(MAX_WIGNER_GRID + 1)]) == 1
+    assert f"--grid must be >= 2 and <= {MAX_WIGNER_GRID}" in capsys.readouterr().err
+
+
+def test_diagonal_sections_above_the_dense_cap(capsys):
+    """29,791 states of a closed-route section: the spectrum needs no dense
+    matrix and runs; opmatrix would print one and is refused."""
+    symbol = "tensorradial:(one,1);(exp:nu=2.0,2)"
+    assert main(["spectrum", "--symbol", symbol, "--N", "30"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 29792
+    assert json.loads(err.split("\n", 1)[1])["quadrature"]["basis_size"] == 29791
+    assert main(["opmatrix", "--symbol", symbol, "--N", "30"]) == 1
+    assert "dense-matrix cap is 4096" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -1,11 +1,12 @@
-"""Operator matrix elements: closed diagonal law, structural zeros, dual
-quadrature routes, and rotation integration-by-parts."""
+"""Operator matrix elements: closed diagonal law, structural zeros, the
+defining-integral dual route, and rotation integration-by-parts."""
 
 import math
 import subprocess
 import sys
 import time
 
+import defining_integral
 import numpy as np
 import oracles
 import pytest
@@ -15,9 +16,12 @@ from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet
 from gaussweyl.gaussian import QuadratureConvergenceError
 from gaussweyl.heat import heat_apply
 from gaussweyl.quadform import (
+    MAX_DIAGONAL_SIZE,
+    MAX_MATRIX_SIZE,
     ROUTE_BOX,
     ROUTE_CLOSED,
     ROUTE_LADDER,
+    ROUTE_QUARTER,
     HermiteExpansion,
     OperatorMatrix,
     Poly2,
@@ -122,26 +126,40 @@ def test_assemble_matrix_matches_cli_example():
     md = om.meta
     assert md["symbol"] == "gaussian:nu=2.0,anorm=1.0"
     assert md["basis_size"] == 3 and md["N"] == 2 and md["d"] == 1
-    assert md["wigner_route"] == "closed"
+    assert list(md) == ["symbol", "h", "N", "d", "basis_size", "route", "quadrature_order", "structural_zeros"]
 
 
 def test_matrix_size_cap():
-    with pytest.raises(ValueError):
-        assemble_matrix(
-            gaussian_symbol(1.0, 1.0), TruncationSet(1, 4096), CalcContext(h=1.0)
-        )
+    """A diagonal section goes up to MAX_DIAGONAL_SIZE states and refuses to
+    expand into a dense matrix above MAX_MATRIX_SIZE; dense sections stop at
+    MAX_MATRIX_SIZE before any entry is built."""
+    ctx = CalcContext(h=1.0)
+    om = assemble_matrix(gaussian_symbol(1.0, 1.0), TruncationSet(1, MAX_MATRIX_SIZE), ctx)
+    assert om.size == MAX_MATRIX_SIZE + 1 and om.dense is None
+    assert eig_hermitian(om)[-1] == 0.5
+    with pytest.raises(ValueError, match="dense-matrix cap is 4096"):
+        om.entries
+    with pytest.raises(ValueError, match="diagonal-section cap is 262144"):
+        assemble_matrix(gaussian_symbol(1.0, 1.0), TruncationSet(1, MAX_DIAGONAL_SIZE), ctx)
+    for sym in (box_symbol(1.0), poly_symbol(Poly2.from_dict({(2, 0): 1.0}))):
+        with pytest.raises(ValueError, match="dense-matrix cap is 4096"):
+            assemble_matrix(sym, TruncationSet(1, MAX_MATRIX_SIZE), ctx)
+    big = HermiteExpansion.from_pairs([((j,), 1.0) for j in range(MAX_MATRIX_SIZE + 1)])
+    with pytest.raises(ValueError, match="dense-matrix cap is 4096"):
+        quadratic_form(gaussian_symbol(1.0, 1.0), big, big, ctx)
 
 
 def test_dual_wigner_routes_agree():
     """The closed Laguerre route and the defining-integral route must build
-    the same matrix; the slow route is kept as an independent witness."""
+    the same matrix, off-diagonal entries included; the slow route is kept
+    as an independent witness."""
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(2.0, 1.0)
     trunc = TruncationSet(1, 2)
     fast = assemble_matrix(sym, trunc, ctx)
-    slow = assemble_matrix(sym, trunc, ctx, wigner_route="quadrature")
-    assert slow.meta["wigner_route"] == "quadrature"
-    assert np.max(np.abs(fast.entries - slow.entries)) <= 1e-8
+    idxs = trunc.indices()
+    slow = np.array([[defining_integral.element(sym, a, b, ctx)[0] for b in idxs] for a in idxs])
+    assert np.max(np.abs(fast.entries - slow)) <= 1e-8
 
 
 def test_box_element_matches_classical_square():
@@ -150,8 +168,6 @@ def test_box_element_matches_classical_square():
     ctx = CalcContext(h=1.0 / (2.0 * math.pi))
     got = matrix_element(box_symbol(1.0), MultiIndex(), MultiIndex(), ctx)
     assert abs(got - 0.24980366326911302) <= 1e-9
-    with pytest.raises(ValueError):
-        matrix_element(box_symbol(1.0), MultiIndex(), MultiIndex(), ctx, wigner_route="quadrature")
 
 
 def test_box_respects_h_side_coupling():
@@ -219,17 +235,6 @@ def test_box_section_embeds_the_one_pair_section():
     a, b = MultiIndex.from_tuple((1, 2)), MultiIndex.from_tuple((3, 2))
     assert matrix_element(box_symbol(1.0), a, b, ctx) == M[1, 3]
     assert matrix_element(box_symbol(1.0), a, MultiIndex.from_tuple((3, 1)), ctx) == 0.0
-
-
-def test_box_needs_the_closed_wigner_route():
-    ctx = CalcContext(h=1.0)
-    f = HermiteExpansion.single((1,), 1.0)
-    with pytest.raises(ValueError):
-        matrix_element(box_symbol(1.0), MultiIndex(), MultiIndex(), ctx, wigner_route="quadrature")
-    with pytest.raises(ValueError):
-        assemble_matrix(box_symbol(1.0), TruncationSet(1, 2), ctx, wigner_route="quadrature")
-    with pytest.raises(ValueError):
-        quadratic_form(box_symbol(1.0), f, f, ctx, wigner_route="quadrature")
 
 
 def test_box_degree_limit():
@@ -316,14 +321,11 @@ def test_quadratic_form_is_the_entrywise_sum(sym):
 
 def test_ladder_section_meta_pins():
     """Ladder-route bookkeeping at h = 1 on the two-pair degree-1 set: a
-    per-pair radial symbol skips all 6 upper off-diagonal pairs, including
-    those differing only beyond its pair; a custom symbol skips none."""
+    custom symbol records no structural zeros and its largest ladder order."""
     ctx = CalcContext(h=1.0)
     trunc = TruncationSet(2, 1)
-    radial = assemble_matrix(radial_symbol(PhiSpec(kind="exp", nu=0.7), 1), trunc, ctx, wigner_route="quadrature")
-    assert (radial.meta["structural_zeros"], radial.meta["quadrature_order"]) == (6, 52)
     custom = custom_symbol(lambda x, xi: np.exp(-0.5 * (x[:, 0] ** 2 + xi[:, 0] ** 2)) * (1.0 + 0.3 * x[:, 0]), d=1)
-    om = assemble_matrix(custom, trunc, ctx, wigner_route="quadrature")
+    om = assemble_matrix(custom, trunc, ctx)
     assert (om.meta["structural_zeros"], om.meta["quadrature_order"]) == (0, 36)
 
 
@@ -431,10 +433,11 @@ MIXTURES = {
 }
 
 
-def _ladder_diagonal(sym, truncation, h, wigner_route, cache):
+def _ladder_diagonal(sym, truncation, h, element, cache):
     """Diagonal of a mixture section by Fubini over pairs,
-    sum_k c_k prod_j I_{a_j a_j}(e^{-nu_kj r^2}), each one-pair factor by the
-    tensor ladder (_tensor_element).  The ladder over all 2d coordinates
+    sum_k c_k prod_j I_{a_j a_j}(e^{-nu_kj r^2}), each one-pair factor by
+    `element` (the tensor ladder or the defining-integral route, each
+    returning (value, order)).  The ladder over all 2d coordinates
     takes about a second per entry at d = 2 (a 4-D grid, orders up to
     100), and at d = 3 its cap of 21 orders leaves no second order to
     compare from degree 2 on."""
@@ -444,7 +447,7 @@ def _ladder_diagonal(sym, truncation, h, wigner_route, cache):
         if key not in cache:
             a = MultiIndex({1: j})
             one_pair = mixture_symbol([(1.0, {1: nu})], 1)
-            cache[key], _ = _tensor_element(one_pair, a, a, CalcContext(h=h), wigner_route)
+            cache[key], _ = element(one_pair, a, a, CalcContext(h=h))
         return cache[key]
 
     return np.array([
@@ -457,9 +460,12 @@ def _ladder_diagonal(sym, truncation, h, wigner_route, cache):
 # The defining-integral Wigner route is held to the README's 1e-8; with its
 # inner rule at twice the outer order it is within 6.8e-14 for gaussian
 # nu=0.5 at h=0.5 (2.3e-9 with a fixed inner rule).
-@pytest.mark.parametrize("wigner_route,tol", [("closed", 1e-12), ("quadrature", 1e-8)])
+@pytest.mark.parametrize("element,tol", [
+    pytest.param(_tensor_element, 1e-12, id="closed-1e-12"),
+    pytest.param(defining_integral.element, 1e-8, id="quadrature-1e-08"),
+])
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
-def test_closed_section_matches_tensor_ladder(h, wigner_route, tol):
+def test_closed_section_matches_tensor_ladder(h, element, tol):
     ctx = CalcContext(h=h)
     cache: dict = {}
     for name, sym in MIXTURES.items():
@@ -468,7 +474,7 @@ def test_closed_section_matches_tensor_ladder(h, wigner_route, tol):
         for trunc in (TruncationSet(max(1, sym.d - 1), 3), TruncationSet(sym.d + 1, 2)):
             om = assemble_matrix(sym, trunc, ctx)
             assert om.meta["route"] == ROUTE_CLOSED and om.dense is None
-            want = _ladder_diagonal(sym, trunc, h, wigner_route, cache)
+            want = _ladder_diagonal(sym, trunc, h, element, cache)
             err = float(np.max(np.abs(om.diagonal - want)))
             assert err <= tol, (name, trunc, err)
 
@@ -482,7 +488,7 @@ def test_defining_integral_route_is_right(deg, h):
     ctx = CalcContext(h=h)
     sym = gaussian_symbol(0.5, 0.5)
     alpha = MultiIndex({1: deg})
-    got = matrix_element(sym, alpha, alpha, ctx, wigner_route="quadrature")
+    got, _ = defining_integral.element(sym, alpha, alpha, ctx)
     assert abs(got - diag_law(deg, 0.5 * 0.25, h)) <= 1e-8
 
 
@@ -490,8 +496,8 @@ def test_defining_integral_route_raises_where_it_stalls():
     """nu |a|^2 h = 16: the outer ladder cannot converge under its cap on
     this route (the cap is halved so the inner rule stays within gh_rule)."""
     with pytest.raises(QuadratureConvergenceError):
-        matrix_element(gaussian_symbol(2.0, 2.0), MultiIndex({1: 1}), MultiIndex({1: 1}),
-                       CalcContext(h=2.0), wigner_route="quadrature")
+        defining_integral.element(gaussian_symbol(2.0, 2.0), MultiIndex({1: 1}), MultiIndex({1: 1}),
+                                  CalcContext(h=2.0))
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
@@ -583,17 +589,25 @@ def test_eig_hermitian_diagonal_section():
 
 
 def test_matrix_metadata_names_the_route():
+    """Every symbol with a Gaussian-mixture form takes the closed law and
+    builds no dense matrix (so the ladder never sees a per-pair radial
+    symbol); custom symbols and heated boxes take the ladder."""
     ctx = CalcContext(h=1.0)
     trunc = TruncationSet(1, 1)
     poly = poly_symbol(Poly2.from_dict({(2, 0): 1.0, (0, 2): 1.0}))
-    cases = [
-        (assemble_matrix(gaussian_symbol(2.0, 1.0), trunc, ctx), ROUTE_CLOSED),
-        (assemble_matrix(gaussian_symbol(2.0, 1.0), trunc, ctx, wigner_route="quadrature"), ROUTE_LADDER),
-        (assemble_matrix(box_symbol(1.0), trunc, ctx), ROUTE_BOX),
-        (assemble_matrix(poly, trunc, ctx), ROUTE_LADDER),
+    heated_box = heat_apply(box_symbol(1.0), [1], 0.5).descriptor(ctx)
+    heated_mixture = heat_apply(gaussian_symbol(2.0, 1.0), [1], 0.5).descriptor()
+    cases = [(sym, ROUTE_CLOSED) for sym in (*MIXTURES.values(), heated_mixture)] + [
+        (box_symbol(1.0), ROUTE_BOX),
+        (box_symbol(math.inf), ROUTE_QUARTER),
+        (poly, ROUTE_LADDER),
+        (custom_symbol(_skew_custom, d=1), ROUTE_LADDER),
+        (heated_box, ROUTE_LADDER),
     ]
     assert ROUTE_CLOSED == "closed: Gaussian-mixture diagonal law"
     assert (ROUTE_BOX, ROUTE_LADDER) == ("box panels", "tensor ladder")
-    for om, route in cases:
-        assert om.meta["route"] == route
-        assert (om.diagonal is not None) == (route == ROUTE_CLOSED)
+    for sym, route in cases:
+        assert sym.is_pairwise_radial() == (sym.gauss_mixture() is not None)
+        om = assemble_matrix(sym, trunc, ctx)
+        assert om.meta["route"] == route, sym
+        assert (om.diagonal is not None) == (om.dense is None) == (route == ROUTE_CLOSED)

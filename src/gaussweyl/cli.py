@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -54,10 +55,13 @@ from .symbols import SymbolDomainError, SymbolSyntaxError, eval_ddot, parse_symb
 from .wigner import wigner_closed, wigner_hermite_quadrature
 
 TOOL = "gaussweyl"
-# Points per axis of a `wigner` grid.  A grid point costs about 370 bytes
-# in CSV output and 940 in JSON, so one run at the cap peaks near 390 MB
-# (CSV) or 1 GB (JSON).
+# Points per axis of a `wigner` grid.  The values take 16 bytes a point and
+# the table is written in chunks, so a run at the cap peaks near 57 MB
+# resident with CSV output and 53 MB with JSON (2 vCPUs).
 MAX_WIGNER_GRID = 1024
+# Rows per chunk of a report table, and encoder tokens per piece of a JSON
+# report: a chunk's Python cells take a few MB.
+TABLE_CHUNK = 1 << 14
 
 _PROPOSITIONS = {
     "wigner": "Eq. (Wigner-gaussienne)",
@@ -109,11 +113,11 @@ def _csv_cell(v):
     return str(v)
 
 
-def _csv_quote(cell: str) -> str:
-    """`cell` as csv.writer spells a string cell in a row of two or more cells
-    (QUOTE_MINIMAL)."""
+def _csv_quote(*cells: str) -> str:
+    """String `cells` as csv.writer spells them, comma-separated, in a row of
+    two or more cells (QUOTE_MINIMAL)."""
     buf = io.StringIO()
-    csv.writer(buf).writerow((cell, ""))
+    csv.writer(buf).writerow((*cells, ""))
     return buf.getvalue()[: -len(",\r\n")]
 
 
@@ -121,32 +125,79 @@ def _csv_column(cells) -> list:
     """One column ready for str.format, which spells a float by its repr and
     an int by str, as csv.writer does.  One type scan decides: columns of plain
     str/int/float cells (every large table) pass through, others are converted
-    cell by cell; each distinct string is quoted once."""
+    cell by cell.  One row of the distinct strings shows whether any needs
+    quotes; if one does, each is quoted once."""
     kinds = set(map(type, cells))
     if not _CSV_PLAIN.issuperset(kinds):
         cells = [_csv_cell(c) for c in cells]
         kinds = set(map(type, cells))
     if str in kinds:
-        quoted = {c: _csv_quote(c) for c in set(cells) if type(c) is str}
-        if any(q != c for c, q in quoted.items()):
+        distinct = [c for c in set(cells) if type(c) is str]
+        if _csv_quote(*distinct) != ",".join(distinct):
+            quoted = {c: _csv_quote(c) for c in distinct}
             cells = [quoted[c] if type(c) is str else c for c in cells]
     return cells
 
 
-def _csv_text(header, columns) -> str:
-    """The CSV table, header first, each line joined by one format string."""
+class _JsonRows(list):
+    """The JSON array of a table's rows, read one chunk at a time.  Each column
+    of a chunk passes through `_jsonable` as the chunk is reached, and the rows
+    are zipped from the columns.  `JSONEncoder.iterencode` (not one-shot) runs
+    the pure-Python encoder, which takes a list by its truth value and by
+    iterating it, so it never holds more than one chunk."""
+
+    def __init__(self, chunks):
+        super().__init__()
+        rows = itertools.chain.from_iterable(zip(*map(_jsonable, chunk)) for chunk in chunks)
+        self._first = list(itertools.islice(rows, 1))
+        self._rows = itertools.chain(self._first, rows)
+
+    def __bool__(self):
+        return bool(self._first)
+
+    def __iter__(self):
+        return self._rows
+
+
+def _json_pieces(report):
+    """`json.dumps(report, indent=2, ensure_ascii=False) + "\n"`, in pieces
+    of at most TABLE_CHUNK encoder tokens."""
+    tokens = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(report)
+    while piece := "".join(itertools.islice(tokens, TABLE_CHUNK)):
+        yield piece
+    yield "\n"
+
+
+def _csv_pieces(header, table):
+    """The CSV table, header line first, then one piece per chunk, each line
+    joined by one format string."""
     line = ",".join(["{}"] * len(header)) + "\r\n"
-    text = line.format(*map(_csv_quote, header))
-    if columns:
-        text += "".join(map(line.format, *map(_csv_column, columns)))
-    return text
+    yield line.format(*map(_csv_quote, header))
+    for chunk in table:
+        yield "".join(map(line.format, *map(_csv_column, chunk)))
 
 
-def _emit(args, quadrature, contract, results, csv_header=None, csv_rows=None,
-          csv_columns=None) -> int:
+def _write(pieces, path=None) -> None:
+    """Write text pieces, one at a time, to a new file at `path` or, without
+    one, to stdout."""
+    if not path:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        return
+    with open(path, "w", newline="") as fh:
+        for piece in pieces:
+            fh.write(piece)
+
+
+def _emit(args, quadrature, contract, results, header, table, json_rows=None) -> int:
     """Write the report; return the exit code mandated by the contract.  The
-    report's `config` is the parsed command line, in parser order.  A CSV
-    table comes as `csv_rows` or, column by column, as `csv_columns`."""
+    report's `config` is the parsed command line, in parser order.
+
+    `table` is an iterable of chunks, each a sequence of equal-length columns
+    in `header` order.  It is written chunk by chunk: as the CSV data, or in
+    JSON as the array `results[json_rows]`; a JSON report without `json_rows`
+    carries no table.  The chunks only spell values the command computed
+    before calling, so a command that fails writes no file."""
     proposition = _PROPOSITIONS[args.command]
     ok = bool(contract.get("passed", False))
     report = {
@@ -164,24 +215,15 @@ def _emit(args, quadrature, contract, results, csv_header=None, csv_rows=None,
     )
     if args.format == "json":
         report["results"] = _jsonable(results)
-        text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-        if args.output:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        if json_rows is not None:
+            report["results"][json_rows] = _JsonRows(table)
+        _write(_json_pieces(report), args.output)
     else:
-        if csv_columns is None:
-            csv_columns = list(zip(*csv_rows))
-        data = _csv_text(csv_header, csv_columns)
         meta = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        _write(_csv_pieces(header, table), args.output)
         if args.output:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(data)
-            with open(args.output + ".meta.json", "w", newline="") as fh:
-                fh.write(meta)
+            _write([meta], args.output + ".meta.json")
         else:
-            sys.stdout.write(data)
             sys.stderr.write(meta)
     return 0 if ok else 2
 
@@ -196,33 +238,48 @@ def _ladder_block(**extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _row_blocks(n: int):
+    """(lo, hi) bounds of the row blocks of an n x n grid or matrix, each
+    block at most TABLE_CHUNK entries (one row at least)."""
+    step = max(1, TABLE_CHUNK // n)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def cmd_wigner(args) -> int:
     if (args.symbol is None) == (args.j is None or args.k is None):
         raise ValueError("give either --j and --k, or --symbol (not both)")
     if not 2 <= args.grid <= MAX_WIGNER_GRID or not 0 < args.radius < math.inf:
         raise ValueError(f"--grid must be >= 2 and <= {MAX_WIGNER_GRID}, and --radius finite and > 0")
     ctx = CalcContext(h=args.h)
-    axis = np.linspace(-args.radius, args.radius, args.grid)
-    xg = np.repeat(axis, args.grid)
-    gg = np.tile(axis, args.grid)
+    n = args.grid
+    axis = np.linspace(-args.radius, args.radius, n)
+    blocks = _row_blocks(n)
+    vals = np.empty(n * n, dtype=complex)
     if args.symbol is not None:
         sym = parse_symbol(args.symbol)
         if sym.d != 1:
             raise ValueError("grid output needs a one-pair symbol")
-        # Far grid points may overflow; the contract counts what is not
-        # finite, so numpy's warnings would only break the stderr format.
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(eval_ddot(sym, xg[:, None], gg[:, None], ctx), dtype=complex)
+
+        def evaluate(x, xi):
+            return eval_ddot(sym, x[:, None], xi[:, None], ctx)
+    else:
+        if not (0 <= args.j <= 64 and 0 <= args.k <= 64):
+            raise ValueError("--j/--k must lie in [0, 64]")
+
+        def evaluate(x, xi):
+            return wigner_closed(args.j, args.k, x, xi, ctx)
+    # Far grid points may overflow; the contract counts what is not finite,
+    # so numpy's warnings would only break the stderr format.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in blocks:
+            vals[lo * n : hi * n] = evaluate(np.repeat(axis[lo:hi], n), np.tile(axis, hi - lo))
+    if args.symbol is not None:
         contract = {
             "name": "finite symbol values on the grid",
             "passed": bool(np.all(np.isfinite(vals))),
         }
-        quad = {"grid_points": args.grid**2}
+        quad = {"grid_points": n**2}
     else:
-        if not (0 <= args.j <= 64 and 0 <= args.k <= 64):
-            raise ValueError("--j/--k must lie in [0, 64]")
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(wigner_closed(args.j, args.k, xg, gg, ctx), dtype=complex)
         # The defining integral carries e^{zeta^2/h}; spot points within
         # 3 sqrt(h) keep its conditioning that of the default run.
         r = min(args.radius, 3.0 * math.sqrt(ctx.h))
@@ -242,15 +299,15 @@ def cmd_wigner(args) -> int:
             "spot_radius": r,
         }
         quad = _ladder_block()
-    results = {"points": args.grid**2, "rows": None}
-    if args.format == "json":
-        results["rows"] = list(zip(xg.tolist(), gg.tolist(), vals.real.tolist(), vals.imag.tolist()))
-        return _emit(args, quad, contract, results)
-    # Each axis value is spelled once and reused down the x and xi columns.
-    cells = [repr(v) for v in axis.tolist()]
-    columns = ([c for c in cells for _ in range(args.grid)], cells * args.grid,
-               vals.real.tolist(), vals.imag.tolist())
-    return _emit(args, quad, contract, results, ("x", "xi", "re", "im"), csv_columns=columns)
+    # CSV spells each axis value once and reuses it down the x and xi columns.
+    cells = axis.tolist() if args.format == "json" else [repr(v) for v in axis.tolist()]
+    table = (
+        ([c for c in cells[lo:hi] for _ in range(n)], cells * (hi - lo),
+         vals[lo * n : hi * n].real.tolist(), vals[lo * n : hi * n].imag.tolist())
+        for lo, hi in blocks
+    )
+    results = {"points": n**2, "rows": None}
+    return _emit(args, quad, contract, results, ("x", "xi", "re", "im"), table, json_rows="rows")
 
 
 def _symbol_matrix(args):
@@ -260,17 +317,28 @@ def _symbol_matrix(args):
 
 def cmd_opmatrix(args) -> int:
     om = _symbol_matrix(args)
-    herm = float(np.max(np.abs(om.entries - om.entries.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(om.entries))))
+    entries, size = om.entries, om.size
+    blocks = _row_blocks(size)
+    # Row blocks against the matching column blocks keep the temporaries to
+    # one chunk; np.max over the block maxima is the whole matrix's maximum
+    # (a NaN included).
+    defects = [np.max(np.abs(entries[lo:hi] - entries[:, lo:hi].conj().T)) for lo, hi in blocks]
+    herm = float(np.max(defects))
+    scale = max(1.0, float(np.max([np.max(np.abs(entries[lo:hi])) for lo, hi in blocks])))
     contract = {
         "name": "hermitian matrix within 1e-8 (relative)",
         "passed": bool(herm <= 1e-8 * scale),
         "hermiticity_defect": herm,
     }
-    row_index, col_index = np.indices(om.entries.shape).reshape(2, -1).tolist()
-    rows = list(zip(row_index, col_index, om.entries.real.ravel().tolist(), om.entries.imag.ravel().tolist()))
-    results = {"basis_size": om.size, "entries": rows if args.format == "json" else None}
-    return _emit(args, om.meta, contract, results, ("row_index", "col_index", "re", "im"), rows)
+    cols = list(range(size))
+    table = (
+        ([i for i in range(lo, hi) for _ in cols], cols * (hi - lo),
+         entries[lo:hi].real.ravel().tolist(), entries[lo:hi].imag.ravel().tolist())
+        for lo, hi in blocks
+    )
+    results = {"basis_size": size, "entries": None}
+    return _emit(args, om.meta, contract, results, ("row_index", "col_index", "re", "im"), table,
+                 json_rows="entries")
 
 
 def cmd_spectrum(args) -> int:
@@ -282,9 +350,9 @@ def cmd_spectrum(args) -> int:
         "min_eig": float(eigs[0]),
         "max_eig": float(eigs[-1]),
     }
-    rows = [(i, float(v)) for i, v in enumerate(eigs)]
-    results = {"eigenvalues": [float(v) for v in eigs]}
-    return _emit(args, om.meta, contract, results, ("index", "eigenvalue"), rows)
+    results = {"eigenvalues": eigs.tolist()}
+    table = [(list(range(eigs.size)), results["eigenvalues"])]
+    return _emit(args, om.meta, contract, results, ("index", "eigenvalue"), table)
 
 
 def cmd_nonpos(args) -> int:
@@ -305,9 +373,9 @@ def cmd_nonpos(args) -> int:
         "sign": "negative" if closed < 0 else ("zero" if closed == 0 else "positive"),
         "sign_change_at_h_nu_anorm_sq": 1.0,
     }
-    rows = [("closed", closed), ("quadrature", quadval), ("abs_diff", diff)]
+    table = [(("closed", "quadrature", "abs_diff"), (closed, quadval, diff))]
     quad = _ladder_block(route=NONPOS_QUADRATURE_ROUTE)
-    return _emit(args, quad, contract, results, ("quantity", "value"), rows)
+    return _emit(args, quad, contract, results, ("quantity", "value"), table)
 
 
 def cmd_radial(args) -> int:
@@ -332,10 +400,9 @@ def cmd_radial(args) -> int:
         "hypothesis_satisfied": rp.increasing,
         "diagonal": [float(v) for v in rp.diagonal],
     }
-    rows = [(i, float(v)) for i, v in enumerate(rp.diagonal)]
-    rows.append(("bound", rp.bound))
-    rows.append(("min_eig", rp.min_eig))
-    return _emit(args, rp.quad_meta, contract, results, ("index", "value"), rows)
+    table = [([*range(len(rp.diagonal)), "bound", "min_eig"],
+              [*results["diagonal"], rp.bound, rp.min_eig])]
+    return _emit(args, rp.quad_meta, contract, results, ("index", "value"), table)
 
 
 def cmd_garding(args) -> int:
@@ -348,16 +415,12 @@ def cmd_garding(args) -> int:
         "tolerance": -1e-9,
     }
     results = rep.as_dict()
-    rows = [
-        ("S_eps", rep.s_eps),
-        ("sum_lambda", rep.sum_lambda),
-        ("prod_one_plus_lambda", rep.prod_one_plus_lambda),
-        ("M", rep.M),
-        ("bound", rep.bound),
-        ("measured_min_eig", rep.measured_min_eig),
-        ("margin", rep.margin),
-    ]
-    return _emit(args, rep.quad_meta, contract, results, ("quantity", "value"), rows)
+    table = [(
+        ("S_eps", "sum_lambda", "prod_one_plus_lambda", "M", "bound", "measured_min_eig", "margin"),
+        (rep.s_eps, rep.sum_lambda, rep.prod_one_plus_lambda, rep.M, rep.bound,
+         rep.measured_min_eig, rep.margin),
+    )]
+    return _emit(args, rep.quad_meta, contract, results, ("quantity", "value"), table)
 
 
 def cmd_flandrin(args) -> int:
@@ -375,9 +438,9 @@ def cmd_flandrin(args) -> int:
         "bridge_vs_table": rep.bridge_vs_table,
     }
     results = rep.as_dict()
-    rows = [(n, v) for n, v in rep.convergence]
+    table = [([n for n, _ in rep.convergence], [v for _, v in rep.convergence])]
     quad = {"spec": rep.quad, "domain_radius": rep.domain_radius}
-    return _emit(args, quad, contract, results, ("N", "top_eigenvalue"), rows)
+    return _emit(args, quad, contract, results, ("N", "top_eigenvalue"), table)
 
 
 def cmd_stochext(args) -> int:
@@ -417,7 +480,8 @@ def cmd_stochext(args) -> int:
         ],
     }
     quad = {"samples": args.samples, "explicit_tail_coords": EXPLICIT_TAIL_COORDS}
-    return _emit(args, quad, contract, results, ("n", "exact", "mc_estimate", "std_error"), rows)
+    return _emit(args, quad, contract, results, ("n", "exact", "mc_estimate", "std_error"),
+                 [tuple(zip(*rows))])
 
 
 def cmd_heatcheck(args) -> int:
@@ -449,13 +513,10 @@ def cmd_heatcheck(args) -> int:
         "weyl_ground_state": weyl,
         "antiwick_ground_state": aw,
     }
-    rows = [
-        ("residual", residual),
-        ("weyl_ground_re", float(np.real(weyl))),
-        ("antiwick_ground_re", float(np.real(aw))),
-    ]
+    table = [(("residual", "weyl_ground_re", "antiwick_ground_re"),
+              (residual, float(np.real(weyl)), float(np.real(aw))))]
     quad = {"route": section_route(sym), "grid_points": args.points}
-    return _emit(args, quad, contract, results, ("quantity", "value"), rows)
+    return _emit(args, quad, contract, results, ("quantity", "value"), table)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .symbols import (
     gaussian_symbol,
 )
 from .wigner import (
+    _box_matrix,
     _bridge_sweep,
     _checked,
     _polar_desc,
@@ -292,11 +293,8 @@ POLAR_CHECK_N = 128
 
 def flandrin_matrix(a: float, N: int) -> np.ndarray:
     """M_jk(a) = int_{[0,a)^2} W_cl(phi_j, phi_k) dx deta, 0 <= j,k <= N: the
-    closed quarter plane at a = inf, otherwise the square case of the
-    classical rectangle sweep (the polar rule on [0, a)^2 cut at R(N))."""
-    if math.isinf(a):
-        return _quarter_plane_matrix(N)
-    return _polar_sweep(N, a, a)[0]
+    square case of `_box_matrix`, so checked as a box section is."""
+    return _box_matrix(N, a, a)[0]
 
 
 @dataclass(frozen=True)
@@ -336,9 +334,9 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     At a = inf the matrix is the closed quarter plane, solved as the real
     symmetric R of `_quarter_plane`; the check is one polar sweep on the
     leading block n = min(N, POLAR_CHECK_N), compared entrywise.  For finite a
-    the matrix comes from the polar sweep of the square, checked by the sweep
-    on the same radial panels with more nodes.  The bridge (2-D panels) is a
-    further independent route on the section min(N, 8).
+    it is the checked `_box_matrix` of the square.  The bridge (2-D panels), a
+    further independent route on the section min(N, 8), is compared with the
+    leading block of the closed matrix at a = inf, else of the matrix solved.
 
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
     [0,a)^2 exceeds its norm; the report carries the measured excess and its
@@ -351,11 +349,13 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
         nb = min(N, POLAR_CHECK_N)
         L = flandrin_domain_radius(nb)
         polar, points = _polar_sweep(nb, a, a)
-        agreement = float(np.max(np.abs(polar - _quarter_plane_matrix(nb))))
+        table = _quarter_plane_matrix(nb)
+        agreement = float(np.max(np.abs(polar - table)))
         quad_desc = f"closed: 2F1 recurrence; polar check on n <= {nb}: {_polar_desc(nb, a, a, points, False)}"
     else:
         L = min(a, flandrin_domain_radius(N))
-        M, points, agreement = _checked(_polar_sweep, N, a, a)
+        M, points, agreement = _box_matrix(N, a, a)
+        table = M
         quad_desc = f"polar: {_polar_desc(N, a, a, points, True)}"
     sections = sorted({2**k for k in range(1, N.bit_length())} | {N})
     convergence = tuple(
@@ -364,11 +364,11 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     top = convergence[-1][1]
 
     # h-cancellation: rebuild a small section through the Gaussian bridge at
-    # two different h values and compare (with the table as a third route).
+    # two h values and compare (with the leading block of `table` as a third route).
     nh = min(N, 8)
     mb1, _ = _bridge_sweep(nh, a, a, CalcContext(h=0.5))
     mb2, _ = _bridge_sweep(nh, a, a, CalcContext(h=2.0))
-    mt = flandrin_matrix(a, nh)
+    mt = table[: nh + 1, : nh + 1]
     h_dev = float(np.max(np.abs(mb1 - mb2)))
     bridge_dev = float(max(np.max(np.abs(mb1 - mt)), np.max(np.abs(mb2 - mt))))
 

@@ -22,7 +22,7 @@ import numpy as np
 from .basis import CalcContext, MultiIndex, TruncationSet
 from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
-from .wigner import _checked, _polar_sweep, _quarter_plane_matrix, wigner_closed
+from .wigner import _box_matrix, wigner_closed
 
 # States of a dense section; a diagonal section keeps one degree row and one
 # complex value per state, so it takes a larger cap.
@@ -224,18 +224,6 @@ def _tensor_element(sym, alpha, beta, ctx):
     return ladder(lambda n: _tensor_shot(sym, alpha, beta, ctx, n), start=start, cap=cap)
 
 
-def _box_table(sym, N: int, ctx: CalcContext):
-    """The one-pair section of box(a), 0 <= j,k <= N, and the radial points
-    of its accepted polar rule (0 for the closed quarter plane at a = inf).
-    (x, xi) = lambda (u, v), lambda = sqrt(2 pi h), turns W(psi_j, psi_k)
-    e^{-r^2/h} dx dxi / (pi h) into W_cl(phi_j, phi_k) du dv and the box into
-    the rectangle [0, lambda a) x [0, a/lambda)."""
-    if math.isinf(sym.a):
-        return _quarter_plane_matrix(N), 0
-    lam = math.sqrt(2.0 * math.pi * ctx.h)
-    return _checked(_polar_sweep, N, lam * sym.a, sym.a / lam)[:2]
-
-
 def _refuse_dense(size: int) -> None:
     if size > MAX_MATRIX_SIZE:
         raise ValueError(f"truncation has {size} elements; the dense-matrix cap is {MAX_MATRIX_SIZE}")
@@ -244,8 +232,9 @@ def _refuse_dense(size: int) -> None:
 def _entries(sym, rows, cols, ctx: CalcContext):
     """(I_{alpha beta} for alpha in rows, beta in cols; largest ladder order).
     Entries whose degrees differ beyond sym.d are zero (delta factors).
-    Boxes read one `_box_table`, the closed route fills its diagonal law
-    where row and column match, and the tensor ladder runs entry by entry."""
+    Boxes read one `_box_matrix` of their rectangle in (u, v) = (x, xi)/lambda,
+    lambda = sqrt(2 pi h); the closed route fills its diagonal law where row
+    and column match, and the tensor ladder runs entry by entry."""
     _refuse_dense(max(len(rows), len(cols)))
     rows = [_as_index(a) for a in rows]
     cols = [_as_index(b) for b in cols]
@@ -256,7 +245,8 @@ def _entries(sym, rows, cols, ctx: CalcContext):
     route = section_route(sym)
     if route in (ROUTE_BOX, ROUTE_QUARTER):
         top = max(R[:, 0].max(initial=0), C[:, 0].max(initial=0))
-        table, order = _box_table(sym, int(top), ctx)
+        lam = math.sqrt(2.0 * math.pi * ctx.h)
+        table, order, _ = _box_matrix(int(top), lam * sym.a, sym.a / lam)
         out = table[np.ix_(R[:, 0], C[:, 0])]
         out[np.any(R[:, None, d:] != C[None, :, d:], axis=2)] = 0.0
         return out, order

@@ -474,3 +474,12 @@ def _quarter_plane_matrix(N: int) -> np.ndarray:
     block of the degree-N matrix is the matrix of that degree, bit for bit."""
     d = _EIGHTH_ROOTS[np.arange(N + 1) % 8]
     return _quarter_plane(N) * np.multiply.outer(d.conj(), d)
+
+
+def _box_matrix(N: int, lx: float, ly: float):
+    """(M, points, agreement) of `_checked` for M_jk = int_{[0,lx) x [0,ly)}
+    W_cl(phi_j, phi_k), 0 <= j,k <= N, from the polar sweep, or from the closed
+    quarter plane (0 points, agreement 0.0) when both sides are infinite."""
+    if math.isinf(lx) and math.isinf(ly):
+        return _quarter_plane_matrix(N), 0, 0.0
+    return _checked(_polar_sweep, N, lx, ly)

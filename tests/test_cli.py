@@ -675,6 +675,26 @@ def test_flandrin_fails_a_table_kernel_the_bridge_disagrees_with(monkeypatch, ca
     assert np.max(np.abs(bridged - kernel(4, *wigner._polar_rule(4, 2.0, 2.0, 16, 1)))) <= 1e-11
 
 
+def test_flandrin_bridge_sees_an_error_in_the_reported_matrix(monkeypatch, capsys):
+    """An error in the degree-32 sweep alone, at entries (1, 2) and (2, 1),
+    moves both node counts of the polar check together; the bridge sees it
+    because it is compared with the leading block of the matrix solved."""
+    kernel = wigner._table_sums
+
+    def perturbed(N, *args):
+        S = kernel(N, *args)
+        if N == 32:
+            S[1, 2] += 1e-6
+            S[2, 1] += 1e-6
+        return S
+
+    monkeypatch.setattr(wigner, "_table_sums", perturbed)
+    assert main(["flandrin", "--a", "2.0", "--N", "32"]) == 2
+    contract = json.loads(capsys.readouterr().out)["contract"]
+    assert contract["panel_agreement"] <= 1e-9 and contract["h_invariance_dev"] <= 1e-8
+    assert abs(contract["bridge_vs_table"] - 1e-6) <= 1e-9
+
+
 def test_box_degree_limit_exits_1(capsys):
     assert main(["spectrum", "--symbol", "box:a=1.0", "--N", "1025"]) == 1
     assert "1024" in capsys.readouterr().err

@@ -488,13 +488,13 @@ def test_flandrin_reduction_check_sees_a_perturbed_section(monkeypatch):
     ctx = CalcContext(h=0.5)
     r = 1.0 / math.sqrt(2.0)
     f = HermiteExpansion.from_pairs([((0,), r), ((1,), r * 1j)])
-    checked = quadform._checked
+    box_matrix = quadform._box_matrix
 
     def perturbed(*args):
-        table, points, agreement = checked(*args)
+        table, points, agreement = box_matrix(*args)
         return table + 1e-6, points, agreement
 
-    monkeypatch.setattr(quadform, "_checked", perturbed)
+    monkeypatch.setattr(quadform, "_box_matrix", perturbed)
     _, _, residual = flandrin_reduction_check(1.0, ctx, f)
     assert residual > 1e-8
 

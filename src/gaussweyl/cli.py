@@ -17,11 +17,13 @@ gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -177,16 +179,25 @@ def _csv_pieces(header, table):
         yield "".join(map(line.format, *map(_csv_column, chunk)))
 
 
-def _write(pieces, path=None) -> None:
-    """Write text pieces, one at a time, to a new file at `path` or, without
-    one, to stdout."""
-    if not path:
-        for piece in pieces:
-            sys.stdout.write(piece)
-        return
-    with open(path, "w", newline="") as fh:
-        for piece in pieces:
-            fh.write(piece)
+@contextlib.contextmanager
+def _outputs(paths):
+    """Every path opened as a new text file before anything is written, so a
+    path that cannot be opened stops the run before its header line.  On an
+    OSError, in the opening or in the block, the files opened are removed and
+    the error is a usage error (exit code 1)."""
+    files = []
+    try:
+        for path in paths:
+            files.append(open(path, "w", newline=""))
+        yield files
+    except OSError as exc:
+        for fh in files:
+            fh.close()
+            os.remove(fh.name)
+        raise ValueError(f"cannot write the output: {exc}") from None
+    finally:
+        for fh in files:
+            fh.close()
 
 
 def _emit(args, quadrature, contract, results, header, table, json_rows=None) -> int:
@@ -197,7 +208,8 @@ def _emit(args, quadrature, contract, results, header, table, json_rows=None) ->
     in `header` order.  It is written chunk by chunk: as the CSV data, or in
     JSON as the array `results[json_rows]`; a JSON report without `json_rows`
     carries no table.  The chunks only spell values the command computed
-    before calling, so a command that fails writes no file."""
+    before calling, so a command that fails writes no file, and `_outputs`
+    opens every file before the header line."""
     proposition = _PROPOSITIONS[args.command]
     ok = bool(contract.get("passed", False))
     report = {
@@ -209,22 +221,21 @@ def _emit(args, quadrature, contract, results, header, table, json_rows=None) ->
         "quadrature": _jsonable(quadrature),
         "contract": _jsonable(contract),
     }
-    sys.stderr.write(
-        f"# {TOOL} {__version__} {args.command} | {proposition} | "
-        f"contract {'PASS' if ok else 'FAIL'}\n"
-    )
-    if args.format == "json":
-        report["results"] = _jsonable(results)
-        if json_rows is not None:
-            report["results"][json_rows] = _JsonRows(table)
-        _write(_json_pieces(report), args.output)
-    else:
-        meta = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-        _write(_csv_pieces(header, table), args.output)
-        if args.output:
-            _write([meta], args.output + ".meta.json")
+    paths = [args.output, args.output + ".meta.json"] if args.output else []
+    with _outputs(paths[: 1 if args.format == "json" else 2]) as files:
+        sys.stderr.write(
+            f"# {TOOL} {__version__} {args.command} | {proposition} | "
+            f"contract {'PASS' if ok else 'FAIL'}\n"
+        )
+        if args.format == "json":
+            report["results"] = _jsonable(results)
+            if json_rows is not None:
+                report["results"][json_rows] = _JsonRows(table)
+            (files[0] if files else sys.stdout).writelines(_json_pieces(report))
         else:
-            sys.stderr.write(meta)
+            meta = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+            (files[0] if files else sys.stdout).writelines(_csv_pieces(header, table))
+            (files[1] if files else sys.stderr).write(meta)
     return 0 if ok else 2
 
 
@@ -444,6 +455,14 @@ def cmd_flandrin(args) -> int:
 
 
 def cmd_stochext(args) -> int:
+    # The library refuses p < 1 and s <= 0; nan, inf and a p whose moment
+    # constant Gamma((p+1)/2) overflows are refused here, before the run.
+    if not (math.isfinite(args.p) and math.isfinite(args.s)):
+        raise ValueError(f"--p and --s must be finite, got {args.p!r} and {args.s!r}")
+    try:
+        math.gamma((max(args.p, 1.0) + 1.0) / 2.0)
+    except OverflowError:
+        raise ValueError(f"--p {args.p!r}: Gamma((p+1)/2) overflows (p must be at most about 342.2)") from None
     a = geometric_direction() if args.direction == "geometric" else power_direction()
     ns = sorted(n for n in {0, 1, 2, args.nmax} | {2**k for k in range(2, 12)} if n <= args.nmax)
     # Both directions have infinite support, so a zero closed-form tail is an
@@ -460,11 +479,16 @@ def cmd_stochext(args) -> int:
 
     rate = 0.0027
     sigmas = NormalDist().inv_cdf(1.0 - 0.5 * rate / len(ns))
-    estimates = mc_conv_rate(a, ns, args.p, args.s, args.samples, args.seed)
+    # At large p the moments |X|^p overflow; a row whose numbers are not
+    # finite fails the contract, so numpy's warnings would only break the
+    # stderr format.
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = mc_conv_rate(a, ns, args.p, args.s, args.samples, args.seed)
     rows = [(n, exact_conv_rate(a, n, args.p, args.s), est, se) for n, (est, se) in zip(ns, estimates)]
     z = [abs(est - exact) / se for _, exact, est, se in rows if se > 0]
     worst = max(z, default=0.0)
-    ok = all(v <= sigmas for v in z) and all(est == exact for _, exact, est, se in rows if se == 0)
+    ok = (all(math.isfinite(v) for row in rows for v in row[1:])
+          and all(v <= sigmas for v in z) and all(est == exact for _, exact, est, se in rows if se == 0))
     contract = {
         "name": "MC estimates bracket the closed-form rates, all rows at a family-wise false-alarm rate of 0.27%",
         "passed": bool(ok),

@@ -133,7 +133,7 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
     for phi, dj in sym.parts:
         bound *= phi.laplace_mean(ctx.h, dj)
     om = assemble_matrix(sym, truncation, ctx)
-    diagonal = np.real(om.diagonal)
+    diagonal = om.diagonal
     min_eig = float(np.min(diagonal))
     increasing = all(phi.is_increasing() for phi, _ in sym.parts)
     return RadialPositivity(

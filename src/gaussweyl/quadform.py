@@ -25,7 +25,7 @@ from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
 from .wigner import _box_matrix, wigner_closed
 
 # States of a dense section; a diagonal section keeps one degree row and one
-# complex value per state, so it takes a larger cap.
+# real value per state, so it takes a larger cap.
 MAX_MATRIX_SIZE = 4096
 MAX_DIAGONAL_SIZE = 1 << 18
 
@@ -137,8 +137,9 @@ class OperatorMatrix:
     the one provenance record reports print, everything needed to reproduce
     it (symbol, h, route, orders).
 
-    A diagonal section carries `diagonal` and builds the dense `entries`
-    only when they are read; other sections carry `dense`."""
+    A diagonal section carries the real `diagonal` of the closed law and
+    builds the dense `entries` only when they are read; other sections carry
+    `dense`."""
 
     truncation: TruncationSet
     meta: dict = field(default_factory=dict)
@@ -297,7 +298,7 @@ def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> Operato
             raise ValueError(
                 f"truncation has {size} elements; the diagonal-section cap is {MAX_DIAGONAL_SIZE}"
             )
-        diagonal = _mixture_diagonal(sym.gauss_mixture(), truncation.degrees, ctx.h).astype(complex)
+        diagonal = _mixture_diagonal(sym.gauss_mixture(), truncation.degrees, ctx.h)
         max_order, structural = 0, size * (size - 1) // 2
     else:
         _refuse_dense(size)  # before the indices are built

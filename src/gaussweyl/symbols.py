@@ -204,6 +204,8 @@ def gaussian_symbol(nu: float, anorm: float) -> SymbolDescriptor:
         raise SymbolDomainError("nu", f"must be > 0, got {nu!r}")
     if not anorm > 0:
         raise SymbolDomainError("anorm", f"must be > 0, got {anorm!r}")
+    if not math.isfinite(nu * (anorm * anorm)):  # the rate nu |a|^2 of `gauss_mixture`
+        raise SymbolDomainError("anorm", f"|a|^2 and nu |a|^2 must be finite, got nu={nu!r}, anorm={anorm!r}")
     return SymbolDescriptor(family="gaussian", d=1, nu=nu, anorm=anorm)
 
 
@@ -303,6 +305,14 @@ def eval_ddot(sym: SymbolDescriptor, x, xi, ctx: CalcContext | None = None):
 # ---------------------------------------------------------------------------
 
 
+def _finite(value: float, param: str, tok: str) -> float:
+    """`value`, read from `tok`, if it is finite: the grammar takes no nan,
+    inf or overflowing value except the literal `box:a=inf`."""
+    if not math.isfinite(value):
+        raise SymbolDomainError(param, f"must be finite, got {tok!r}")
+    return value
+
+
 def _parse_real(text: str, start: int, param: str, allow_inf: bool = False) -> float:
     tok = text[start:]
     if not tok:
@@ -310,9 +320,10 @@ def _parse_real(text: str, start: int, param: str, allow_inf: bool = False) -> f
     if allow_inf and tok == "inf":
         return math.inf
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise SymbolSyntaxError(start + 1, f"expected a real number for {param}, got {tok!r}") from None
+    return _finite(value, param, tok)
 
 
 def _expect(text: str, pos: int, literal: str) -> int:
@@ -339,9 +350,10 @@ def _parse_phispec(text: str, start: int, end: int) -> PhiSpec:
             if not piece:
                 raise SymbolSyntaxError(pos + 1, "empty coefficient")
             try:
-                coeffs.append(float(piece))
+                value = float(piece)
             except ValueError:
                 raise SymbolSyntaxError(pos + 1, f"expected a real coefficient, got {piece!r}") from None
+            coeffs.append(_finite(value, "polyexp", piece))
             pos += len(piece) + 1
         return PhiSpec(kind="polyexp", coeffs=tuple(coeffs))
     raise SymbolSyntaxError(start + 1, f"unknown phi spec {body!r}")

@@ -393,6 +393,70 @@ def test_stochext_geometric_underflow_exits_1(capsys):
     assert rep["quadrature"]["explicit_tail_coords"] == 64
 
 
+def test_stochext_fails_rows_it_could_not_check(capsys):
+    """At p = 300 the moments |X|^p overflow in the variance, so every
+    standard error is inf and every z-score 0; the contract fails those rows
+    instead of passing them, and numpy's overflow warnings stay silent."""
+    assert main(["stochext", "--p", "300", "--nmax", "4", "--samples", "1000"]) == 2
+    cap = capsys.readouterr()
+    header, meta = cap.err.split("\n", 1)
+    assert header.endswith("contract FAIL")
+    assert json.loads(meta)["contract"]["passed"] is False
+    rows = list(csv.DictReader(io.StringIO(cap.out)))
+    assert [r["n"] for r in rows] == ["0", "1", "2", "4"]
+    assert all(r["std_error"] == "inf" for r in rows)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["spectrum", "--symbol", "gaussian:nu=1.0,anorm=1e200"], "'anorm'"),
+    (["nonpos", "--nu", "1e300", "--anorm", "1e300"], "'anorm'"),
+    (["spectrum", "--symbol", "radial:phi=one,d=inf"], "'d'"),
+    (["garding", "--symbol", "const:c=inf", "--N", "2"], "'c'"),
+    (["garding", "--symbol", "const:c=nan", "--N", "2"], "'c'"),
+    (["garding", "--symbol", "radial:phi=polyexp:1.0,inf,d=1", "--N", "2"], "'polyexp'"),
+    (["stochext", "--s", "nan"], "--s must be finite"),
+    (["stochext", "--p", "inf"], "--p and --s must be finite"),
+    (["stochext", "--p", "400"], "Gamma((p+1)/2) overflows"),
+])
+def test_non_finite_or_overflowing_input_is_a_usage_error(argv, needle, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaussweyl: error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("argv, sidecar_is_a_directory", [
+    (["wigner", "--j", "1", "--k", "2", "--grid", "3"], False),
+    (["nonpos", "--nu", "2", "--anorm", "1"], False),
+    (["wigner", "--j", "1", "--k", "2", "--grid", "3"], True),
+    (["opmatrix", "--symbol", GAUSS, "--N", "2"], True),
+], ids=["wigner-missing-dir", "nonpos-missing-dir", "wigner-sidecar-dir", "opmatrix-sidecar-dir"])
+def test_an_output_that_cannot_be_opened_exits_1_before_the_header(argv, sidecar_is_a_directory,
+                                                                    tmp_path, capsys):
+    if sidecar_is_a_directory:
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.meta.json").mkdir()
+    else:
+        out = tmp_path / "missing" / "x"
+    assert main([*argv, "--output", str(out)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("gaussweyl: error: cannot write the output: ") and cap.err.count("\n") == 1
+    # the data file opened before the sidecar failed is removed
+    assert [p.name for p in tmp_path.iterdir()] == (["x.csv.meta.json"] if sidecar_is_a_directory else [])
+
+
+def test_an_output_write_error_removes_the_files(monkeypatch, tmp_path, capsys):
+    def failing(header, table):
+        yield "row_index,col_index,re,im\r\n"
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_csv_pieces", failing)
+    assert main(["opmatrix", "--symbol", GAUSS, "--N", "2", "--output", str(tmp_path / "x.csv")]) == 1
+    assert "No space left on device" in capsys.readouterr().err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_and_domain_errors_exit_1(capsys):
     cases = [
         ["bogus"],

@@ -588,6 +588,18 @@ def test_eig_hermitian_diagonal_section():
         eig_hermitian(skew)
 
 
+def test_closed_section_keeps_a_real_diagonal():
+    """The closed law is real, so its section stores 8 bytes a state (and its
+    dense `entries` 8 bytes an entry); a matrix element stays complex."""
+    ctx = CalcContext(h=1.0)
+    sym = gaussian_symbol(2.0, 1.0)
+    om = assemble_matrix(sym, TruncationSet(1, 4), ctx)
+    assert om.diagonal.dtype == np.float64 and om.entries.dtype == np.float64
+    assert np.max(np.abs(om.diagonal - [diag_law(j, 2.0, 1.0) for j in range(5)])) <= 1e-15
+    assert matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx) == complex(om.diagonal[2])
+    assert type(matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx)) is complex
+
+
 def test_matrix_metadata_names_the_route():
     """Every symbol with a Gaussian-mixture form takes the closed law and
     builds no dense matrix (so the ladder never sees a per-pair radial

@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -41,6 +40,7 @@ from .positivity import (
 )
 from .quadform import (
     HermiteExpansion,
+    _refuse_dense,
     assemble_matrix,
     eig_hermitian,
     quadratic_form,
@@ -58,12 +58,12 @@ from .wigner import wigner_closed, wigner_hermite_quadrature
 
 TOOL = "gaussweyl"
 # Points per axis of a `wigner` grid.  The values take 16 bytes a point and
-# the table is written in chunks, so a run at the cap peaks near 57 MB
-# resident with CSV output and 53 MB with JSON (2 vCPUs).
+# the table is written in chunks, so a run at the cap peaks near 55 MB
+# resident with CSV output and 57 MB with JSON (2 vCPUs).
 MAX_WIGNER_GRID = 1024
-# Rows per chunk of a report table, and encoder tokens per piece of a JSON
-# report: a chunk's Python cells take a few MB.
+# Rows per chunk of a report table: a chunk's Python cells take a few MB.
 TABLE_CHUNK = 1 << 14
+_TABLE = "\0table"  # where a JSON report's table goes, until it is written
 
 _PROPOSITIONS = {
     "wigner": "Eq. (Wigner-gaussienne)",
@@ -141,42 +141,47 @@ def _csv_column(cells) -> list:
     return cells
 
 
-class _JsonRows(list):
-    """The JSON array of a table's rows, read one chunk at a time.  Each column
-    of a chunk passes through `_jsonable` as the chunk is reached, and the rows
-    are zipped from the columns.  `JSONEncoder.iterencode` (not one-shot) runs
-    the pure-Python encoder, which takes a list by its truth value and by
-    iterating it, so it never holds more than one chunk."""
-
-    def __init__(self, chunks):
-        super().__init__()
-        rows = itertools.chain.from_iterable(zip(*map(_jsonable, chunk)) for chunk in chunks)
-        self._first = list(itertools.islice(rows, 1))
-        self._rows = itertools.chain(self._first, rows)
-
-    def __bool__(self):
-        return bool(self._first)
-
-    def __iter__(self):
-        return self._rows
+class _Spelled(list):
+    """A column of finite floats' reprs, which CSV and JSON both write as is."""
 
 
-def _json_pieces(report):
-    """`json.dumps(report, indent=2, ensure_ascii=False) + "\n"`, in pieces
-    of at most TABLE_CHUNK encoder tokens."""
-    tokens = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(report)
-    while piece := "".join(itertools.islice(tokens, TABLE_CHUNK)):
-        yield piece
-    yield "\n"
+def _json_column(cells) -> list:
+    """The JSON twin of `_csv_column`: a `_Spelled` column or one of finite
+    int/float cells passes through, since str.format spells a number by repr
+    as json does; any other is spelled cell by cell by json.dumps."""
+    if type(cells) is _Spelled:
+        return cells
+    kinds = set(map(type, cells))
+    if kinds <= {int} or (kinds <= {int, float} and all(map(math.isfinite, cells))):
+        return cells
+    return [json.dumps(_jsonable(c), ensure_ascii=False) for c in cells]
+
+
+def _table_rows(line, column, table):
+    """One piece per chunk: its columns spelled by `column`, its rows by `line`."""
+    for chunk in table:
+        yield "".join(map(line.format, *map(column, chunk)))
 
 
 def _csv_pieces(header, table):
-    """The CSV table, header line first, then one piece per chunk, each line
-    joined by one format string."""
+    """The CSV table, header line first, then one piece per chunk."""
     line = ",".join(["{}"] * len(header)) + "\r\n"
     yield line.format(*map(_csv_quote, header))
-    for chunk in table:
-        yield "".join(map(line.format, *map(_csv_column, chunk)))
+    yield from _table_rows(line, _csv_column, table)
+
+
+def _json_pieces(report, width, table):
+    """`json.dumps(report, indent=2, ensure_ascii=False) + "\n"` in pieces, the
+    rows of `table` (one at least) in place of a `_TABLE` at results[key]:
+    one piece per chunk, each row led by a comma, through one indent=2 line."""
+    head, at, tail = json.dumps(report, indent=2, ensure_ascii=False).rpartition(json.dumps(_TABLE))
+    if at:
+        line = ",\n      [\n        " + ",\n        ".join(["{}"] * width) + "\n      ]"
+        pieces = _table_rows(line, _json_column, table)
+        yield head + "[" + next(pieces)[1:]
+        yield from pieces
+        tail = "\n    ]" + tail
+    yield tail + "\n"
 
 
 @contextlib.contextmanager
@@ -230,8 +235,8 @@ def _emit(args, quadrature, contract, results, header, table, json_rows=None) ->
         if args.format == "json":
             report["results"] = _jsonable(results)
             if json_rows is not None:
-                report["results"][json_rows] = _JsonRows(table)
-            (files[0] if files else sys.stdout).writelines(_json_pieces(report))
+                report["results"][json_rows] = _TABLE
+            (files[0] if files else sys.stdout).writelines(_json_pieces(report, len(header), table))
         else:
             meta = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
             (files[0] if files else sys.stdout).writelines(_csv_pieces(header, table))
@@ -310,10 +315,10 @@ def cmd_wigner(args) -> int:
             "spot_radius": r,
         }
         quad = _ladder_block()
-    # CSV spells each axis value once and reuses it down the x and xi columns.
-    cells = axis.tolist() if args.format == "json" else [repr(v) for v in axis.tolist()]
+    # Each axis value is spelled once and reused down the x and xi columns.
+    cells = [repr(v) for v in axis.tolist()]
     table = (
-        ([c for c in cells[lo:hi] for _ in range(n)], cells * (hi - lo),
+        (_Spelled([c for c in cells[lo:hi] for _ in range(n)]), _Spelled(cells * (hi - lo)),
          vals[lo * n : hi * n].real.tolist(), vals[lo * n : hi * n].imag.tolist())
         for lo, hi in blocks
     )
@@ -328,28 +333,31 @@ def _symbol_matrix(args):
 
 def cmd_opmatrix(args) -> int:
     om = _symbol_matrix(args)
-    entries, size = om.entries, om.size
+    size, diagonal, dense = om.size, om.diagonal, om.dense
+    _refuse_dense(size)  # a diagonal section too: the table has size^2 rows
     blocks = _row_blocks(size)
-    # Row blocks against the matching column blocks keep the temporaries to
-    # one chunk; np.max over the block maxima is the whole matrix's maximum
-    # (a NaN included).
-    defects = [np.max(np.abs(entries[lo:hi] - entries[:, lo:hi].conj().T)) for lo, hi in blocks]
-    herm = float(np.max(defects))
-    scale = max(1.0, float(np.max([np.max(np.abs(entries[lo:hi])) for lo, hi in blocks])))
+    if dense is None:  # off the diagonal E and E - E^H are exactly 0
+        herm = float(np.max(np.abs(diagonal - diagonal.conj())))
+        scale = max(1.0, float(np.max(np.abs(diagonal))))
+    else:
+        # Row blocks against the matching column blocks keep the temporaries
+        # to one chunk; np.max over the block maxima keeps a NaN.
+        herm = float(np.max([np.max(np.abs(dense[lo:hi] - dense[:, lo:hi].conj().T)) for lo, hi in blocks]))
+        scale = max(1.0, float(np.max([np.max(np.abs(dense[lo:hi])) for lo, hi in blocks])))
     contract = {
         "name": "hermitian matrix within 1e-8 (relative)",
         "passed": bool(herm <= 1e-8 * scale),
         "hermiticity_defect": herm,
     }
     cols = list(range(size))
-    table = (
-        ([i for i in range(lo, hi) for _ in cols], cols * (hi - lo),
-         entries[lo:hi].real.ravel().tolist(), entries[lo:hi].imag.ravel().tolist())
-        for lo, hi in blocks
-    )
+
+    def chunk(lo, hi):  # a diagonal section's rows are zeros but for its slice of the diagonal
+        block = np.pad(np.diag(diagonal[lo:hi]), ((0, 0), (lo, size - hi))) if dense is None else dense[lo:hi]
+        return ([i for i in range(lo, hi) for _ in cols], cols * (hi - lo),
+                block.real.ravel().tolist(), block.imag.ravel().tolist())
     results = {"basis_size": size, "entries": None}
-    return _emit(args, om.meta, contract, results, ("row_index", "col_index", "re", "im"), table,
-                 json_rows="entries")
+    return _emit(args, om.meta, contract, results, ("row_index", "col_index", "re", "im"),
+                 (chunk(lo, hi) for lo, hi in blocks), json_rows="entries")
 
 
 def cmd_spectrum(args) -> int:
@@ -520,10 +528,12 @@ def cmd_heatcheck(args) -> int:
     rng = coordinate_stream(args.seed, 97)
     x = rng.normal(0.0, math.sqrt(3.0 * ctx.h), size=(args.points, sym.d))
     xi = rng.normal(0.0, math.sqrt(3.0 * ctx.h), size=(args.points, sym.d))
-    residual = decomposition_residual(sym, lam, ctx, (x, xi))
+    # The section first: it refuses a symbol whose rate overflows at this h
+    # before the grid is evaluated.
     psi0 = HermiteExpansion.single((), 1.0)
     weyl = quadratic_form(sym, psi0, psi0, ctx)
     aw = antiwick_form(sym, psi0, psi0, ctx)
+    residual = decomposition_residual(sym, lam, ctx, (x, xi))
     contract = {
         "name": "telescoping heat decomposition residual <= 1e-10",
         "passed": bool(residual <= 1e-10),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import CalcContext, TruncationSet
 from .gaussian import coordinate_stream, gh_rule, integrate_tensor, ladder
-from .quadform import HermiteExpansion, assemble_matrix, eig_hermitian, quadratic_form
+from .quadform import HermiteExpansion, _finite_rate, assemble_matrix, eig_hermitian, quadratic_form
 from .symbols import (
     PhiSpec,
     _eps_resolver,
@@ -72,7 +72,7 @@ def nonpos_witness(nu: float, anorm: float, ctx: CalcContext):
     h = ctx.h
     ell = HermiteExpansion.single((1,), anorm * math.sqrt(h / 2.0))
     closed = quadratic_form(gaussian_symbol(nu, anorm), ell, ell, ctx).real
-    scale = 1.0 + h * nu * anorm**2
+    scale = 1.0 + _finite_rate(h * nu * anorm**2, nu * anorm**2, h)
 
     def shot(n: int) -> complex:
         rule = gh_rule(n, h / (2.0 * scale))

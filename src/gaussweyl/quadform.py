@@ -137,21 +137,12 @@ class OperatorMatrix:
     the one provenance record reports print, everything needed to reproduce
     it (symbol, h, route, orders).
 
-    A diagonal section carries the real `diagonal` of the closed law and
-    builds the dense `entries` only when they are read; other sections carry
-    `dense`."""
+    A diagonal section carries only its real `diagonal`, others `dense`."""
 
     truncation: TruncationSet
     meta: dict = field(default_factory=dict)
     diagonal: np.ndarray | None = None
     dense: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def entries(self) -> np.ndarray:
-        if self.dense is None:
-            _refuse_dense(self.size)
-            self.dense = np.diag(self.diagonal)
-        return self.dense
 
     @property
     def size(self) -> int:
@@ -181,16 +172,24 @@ def section_route(sym) -> str:
     return ROUTE_LADDER
 
 
+def _finite_rate(u: float, nu: float, h: float) -> float:
+    """u = nu h of a Gaussian rate nu; a u that overflows is a usage error."""
+    if not math.isfinite(u):
+        raise ValueError(f"nu h must be finite, got the Gaussian rate nu = {nu!r} and --h {h!r}")
+    return u
+
+
 def _mixture_diagonal(mix, degrees: np.ndarray, h: float) -> np.ndarray:
     """I_aa = sum_k c_k prod_j (1 - nu_kj h)^{a_j} / (1 + nu_kj h)^{a_j + 1}
     for the mixture sum_k c_k prod_j e^{-nu_kj r_j^2}, one row a of `degrees`
     per basis element; pairs beyond its columns have degree 0.  The ratio
-    (1 - u)/(1 + u) has modulus <= 1, so its powers cannot overflow."""
+    (1 - u)/(1 + u) has modulus <= 1, so its powers cannot overflow; an
+    overflowing u itself is refused."""
     out = np.zeros(len(degrees))
     for c, nus in mix:
         term = np.full(len(degrees), float(c))
         for j, nu in nus.items():
-            u = nu * h
+            u = _finite_rate(nu * h, nu, h)
             a = degrees[:, j - 1] if j <= degrees.shape[1] else 0
             term *= ((1.0 - u) / (1.0 + u)) ** a / (1.0 + u)
         out += term
@@ -284,11 +283,11 @@ def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> Operato
 
     Gaussian mixtures give a diagonal section, evaluated by the closed law in
     one pass over the truncation's degree array, up to MAX_DIAGONAL_SIZE
-    states; no dense matrix is built until `entries` is read.  Other sections
-    are dense, up to MAX_MATRIX_SIZE states, from the entry builder
-    `_entries`: finite boxes from one checked sweep of the classical table,
-    box(inf) from the closed quarter plane, custom symbols entry by entry on
-    the tensor ladder.
+    states; no dense matrix is built (`opmatrix` spells its rows from the
+    diagonal).  Other sections are dense, up to MAX_MATRIX_SIZE states, from
+    the entry builder `_entries`: finite boxes from one checked sweep of the
+    classical table, box(inf) from the closed quarter plane, custom symbols
+    entry by entry on the tensor ladder.
     """
     size = truncation.size
     route = section_route(sym)
@@ -339,7 +338,7 @@ def eig_hermitian(matrix) -> np.ndarray:
     if diagonal:
         A = np.asarray(matrix.diagonal, dtype=complex)
     else:
-        A = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
+        A = matrix.dense if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("expected a square matrix")
     # on a diagonal, A - A^H is 2i Im(A)

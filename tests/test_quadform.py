@@ -107,21 +107,17 @@ def test_radial_matrix_is_diagonal_with_laplace_means():
     trunc = TruncationSet(2, 1)
     om = assemble_matrix(sym, trunc, ctx)
     assert sym.is_pairwise_radial() and om.meta["structural_zeros"] == 6
-    idxs = trunc.indices()
-    for p, alpha in enumerate(idxs):
-        for q, beta in enumerate(idxs):
-            if p != q:
-                assert om.entries[p, q] == 0.0j
-            else:
-                want = np.prod([diag_law(alpha.degree(i), 1.5, 0.5) for i in (1, 2)])
-                assert abs(om.entries[p, p] - want) <= 1e-10
+    assert om.dense is None
+    for p, alpha in enumerate(trunc.indices()):
+        want = np.prod([diag_law(alpha.degree(i), 1.5, 0.5) for i in (1, 2)])
+        assert abs(om.diagonal[p] - want) <= 1e-10
 
 
 def test_assemble_matrix_matches_cli_example():
     ctx = CalcContext(h=1.0)
     om = assemble_matrix(gaussian_symbol(2.0, 1.0), TruncationSet(1, 2), ctx)
     want = np.diag([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0])
-    assert np.max(np.abs(om.entries - want)) <= 1e-11
+    assert np.max(np.abs(np.diag(om.diagonal) - want)) <= 1e-11
     assert om.meta["structural_zeros"] == 3  # upper-triangle pairs only
     md = om.meta
     assert md["symbol"] == "gaussian:nu=2.0,anorm=1.0"
@@ -130,15 +126,14 @@ def test_assemble_matrix_matches_cli_example():
 
 
 def test_matrix_size_cap():
-    """A diagonal section goes up to MAX_DIAGONAL_SIZE states and refuses to
-    expand into a dense matrix above MAX_MATRIX_SIZE; dense sections stop at
+    """A diagonal section goes up to MAX_DIAGONAL_SIZE states and carries
+    only its diagonal above MAX_MATRIX_SIZE; dense sections stop at
     MAX_MATRIX_SIZE before any entry is built."""
     ctx = CalcContext(h=1.0)
     om = assemble_matrix(gaussian_symbol(1.0, 1.0), TruncationSet(1, MAX_MATRIX_SIZE), ctx)
     assert om.size == MAX_MATRIX_SIZE + 1 and om.dense is None
+    assert om.diagonal.shape == (MAX_MATRIX_SIZE + 1,)
     assert eig_hermitian(om)[-1] == 0.5
-    with pytest.raises(ValueError, match="dense-matrix cap is 4096"):
-        om.entries
     with pytest.raises(ValueError, match="diagonal-section cap is 262144"):
         assemble_matrix(gaussian_symbol(1.0, 1.0), TruncationSet(1, MAX_DIAGONAL_SIZE), ctx)
     for sym in (box_symbol(1.0), poly_symbol(Poly2.from_dict({(2, 0): 1.0}))):
@@ -159,7 +154,7 @@ def test_dual_wigner_routes_agree():
     fast = assemble_matrix(sym, trunc, ctx)
     idxs = trunc.indices()
     slow = np.array([[defining_integral.element(sym, a, b, ctx)[0] for b in idxs] for a in idxs])
-    assert np.max(np.abs(fast.entries - slow)) <= 1e-8
+    assert np.max(np.abs(np.diag(fast.diagonal) - slow)) <= 1e-8
 
 
 def test_box_element_matches_classical_square():
@@ -196,7 +191,7 @@ def test_box_section_matches_rectangle_oracle():
     for h in (0.5, 2.0):
         lam = math.sqrt(2.0 * math.pi * h)
         for a in (0.5, 2.0, math.inf):
-            M = assemble_matrix(box_symbol(a), TruncationSet(1, 3), CalcContext(h=h)).entries
+            M = assemble_matrix(box_symbol(a), TruncationSet(1, 3), CalcContext(h=h)).dense
             rect = (lam * a, a / lam)
             for j, k in pairs:
                 if (j, k, rect) not in want:
@@ -209,7 +204,7 @@ def test_box_section_at_degree_256_matches_rectangle_oracle():
     # finite, and its low-degree corner is the rectangle integral
     lam = math.sqrt(2.0 * math.pi)
     om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 256), CalcContext(h=1.0))
-    M = om.entries
+    M = om.dense
     assert M.shape == (257, 257) and np.all(np.isfinite(M))
     assert om.meta["route"] == "box panels"
     for j, k in ((0, 0), (0, 1), (1, 3), (2, 2)):
@@ -220,15 +215,15 @@ def test_quarter_plane_box_section_is_closed():
     om = assemble_matrix(box_symbol(math.inf), TruncationSet(1, 40), CalcContext(h=0.3))
     assert om.meta["route"] == "closed: quarter-plane 2F1 recurrence"
     assert om.meta["quadrature_order"] == 0
-    assert np.max(np.abs(om.entries - wigner._quarter_plane_matrix(40))) == 0.0
+    assert np.max(np.abs(om.dense - wigner._quarter_plane_matrix(40))) == 0.0
 
 
 def test_box_section_embeds_the_one_pair_section():
     # the box sees the first pair only: I_ab = M[a_1, b_1] delta(a_2, b_2)
     ctx = CalcContext(h=1.0)
-    M = assemble_matrix(box_symbol(1.0), TruncationSet(1, 3), ctx).entries
+    M = assemble_matrix(box_symbol(1.0), TruncationSet(1, 3), ctx).dense
     trunc = TruncationSet(2, 3)
-    got = assemble_matrix(box_symbol(1.0), trunc, ctx).entries
+    got = assemble_matrix(box_symbol(1.0), trunc, ctx).dense
     deg = trunc.degrees
     want = M[np.ix_(deg[:, 0], deg[:, 0])] * (deg[:, None, 1] == deg[None, :, 1])
     assert np.array_equal(got, want)
@@ -245,7 +240,7 @@ def test_box_degree_limit():
     with pytest.raises(ValueError, match="1024"):
         matrix_element(box_symbol(1.0), MultiIndex.from_tuple((1025,)), MultiIndex(), ctx)
     om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 128), ctx)
-    assert np.all(np.isfinite(om.entries))
+    assert np.all(np.isfinite(om.dense))
 
 
 def test_box_stalled_doubling_raises(monkeypatch):
@@ -509,7 +504,7 @@ def test_closed_section_matches_full_ladder_one_pair(h):
     idxs = trunc.indices()
     heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], h / 2.0).descriptor()
     for sym in (const_symbol(1.5), gaussian_symbol(0.5, 1.0), gaussian_symbol(2.0, 1.0), heated):
-        M = assemble_matrix(sym, trunc, ctx).entries
+        M = np.diag(assemble_matrix(sym, trunc, ctx).diagonal)
         for p, a in enumerate(idxs):
             for q in range(p, len(idxs)):
                 b = idxs[q]
@@ -582,19 +577,18 @@ def test_eig_hermitian_diagonal_section():
     real = OperatorMatrix(trunc, diagonal=np.array([0.5, -1.0, 0.25], dtype=complex))
     assert list(eig_hermitian(real)) == [-1.0, 0.25, 0.5]
     assert real.dense is None
-    assert np.array_equal(real.entries, np.diag(real.diagonal))
     skew = OperatorMatrix(trunc, diagonal=np.array([0.5, 1.0 + 1e-3j, 0.25]))
     with pytest.raises(ValueError, match="not Hermitian"):
         eig_hermitian(skew)
 
 
 def test_closed_section_keeps_a_real_diagonal():
-    """The closed law is real, so its section stores 8 bytes a state (and its
-    dense `entries` 8 bytes an entry); a matrix element stays complex."""
+    """The closed law is real, so its section stores 8 bytes a state and no
+    dense matrix; a matrix element stays complex."""
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(2.0, 1.0)
     om = assemble_matrix(sym, TruncationSet(1, 4), ctx)
-    assert om.diagonal.dtype == np.float64 and om.entries.dtype == np.float64
+    assert om.diagonal.dtype == np.float64 and om.dense is None
     assert np.max(np.abs(om.diagonal - [diag_law(j, 2.0, 1.0) for j in range(5)])) <= 1e-15
     assert matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx) == complex(om.diagonal[2])
     assert type(matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx)) is complex

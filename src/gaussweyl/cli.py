@@ -88,9 +88,9 @@ def _jsonable(v):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
+    if isinstance(v, np.generic):  # numpy scalars, bools included
         return _jsonable(v.item())
-    if isinstance(v, (complex, np.complexfloating)):
+    if isinstance(v, complex):
         return {"re": float(v.real), "im": float(v.imag)}
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)

@@ -133,8 +133,10 @@ class SymbolDescriptor:
     # radial is the one-part case
     parts: tuple[tuple[PhiSpec, int], ...] = ()
     a: float = 0.0
-    # mixture: sum_k c_k prod_j e^{-nu_{k,j} r_j^2}, stored as
-    # ((c_k, ((pair, nu), ...)), ...); the closed form heat flows live in.
+    # every family but box and custom: sum_k c_k prod_j e^{-nu_{k,j} r_j^2},
+    # stored when the symbol is built as ((c_k, ((pair, nu), ...)), ...),
+    # pairs ascending and zero rates dropped.  Evaluation, the closed diagonal
+    # law, heat flows and the class norm all read it.
     mixture_terms: tuple[tuple[float, tuple[tuple[int, float], ...]], ...] = ()
     evaluator: Callable | None = field(default=None, compare=False)
     smooth: bool = True
@@ -157,37 +159,16 @@ class SymbolDescriptor:
         raise ValueError(f"family {self.family!r} has no grammar form")
 
     def gauss_mixture(self) -> list[tuple[float, dict[int, float]]] | None:
-        """Represent the evaluator as sum_k c_k prod_j e^{-nu_{k,j} r_j^2}
-        (r_j^2 = x_j^2 + xi_j^2), when the family admits it; None otherwise.
+        """The stored mixture sum_k c_k prod_j e^{-nu_{k,j} r_j^2}
+        (r_j^2 = x_j^2 + xi_j^2) as fresh (c_k, {pair: nu}) pairs; None for
+        box and custom symbols, which admit no such form.
 
         This is the closed-form backbone for heat flows and for the structural
         off-diagonal vanishing of per-pair-radial symbols.
         """
-        if self.family == "constant":
-            return [(self.c, {})]
-        if self.family == "gaussian":
-            return [(1.0, {1: self.nu * self.anorm**2})]
-        if self.family in ("radial", "tensor_radial"):
-            offset = 0
-            per_block = []
-            for spec, dj in self.parts:
-                pairs = range(offset + 1, offset + dj + 1)
-                per_block.append(
-                    [(c, {j: nu for j in pairs} if nu else {}) for c, nu in spec.exp_terms()]
-                )
-                offset += dj
-            terms = []
-            for combo in iter_product(*per_block):
-                coeff = 1.0
-                nus: dict[int, float] = {}
-                for c, block_nus in combo:
-                    coeff *= c
-                    nus.update(block_nus)
-                terms.append((coeff, nus))
-            return terms
-        if self.family == "mixture":
-            return [(c, dict(pairs)) for c, pairs in self.mixture_terms]
-        return None
+        if self.family in ("box", "custom"):
+            return None
+        return [(c, dict(pairs)) for c, pairs in self.mixture_terms]
 
     def is_pairwise_radial(self) -> bool:
         """True when the evaluator depends on each pair only through
@@ -195,8 +176,40 @@ class SymbolDescriptor:
         return self.gauss_mixture() is not None
 
 
+def _pack(terms, d: int) -> tuple:
+    """The stored form of sum_k c_k prod_j e^{-nu_{k,j} r_j^2} on pairs 1..d."""
+    packed = []
+    for c, nus in terms:
+        if any(j < 1 or j > d for j in nus):
+            raise SymbolDomainError("pair", f"pair indices must lie in 1..{d}")
+        if any(nu < 0 for nu in nus.values()):
+            raise SymbolDomainError("nu", "mixture rates must be >= 0")
+        packed.append((float(c), tuple(sorted((j, float(nu)) for j, nu in nus.items() if nu))))
+    return tuple(packed)
+
+
+def _expand(parts) -> list[tuple[float, dict[int, float]]]:
+    """Phi_1(|block_1|^2) Phi_2(|block_2|^2) ... as one flat mixture: a term
+    for each choice of one exp term per profile."""
+    offset = 0
+    per_block = []
+    for spec, dj in parts:
+        pairs = range(offset + 1, offset + dj + 1)
+        per_block.append([(c, {j: nu for j in pairs} if nu else {}) for c, nu in spec.exp_terms()])
+        offset += dj
+    terms = []
+    for combo in iter_product(*per_block):
+        coeff = 1.0
+        nus: dict[int, float] = {}
+        for c, block_nus in combo:
+            coeff *= c
+            nus.update(block_nus)
+        terms.append((coeff, nus))
+    return terms
+
+
 def const_symbol(c: float) -> SymbolDescriptor:
-    return SymbolDescriptor(family="constant", d=1, c=c)
+    return SymbolDescriptor(family="constant", d=1, c=c, mixture_terms=_pack([(c, {})], 1))
 
 
 def gaussian_symbol(nu: float, anorm: float) -> SymbolDescriptor:
@@ -204,15 +217,18 @@ def gaussian_symbol(nu: float, anorm: float) -> SymbolDescriptor:
         raise SymbolDomainError("nu", f"must be > 0, got {nu!r}")
     if not anorm > 0:
         raise SymbolDomainError("anorm", f"must be > 0, got {anorm!r}")
-    if not math.isfinite(nu * (anorm * anorm)):  # the rate nu |a|^2 of `gauss_mixture`
+    if not math.isfinite(nu * (anorm * anorm)):  # the stored rate nu |a|^2
         raise SymbolDomainError("anorm", f"|a|^2 and nu |a|^2 must be finite, got nu={nu!r}, anorm={anorm!r}")
-    return SymbolDescriptor(family="gaussian", d=1, nu=nu, anorm=anorm)
+    return SymbolDescriptor(
+        family="gaussian", d=1, nu=nu, anorm=anorm, mixture_terms=_pack([(1.0, {1: nu * anorm**2})], 1)
+    )
 
 
 def radial_symbol(phi: PhiSpec, d: int) -> SymbolDescriptor:
     if d < 1:
         raise SymbolDomainError("d", f"must be >= 1, got {d!r}")
-    return SymbolDescriptor(family="radial", d=d, parts=((phi, d),))
+    parts = ((phi, d),)
+    return SymbolDescriptor(family="radial", d=d, parts=parts, mixture_terms=_pack(_expand(parts), d))
 
 
 def tensor_radial_symbol(parts: Sequence[tuple[PhiSpec, int]]) -> SymbolDescriptor:
@@ -221,9 +237,9 @@ def tensor_radial_symbol(parts: Sequence[tuple[PhiSpec, int]]) -> SymbolDescript
     for _, dj in parts:
         if dj < 1:
             raise SymbolDomainError("d", f"must be >= 1, got {dj!r}")
-    return SymbolDescriptor(
-        family="tensor_radial", d=sum(dj for _, dj in parts), parts=tuple(parts)
-    )
+    parts = tuple(parts)
+    d = sum(dj for _, dj in parts)
+    return SymbolDescriptor(family="tensor_radial", d=d, parts=parts, mixture_terms=_pack(_expand(parts), d))
 
 
 def box_symbol(a: float) -> SymbolDescriptor:
@@ -243,14 +259,7 @@ def mixture_symbol(terms: Sequence[tuple[float, dict[int, float]]], d: int) -> S
     """sum_k c_k prod_j e^{-nu_{k,j} (x_j^2 + xi_j^2)}; what heat flows return."""
     if d < 1:
         raise SymbolDomainError("d", f"must be >= 1, got {d!r}")
-    packed = []
-    for c, nus in terms:
-        if any(j < 1 or j > d for j in nus):
-            raise SymbolDomainError("pair", f"pair indices must lie in 1..{d}")
-        if any(nu < 0 for nu in nus.values()):
-            raise SymbolDomainError("nu", "mixture rates must be >= 0")
-        packed.append((float(c), tuple(sorted((j, float(nu)) for j, nu in nus.items() if nu))))
-    return SymbolDescriptor(family="mixture", d=d, mixture_terms=tuple(packed))
+    return SymbolDescriptor(family="mixture", d=d, mixture_terms=_pack(terms, d))
 
 
 def eval_ddot(sym: SymbolDescriptor, x, xi, ctx: CalcContext | None = None):
@@ -267,14 +276,7 @@ def eval_ddot(sym: SymbolDescriptor, x, xi, ctx: CalcContext | None = None):
         )
     squeeze = x.shape[0] == 1 and np.ndim(x) == 2
 
-    if sym.family in ("radial", "tensor_radial"):
-        out = np.ones(x.shape[0])
-        offset = 0
-        for spec, dj in sym.parts:
-            blk = slice(offset, offset + dj)
-            out = out * spec.value(np.sum(x[:, blk] ** 2 + xi[:, blk] ** 2, axis=1))
-            offset += dj
-    elif sym.family == "box":
+    if sym.family == "box":
         if ctx is None:
             raise ValueError("box symbols need a CalcContext (x-side length is 2 pi h a)")
         xs = 2.0 * math.pi * ctx.h * sym.a  # [0, 2 pi h a) on the x side
@@ -284,19 +286,17 @@ def eval_ddot(sym: SymbolDescriptor, x, xi, ctx: CalcContext | None = None):
             & (xi[:, 0] >= 0.0)
             & (xi[:, 0] < sym.a)
         ).astype(float)
-    elif sym.family in ("constant", "gaussian", "mixture"):
-        out = np.zeros(x.shape[0])
-        for c, nus in sym.gauss_mixture():
-            term = np.full(x.shape[0], float(c))
-            for j, nu in nus.items():
-                term = term * np.exp(-nu * (x[:, j - 1] ** 2 + xi[:, j - 1] ** 2))
-            out = out + term
     elif sym.family == "custom":
         out = np.asarray(sym.evaluator(x, xi), dtype=complex)
         if np.allclose(out.imag, 0.0):
             out = out.real
     else:
-        raise ValueError(f"unknown family {sym.family!r}")
+        out = np.zeros(x.shape[0])
+        for c, pairs in sym.mixture_terms:
+            term = np.full(x.shape[0], c)
+            for j, nu in pairs:
+                term = term * np.exp(-nu * (x[:, j - 1] ** 2 + xi[:, j - 1] ** 2))
+            out = out + term
     return float(out[0]) if squeeze and np.ndim(out) == 1 and out.shape[0] == 1 else out
 
 
@@ -487,20 +487,17 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> SymbolClassPar
         raise ValueError("not in any S_m class: symbol is not smooth")
     if not sym.bounded:
         raise ValueError("not in any S_m class: symbol is unbounded")
-    mix = sym.gauss_mixture()
-    if mix is None:
+    if not sym.is_pairwise_radial():
         raise ValueError(f"no derivative bounds available for family {sym.family!r}")
     eps_fn = _eps_resolver(eps)[0]
 
     best = 0.0
-    for coeff, nus in mix:
-        # independent per-coordinate maximization; coordinates absent from the
-        # term contribute their |e^{-0}| = 1 only at derivative order 0.
+    for coeff, pairs in sym.mixture_terms:
+        # independent per-coordinate maximization; a coordinate absent from
+        # the term, or any coordinate at depth m = 0, contributes only its
+        # order-0 sup and weight, both 1, so eps_j is never inverted for it.
         term = abs(coeff)
-        for j in range(1, sym.d + 1):
-            nu = nus.get(j, 0.0)
-            if nu == 0.0 or m == 0:
-                continue  # only order 0, whose sup and weight are 1: eps_j is never inverted
+        for j, nu in pairs if m else ():
             e = abs(float(eps_fn(j)))
             if e == 0.0:
                 raise SymbolDomainError(
@@ -514,5 +511,5 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> SymbolClassPar
                 for b in range(m + 1)
             )
         best += term
-    method = "analytic" if len(mix) == 1 else "analytic-majorant"
+    method = "analytic" if len(sym.mixture_terms) == 1 else "analytic-majorant"
     return SymbolClassParams(eps=eps_fn, m=m, M=best, method=method)

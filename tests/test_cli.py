@@ -822,6 +822,18 @@ def _csv_cell_per_cell(v):
     return str(v)
 
 
+def _json_cell_per_cell(v):
+    """The JSON value of one cell as the reports spell it (reference): numpy
+    scalars as their Python twins, non-finite floats as their repr."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else repr(float(v))
+    return str(v)
+
+
 def _chunks(rows, size):
     """The table `rows` as _emit takes it: chunks of `size` rows (the last
     one shorter when `size` does not divide the table), column by column."""
@@ -829,6 +841,8 @@ def _chunks(rows, size):
 
 
 def test_csv_emission_is_byte_identical_to_per_cell_formatting(capsys):
+    """Both formats spell a table chunk by chunk as their per-cell references
+    do, numpy bools, ints and floats included."""
     rows = [
         (True, False, np.bool_(True), "label"),
         (3, np.int64(-7), np.int32(5), 0),
@@ -847,6 +861,14 @@ def test_csv_emission_is_byte_identical_to_per_cell_formatting(capsys):
         for size in (1, 2, len(table)):
             assert cli._emit(cfg, {}, {"passed": True}, {}, ("a", "b", "c", "d"), _chunks(table, size)) == 0
             assert capsys.readouterr().out == buf.getvalue()
+    cfg = argparse.Namespace(command="wigner", format="json", output=None)
+    for table in (rows, plain):
+        for size in (1, 2, len(table)):
+            assert cli._emit(cfg, {}, {"passed": True}, {}, ("a", "b", "c", "d"), _chunks(table, size), "rows") == 0
+            out = capsys.readouterr().out
+            rep = json.loads(out)
+            rep["results"]["rows"] = [[_json_cell_per_cell(c) for c in row] for row in table]
+            assert out == json.dumps(rep, indent=2, ensure_ascii=False) + "\n"
 
 
 @pytest.mark.parametrize("j, k, grid", [(0, 0, 401), (64, 60, 121)])

@@ -8,8 +8,10 @@ import oracles
 import pytest
 from scipy import integrate
 
+from gaussweyl import symbols
 from gaussweyl.basis import CalcContext, TruncationSet
-from gaussweyl.quadform import assemble_matrix
+from gaussweyl.heat import heat_apply
+from gaussweyl.quadform import ROUTE_CLOSED, assemble_matrix
 from gaussweyl.symbols import (
     PhiSpec,
     SymbolDomainError,
@@ -146,6 +148,26 @@ def test_eval_radial_and_tensor():
     want = math.exp(-t1) * (1.0 - math.exp(-t2))
     assert abs(eval_ddot(tr, x3, xi3) - want) <= 1e-15
 
+    # the same definitions on a seeded cloud, and a three-part product of
+    # polyexp profiles Phi(t) = sum_i c_i e^{-i t}
+    cloud = np.random.default_rng(11).normal(size=(200, 8))
+    t = np.sum(cloud[:, :2] ** 2 + cloud[:, 4:6] ** 2, axis=1)
+    assert np.max(np.abs(eval_ddot(r, cloud[:, :2], cloud[:, 4:6]) - (1.0 - np.exp(-t)))) <= 1e-15
+    t1 = cloud[:, 0] ** 2 + cloud[:, 4] ** 2
+    t2 = np.sum(cloud[:, 1:3] ** 2 + cloud[:, 5:7] ** 2, axis=1)
+    want = np.exp(-t1) * (1.0 - np.exp(-t2))
+    assert np.max(np.abs(eval_ddot(tr, cloud[:, :3], cloud[:, 4:7]) - want)) <= 1e-15
+    three = tensor_radial_symbol([
+        (PhiSpec(kind="polyexp", coeffs=(1.0, -0.5, 0.25)), 2),
+        (PhiSpec(kind="polyexp", coeffs=(0.5, 1.0)), 1),
+        (PhiSpec(kind="polyexp", coeffs=(1.0, 0.0, -1.0)), 1),
+    ])
+    t1 = np.sum(cloud[:, :2] ** 2 + cloud[:, 4:6] ** 2, axis=1)
+    t2 = cloud[:, 2] ** 2 + cloud[:, 6] ** 2
+    t3 = cloud[:, 3] ** 2 + cloud[:, 7] ** 2
+    want = (1.0 - 0.5 * np.exp(-t1) + 0.25 * np.exp(-2.0 * t1)) * (0.5 + np.exp(-t2)) * (1.0 - np.exp(-2.0 * t3))
+    assert np.max(np.abs(eval_ddot(three, cloud[:, :4], cloud[:, 4:]) - want)) <= 1e-15
+
     with pytest.raises(ValueError):
         eval_ddot(r, x3, xi3)  # wrong dimension
 
@@ -230,6 +252,34 @@ def test_pairwise_radial_flag():
         ((2, 3.0),),
         ((1, 1.0), (2, 3.0)),
     }
+
+
+def test_grammar_symbols_store_their_mixture(monkeypatch):
+    """Each smooth grammar symbol expands into its mixture once, when it is
+    built: evaluation, the closed law, heat flows and the class norm read the
+    stored terms, and the product expansion never runs again."""
+    phi = PhiSpec(kind="exp", nu=0.7)
+    built = [
+        radial_symbol(phi, 2),
+        tensor_radial_symbol([(PhiSpec(kind="polyexp", coeffs=(1.0, -0.5)), 1), (PhiSpec(kind="exp", nu=2.0), 2)]),
+        gaussian_symbol(2.0, 1.0),
+        const_symbol(1.5),
+    ]
+    # one packing: the grammar constructors store what mixture_symbol stores
+    assert radial_symbol(phi, 2).mixture_terms == mixture_symbol(radial_symbol(phi, 2).gauss_mixture(), 2).mixture_terms
+
+    def refuse(*args):
+        raise AssertionError("the product expansion ran after construction")
+
+    monkeypatch.setattr(symbols, "iter_product", refuse)
+    ctx = CalcContext(h=0.5)
+    for sym in built:
+        assert sym.gauss_mixture()
+        zeros = np.zeros((3, sym.d))
+        assert eval_ddot(sym, zeros, zeros).shape == (3,)
+        assert assemble_matrix(sym, TruncationSet(sym.d, 2), ctx).meta["route"] == ROUTE_CLOSED
+        assert heat_apply(sym, [1], 0.5).descriptor().family == "mixture"
+        assert cv_class_params(sym, 2).M > 0.0
 
 
 def test_hermite_sup_constants():

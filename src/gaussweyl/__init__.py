@@ -9,24 +9,19 @@ from .basis import (
     CalcContext,
     MultiIndex,
     TruncationSet,
-    bargman_eval,
-    gamma_transform,
     hermite_batch,
     hermite_eval,
     laguerre_eval,
 )
 from .gaussian import (
-    GaussianMeasure,
     QuadratureConvergenceError,
     QuadratureRule,
     c_ps,
     coordinate_stream,
-    ell_norm,
     gh_rule,
     gl_panel_rule,
     integrate_tensor,
     ladder,
-    mc_sample_array,
     quad_budget,
 )
 from .heat import (
@@ -35,7 +30,6 @@ from .heat import (
     decomposition_residual,
     heat_apply,
     heat_convolution_eval,
-    hybrid_form,
     ts_operators,
 )
 from .positivity import (
@@ -43,40 +37,26 @@ from .positivity import (
     GardingReport,
     RadialPositivity,
     flandrin_matrix,
-    flandrin_reduction_check,
     flandrin_search,
     garding_bound,
     garding_verify,
     nonpos_witness,
-    radial_lower_bound,
     radial_positivity_check,
 )
 from .quadform import (
     HermiteExpansion,
-    IppResult,
     OperatorMatrix,
-    Poly2,
     assemble_matrix,
     eig_hermitian,
-    ipp_check,
     matrix_element,
-    poly_symbol,
     quadratic_form,
-    rotation_reduction,
 )
 from .stochproj import (
-    CovarianceMatrix,
     DirectionVector,
-    covariance_and_bound,
-    coordinate_frame,
-    cylinder_extension_check,
     exact_conv_rate,
-    finite_direction,
     geometric_direction,
     mc_conv_rate,
     power_direction,
-    random_frame,
-    rotated_frame,
 )
 from .symbols import (
     PhiSpec,
@@ -95,15 +75,9 @@ from .symbols import (
     tensor_radial_symbol,
 )
 from .wigner import (
-    classical_hermite,
     classical_wigner_bridge,
-    classical_wigner_closed,
-    classical_wigner_direct,
-    overlap,
-    wigner_bargman,
     wigner_closed,
     wigner_quadrature,
-    wigner_tensor,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,10 +1,9 @@
-"""h-scaled Hermite functions, Laguerre polynomials, Bargman kernels and
-multi-index bookkeeping.
+"""h-scaled Hermite functions, Laguerre polynomials and multi-index
+bookkeeping.
 
 The Hermite family here is the polynomial one, orthonormal in
 L2(R, mu_{R,h/2}) where mu_{R,s} is the centered Gaussian measure of variance
-s.  The Gaussian weight lives in the measure, not in the functions; the
-gamma transform moves it into the functions when Lebesgue L2 is wanted.
+s.  The Gaussian weight lives in the measure, not in the functions.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -90,9 +89,6 @@ class MultiIndex:
     def __repr__(self) -> str:
         body = ", ".join(f"{i}:{d}" for i, d in self._entries)
         return f"MultiIndex({{{body}}})"
-
-
-ZERO_INDEX = MultiIndex()
 
 
 @dataclass(frozen=True)
@@ -250,47 +246,3 @@ def laguerre_eval(k: int, alpha: int, x):
     for row in _laguerre_normalized(k, alpha, x.reshape(-1), math.sqrt(math.comb(k + alpha, k))):
         pass
     return row.reshape(x.shape).copy() if x.shape else float(row[0])
-
-
-def bargman_eval(v: complex, x, ctx: CalcContext):
-    """Bargman kernel K_v(x) = exp(x v sqrt(2/h) - v^2/2)."""
-    x = np.asarray(x, dtype=float)
-    val = np.exp(x * v * math.sqrt(2.0 / ctx.h) - v * v / 2.0)
-    return val if val.shape else complex(val)
-
-
-def bargman_partial_sum(v: complex, x, ctx: CalcContext, J: int):
-    """Partial sum sum_{j<=J} psi_j(x) v^j / sqrt(j!) of the Bargman kernel."""
-    if J < 0:
-        raise ValueError("J must be >= 0")
-    x = np.asarray(x, dtype=float)
-    psis = hermite_batch(J, x, ctx)
-    acc = np.zeros(x.shape if x.shape else (1,), dtype=complex)
-    coef = 1.0 + 0.0j  # v^j / sqrt(j!)
-    for j in range(J + 1):
-        if j > 0:
-            coef = coef * v / math.sqrt(j)
-        acc += coef * psis[j]
-    return acc if x.shape else complex(acc[0])
-
-
-def gamma_transform(f: Callable, ctx: CalcContext, d: int = 1) -> Callable:
-    """Gaussian weight isometry L2(mu_{R^d,h/2}) -> L2(dy).
-
-    Returns y |-> (pi h)^{-d/4} e^{-|y|^2 / 2h} f(y).  For d > 1 the argument
-    is an array whose last axis has length d.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    h = ctx.h
-    pref = (math.pi * h) ** (-d / 4.0)
-
-    def gf(y):
-        y = np.asarray(y, dtype=float)
-        if d == 1:
-            sq = y * y
-        else:
-            sq = np.sum(y * y, axis=-1)
-        return pref * np.exp(-sq / (2.0 * h)) * f(y)
-
-    return gf

@@ -521,7 +521,10 @@ def cmd_heatcheck(args) -> int:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     sym = parse_symbol(args.symbol)
     if args.lam:
-        lam = tuple(int(t) for t in args.lam.split(","))
+        try:
+            lam = tuple(int(t) for t in args.lam.split(","))
+        except ValueError:
+            raise ValueError(f"--lam must be comma-separated pair indices, got {args.lam!r}") from None
     else:
         lam = tuple(range(1, min(sym.d, 3) + 1))
     ctx = CalcContext(h=args.h)
@@ -572,7 +575,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of --N and --seed: a negative value is a usage error,
+    """argparse type of --N, --nmax and --seed: a negative value is a usage error,
     refused before the run starts."""
     try:
         value = int(text)
@@ -653,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--nmax", type=int, default=32)
+    p.add_argument("--nmax", type=_nonnegative_int, default=32)
     _add_common(p, "csv", with_h=False, with_seed=True)
     p.set_defaults(func=cmd_stochext)
 

@@ -37,27 +37,6 @@ def quad_budget() -> int:
 
 
 @dataclass(frozen=True)
-class GaussianMeasure:
-    """Centered Gaussian mu_{R^d, s}: dimension d, variance s per coordinate."""
-
-    dim: int
-    variance: float
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
-
-    def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sq = x * x if self.dim == 1 else np.sum(x * x, axis=-1)
-        return (2.0 * math.pi * self.variance) ** (-self.dim / 2.0) * np.exp(
-            -sq / (2.0 * self.variance)
-        )
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights integrating exactly against mu_{R,s} up to degree 2n-1."""
 
@@ -172,17 +151,9 @@ def integrate_tensor(f, rule: QuadratureRule, m: int) -> complex:
     return total
 
 
-def ell_norm(p: float, s: float, b_norm: float) -> float:
-    """L^p(mu_{B,s}) norm of ell_b: C_{p,s} |b| with
-    C_{p,s} = sqrt(2s) pi^{-1/(2p)} Gamma((p+1)/2)^{1/p}."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if b_norm < 0:
-        raise ValueError("b_norm must be >= 0")
-    return c_ps(p, s) * b_norm
-
-
 def c_ps(p: float, s: float) -> float:
+    """C_{p,s} = sqrt(2s) pi^{-1/(2p)} Gamma((p+1)/2)^{1/p}, the L^p(mu_{B,s})
+    norm of ell_b for |b| = 1."""
     return (
         math.sqrt(2.0 * s)
         * math.pi ** (-1.0 / (2.0 * p))
@@ -196,24 +167,6 @@ def coordinate_stream(stream: int, coord_key: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([stream, coord_key], dtype=np.uint64))
     )
-
-
-def mc_sample_array(n: int, s: float, stream: int, count: int) -> np.ndarray:
-    """(count, n) array of i.i.d. N(0, s) coordinates.
-
-    Column j is drawn from its own keyed sub-stream, so extending n never
-    changes earlier coordinates and extending count never changes earlier
-    samples.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = np.empty((count, n))
-    root = math.sqrt(s)
-    for j in range(n):
-        out[:, j] = root * coordinate_stream(stream, j + 1).standard_normal(count)
-    return out
 
 
 class QuadratureConvergenceError(RuntimeError):

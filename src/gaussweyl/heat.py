@@ -1,5 +1,5 @@
-"""Partial heat operators on cylindrical symbols and the quadratic forms
-built from them (anti-Wick and the Weyl/anti-Wick hybrids).
+"""Partial heat operators on cylindrical symbols and the anti-Wick quadratic
+form built from them.
 
 Heat acts on a phase-space pair (x_j, xi_j) jointly: convolution with the
 2-D Gaussian N(0, t I).  On the Gaussian-mixture families this is closed
@@ -201,24 +201,3 @@ def antiwick_form(
     heated = heat_apply(sym, range(1, sym.d + 1), ctx.h / 2.0)
     return quadratic_form(heated.descriptor(ctx), f, g, ctx)
 
-
-def hybrid_form(
-    sym: SymbolDescriptor,
-    e_pairs,
-    f: HermiteExpansion,
-    g: HermiteExpansion,
-    ctx: CalcContext,
-) -> complex:
-    """The hybrid form: Weyl in the pairs of e_pairs, anti-Wick outside.
-
-    Computed as the Weyl form of the symbol heated at t = h/2 on the
-    complement of e_pairs.  e_pairs = all pairs is the plain Weyl form;
-    e_pairs = empty set is the anti-Wick form.  For nested E1 ⊆ E2,
-    hybrid(E1, F) = hybrid(E2, S̃_{E2\\E1} F).
-    """
-    e_pairs = _validate_pairs(e_pairs, sym.d)
-    comp = frozenset(range(1, sym.d + 1)) - e_pairs
-    if not comp:
-        return quadratic_form(sym, f, g, ctx)
-    heated = heat_apply(sym, comp, ctx.h / 2.0)
-    return quadratic_form(heated.descriptor(ctx), f, g, ctx)

@@ -22,18 +22,10 @@ import numpy as np
 from .basis import CalcContext, TruncationSet
 from .gaussian import coordinate_stream, gh_rule, integrate_tensor, ladder
 from .quadform import HermiteExpansion, _finite_rate, assemble_matrix, eig_hermitian, quadratic_form
-from .symbols import (
-    PhiSpec,
-    _eps_resolver,
-    box_symbol,
-    cv_class_params,
-    eval_ddot,
-    gaussian_symbol,
-)
+from .symbols import _eps_resolver, cv_class_params, eval_ddot, gaussian_symbol
 from .wigner import (
     _box_matrix,
     _bridge_sweep,
-    _checked,
     _polar_desc,
     _polar_sweep,
     _quarter_plane,
@@ -85,24 +77,6 @@ def nonpos_witness(nu: float, anorm: float, ctx: CalcContext):
 # ---------------------------------------------------------------------------
 # Radial lower bounds.
 # ---------------------------------------------------------------------------
-
-
-def radial_lower_bound(phi, ctx: CalcContext) -> float:
-    """(1/h) int_0^inf Phi(t) e^{-t/h} dt: the operator lower bound of a
-    radial symbol Phi(r_1^2) in one pair.
-
-    PhiSpec profiles use the closed form; callables use 64-node
-    Gauss-Laguerre after t = h u.
-    """
-    if isinstance(phi, PhiSpec):
-        return phi.laplace_mean(ctx.h)
-    u, w = np.polynomial.laguerre.laggauss(64)
-    vals = np.asarray(phi(ctx.h * u), dtype=float)
-    res = float(np.sum(w * vals))
-    tail = abs(w[-1] * vals[-1])
-    if not np.isfinite(res) or tail > 1e-8 * max(1.0, abs(res)):
-        raise ValueError("profile grows too fast for the e^{-t/h} weight")
-    return res
 
 
 @dataclass(frozen=True)
@@ -385,30 +359,3 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
         domain_radius=L,
     )
 
-
-def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
-    """Check the change of variables tying the Gaussian box form to the
-    classical rectangle integral:
-
-        Q(box(a))(f, f) = sum c_j conj(c_k) int_{[0, s a) x [0, a/s)}
-                            W_cl(phi_j, phi_k) du dv,   s = sqrt(2 pi h).
-
-    The left side is the box section (the h-free table swept over the
-    rectangle, or the closed quarter plane at a = inf); the right side sweeps
-    the same rectangle through the Gaussian bridge at ctx.h, i.e. the
-    Gaussian closed form in Gaussian variables.  A sweep raises
-    QuadratureConvergenceError if its panel doubling stalls.
-    Returns (lhs, rhs, residual); at a = inf both sides are the quarter-plane
-    mass (1/4 for the ground state).
-    """
-    if any(idx.max_coordinate() > 1 for idx, _ in f.items()):
-        raise ValueError("the reduction check needs a one-dimensional expansion")
-    lhs = quadratic_form(box_symbol(a), f, f, ctx)
-    lam = math.sqrt(2.0 * math.pi * ctx.h)
-    N = max((idx.degree(1) for idx, _ in f.items()), default=0)
-    M, _, _ = _checked(_bridge_sweep, N, lam * a, a / lam, ctx)
-    rhs = sum(ca * np.conjugate(cb) * M[i.degree(1), j.degree(1)]
-              for i, ca in f.items() for j, cb in f.items())
-    lhs = lhs.real if abs(lhs.imag) < 1e-10 else lhs
-    rhs = rhs.real if abs(rhs.imag) < 1e-10 else rhs
-    return lhs, rhs, float(abs(lhs - rhs))

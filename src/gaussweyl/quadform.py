@@ -1,4 +1,4 @@
-"""Operator matrix elements, quadratic forms, and the rotation identities.
+"""Operator matrix elements, quadratic forms and Hermitian eigensolving.
 
 The central object is the matrix element
 
@@ -14,14 +14,13 @@ radial symbols kill every off-diagonal entry the same way.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import CalcContext, MultiIndex, TruncationSet
 from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder, quad_budget
-from .symbols import SymbolDescriptor, custom_symbol, eval_ddot
+from .symbols import eval_ddot
 from .wigner import _box_matrix, wigner_closed
 
 # States of a dense section; a diagonal section keeps one degree row and one
@@ -32,67 +31,6 @@ MAX_DIAGONAL_SIZE = 1 << 18
 
 def _as_index(a) -> MultiIndex:
     return a if isinstance(a, MultiIndex) else MultiIndex.from_tuple(tuple(a))
-
-
-# ---------------------------------------------------------------------------
-# Polynomials in one (x, xi) pair, with an exact rotation derivative.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Poly2:
-    """Polynomial in a single phase-space pair: sum of c * x^i xi^j terms.
-
-    Carries the rotation derivative rot = x d/dxi - xi d/dx in closed form,
-    which keeps the integration-by-parts checks free of finite differencing.
-    """
-
-    terms: tuple[tuple[tuple[int, int], complex], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[tuple[int, int], complex]) -> "Poly2":
-        items = tuple(
-            sorted(((ij, complex(c)) for ij, c in d.items() if c != 0))
-        )
-        return cls(terms=items)
-
-    def eval(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros(np.broadcast(x, xi).shape, dtype=complex)
-        for (i, j), c in self.terms:
-            out = out + c * x**i * xi**j
-        return out
-
-    def __call__(self, xblock, xiblock):
-        # evaluator form used by custom symbols: blocks of shape (npoints, 1)
-        return self.eval(np.asarray(xblock)[..., 0], np.asarray(xiblock)[..., 0])
-
-    def rot(self) -> "Poly2":
-        """x d/dxi - xi d/dx, exactly."""
-        acc: dict[tuple[int, int], complex] = {}
-        for (i, j), c in self.terms:
-            if j:
-                key = (i + 1, j - 1)
-                acc[key] = acc.get(key, 0.0) + c * j
-            if i:
-                key = (i - 1, j + 1)
-                acc[key] = acc.get(key, 0.0) - c * i
-        return Poly2.from_dict(acc)
-
-    def rot_power(self, n: int) -> "Poly2":
-        p = self
-        for _ in range(n):
-            p = p.rot()
-        return p
-
-    def degree(self) -> int:
-        return max((i + j for (i, j), _ in self.terms), default=0)
-
-
-def poly_symbol(poly: Poly2) -> SymbolDescriptor:
-    """A d=1 custom symbol whose evaluator is a Poly2 (unbounded)."""
-    return custom_symbol(poly, d=1, smooth=True, bounded=False)
 
 
 # ---------------------------------------------------------------------------
@@ -348,143 +286,3 @@ def eig_hermitian(matrix) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
     return np.sort(A.real) if diagonal else np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
-
-# ---------------------------------------------------------------------------
-# Integration-by-parts (rotation) identities.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IppResult:
-    lhs: complex
-    rhs: complex
-    residual: float
-    method: str
-    fd_warning: bool = False
-
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.residual))
-
-
-def _fd_rot(F, n: int, step: float = 1e-4):
-    """Finite-difference rot^n of a callable F(x, xi); noisy for n >= 2."""
-
-    def rot_one(G):
-        def rG(x, xi):
-            dxi = (G(x, xi + step) - G(x, xi - step)) / (2.0 * step)
-            dx = (G(x + step, xi) - G(x - step, xi)) / (2.0 * step)
-            return x * dxi - xi * dx
-
-        return rG
-
-    G = F
-    for _ in range(n):
-        G = rot_one(G)
-    return G
-
-
-def _poly1_eval(P, t):
-    if P is None:
-        return np.ones_like(np.asarray(t, dtype=float))
-    if callable(P):
-        return np.asarray(P(t))
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for m, c in enumerate(P):
-        out = out + c * t**m
-    return out
-
-
-def ipp_check(F, n: int, s: int, eps: int, P, ctx: CalcContext) -> IppResult:
-    """Two-sided check of the rotation integration-by-parts identity
-
-        (-s i eps)^n int F (x + i eps xi)^s P(r^2) e^{-r^2/h} dx dxi
-          = int (rot^n F) (x + i eps xi)^s P(r^2) e^{-r^2/h} dx dxi
-
-    over plain Lebesgue measure.  F is a Poly2 (exact rotation) or a callable
-    (finite differences, flagged when the residual is untrustworthy).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    h = ctx.h
-
-    if isinstance(F, Poly2):
-        Feval = F.eval
-        roteval = F.rot_power(n).eval
-        method = "analytic"
-        extra_deg = F.degree()
-    else:
-        Feval = F
-        roteval = _fd_rot(F, n)
-        method = "finite-difference"
-        extra_deg = 6
-
-    pdeg = 0 if (P is None or callable(P)) else 2 * (len(P) - 1)
-
-    def shot(order: int):
-        r = gh_rule(order, h / 2.0)
-
-        def integrand(which):
-            def f(pts):
-                x, xi = pts[:, 0], pts[:, 1]
-                base = (x + 1j * eps * xi) ** s * _poly1_eval(P, x * x + xi * xi)
-                return np.asarray(which(x, xi), dtype=complex) * base
-
-            return f
-
-        lhs_i = integrate_tensor(integrand(Feval), r, 2)
-        rhs_i = integrate_tensor(integrand(roteval), r, 2)
-        # un-normalize: dmu = e^{-r^2/h} dx dxi / (pi h)
-        return (math.pi * h) * np.array([lhs_i, rhs_i])
-
-    start = 2 * (s + extra_deg + pdeg + 2) + 16
-    both, _ = ladder(shot, start=min(start, LADDER_POLICY["cap"]))
-    lhs = (-s * 1j * eps) ** n * both[0]
-    rhs = both[1]
-    residual = abs(lhs - rhs)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    fd_warning = method == "finite-difference" and residual > 1e-6 * scale
-    if fd_warning:
-        warnings.warn(
-            "finite-difference rotation is unstable here; supply a Poly2 for an exact check",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return IppResult(lhs=complex(lhs), rhs=complex(rhs), residual=float(residual), method=method, fd_warning=fd_warning)
-
-
-def rotation_reduction(sym, alpha, beta, coord: int, n: int, ctx: CalcContext):
-    """I_{alpha beta} via the transported rotation derivative at `coord`:
-
-        I_{alpha beta}(F) = i^n / (beta_j - alpha_j)^n *
-                            int (rot_j^n F) prod W dmu.
-
-    Requires alpha_j != beta_j.  Symbols radial in that pair rotate to zero,
-    so the entry is returned as an exact 0.
-    """
-    alpha = _as_index(alpha)
-    beta = _as_index(beta)
-    aj, bj = alpha.degree(coord), beta.degree(coord)
-    if aj == bj:
-        raise ValueError("rotation reduction needs alpha != beta at the chosen coordinate")
-    if coord > sym.d:
-        return 0.0j  # the symbol does not see this pair; delta factor kills it
-    if sym.is_pairwise_radial():
-        return 0.0j  # rot_j F = 0 for symbols radial in the pair
-    if sym.family == "box":
-        raise ValueError("rotation reduction needs a smooth symbol")
-    if isinstance(sym.evaluator, Poly2):
-        if sym.d != 1 or coord != 1:
-            raise ValueError("Poly2 symbols are one-pair symbols")
-        rot_sym = poly_symbol(sym.evaluator.rot_power(n))
-    else:
-        if sym.d != 1 or coord != 1:
-            raise ValueError("finite-difference rotation is only supported for d=1")
-        fd = _fd_rot(lambda x, xi: sym.evaluator(x[..., None], xi[..., None]), n)
-        rot_sym = custom_symbol(lambda xb, xib: fd(xb[..., 0], xib[..., 0]), d=1)
-    val, _ = _tensor_element(rot_sym, alpha, beta, ctx)
-    return (1j**n / (bj - aj) ** n) * val

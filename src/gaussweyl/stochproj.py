@@ -1,6 +1,5 @@
 """Stochastic-extension machinery: convergence rates of ell_{a_n} -> ell_a in
-L^p(mu_{B,s}), cylinder-function extension along a filtration of subspaces,
-and the projected covariance matrices with their spectral bound.
+L^p(mu_{B,s}).
 
 Direction vectors live in ell^2 through a coordinate rule; sampling uses the
 keyed Philox streams from `gaussian`, so the law of (x_1, ..., x_n) never
@@ -19,7 +18,7 @@ from itertools import tee
 
 import numpy as np
 
-from .gaussian import REMAINDER_KEY, c_ps, coordinate_stream, mc_sample_array
+from .gaussian import REMAINDER_KEY, c_ps, coordinate_stream
 
 MIN_MC_SAMPLES = 1000
 # Below this many samples the keyed draws fill on the calling thread: a
@@ -106,20 +105,6 @@ def power_direction() -> DirectionVector:
         norm_sq=math.pi**2 / 6.0,
         _coord=lambda j: 1.0 / j,
         _tail_sq=lambda n: _trigamma(n + 1.0),
-    )
-
-
-def finite_direction(coords) -> DirectionVector:
-    """Finitely supported direction; the tail vanishes past the support."""
-    cs = tuple(float(c) for c in coords)
-    if not all(np.isfinite(cs)):
-        raise ValueError("coordinates must be finite")
-    sq = [c * c for c in cs]
-    return DirectionVector(
-        name=f"finite[{len(cs)}]",
-        norm_sq=math.fsum(sq),
-        _coord=lambda j: cs[j - 1] if j <= len(cs) else 0.0,
-        _tail_sq=lambda n: math.fsum(sq[n:]),
     )
 
 
@@ -259,148 +244,4 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
     for n in list(sums):
         close(n, sums.pop(n))
     return [out[n] for n in ns]
-
-
-# ---------------------------------------------------------------------------
-# Frames and cylinder extension.
-# ---------------------------------------------------------------------------
-
-
-def _check_frame(B: np.ndarray, D: int | None = None) -> np.ndarray:
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.ndim != 2 or not np.all(np.isfinite(B)):
-        raise ValueError("frame must be a finite 2-D array of row vectors")
-    if D is not None and B.shape[1] != D:
-        raise ValueError(f"frame lives in R^{B.shape[1]}, expected R^{D}")
-    gram = B @ B.T
-    if np.max(np.abs(gram - np.eye(B.shape[0]))) > 1e-10:
-        raise ValueError("frame rows are not orthonormal within 1e-10")
-    return B
-
-
-def coordinate_frame(k: int, D: int) -> np.ndarray:
-    if not 1 <= k <= D:
-        raise ValueError("need 1 <= k <= D")
-    return np.eye(D)[:k].copy()
-
-
-def rotated_frame(k: int, D: int, theta: float) -> np.ndarray:
-    """Coordinate frame rotated by theta in the (1,2)-plane; k=1 gives the
-    single row cos(theta) e_1 + sin(theta) e_2."""
-    if D < 2:
-        raise ValueError("need D >= 2 for a rotation")
-    B = coordinate_frame(k, D)
-    c, sn = math.cos(theta), math.sin(theta)
-    g = np.eye(D)
-    g[0, 0] = c
-    g[0, 1] = sn
-    g[1, 0] = -sn
-    g[1, 1] = c
-    return B @ g
-
-
-def random_frame(k: int, D: int, seed: int) -> np.ndarray:
-    """k orthonormal rows in R^D from a seeded Haar-ish QR draw."""
-    if not 1 <= k <= D:
-        raise ValueError("need 1 <= k <= D")
-    A = coordinate_stream(seed, 0).standard_normal((D, k))
-    q, r = np.linalg.qr(A)
-    q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
-    return q.T.copy()
-
-
-def cylinder_extension_check(phi, e_frame, frames, p: float, s: float, samples: int, seed: int = 0):
-    """Error of replacing the cylinder function phi(ell_{e_1},...,ell_{e_d})
-    by its composition with the projection onto each subspace E_n.
-
-    All rows reuse the SAME ambient sample Z ~ mu_{R^D, s}: the approximation
-    evaluates phi at the coordinates ell_{P_{E_n} e_i}(Z).
-
-    Returns (rows, nonincreasing) where rows are tuples
-    (n, dim E_n, mc_estimate, std_error) and the flag records whether the
-    errors are nonincreasing within three standard errors.
-    """
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if s <= 0:
-        raise ValueError("s must be > 0")
-    E = _check_frame(e_frame)
-    D = E.shape[1]
-    Z = mc_sample_array(D, s, seed, samples)
-    target = np.asarray(phi(Z @ E.T), dtype=float)
-    if target.shape != (samples,):
-        raise ValueError("phi must map (samples, d) coordinates to (samples,) values")
-    rows = []
-    nonincreasing = True
-    prev = None
-    for pos, B in enumerate(frames, start=1):
-        B = _check_frame(B, D)
-        coords = Z @ (B.T @ (B @ E.T))
-        approx = np.asarray(phi(coords), dtype=float)
-        est, se = _pth_moment_root(np.abs(target - approx) ** p, p)
-        if prev is not None and est > prev[0] + 3.0 * (se + prev[1]) + 1e-12:
-            nonincreasing = False
-        prev = (est, se)
-        rows.append((pos, B.shape[0], est, se))
-    return rows, nonincreasing
-
-
-# ---------------------------------------------------------------------------
-# Projected covariance.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """K_{ij} = s <P e_i, P e_j>: the law of the projected coordinate vector
-    (ell_{P e_1}, ..., ell_{P e_d}) under mu_{B,s}."""
-
-    K: np.ndarray = field(compare=False)
-    s: float = 1.0
-    provenance: str = ""
-    eigenvalues: tuple = ()
-    det: float = 0.0
-
-    @property
-    def lambda_max(self) -> float:
-        return self.eigenvalues[-1] if self.eigenvalues else 0.0
-
-
-def covariance_and_bound(basis, d: int, s: float) -> CovarianceMatrix:
-    """Covariance of the first d projected coordinates for the subspace
-    spanned by `basis` (orthonormal rows in R^D, D >= d).
-
-    Postconditions checked here: K symmetric PSD with spectrum in
-    [0, s + 1e-10]; when K is invertible, s <y, K^{-1} y> >= |y|^2 - 1e-9 on
-    seeded random y (the abstract norm bound in coordinates).
-    """
-    if s <= 0:
-        raise ValueError("s must be > 0")
-    B = _check_frame(basis)
-    D = B.shape[1]
-    if not 1 <= d <= D:
-        raise ValueError("need 1 <= d <= ambient dimension")
-    C = B[:, :d]
-    K = s * (C.T @ C)
-    K = 0.5 * (K + K.T)
-    eigs = np.linalg.eigvalsh(K)
-    if eigs[0] < -1e-10 or eigs[-1] > s + 1e-10:
-        raise AssertionError(f"projected covariance spectrum escaped [0, s]: {eigs!r}")
-    det = float(np.linalg.det(K))
-    if eigs[0] > 1e-12 * max(1.0, s):
-        Ki = np.linalg.inv(K)
-        rng = coordinate_stream(271828, 0)
-        for _ in range(16):
-            y = rng.standard_normal(d)
-            if s * float(y @ Ki @ y) < float(y @ y) - 1e-9:
-                raise AssertionError("inverse-covariance norm bound failed")
-    return CovarianceMatrix(
-        K=K,
-        s=float(s),
-        provenance=f"span of {B.shape[0]} rows in R^{D}, first {d} coordinates",
-        eigenvalues=tuple(float(v) for v in eigs),
-        det=det,
-    )
 

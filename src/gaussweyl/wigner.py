@@ -1,5 +1,5 @@
-"""Gaussian Wigner functions for Hermite pairs and Bargman kernels, plus the
-classical (Lebesgue-normalized) Wigner transform they reduce to.
+"""Gaussian Wigner functions for Hermite pairs, plus the classical
+(Lebesgue-normalized) Wigner transform they reduce to.
 
 Closed form for the Gaussian-normalized transform, with r^2 = x^2 + xi^2 and
 m = |j - k|, lo = min(j, k):
@@ -12,7 +12,11 @@ transform is W_cl(u, v)(x, eta) = int e^{-2 i pi z eta} u(x + z/2)
 conj(v(x - z/2)) dz; the two are linked by
 
     e^{-(x^2+xi^2)/h} W_{h,R}(u, v)(x, xi)
-        = 1/2 W_cl(gamma u, gamma v)(x, xi / (2 pi h)).
+        = 1/2 W_cl(gamma u, gamma v)(x, xi / (2 pi h)),
+
+with gamma u(y) = (pi h)^{-1/4} e^{-y^2/2h} u(y).  The classical table is
+W_cl(phi_j, phi_k) for phi_j(x) = 2^{1/4} e^{-pi x^2} He_j(2 sqrt(pi) x)/sqrt(j!),
+which is gamma psi_j at h = 1/(2 pi).
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import math
 
 import numpy as np
 
-from .basis import CalcContext, MultiIndex, _laguerre_normalized, hermite_eval, laguerre_eval
-from .gaussian import TENSOR_BLOCK, QuadratureConvergenceError, gh_rule, gl_panel_rule, integrate_tensor, ladder
+from .basis import CalcContext, _laguerre_normalized, hermite_eval, laguerre_eval
+from .gaussian import TENSOR_BLOCK, QuadratureConvergenceError, gh_rule, gl_panel_rule, ladder
 
 # Largest Hermite degree of the classical table on a quadrature rule (finite
 # boxes, box sections, the polar check), and of the closed quarter plane.
@@ -114,53 +118,9 @@ def wigner_hermite_quadrature(j: int, k: int, z: float, zeta: float, ctx: CalcCo
     )
 
 
-def wigner_tensor(alpha: MultiIndex, beta: MultiIndex, X, ctx: CalcContext) -> complex:
-    """Product over coordinates of 1-D closed forms, at X = (x_1..x_d, xi_1..xi_d)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 1 or X.size % 2 != 0:
-        raise ValueError("X must be a flat vector (x_1..x_d, xi_1..xi_d)")
-    d = X.size // 2
-    if alpha.max_coordinate() > d or beta.max_coordinate() > d:
-        raise ValueError(f"multi-index support exceeds dimension {d}")
-    val = 1.0 + 0.0j
-    for i in sorted(set(alpha.support()) | set(beta.support())):
-        val *= wigner_closed(alpha.degree(i), beta.degree(i), X[i - 1], X[d + i - 1], ctx)
-    return val
-
-
-def wigner_bargman(u: complex, v: complex, x: float, xi: float, ctx: CalcContext) -> complex:
-    """Wigner function of a Bargman-kernel pair:
-    exp(-u v + sqrt(2/h) x (u + v) + i sqrt(2/h) xi (v - u))."""
-    c = math.sqrt(2.0 / ctx.h)
-    return complex(np.exp(-u * v + c * x * (u + v) + 1j * c * xi * (v - u)))
-
-
-def overlap(j: int, k: int, ctx: CalcContext) -> float:
-    """int W(psi_j, psi_k) dmu_{R^2,h/2}; equals delta_{jk}."""
-
-    def value(n: int) -> complex:
-        rule = gh_rule(n, ctx.h / 2.0)
-        return integrate_tensor(lambda pts: wigner_closed(j, k, pts[:, 0], pts[:, 1], ctx), rule, 2)
-
-    val, _ = ladder(value, start=max(48, j + k + 16))
-    return val.real if abs(val.imag) < 1e-12 else val
-
-
 # ---------------------------------------------------------------------------
-# Classical side: 2pi-adapted Hermite functions and the classical transform.
+# Classical side: the table of the 2pi-adapted Hermite functions phi_j.
 # ---------------------------------------------------------------------------
-
-
-def classical_hermite(j: int, x):
-    """phi_j(x) = 2^{1/4} e^{-pi x^2} He_j(2 sqrt(pi) x)/sqrt(j!): the Hermite
-    basis adapted to the e^{-2 i pi z eta} transform (gamma psi_j at h = 1/(2 pi))."""
-    h0 = 1.0 / (2.0 * math.pi)
-    x = np.asarray(x, dtype=float)
-    return (
-        (math.pi * h0) ** (-0.25)
-        * np.exp(-math.pi * x * x)
-        * hermite_eval(j, x, CalcContext(h=h0))
-    )
 
 
 def _table_radius(N: int) -> float:
@@ -239,27 +199,8 @@ def _table_sums(N: int, r, w, theta1, theta2) -> np.ndarray:
     return S + np.triu(S, 1).conj().T
 
 
-def classical_wigner_closed(j: int, k: int, x, eta):
-    """W_cl(phi_j, phi_k)(x, eta) in closed form: the h-free classical table.
-
-    Equal to 2 e^{-2 pi r^2} sqrt(lo!/hi!) (-1)^lo (4 pi)^{m/2} w^m
-    L_lo^{(m)}(4 pi r^2); independent of any semiclassical parameter.  The
-    Laguerre factor comes from the normalized rows of `_diagonal_blocks`, and
-    the value is exactly 0 past R(max(j, k)).
-    """
-    x, eta = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
-    lo, m = min(j, k), abs(j - k)
-    keep, z, log_z, theta = _table_points(max(j, k), x, eta)
-    for _, rows, scale in _diagonal_blocks(m, lo, z, log_z):
-        pass
-    val = np.zeros(x.size, dtype=complex)
-    val[keep] = 2.0 * (-1.0) ** lo * rows[-1] * scale * np.exp((1j if k >= j else -1j) * m * theta)
-    val = val.reshape(x.shape)
-    return val if x.shape else complex(val)
-
-
 def classical_wigner_bridge(j: int, k: int, x, eta, ctx: CalcContext):
-    """Same table evaluated through the Gaussian closed form at the supplied h:
+    """The classical table through the Gaussian closed form at the supplied h:
 
         W_cl(phi_j, phi_k)(x, eta)
             = 2 e^{-2 pi (x^2+eta^2)} W_{h,R}(psi_j, psi_k)(c x, c eta),
@@ -275,20 +216,6 @@ def classical_wigner_bridge(j: int, k: int, x, eta, ctx: CalcContext):
     # faults than in arithmetic
     val *= 2.0 * np.exp(-2.0 * math.pi * (x * x + eta * eta))
     return val if np.shape(val) else complex(val)
-
-
-def classical_wigner_direct(u, v, x: float, eta: float) -> complex:
-    """W_cl(u, v)(x, eta) by direct 400-node Gauss-Legendre quadrature in z on
-    [-30, 30] (reference/cross-check path; u, v vectorized callables on R)."""
-    t, w = np.polynomial.legendre.leggauss(400)
-    z = 30.0 * t
-    wz = 30.0 * w
-    vals = (
-        np.exp(-2j * math.pi * z * eta)
-        * np.asarray(u(x + z / 2.0))
-        * np.conjugate(np.asarray(v(x - z / 2.0)))
-    )
-    return complex(np.sum(vals * wz))
 
 
 def classical_wigner_diagonals(N: int, x, eta):

@@ -410,7 +410,6 @@ def main() -> None:
     print("psi_5(0.7, h=0.5)          ", repr(psi(5, 0.7, 0.5)))
     print("psi_8(-1.3, h=2)           ", repr(psi(8, -1.3, 2.0)))
     print("bargman(0.5, 1, h=1)       ", repr(math.exp(0.5 * math.sqrt(2.0) - 0.125)))
-    print("gamma(1)(0), h=1           ", repr(math.pi ** (-0.25)))
     print("L_2^(1)(0.7)               ", repr(float(special.genlaguerre(2, 1)(0.7))))
     print("L_3^(2)(1.9)               ", repr(float(special.genlaguerre(3, 2)(1.9))))
     print("L_5^(0)(4.2)               ", repr(float(special.genlaguerre(5, 0)(4.2))))
@@ -435,7 +434,7 @@ def main() -> None:
         print(f"W({j},{k})({x},{xi},h={h})  ", repr(wigner_closed(j, k, x, xi, h)))
     print("W def (1,3,z=0.4,zeta=-0.3,h=0.5)", repr(wigner_definition(1, 3, 0.4, -0.3, 0.5)))
     print("W cls (1,3, same)               ", repr(wigner_closed(1, 3, 0.4, -0.3, 0.5)))
-    print("wigner_bargman(0.3,0.2,1,0,1)   ", repr(math.exp(-0.06 + math.sqrt(2.0) * 0.5)))
+    print("W(K_0.3,K_0.2)(1,0), h=1        ", repr(math.exp(-0.06 + math.sqrt(2.0) * 0.5)))
     print("overlap(2,2,h=1)           ", repr(overlap(2, 2, 1.0)))
     print("overlap(2,5,h=1)           ", repr(overlap(2, 5, 1.0)))
 

@@ -12,41 +12,29 @@ import math
 
 import defining_integral
 import numpy as np
+from paper_checks import Poly2, covariance_and_bound, flandrin_reduction_check, ipp_check, random_frame
 from scipy.optimize import brentq
 
 from conftest import record_acceptance
 from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet, hermite_batch
-from gaussweyl.gaussian import gh_rule
-from gaussweyl.heat import antiwick_form, decomposition_residual, heat_apply, hybrid_form
+from gaussweyl.gaussian import gh_rule, integrate_tensor
+from gaussweyl.heat import antiwick_form, decomposition_residual, heat_apply
 from gaussweyl.positivity import (
-    flandrin_reduction_check,
     flandrin_search,
     garding_bound,
     garding_verify,
     nonpos_witness,
     radial_positivity_check,
 )
-from gaussweyl.quadform import (
-    HermiteExpansion,
-    Poly2,
-    assemble_matrix,
-    eig_hermitian,
-    ipp_check,
-)
-from gaussweyl.stochproj import (
-    covariance_and_bound,
-    exact_conv_rate,
-    geometric_direction,
-    mc_conv_rate,
-    random_frame,
-)
+from gaussweyl.quadform import HermiteExpansion, assemble_matrix, eig_hermitian, quadratic_form
+from gaussweyl.stochproj import exact_conv_rate, geometric_direction, mc_conv_rate
 from gaussweyl.symbols import (
     PhiSpec,
     gaussian_symbol,
     radial_symbol,
     tensor_radial_symbol,
 )
-from gaussweyl.wigner import overlap, wigner_closed, wigner_hermite_quadrature
+from gaussweyl.wigner import wigner_closed, wigner_hermite_quadrature
 
 
 def test_criterion_01_hermite_orthonormality():
@@ -66,11 +54,14 @@ def test_criterion_01_hermite_orthonormality():
 
 
 def test_criterion_02_wigner_overlap_identity():
+    # W(psi_j, psi_k) is a polynomial of degree j + k, so one 48-node rule
+    # per axis integrates it exactly
     ctx = CalcContext(h=1.0)
+    rule = gh_rule(48, ctx.h / 2.0)
     worst = 0.0
     for j in range(11):
         for k in range(j, 11):
-            got = overlap(j, k, ctx)
+            got = integrate_tensor(lambda p: wigner_closed(j, k, p[:, 0], p[:, 1], ctx), rule, 2)
             worst = max(worst, abs(got - (1.0 if j == k else 0.0)))
     record_acceptance(
         2,
@@ -223,12 +214,14 @@ def test_criterion_07_heat_algebra():
         scale = f.norm_sq()
         worst_aw = min(worst_aw, val.real / scale)
         ok_aw = ok_aw and val.real >= -1e-9 * scale and abs(val.imag) <= 1e-9 * scale
-    # hybrid nesting: anti-Wick = hybrid after heating the complement
+    # hybrid nesting: heating both pairs at once (anti-Wick) = heating pair 1,
+    # then pair 2 of the result
     ctx7 = CalcContext(h=0.7)
     sym2 = radial_symbol(PhiSpec(kind="exp", nu=1.0), 2)
     f2 = HermiteExpansion.from_pairs([((0, 0), 0.5), ((1, 1), 0.5), ((2, 0), math.sqrt(0.5))])
-    lhs = hybrid_form(sym2, [], f2, f2, ctx7)
-    rhs = hybrid_form(heat_apply(sym2, [1], ctx7.h / 2.0).descriptor(), [1], f2, f2, ctx7)
+    lhs = quadratic_form(heat_apply(sym2, [1, 2], ctx7.h / 2.0).descriptor(), f2, f2, ctx7)
+    smoothed = heat_apply(sym2, [1], ctx7.h / 2.0).descriptor()
+    rhs = quadratic_form(heat_apply(smoothed, [2], ctx7.h / 2.0).descriptor(), f2, f2, ctx7)
     nest_dev = abs(lhs - rhs)
     record_acceptance(
         7,

@@ -485,6 +485,15 @@ def test_usage_and_domain_errors_exit_1(capsys):
     for argv in cases:
         assert main(argv) == 1, argv
         capsys.readouterr()
+    # a malformed flag value: the message names the flag
+    for argv, message in [
+        (["heatcheck", "--symbol", GAUSS, "--lam", "a"], "error: --lam must be comma-separated pair indices, got 'a'"),
+        (["heatcheck", "--symbol", GAUSS, "--lam=,"], "error: --lam must be comma-separated pair indices, got ','"),
+        (["stochext", "--nmax", "-1"], "error: argument --nmax: must be >= 0, got -1"),
+    ]:
+        assert main(argv) == 1, argv
+        cap = capsys.readouterr()
+        assert message in cap.err and cap.out == "", argv
 
 
 def test_order_flag_is_gone(capsys):

@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 from gaussweyl.gaussian import (
-    GaussianMeasure,
     QuadratureConvergenceError,
     c_ps,
     coordinate_stream,
-    ell_norm,
     gh_rule,
     TENSOR_BLOCK,
     gl_panel_rule,
     integrate_tensor,
     ladder,
-    mc_sample_array,
     quad_budget,
 )
 
@@ -28,15 +25,6 @@ FROZEN_CPS = [
     (2.0, 1.0, 1.0),
     (4.0, 1.0, 1.3160740129524928),
 ]
-
-
-def test_gaussian_measure_validation():
-    m = GaussianMeasure(2, 0.5)
-    assert m.dim == 2 and m.variance == 0.5
-    with pytest.raises(ValueError):
-        GaussianMeasure(0, 1.0)
-    with pytest.raises(ValueError):
-        GaussianMeasure(1, 0.0)
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 2.0])
@@ -78,23 +66,14 @@ def test_gh_rule_is_cached_and_read_only():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 128])
 def test_legendre_rule_matches_scipy(n):
-    """leggauss (gl_panel_rule, classical_wigner_direct) against roots_legendre."""
+    """leggauss (gl_panel_rule and the polar rule of the box sweeps) against
+    roots_legendre."""
     from scipy.special import roots_legendre
 
     t, w = roots_legendre(n)
     tn, wn = np.polynomial.legendre.leggauss(n)
     assert np.max(np.abs(tn - t)) <= 2e-14
     assert np.max(np.abs(wn - w)) <= 2e-14
-
-
-def test_laguerre_rule_matches_scipy():
-    """laggauss(64) (radial_lower_bound) against roots_laguerre."""
-    from scipy.special import roots_laguerre
-
-    u, w = roots_laguerre(64)
-    un, wn = np.polynomial.laguerre.laggauss(64)
-    assert np.max(np.abs(un - u) / u) <= 1e-13
-    assert np.max(np.abs(wn - w) / w) <= 1e-11
 
 
 def test_gh_rule_guards():
@@ -171,7 +150,6 @@ def test_tensor_budget_guard(monkeypatch):
 @pytest.mark.parametrize("p,s,val", FROZEN_CPS)
 def test_cps_frozen(p, s, val):
     assert abs(c_ps(p, s) - val) <= 1e-14
-    assert abs(ell_norm(p, s, 2.0) - 2.0 * val) <= 1e-14
 
 
 def test_cps_scaling():
@@ -181,20 +159,18 @@ def test_cps_scaling():
 
 
 def test_mc_sampling_extension_stability():
-    """Extending the coordinate count or the sample count never changes
-    what was already drawn (one keyed stream per coordinate)."""
-    a = mc_sample_array(4, 1.0, 7, 100)
-    b = mc_sample_array(6, 1.0, 7, 100)
-    assert np.array_equal(a, b[:, :4])
-    c = mc_sample_array(4, 1.0, 7, 250)
-    assert np.array_equal(a, c[:100])
-    # variance scaling is exact: sqrt(s) factor
-    d = mc_sample_array(4, 4.0, 7, 100)
-    assert np.allclose(d, 2.0 * a, rtol=0, atol=0)
+    """Extending the sample count never changes what a keyed stream already
+    drew (mc_conv_rate draws coordinate j from stream (seed, j)), and
+    filling a given buffer, as mc_conv_rate does, draws the same numbers."""
+    a = coordinate_stream(7, 3).standard_normal(100)
+    assert np.array_equal(a, coordinate_stream(7, 3).standard_normal(250)[:100])
+    out = np.empty(100)
+    coordinate_stream(7, 3).standard_normal(out=out)
+    assert np.array_equal(a, out)
 
 
 def test_mc_sample_law():
-    arr = mc_sample_array(2, 1.0, 0, 20000)
+    arr = np.stack([coordinate_stream(0, j).standard_normal(20000) for j in (1, 2)])
     assert abs(float(np.mean(arr))) <= 0.03
     assert abs(float(np.var(arr)) - 1.0) <= 0.03
 

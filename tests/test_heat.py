@@ -1,5 +1,6 @@
 """Partial heat flows on symbols, the telescoping decomposition, and the
-anti-Wick / hybrid quadratic forms built from them."""
+anti-Wick / hybrid quadratic forms built from them (a hybrid form is the
+Weyl form of the symbol heated on some of its pairs)."""
 
 import math
 import time
@@ -14,7 +15,6 @@ from gaussweyl.heat import (
     decomposition_residual,
     heat_apply,
     heat_convolution_eval,
-    hybrid_form,
     ts_operators,
 )
 from gaussweyl.heat import _erf
@@ -245,14 +245,27 @@ def test_antiwick_positivity_random(h):
             assert val.real >= -1e-9 * f.norm_sq()
 
 
+def hybrid_form(sym, e_pairs, f, g, ctx):
+    """Weyl in the pairs of e_pairs, anti-Wick outside: the Weyl form of the
+    symbol heated at t = h/2 on the other pairs."""
+    rest = set(range(1, sym.d + 1)) - set(e_pairs)
+    return quadratic_form(heat_apply(sym, rest, ctx.h / 2.0).descriptor(ctx), f, g, ctx)
+
+
 def test_hybrid_interpolates_weyl_and_antiwick():
+    """On e^{-nu (r_1^2 + r_2^2)}, Weyl in pair 1 and anti-Wick in pair 2
+    has the Weyl diagonal law in pair 1 times the anti-Wick one in pair 2;
+    all pairs Weyl is the Weyl form, none the anti-Wick form."""
     ctx = CalcContext(h=1.0)
-    sym = gaussian_symbol(2.0, 1.0)
-    f = HermiteExpansion.from_pairs([((0,), 0.6), ((1,), 0.8)])
-    full = hybrid_form(sym, [1], f, f, ctx)
-    assert abs(full - quadratic_form(sym, f, f, ctx)) <= 1e-12
-    none = hybrid_form(sym, [], f, f, ctx)
-    assert abs(none - antiwick_form(sym, f, f, ctx)) <= 1e-12
+    nu = 2.0
+    sym = radial_symbol(PhiSpec(kind="exp", nu=nu), 2)
+    for j1, j2 in [(0, 0), (1, 0), (0, 2), (3, 1)]:
+        f = HermiteExpansion.single((j1, j2))
+        want = (1.0 - nu) ** j1 / (1.0 + nu) ** (j1 + 1) * heated_diag(j2, nu, 1.0)
+        assert abs(hybrid_form(sym, [1], f, f, ctx) - want) <= 1e-12
+    f = HermiteExpansion.from_pairs([((0, 0), 0.6), ((1, 1), 0.8)])
+    assert abs(hybrid_form(sym, [1, 2], f, f, ctx) - quadratic_form(sym, f, f, ctx)) <= 1e-12
+    assert abs(hybrid_form(sym, [], f, f, ctx) - antiwick_form(sym, f, f, ctx)) <= 1e-12
 
 
 def test_hybrid_nesting():

@@ -6,18 +6,17 @@ import math
 import numpy as np
 import oracles
 import pytest
+from paper_checks import flandrin_reduction_check
 
 from gaussweyl.basis import CalcContext, TruncationSet
 from gaussweyl.gaussian import QuadratureConvergenceError, gl_panel_rule
 from gaussweyl.positivity import (
     flandrin_domain_radius,
     flandrin_matrix,
-    flandrin_reduction_check,
     flandrin_search,
     garding_bound,
     garding_verify,
     nonpos_witness,
-    radial_lower_bound,
     radial_positivity_check,
 )
 from gaussweyl import quadform, wigner
@@ -68,22 +67,6 @@ def test_nonpos_sign_change_at_unit_threshold():
         nonpos_witness(0.0, 1.0, ctx)
     with pytest.raises(SymbolDomainError):
         nonpos_witness(1.0, -1.0, ctx)
-
-
-def test_radial_lower_bound_closed_and_quadrature():
-    ctx = CalcContext(h=1.5)
-    assert radial_lower_bound(PhiSpec(kind="one"), ctx) == 1.0
-    got = radial_lower_bound(PhiSpec(kind="exp", nu=2.0), ctx)
-    assert abs(got - 1.0 / 4.0) <= 1e-14
-    inc = radial_lower_bound(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), ctx)
-    assert abs(inc - (1.0 - 1.0 / 2.5)) <= 1e-14
-    # callable route against the closed form
-    quad = radial_lower_bound(lambda t: np.exp(-2.0 * t), ctx)
-    assert abs(quad - 1.0 / 4.0) <= 1e-10
-    # Gauss-Laguerre integrates polynomial profiles exactly: mean of t is h
-    assert abs(radial_lower_bound(lambda t: t, ctx) - 1.5) <= 1e-10
-    with pytest.raises(ValueError):
-        radial_lower_bound(lambda t: np.exp(t / 1.5), ctx)  # divergent mean
 
 
 def test_radial_positivity_increasing_profile():

@@ -10,6 +10,7 @@ import defining_integral
 import numpy as np
 import oracles
 import pytest
+from paper_checks import Poly2, ipp_check, poly_symbol, rotation_reduction
 
 from gaussweyl import wigner
 from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet
@@ -24,15 +25,11 @@ from gaussweyl.quadform import (
     ROUTE_QUARTER,
     HermiteExpansion,
     OperatorMatrix,
-    Poly2,
     _tensor_element,
     assemble_matrix,
     eig_hermitian,
-    ipp_check,
     matrix_element,
-    poly_symbol,
     quadratic_form,
-    rotation_reduction,
 )
 from gaussweyl.symbols import (
     PhiSpec,
@@ -350,37 +347,22 @@ def test_poly2_rotation_algebra():
 
 def test_ipp_frozen_values():
     ctx = CalcContext(h=1.0)
-    res = ipp_check(Poly2.from_dict({(1, 0): 1.0}), 1, 1, 1, None, ctx)
-    assert res.method == "analytic"
-    assert abs(res.lhs - (-1j * math.pi / 2.0)) <= 1e-10
-    assert res.residual <= 1e-10
-    res2 = ipp_check(Poly2.from_dict({(2, 0): 1.0}), 2, 2, 1, None, ctx)
-    assert abs(res2.lhs - (-2.0 * math.pi)) <= 1e-9
-    assert res2.residual <= 1e-9
-    lhs, rhs, residual = res2  # tuple protocol
-    assert (lhs, rhs, residual) == (res2.lhs, res2.rhs, res2.residual)
+    lhs, _, residual = ipp_check(Poly2.from_dict({(1, 0): 1.0}), 1, 1, 1, None, ctx)
+    assert abs(lhs - (-1j * math.pi / 2.0)) <= 1e-10
+    assert residual <= 1e-10
+    lhs, _, residual = ipp_check(Poly2.from_dict({(2, 0): 1.0}), 2, 2, 1, None, ctx)
+    assert abs(lhs - (-2.0 * math.pi)) <= 1e-9
+    assert residual <= 1e-9
 
 
 def test_ipp_with_weight_polynomial_and_eps():
     ctx = CalcContext(h=0.5)
     F = Poly2.from_dict({(2, 1): 1.0})  # x^2 xi
     for eps in (1, -1):
-        res = ipp_check(F, 2, 2, eps, (0.0, 1.0), ctx)  # P(t) = t
-        assert res.residual <= 1e-9
-    res = ipp_check(F, 1, 3, 1, (1.0, 0.5), ctx)
-    assert res.residual <= 1e-9
-
-
-def test_ipp_callable_route_and_guards():
-    ctx = CalcContext(h=1.0)
-    res = ipp_check(lambda x, xi: x, 1, 1, 1, None, ctx)
-    assert res.method == "finite-difference"
-    assert not res.fd_warning
-    assert abs(res.lhs - (-1j * math.pi / 2.0)) <= 1e-8
-    assert res.residual <= 1e-8
-    for bad in [dict(n=0, s=1, eps=1), dict(n=1, s=-1, eps=1), dict(n=1, s=1, eps=2)]:
-        with pytest.raises(ValueError):
-            ipp_check(Poly2.from_dict({(1, 0): 1.0}), bad["n"], bad["s"], bad["eps"], None, ctx)
+        _, _, residual = ipp_check(F, 2, 2, eps, (0.0, 1.0), ctx)  # P(t) = t
+        assert residual <= 1e-9
+    _, _, residual = ipp_check(F, 1, 3, 1, (1.0, 0.5), ctx)
+    assert residual <= 1e-9
 
 
 def test_rotation_reduction_matches_direct():

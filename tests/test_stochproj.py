@@ -1,5 +1,6 @@
-"""Stochastic extension layer: tail rates of coordinate truncations, cylinder
-approximation along subspace filtrations, and projected covariances."""
+"""Stochastic extension layer: tail rates of coordinate truncations, and the
+test-side checks of cylinder approximation along subspace filtrations and of
+projected covariances (`paper_checks`)."""
 
 import math
 import sys
@@ -9,24 +10,37 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from paper_checks import (
+    coordinate_frame,
+    covariance_and_bound,
+    cylinder_extension_check,
+    random_frame,
+    rotated_frame,
+)
 
 from gaussweyl import stochproj
 from gaussweyl.stochproj import (
     DirectionVector,
-    covariance_and_bound,
-    coordinate_frame,
-    cylinder_extension_check,
     exact_conv_rate,
-    finite_direction,
     geometric_direction,
     mc_conv_rate,
     power_direction,
-    random_frame,
-    rotated_frame,
 )
 from gaussweyl.stochproj import _trigamma
 
 TRIGAMMA_5 = 0.22132295573711533  # sum_{j>4} j^{-2}
+
+
+def finite_direction(coords) -> DirectionVector:
+    """Finitely supported direction; the tail vanishes past the support."""
+    cs = tuple(float(c) for c in coords)
+    sq = [c * c for c in cs]
+    return DirectionVector(
+        name=f"finite[{len(cs)}]",
+        norm_sq=math.fsum(sq),
+        _coord=lambda j: cs[j - 1] if j <= len(cs) else 0.0,
+        _tail_sq=lambda n: math.fsum(sq[n:]),
+    )
 
 
 def test_geometric_direction_tails():

@@ -1,5 +1,6 @@
-"""Wigner layer: closed Laguerre form vs the defining integral, Bargman
-generating function, tensorization, and the classical (h-free) table."""
+"""Wigner layer: closed Laguerre form vs the defining integral, the
+generating function of the table, orthonormality, and the classical (h-free)
+table."""
 
 import math
 
@@ -9,20 +10,14 @@ import oracles
 import pytest
 
 from gaussweyl import wigner
-from gaussweyl.basis import CalcContext, MultiIndex, hermite_eval
-from gaussweyl.gaussian import gh_rule
+from gaussweyl.basis import CalcContext, hermite_eval
+from gaussweyl.gaussian import gh_rule, gl_panel_rule, integrate_tensor
 from gaussweyl.wigner import (
-    classical_hermite,
     classical_wigner_bridge,
-    classical_wigner_closed,
     classical_wigner_diagonals,
-    classical_wigner_direct,
-    overlap,
-    wigner_bargman,
     wigner_closed,
     wigner_hermite_quadrature,
     wigner_on_rule,
-    wigner_tensor,
 )
 
 # Laguerre closed form, frozen from an independent evaluation (genlaguerre).
@@ -134,68 +129,63 @@ def test_quadrature_fixed_rule_path():
 
 
 def test_bargman_frozen_and_generating_function():
+    """sum_{j,k} u^j v^k / sqrt(j! k!) W(psi_j, psi_k)(x, xi) is W(K_u, K_v)
+    for the Bargman kernels K_v(x) = sum_j v^j psi_j(x) / sqrt(j!)
+    = exp(sqrt(2/h) x v - v^2/2), in closed form
+    exp(-u v + sqrt(2/h) x (u + v) + i sqrt(2/h) xi (v - u))."""
     ctx = CalcContext(h=1.0)
-    got = wigner_bargman(0.3, 0.2, 1.0, 0.0, ctx)
-    assert abs(got - 1.9100067597464592) <= 1e-12
-    # generating function: sum_{j,k} u^j v^k / sqrt(j! k!) W(psi_j, psi_k)
-    u, v, x, xi = 0.3, 0.2, 0.4, -0.6
-    total = 0.0 + 0.0j
-    for j in range(26):
-        for k in range(26):
-            total += (
-                u**j
-                * v**k
-                / math.sqrt(math.factorial(j) * math.factorial(k))
-                * wigner_closed(j, k, x, xi, ctx)
-            )
-    assert abs(total - wigner_bargman(u, v, x, xi, ctx)) <= 1e-12
+    c = math.sqrt(2.0 / ctx.h)
+    for u, v, x, xi, want in [(0.3, 0.2, 1.0, 0.0, 1.9100067597464592), (0.3, 0.2, 0.4, -0.6, None)]:
+        total = 0.0 + 0.0j
+        for j in range(26):
+            for k in range(26):
+                total += (
+                    u**j
+                    * v**k
+                    / math.sqrt(math.factorial(j) * math.factorial(k))
+                    * wigner_closed(j, k, x, xi, ctx)
+                )
+        kernel = np.exp(-u * v + c * x * (u + v) + 1j * c * xi * (v - u))
+        assert abs(total - kernel) <= 1e-12
+        assert want is None or abs(total - want) <= 1e-12
 
 
 def test_overlap_identity():
-    ctx = CalcContext(h=1.0)
-    assert abs(overlap(2, 2, ctx) - 1.0) <= 1e-9
-    assert abs(overlap(2, 5, ctx)) <= 1e-9
-    assert abs(overlap(0, 4, CalcContext(h=0.5))) <= 1e-9
-
-
-def test_tensor_product_structure():
-    ctx = CalcContext(h=0.8)
-    alpha = MultiIndex.from_tuple((1, 0, 2))
-    beta = MultiIndex.from_tuple((0, 0, 2))
-    X = np.array([0.2, -0.1, 0.5, 0.4, 0.9, -0.3])
-    want = wigner_closed(1, 0, 0.2, 0.4, ctx) * wigner_closed(2, 2, 0.5, -0.3, ctx)
-    got = wigner_tensor(alpha, beta, X, ctx)
-    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
-    # empty supports multiply to 1
-    one = wigner_tensor(MultiIndex(), MultiIndex(), X, ctx)
-    assert one == 1.0 + 0.0j
-    with pytest.raises(ValueError):
-        wigner_tensor(alpha, beta, X[:5], ctx)
-    with pytest.raises(ValueError):
-        wigner_tensor(MultiIndex({4: 1}), beta, X, ctx)
+    """int W(psi_j, psi_k) dmu_{R^2,h/2} = delta_jk, on one 48-node rule per
+    axis: the integrand is a polynomial of degree j + k."""
+    for j, k, h, want in [(2, 2, 1.0, 1.0), (2, 5, 1.0, 0.0), (0, 4, 0.5, 0.0)]:
+        ctx = CalcContext(h=h)
+        got = integrate_tensor(lambda p: wigner_closed(j, k, p[:, 0], p[:, 1], ctx), gh_rule(48, h / 2.0), 2)
+        assert abs(got - want) <= 1e-9
 
 
 def test_classical_hermite_normalized():
-    xs = np.linspace(-10.0, 10.0, 40001)
-    for j in (0, 1, 4):
-        vals = classical_hermite(j, xs)
-        assert abs(np.trapezoid(vals * vals, xs) - 1.0) <= 1e-9
-    v01 = np.trapezoid(classical_hermite(0, xs) * classical_hermite(1, xs), xs)
-    assert abs(v01) <= 1e-12
-    assert abs(float(classical_hermite(0, 0.0)) - 2.0**0.25) <= 1e-14
+    """The phi_j are orthonormal in L2(dx), so the classical table
+    integrates to delta_jk over the plane (for these degrees the table is
+    below 1e-30 outside [-4, 4]^2)."""
+    rule = gl_panel_rule(-4.0, 4.0, 16, 16)
+    x = np.repeat(rule.nodes, rule.nodes.size)
+    eta = np.tile(rule.nodes, rule.nodes.size)
+    w = np.multiply.outer(rule.weights, rule.weights).ravel()
+    ctx = CalcContext(h=1.0)
+    for j, k in [(0, 0), (1, 1), (4, 4), (0, 1), (1, 4)]:
+        got = np.sum(w * classical_wigner_bridge(j, k, x, eta, ctx))
+        assert abs(got - (j == k)) <= (1e-9 if j == k else 1e-12)
+    assert classical_wigner_bridge(0, 0, 0.0, 0.0, ctx) == 2.0  # twice the parity of phi_0
 
 
 @pytest.mark.parametrize("j,k,x,eta,want", FROZEN_CLASSICAL)
 def test_classical_closed_frozen(j, k, x, eta, want):
-    got = classical_wigner_closed(j, k, x, eta)
+    got = classical_wigner_bridge(j, k, x, eta, CalcContext(h=1.0))
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_classical_direct_route():
-    got = classical_wigner_direct(
-        lambda y: classical_hermite(1, y), lambda y: classical_hermite(2, y), 0.2, -0.4
-    )
-    want = FROZEN_CLASSICAL[1][4]
+    """The bridge against the defining z-integral of the classical
+    transform (adaptive quadrature in the oracle)."""
+    got = classical_wigner_bridge(1, 2, 0.2, -0.4, CalcContext(h=1.0))
+    want = oracles.classical_wigner_direct(1, 2, 0.2, -0.4)
+    assert abs(want - FROZEN_CLASSICAL[1][4]) <= 1e-9
     assert abs(got - want) <= 1e-9
 
 
@@ -208,7 +198,7 @@ def test_classical_bridge_h_free(h):
     for j, k in [(0, 0), (0, 1), (1, 2), (3, 3), (2, 4)]:
         for x, eta in pts:
             a = classical_wigner_bridge(j, k, x, eta, ctx)
-            b = classical_wigner_closed(j, k, x, eta)
+            b = oracles.classical_wigner_closed(j, k, x, eta)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
@@ -220,7 +210,7 @@ def test_bridge_identity_frozen():
     ctx = CalcContext(h=h)
     lam = math.sqrt(2.0 * math.pi * h)
     lhs = math.exp(-(x * x + xi * xi) / h) * wigner_closed(j, j, x, xi, ctx)
-    rhs = 0.5 * classical_wigner_closed(j, j, x / lam, lam * xi / (2.0 * math.pi * h))
+    rhs = 0.5 * oracles.classical_wigner_closed(j, j, x / lam, lam * xi / (2.0 * math.pi * h))
     assert abs(lhs - 0.2310798723927446) <= 1e-12
     assert abs(lhs - rhs) <= 1e-12
 
@@ -233,7 +223,7 @@ def test_diagonal_stream_matches_table():
     seen = set()
     for j, k, vals in classical_wigner_diagonals(N, x, eta):
         seen.add((j, k))
-        want = classical_wigner_closed(j, k, x, eta)
+        want = np.array([oracles.classical_wigner_closed(j, k, a, b) for a, b in zip(x, eta)])
         assert np.max(np.abs(vals - want)) <= 1e-11
     assert seen == {(j, k) for k in range(N + 1) for j in range(k + 1)}
 

@@ -25,7 +25,6 @@ from .gaussian import (
     quad_budget,
 )
 from .heat import (
-    HeatedSymbol,
     antiwick_form,
     decomposition_residual,
     heat_apply,

@@ -48,6 +48,7 @@ from .quadform import (
 )
 from .stochproj import (
     EXPLICIT_TAIL_COORDS,
+    MIN_MC_SAMPLES,
     exact_conv_rate,
     geometric_direction,
     mc_conv_rate,
@@ -399,8 +400,6 @@ def cmd_nonpos(args) -> int:
 
 def cmd_radial(args) -> int:
     sym = parse_symbol(args.symbol)
-    if sym.family not in ("radial", "tensor_radial"):
-        raise ValueError("radial needs a radial: or tensorradial: symbol")
     rp = radial_positivity_check(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h))
     # The lower bound is a theorem only under the nondecreasing-profile
     # hypothesis; outside it the comparison is reported but not enforced.
@@ -463,12 +462,16 @@ def cmd_flandrin(args) -> int:
 
 
 def cmd_stochext(args) -> int:
-    # The library refuses p < 1 and s <= 0; nan, inf and a p whose moment
-    # constant Gamma((p+1)/2) overflows are refused here, before the run.
+    # Values the library would refuse, nan, inf and a p whose moment constant
+    # Gamma((p+1)/2) overflows are refused here, naming the option.
     if not (math.isfinite(args.p) and math.isfinite(args.s)):
         raise ValueError(f"--p and --s must be finite, got {args.p!r} and {args.s!r}")
+    if args.p < 1 or args.s <= 0:
+        raise ValueError(f"--p must be >= 1 and --s > 0, got {args.p!r} and {args.s!r}")
+    if args.samples < MIN_MC_SAMPLES:
+        raise ValueError(f"--samples must be >= {MIN_MC_SAMPLES}, got {args.samples}")
     try:
-        math.gamma((max(args.p, 1.0) + 1.0) / 2.0)
+        math.gamma((args.p + 1.0) / 2.0)
     except OverflowError:
         raise ValueError(f"--p {args.p!r}: Gamma((p+1)/2) overflows (p must be at most about 342.2)") from None
     a = geometric_direction() if args.direction == "geometric" else power_direction()
@@ -520,11 +523,13 @@ def cmd_heatcheck(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     sym = parse_symbol(args.symbol)
-    if args.lam:
+    if args.lam is not None:
         try:
             lam = tuple(int(t) for t in args.lam.split(","))
         except ValueError:
             raise ValueError(f"--lam must be comma-separated pair indices, got {args.lam!r}") from None
+        if not all(1 <= j <= sym.d for j in lam):
+            raise ValueError(f"--lam pair indices must lie in 1..{sym.d}, got {args.lam!r}")
     else:
         lam = tuple(range(1, min(sym.d, 3) + 1))
     ctx = CalcContext(h=args.h)
@@ -537,11 +542,21 @@ def cmd_heatcheck(args) -> int:
     weyl = quadratic_form(sym, psi0, psi0, ctx)
     aw = antiwick_form(sym, psi0, psi0, ctx)
     residual = decomposition_residual(sym, lam, ctx, (x, xi))
+    # The telescoping sum is the identity for any commuting heat maps; the
+    # anti-Wick ground state pins the heat law itself: heat at h/2, then the
+    # Weyl ground state, sends each e^{-nu r^2} factor to 1/(1 + 2 nu h).
+    closed = math.fsum(c * math.prod(1.0 / (1.0 + 2.0 * nu * ctx.h) for _, nu in pairs)
+                       for c, pairs in sym.mixture_terms)
+    closed_tol = 1e-12 * max(1.0, math.fsum(abs(c) for c, _ in sym.mixture_terms))
+    deviation = abs(aw - closed)
     contract = {
         "name": "telescoping heat decomposition residual <= 1e-10",
-        "passed": bool(residual <= 1e-10),
+        "passed": bool(residual <= 1e-10 and deviation <= closed_tol),
         "residual": residual,
         "tolerance": 1e-10,
+        "antiwick_closed_form": closed,
+        "antiwick_deviation": deviation,
+        "antiwick_tolerance": closed_tol,
     }
     results = {
         "residual": residual,

@@ -11,7 +11,6 @@ anything else it falls back to Gauss-Hermite convolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -33,82 +32,57 @@ def _validate_pairs(J, d: int) -> frozenset:
     return J
 
 
-@dataclass(frozen=True)
-class HeatedSymbol:
-    """A symbol with heat of variance t applied to the pairs in heated_pairs.
+def heat_apply(sym: SymbolDescriptor, J, t: float, ctx: CalcContext | None = None) -> SymbolDescriptor:
+    """H̃_{D_J, t}: the symbol with heat of variance t on each pair
+    (x_j, xi_j), j in J; J = empty set gives sym itself.
 
-    For mixture-representable bases the heated evaluator is closed form;
-    for boxes it is a product of Gaussian CDF differences; for custom bases
-    it is Gaussian convolution by quadrature.
-    """
-
-    base: SymbolDescriptor
-    heated_pairs: frozenset
-    t: float
-
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    def descriptor(self, ctx: CalcContext | None = None) -> SymbolDescriptor:
-        """The concrete heated symbol, ready for evaluation and matrix work."""
-        if not self.heated_pairs:
-            return self.base
-        mix = self.base.gauss_mixture()
-        if mix is not None:
-            terms = []
-            for c, nus in mix:
-                amp = float(c)
-                heated = dict(nus)
-                for j in self.heated_pairs:
-                    nu = nus.get(j, 0.0)
-                    if nu:
-                        amp /= 1.0 + 2.0 * nu * self.t
-                        heated[j] = nu / (1.0 + 2.0 * nu * self.t)
-                terms.append((amp, heated))
-            return mixture_symbol(terms, self.base.d)
-        if self.base.family == "box":
-            if ctx is None:
-                raise ValueError("heated box symbols need a CalcContext (x-side length is 2 pi h a)")
-            xlen = 2.0 * math.pi * ctx.h * self.base.a
-            ylen = self.base.a
-            t = self.t
-
-            def cdf_diff(u, length):
-                scale = 1.0 / math.sqrt(2.0 * t)
-                upper = (
-                    np.ones_like(u)
-                    if math.isinf(length)
-                    else 0.5 * (1.0 + _erf((length - u) * scale))
-                )
-                lower = 0.5 * (1.0 + _erf((0.0 - u) * scale))
-                return upper - lower
-
-            def evaluator(xb, xib):
-                return cdf_diff(np.asarray(xb)[..., 0], xlen) * cdf_diff(
-                    np.asarray(xib)[..., 0], ylen
-                )
-
-            return custom_symbol(evaluator, d=1, smooth=True, bounded=True)
-        base, pairs, t, d = self.base, self.heated_pairs, self.t, self.base.d
-
-        def evaluator(xb, xib):
-            return heat_convolution_eval(base, pairs, t, xb, xib, ctx)
-
-        return custom_symbol(evaluator, d=d, smooth=base.smooth, bounded=base.bounded)
-
-    def eval(self, x, xi, ctx: CalcContext | None = None):
-        return eval_ddot(self.descriptor(ctx), x, xi, ctx)
-
-
-def heat_apply(sym: SymbolDescriptor, J, t: float) -> HeatedSymbol:
-    """H̃_{D_J, t}: heat of variance t on each pair (x_j, xi_j), j in J.
-
-    J = empty set is the identity (still wrapped, for uniform handling).
+    Gaussian mixtures heat in closed form; boxes give a product of Gaussian
+    CDF differences, and need ctx (the x-side length is 2 pi h a); any other
+    symbol is convolved by quadrature when evaluated.
     """
     if not t > 0:
         raise ValueError(f"heat variance must be > 0, got {t!r}")
-    return HeatedSymbol(base=sym, heated_pairs=_validate_pairs(J, sym.d), t=float(t))
+    pairs, t = _validate_pairs(J, sym.d), float(t)
+    if not pairs:
+        return sym
+    if sym.mixture_terms is not None:
+        terms = []
+        for amp, stored in sym.mixture_terms:
+            nus = dict(stored)
+            for j in pairs:
+                nu = nus.get(j, 0.0)
+                if nu:
+                    amp /= 1.0 + 2.0 * nu * t
+                    nus[j] = nu / (1.0 + 2.0 * nu * t)
+            terms.append((amp, nus))
+        return mixture_symbol(terms, sym.d)
+    if sym.family == "box":
+        if ctx is None:
+            raise ValueError("heated box symbols need a CalcContext (x-side length is 2 pi h a)")
+        xlen = 2.0 * math.pi * ctx.h * sym.a
+        ylen = sym.a
+
+        def cdf_diff(u, length):
+            scale = 1.0 / math.sqrt(2.0 * t)
+            upper = (
+                np.ones_like(u)
+                if math.isinf(length)
+                else 0.5 * (1.0 + _erf((length - u) * scale))
+            )
+            lower = 0.5 * (1.0 + _erf((0.0 - u) * scale))
+            return upper - lower
+
+        def evaluator(xb, xib):
+            return cdf_diff(np.asarray(xb)[..., 0], xlen) * cdf_diff(
+                np.asarray(xib)[..., 0], ylen
+            )
+
+        return custom_symbol(evaluator, d=1, smooth=True, bounded=True)
+
+    def evaluator(xb, xib):
+        return heat_convolution_eval(sym, pairs, t, xb, xib, ctx)
+
+    return custom_symbol(evaluator, d=sym.d, smooth=sym.smooth, bounded=sym.bounded)
 
 
 def heat_convolution_eval(sym, J, t, x, xi, ctx=None):
@@ -149,12 +123,12 @@ def _subsets(items):
             yield frozenset(combo)
 
 
-def ts_operators(sym: SymbolDescriptor, J, lam, ctx: CalcContext):
+def ts_operators(sym: SymbolDescriptor, J, lam):
     """The signed heat terms of T̃_{J,h} S̃_{Λ\\J, h} applied to sym, where
     T̃_J = prod_{j in J} (I − H̃_{D_j, h/2}) and S̃_E = prod_{j in E} H̃_{D_j, h/2}.
 
     Expanding the product gives, for each K ⊆ J, the sign (−1)^{|K|} and heat
-    on K ∪ (Λ\\J); returns [(sign, HeatedSymbol)] in subset order.
+    on K ∪ (Λ\\J); returns [(sign, heated pair set)] in subset order.
     """
     J = _validate_pairs(J, sym.d)
     lam = _validate_pairs(lam, sym.d)
@@ -166,7 +140,7 @@ def ts_operators(sym: SymbolDescriptor, J, lam, ctx: CalcContext):
     out = []
     for K in _subsets(J):
         sign = -1 if len(K) % 2 else 1
-        out.append((sign, HeatedSymbol(base=sym, heated_pairs=K | rest, t=ctx.h / 2.0)))
+        out.append((sign, K | rest))
     return out
 
 
@@ -183,8 +157,9 @@ def decomposition_residual(sym: SymbolDescriptor, lam, ctx: CalcContext, grid) -
     target = np.asarray(eval_ddot(sym, x, xi, ctx), dtype=complex)
     acc = np.zeros_like(target)
     for J in _subsets(lam):
-        for sign, hs in ts_operators(sym, J, lam, ctx):
-            acc = acc + sign * np.asarray(hs.eval(x, xi, ctx), dtype=complex)
+        for sign, pairs in ts_operators(sym, J, lam):
+            heated = heat_apply(sym, pairs, ctx.h / 2.0, ctx)
+            acc = acc + sign * np.asarray(eval_ddot(heated, x, xi, ctx), dtype=complex)
     return float(np.max(np.abs(target - acc)))
 
 
@@ -198,6 +173,5 @@ def antiwick_form(
     pair.  Nonnegative symbols give nonnegative forms (f = g)."""
     if not sym.smooth:
         raise ValueError("the anti-Wick form needs a smooth symbol")
-    heated = heat_apply(sym, range(1, sym.d + 1), ctx.h / 2.0)
-    return quadratic_form(heated.descriptor(ctx), f, g, ctx)
+    return quadratic_form(heat_apply(sym, range(1, sym.d + 1), ctx.h / 2.0, ctx), f, g, ctx)
 

@@ -101,8 +101,8 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
     bound is a theorem only for nondecreasing profiles; `increasing` reports
     whether that hypothesis holds, and `ok` reports the raw comparison.
     """
-    if sym.family not in ("radial", "tensor_radial"):
-        raise ValueError("radial_positivity_check needs a radial or tensorradial symbol")
+    if not sym.parts:
+        raise ValueError("radial needs a radial: or tensorradial: symbol")
     bound = 1.0
     for phi, dj in sym.parts:
         bound *= phi.laplace_mean(ctx.h, dj)
@@ -216,19 +216,17 @@ def garding_bound(eps_spec, h: float, M: float) -> GardingReport:
 
 
 def _assert_nonneg(sym, ctx: CalcContext) -> None:
-    if sym.family == "constant":
-        if sym.c < 0:
-            raise ValueError("symbol is negative")
-        return
-    if sym.family == "gaussian":
-        return
-    if sym.family in ("radial", "tensor_radial"):
+    """Refuse a symbol that takes negative values: radial profiles are checked
+    on a grid, a mixture with nonnegative weights is nonnegative, and any
+    other symbol is checked on a seeded point cloud."""
+    if sym.parts:
         t = np.linspace(0.0, 80.0, 4001)
         for phi, _ in sym.parts:
             if np.min(phi.value(t)) < -1e-12:
                 raise ValueError("radial profile takes negative values")
         return
-    # mixture/custom: seeded point-cloud check
+    if sym.mixture_terms is not None and all(c >= 0 for c, _ in sym.mixture_terms):
+        return
     pts = coordinate_stream(11, 11).normal(0.0, math.sqrt(3.0 * ctx.h), size=(2000, 2 * sym.d))
     vals = np.asarray(eval_ddot(sym, pts[:, : sym.d], pts[:, sym.d :], ctx))
     scale = max(1.0, float(np.max(np.abs(vals))))

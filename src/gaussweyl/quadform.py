@@ -105,7 +105,7 @@ def section_route(sym) -> str:
     Gauss-Hermite ladder otherwise."""
     if sym.family == "box":
         return ROUTE_QUARTER if math.isinf(sym.a) else ROUTE_BOX
-    if sym.gauss_mixture() is not None:
+    if sym.mixture_terms is not None:
         return ROUTE_CLOSED
     return ROUTE_LADDER
 
@@ -117,16 +117,17 @@ def _finite_rate(u: float, nu: float, h: float) -> float:
     return u
 
 
-def _mixture_diagonal(mix, degrees: np.ndarray, h: float) -> np.ndarray:
+def _mixture_diagonal(terms, degrees: np.ndarray, h: float) -> np.ndarray:
     """I_aa = sum_k c_k prod_j (1 - nu_kj h)^{a_j} / (1 + nu_kj h)^{a_j + 1}
-    for the mixture sum_k c_k prod_j e^{-nu_kj r_j^2}, one row a of `degrees`
-    per basis element; pairs beyond its columns have degree 0.  The ratio
+    for the stored mixture sum_k c_k prod_j e^{-nu_kj r_j^2} (`mixture_terms`),
+    one row a of `degrees` per basis element; pairs beyond its columns have
+    degree 0.  The ratio
     (1 - u)/(1 + u) has modulus <= 1, so its powers cannot overflow; an
     overflowing u itself is refused."""
     out = np.zeros(len(degrees))
-    for c, nus in mix:
-        term = np.full(len(degrees), float(c))
-        for j, nu in nus.items():
+    for c, pairs in terms:
+        term = np.full(len(degrees), c)
+        for j, nu in pairs:
             u = _finite_rate(nu * h, nu, h)
             a = degrees[:, j - 1] if j <= degrees.shape[1] else 0
             term *= ((1.0 - u) / (1.0 + u)) ** a / (1.0 + u)
@@ -189,7 +190,7 @@ def _entries(sym, rows, cols, ctx: CalcContext):
         out[np.any(R[:, None, d:] != C[None, :, d:], axis=2)] = 0.0
         return out, order
     if route == ROUTE_CLOSED:
-        diagonal = _mixture_diagonal(sym.gauss_mixture(), R, ctx.h).astype(complex)
+        diagonal = _mixture_diagonal(sym.mixture_terms, R, ctx.h).astype(complex)
         match = np.all(R[:, None, :] == C[None, :, :], axis=2)
         return np.where(match, diagonal[:, None], 0.0j), 0
     row_tails = [tuple(t) for t in R[:, d:].tolist()]
@@ -235,7 +236,7 @@ def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> Operato
             raise ValueError(
                 f"truncation has {size} elements; the diagonal-section cap is {MAX_DIAGONAL_SIZE}"
             )
-        diagonal = _mixture_diagonal(sym.gauss_mixture(), truncation.degrees, ctx.h)
+        diagonal = _mixture_diagonal(sym.mixture_terms, truncation.degrees, ctx.h)
         max_order, structural = 0, size * (size - 1) // 2
     else:
         _refuse_dense(size)  # before the indices are built

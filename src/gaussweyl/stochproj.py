@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import tee
 
@@ -21,9 +20,6 @@ import numpy as np
 from .gaussian import REMAINDER_KEY, c_ps, coordinate_stream
 
 MIN_MC_SAMPLES = 1000
-# Below this many samples the keyed draws fill on the calling thread: a
-# worker pool costs more to start and feed than it saves.
-POOL_MIN_SAMPLES = 8192
 EXPLICIT_TAIL_COORDS = 64
 
 # Bernoulli numbers B_2, B_4, ..., B_12 of the trigamma asymptotic series.
@@ -158,17 +154,16 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
     the sweep passes n+64, so only the open windows' running sums are held.
     Each row's sum runs in the same order as a sweep over that row alone.
 
-    From POOL_MIN_SAMPLES samples the keyed normals are filled on up to two
-    worker threads (numpy releases the GIL while it fills) into a ring of
-    workers + 1 buffers, while this thread adds the previous keys into the
-    rows; below it they fill on this thread, into one buffer.  Every stream
-    is built here, and a buffer is refilled only after its adds are done, so
-    the result is bit-identical for any number of workers.
+    The keyed normals are filled on up to two worker threads (numpy releases
+    the GIL while it fills) into a ring of workers + 1 buffers, while this
+    thread adds the previous keys into the rows.  Every stream is built here,
+    and a buffer is refilled only after its adds are done, so the result is
+    bit-identical for any number of workers.
 
     Returns one (estimate, std_error) per entry of `ns`, in order; each
     estimate brackets the closed-form rate within a few standard errors.
     """
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_MC_SAMPLES}")
@@ -214,19 +209,14 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
     # The look-ahead copy of the plan runs at most len(ring) drawn keys ahead.
     steps, lookahead = tee(plan())
     drawn = (j for j, coeffs in lookahead if coeffs)
-    workers = _draw_workers() if samples >= POOL_MIN_SAMPLES else 0
+    workers = _draw_workers()
     ring = [np.empty(samples) for _ in range(workers + 1)]
     pending = sorted(scale, reverse=True)
     sums = {}  # open rows: n -> running sum of the normalized tail
-    with ThreadPoolExecutor(workers) if workers else nullcontext() as pool:
+    with ThreadPoolExecutor(workers) as pool:
 
         def fill(buf: np.ndarray, j: int):
-            draw = coordinate_stream(seed, j).standard_normal
-            if pool is None:
-                done = Future()
-                done.set_result(draw(out=buf))
-                return done
-            return pool.submit(draw, out=buf)
+            return pool.submit(coordinate_stream(seed, j).standard_normal, out=buf)
 
         filling = deque(fill(buf, j) for buf, j in zip(ring, drawn))
         for j, coeffs in steps:

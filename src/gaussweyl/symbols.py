@@ -135,9 +135,10 @@ class SymbolDescriptor:
     a: float = 0.0
     # every family but box and custom: sum_k c_k prod_j e^{-nu_{k,j} r_j^2},
     # stored when the symbol is built as ((c_k, ((pair, nu), ...)), ...),
-    # pairs ascending and zero rates dropped.  Evaluation, the closed diagonal
-    # law, heat flows and the class norm all read it.
-    mixture_terms: tuple[tuple[float, tuple[tuple[int, float], ...]], ...] = ()
+    # pairs ascending and zero rates dropped; None for box and custom, which
+    # admit no such form.  Evaluation, the closed diagonal law, heat flows,
+    # the class norm and the positivity checks all read it.
+    mixture_terms: tuple[tuple[float, tuple[tuple[int, float], ...]], ...] | None = None
     evaluator: Callable | None = field(default=None, compare=False)
     smooth: bool = True
     bounded: bool = True
@@ -157,23 +158,6 @@ class SymbolDescriptor:
         if self.family == "box":
             return f"box:a={'inf' if math.isinf(self.a) else repr(self.a)}"
         raise ValueError(f"family {self.family!r} has no grammar form")
-
-    def gauss_mixture(self) -> list[tuple[float, dict[int, float]]] | None:
-        """The stored mixture sum_k c_k prod_j e^{-nu_{k,j} r_j^2}
-        (r_j^2 = x_j^2 + xi_j^2) as fresh (c_k, {pair: nu}) pairs; None for
-        box and custom symbols, which admit no such form.
-
-        This is the closed-form backbone for heat flows and for the structural
-        off-diagonal vanishing of per-pair-radial symbols.
-        """
-        if self.family in ("box", "custom"):
-            return None
-        return [(c, dict(pairs)) for c, pairs in self.mixture_terms]
-
-    def is_pairwise_radial(self) -> bool:
-        """True when the evaluator depends on each pair only through
-        x_j^2 + xi_j^2, so off-diagonal matrix elements vanish structurally."""
-        return self.gauss_mixture() is not None
 
 
 def _pack(terms, d: int) -> tuple:
@@ -487,7 +471,7 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> SymbolClassPar
         raise ValueError("not in any S_m class: symbol is not smooth")
     if not sym.bounded:
         raise ValueError("not in any S_m class: symbol is unbounded")
-    if not sym.is_pairwise_radial():
+    if sym.mixture_terms is None:
         raise ValueError(f"no derivative bounds available for family {sym.family!r}")
     eps_fn = _eps_resolver(eps)[0]
 

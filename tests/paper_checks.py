@@ -129,7 +129,7 @@ def rotation_reduction(sym, alpha: MultiIndex, beta: MultiIndex, coord: int, n: 
     aj, bj = alpha.degree(coord), beta.degree(coord)
     if aj == bj:
         raise ValueError("rotation reduction needs alpha != beta at the chosen coordinate")
-    if coord > sym.d or sym.is_pairwise_radial():
+    if coord > sym.d or sym.mixture_terms is not None:
         return 0.0j
     if not isinstance(sym.evaluator, Poly2):
         raise ValueError("rotation reduction needs a Poly2 symbol")

@@ -219,9 +219,9 @@ def test_criterion_07_heat_algebra():
     ctx7 = CalcContext(h=0.7)
     sym2 = radial_symbol(PhiSpec(kind="exp", nu=1.0), 2)
     f2 = HermiteExpansion.from_pairs([((0, 0), 0.5), ((1, 1), 0.5), ((2, 0), math.sqrt(0.5))])
-    lhs = quadratic_form(heat_apply(sym2, [1, 2], ctx7.h / 2.0).descriptor(), f2, f2, ctx7)
-    smoothed = heat_apply(sym2, [1], ctx7.h / 2.0).descriptor()
-    rhs = quadratic_form(heat_apply(smoothed, [2], ctx7.h / 2.0).descriptor(), f2, f2, ctx7)
+    lhs = quadratic_form(heat_apply(sym2, [1, 2], ctx7.h / 2.0), f2, f2, ctx7)
+    smoothed = heat_apply(sym2, [1], ctx7.h / 2.0)
+    rhs = quadratic_form(heat_apply(smoothed, [2], ctx7.h / 2.0), f2, f2, ctx7)
     nest_dev = abs(lhs - rhs)
     record_acceptance(
         7,

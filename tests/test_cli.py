@@ -14,7 +14,7 @@ import numpy as np
 import oracles
 import pytest
 
-from gaussweyl import __version__, cli, quadform, wigner
+from gaussweyl import __version__, cli, heat, quadform, wigner
 from gaussweyl.basis import CalcContext, TruncationSet
 from gaussweyl.cli import MAX_WIGNER_GRID, main
 from gaussweyl.symbols import eval_ddot, parse_symbol
@@ -329,6 +329,23 @@ def test_heatcheck_json(capsys):
     assert abs(rep["results"]["antiwick_ground_state"]["re"] - 1.0 / 3.0) <= 1e-9
 
 
+@pytest.mark.parametrize("symbol", ["radial:phi=exp:nu=0.7,d=2", GAUSS])
+def test_heatcheck_fails_a_wrong_heat_law(symbol, monkeypatch, capsys):
+    """The telescoping residual vanishes for any commuting heat maps, so only
+    the anti-Wick ground state sees a wrong law: heat at t/2, which sends nu
+    to nu/(1 + nu t), breaks the contract (exit 2)."""
+    real = heat.heat_apply
+    argv = ["heatcheck", "--symbol", symbol, "--seed", "101"]
+    assert main(argv) == 0
+    contract = json.loads(capsys.readouterr().out)["contract"]
+    assert contract["antiwick_deviation"] <= contract["antiwick_tolerance"] == 1e-12
+    monkeypatch.setattr(heat, "heat_apply", lambda sym, J, t, ctx=None: real(sym, J, t / 2.0, ctx))
+    assert main(argv) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["residual"] <= 1e-10
+    assert rep["contract"]["antiwick_deviation"] > 1e-3
+
+
 def test_stochext_csv_and_determinism(capsys):
     args = ["stochext", "--direction", "geometric", "--p", "2.0",
             "--samples", "2000", "--nmax", "8", "--seed", "1"]
@@ -490,6 +507,14 @@ def test_usage_and_domain_errors_exit_1(capsys):
         (["heatcheck", "--symbol", GAUSS, "--lam", "a"], "error: --lam must be comma-separated pair indices, got 'a'"),
         (["heatcheck", "--symbol", GAUSS, "--lam=,"], "error: --lam must be comma-separated pair indices, got ','"),
         (["stochext", "--nmax", "-1"], "error: argument --nmax: must be >= 0, got -1"),
+        (["heatcheck", "--symbol", GAUSS, "--lam="], "error: --lam must be comma-separated pair indices, got ''"),
+        (["heatcheck", "--symbol", GAUSS, "--lam", "2"], "error: --lam pair indices must lie in 1..1, got '2'"),
+        (["heatcheck", "--symbol", GAUSS, "--lam", "0,1"], "error: --lam pair indices must lie in 1..1, got '0,1'"),
+        (["stochext", "--samples", "-5"], "error: --samples must be >= 1000, got -5"),
+        (["stochext", "--samples", "10"], "error: --samples must be >= 1000, got 10"),
+        (["stochext", "--p", "0.5"], "error: --p must be >= 1 and --s > 0, got 0.5 and 1.0"),
+        (["stochext", "--s", "0"], "error: --p must be >= 1 and --s > 0, got 2.0 and 0.0"),
+        (["garding", "--symbol", "const:c=-1", "--N", "2"], "error: symbol takes negative values on the test cloud"),
     ]:
         assert main(argv) == 1, argv
         cap = capsys.readouterr()

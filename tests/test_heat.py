@@ -8,9 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from gaussweyl.basis import CalcContext, MultiIndex
+from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet
 from gaussweyl.heat import (
-    HeatedSymbol,
     antiwick_form,
     decomposition_residual,
     heat_apply,
@@ -18,9 +17,10 @@ from gaussweyl.heat import (
     ts_operators,
 )
 from gaussweyl.heat import _erf
-from gaussweyl.quadform import HermiteExpansion, matrix_element, quadratic_form
+from gaussweyl.quadform import HermiteExpansion, assemble_matrix, matrix_element, quadratic_form
 from gaussweyl.symbols import (
     PhiSpec,
+    SymbolDescriptor,
     box_symbol,
     custom_symbol,
     eval_ddot,
@@ -40,12 +40,11 @@ def heated_diag(j: int, nu: float, h: float) -> float:
 def test_heated_gaussian_closed_form():
     sym = gaussian_symbol(1.0, 1.0)
     heated = heat_apply(sym, [1], 0.5)
-    des = heated.descriptor()
-    assert des.family == "mixture"
-    ((amp, pairs),) = des.mixture_terms
+    assert heated.family == "mixture"
+    ((amp, pairs),) = heated.mixture_terms
     assert abs(amp - 0.5) <= 1e-15
     assert pairs == ((1, 0.5),)
-    got = heated.eval([0.7], [-0.3])
+    got = eval_ddot(heated, [0.7], [-0.3])
     assert abs(got - 0.37413178378928263) <= 1e-12
 
 
@@ -56,7 +55,7 @@ def test_heated_gaussian_convolution_route():
     closed = heat_apply(gaussian_symbol(1.0, 1.0), [1], 0.5)
     for x, xi in [(0.0, 0.0), (-0.4, 1.1)]:
         conv = heat_convolution_eval(gaussian_symbol(1.0, 1.0), [1], 0.5, [x], [xi])
-        assert abs(float(conv[0]) - closed.eval([x], [xi])) <= 1e-8
+        assert abs(float(conv[0]) - eval_ddot(closed, [x], [xi])) <= 1e-8
 
 
 def test_heated_custom_two_pairs_matches_closed_mixture():
@@ -67,7 +66,7 @@ def test_heated_custom_two_pairs_matches_closed_mixture():
     x = np.array([[0.3, -0.7], [1.1, 0.2]])
     xi = np.array([[0.5, 0.1], [-0.4, 0.9]])
     got = heat_convolution_eval(custom, [1, 2], 0.5, x, xi)
-    want = heat_apply(mix, [1, 2], 0.5).eval(x, xi)
+    want = eval_ddot(heat_apply(mix, [1, 2], 0.5), x, xi)
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -89,8 +88,8 @@ def test_heat_convolution_budget_follows_the_environment(monkeypatch):
 
 def test_heat_semigroup():
     sym = radial_symbol(PhiSpec(kind="exp", nu=2.0), 2)
-    once = heat_apply(sym, [1, 2], 0.7).descriptor()
-    twice = heat_apply(heat_apply(sym, [1, 2], 0.3).descriptor(), [1, 2], 0.4).descriptor()
+    once = heat_apply(sym, [1, 2], 0.7)
+    twice = heat_apply(heat_apply(sym, [1, 2], 0.3), [1, 2], 0.4)
     x = np.array([[0.3, -0.5], [1.0, 0.2]])
     xi = np.array([[0.1, 0.4], [-0.7, 0.0]])
     diff = np.asarray(eval_ddot(once, x, xi)) - np.asarray(eval_ddot(twice, x, xi))
@@ -102,7 +101,7 @@ def test_heat_partial_pairs_only():
     sym = tensor_radial_symbol(
         [(PhiSpec(kind="exp", nu=1.0), 1), (PhiSpec(kind="exp", nu=3.0), 1)]
     )
-    heated = heat_apply(sym, [1], 0.25).descriptor()
+    heated = heat_apply(sym, [1], 0.25)
     ((amp, pairs),) = heated.mixture_terms
     assert abs(amp - 1.0 / 1.5) <= 1e-15
     assert pairs == ((1, 1.0 / 1.5), (2, 3.0))
@@ -125,9 +124,9 @@ def test_vectorized_erf_matches_scipy_and_mpmath():
 def test_heated_box_erf_and_mc():
     ctx = CalcContext(h=0.5)
     sym = box_symbol(2.0)
-    heated = heat_apply(sym, [1], 0.4)
     with pytest.raises(ValueError):
-        heated.eval([0.5], [0.5])  # the box side length needs h
+        heat_apply(sym, [1], 0.4)  # the box side length needs h
+    heated = heat_apply(sym, [1], 0.4, ctx)
     xlen = 2.0 * math.pi * ctx.h * sym.a
     st = math.sqrt(0.4)
 
@@ -137,25 +136,43 @@ def test_heated_box_erf_and_mc():
     pts = [(0.0, 0.0), (1.5, 1.0), (xlen, 2.0), (-0.8, 0.5), (7.0, -1.0)]
     for x, xi in pts:
         want = (phi_cdf(x) - phi_cdf(x - xlen)) * (phi_cdf(xi) - phi_cdf(xi - 2.0))
-        assert abs(heated.eval([x], [xi], ctx) - want) <= 1e-12
+        assert abs(eval_ddot(heated, [x], [xi], ctx) - want) <= 1e-12
     # Monte Carlo semantics: value = P(point - sqrt(t) Z stays in the box)
     rng = np.random.default_rng(123)
     z = st * rng.standard_normal((400_000, 2))
     x0, xi0 = 1.5, 1.0
     inside = ((x0 - z[:, 0] >= 0) & (x0 - z[:, 0] < xlen) & (xi0 - z[:, 1] >= 0) & (xi0 - z[:, 1] < 2.0))
     mc = float(np.mean(inside))
-    assert abs(heated.eval([x0], [xi0], ctx) - mc) <= 5e-3
+    assert abs(eval_ddot(heated, [x0], [xi0], ctx) - mc) <= 5e-3
 
 
 def test_heat_custom_fallback_matches_closed():
     base = custom_symbol(
         lambda x, xi: np.exp(-(x[:, 0] ** 2 + xi[:, 0] ** 2)), 1, smooth=True, bounded=True
     )
-    heated = heat_apply(base, [1], 0.3)
+    ctx = CalcContext(h=1.0)
+    heated = heat_apply(base, [1], 0.3, ctx)
     closed = heat_apply(gaussian_symbol(1.0, 1.0), [1], 0.3)
     for x, xi in [(0.0, 0.0), (0.8, -0.2)]:
-        got = heated.eval([x], [xi], CalcContext(h=1.0))
-        assert abs(float(np.asarray(got).ravel()[0]) - closed.eval([x], [xi])) <= 1e-8
+        got = eval_ddot(heated, [x], [xi], ctx)
+        assert abs(float(np.asarray(got).ravel()[0]) - eval_ddot(closed, [x], [xi])) <= 1e-8
+
+
+def test_heated_symbol_is_a_symbol():
+    """heat_apply returns the heated SymbolDescriptor: the section builders
+    take it as it is, box and custom symbols store no mixture, and a box
+    heated without a context is refused at the call."""
+    ctx = CalcContext(h=1.0)
+    heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], 0.5)
+    assert isinstance(heated, SymbolDescriptor)
+    diagonal = assemble_matrix(heated, TruncationSet(1, 3), ctx).diagonal
+    assert np.max(np.abs(diagonal - [heated_diag(j, 2.0, 1.0) for j in range(4)])) <= 1e-15
+    e1 = HermiteExpansion.single((1,))
+    assert abs(quadratic_form(heated, e1, e1, ctx) - heated_diag(1, 2.0, 1.0)) <= 1e-15
+    assert box_symbol(1.0).mixture_terms is None
+    assert custom_symbol(lambda x, xi: x[:, 0], 1).mixture_terms is None
+    with pytest.raises(ValueError, match="need a CalcContext"):
+        heat_apply(box_symbol(2.0), [1], 0.4)
 
 
 def test_heat_apply_guards():
@@ -165,27 +182,24 @@ def test_heat_apply_guards():
     with pytest.raises(ValueError):
         heat_apply(sym, [2], 0.5)  # pair index beyond d
     # empty pair set is the identity
-    hs = heat_apply(sym, [], 0.5)
-    assert hs.descriptor() is sym
+    assert heat_apply(sym, [], 0.5) is sym
 
 
 def test_ts_operators_signs_and_counts():
-    ctx = CalcContext(h=1.0)
     sym = radial_symbol(PhiSpec(kind="exp", nu=1.0), 2)
-    assert [s for s, _ in ts_operators(sym, [], [1, 2], ctx)] == [1]
-    assert [s for s, _ in ts_operators(sym, [1], [1, 2], ctx)] == [1, -1]
-    terms = ts_operators(sym, [1, 2], [1, 2], ctx)
+    assert [s for s, _ in ts_operators(sym, [], [1, 2])] == [1]
+    assert [s for s, _ in ts_operators(sym, [1], [1, 2])] == [1, -1]
+    terms = ts_operators(sym, [1, 2], [1, 2])
     assert [s for s, _ in terms] == [1, -1, -1, 1]
-    assert [sorted(t.heated_pairs) for _, t in terms] == [[], [1], [2], [1, 2]]
-    assert all(t.t == 0.5 for _, t in terms)
+    assert [sorted(pairs) for _, pairs in terms] == [[], [1], [2], [1, 2]]
     # J = empty heats exactly the complement Lambda \ J
-    ((_, hs),) = ts_operators(sym, [], [1, 2], ctx)
-    assert sorted(hs.heated_pairs) == [1, 2]
+    ((_, pairs),) = ts_operators(sym, [], [1, 2])
+    assert sorted(pairs) == [1, 2]
     with pytest.raises(ValueError):
-        ts_operators(sym, [1, 2], [1], ctx)
+        ts_operators(sym, [1, 2], [1])
     big = radial_symbol(PhiSpec(kind="one"), 17)
     with pytest.raises(ValueError):
-        ts_operators(big, range(1, 18), range(1, 18), ctx)
+        ts_operators(big, range(1, 18), range(1, 18))
 
 
 @pytest.mark.parametrize(
@@ -249,7 +263,7 @@ def hybrid_form(sym, e_pairs, f, g, ctx):
     """Weyl in the pairs of e_pairs, anti-Wick outside: the Weyl form of the
     symbol heated at t = h/2 on the other pairs."""
     rest = set(range(1, sym.d + 1)) - set(e_pairs)
-    return quadratic_form(heat_apply(sym, rest, ctx.h / 2.0).descriptor(ctx), f, g, ctx)
+    return quadratic_form(heat_apply(sym, rest, ctx.h / 2.0, ctx), f, g, ctx)
 
 
 def test_hybrid_interpolates_weyl_and_antiwick():
@@ -274,7 +288,7 @@ def test_hybrid_nesting():
     sym = radial_symbol(PhiSpec(kind="exp", nu=1.0), 2)
     f = HermiteExpansion.from_pairs([((0, 0), 0.5), ((1, 1), 0.5), ((2, 0), math.sqrt(0.5))])
     lhs = hybrid_form(sym, [], f, f, ctx)  # anti-Wick
-    smoothed = heat_apply(sym, [1], ctx.h / 2.0).descriptor()
+    smoothed = heat_apply(sym, [1], ctx.h / 2.0)
     rhs = hybrid_form(smoothed, [1], f, f, ctx)
     assert abs(lhs - rhs) <= 1e-9
 
@@ -283,7 +297,7 @@ def test_antiwick_vs_weyl_on_matrix_elements():
     """Anti-Wick = Weyl after heating every pair at t = h/2, entrywise."""
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(1.0, 1.0)
-    heated = heat_apply(sym, [1], 0.5).descriptor()
+    heated = heat_apply(sym, [1], 0.5)
     for j in range(4):
         idx = MultiIndex({1: j})
         got = matrix_element(heated, idx, idx, ctx)

@@ -160,7 +160,7 @@ def test_garding_verify_gaussian():
     assert rep.M == pytest.approx(16.0, rel=1e-12)
     assert rep.measured_min_eig == pytest.approx(-1.0 / 9.0, abs=1e-10)
     assert rep.margin is not None and rep.margin > 0.0
-    assert gaussian_symbol(2.0, 1.0).is_pairwise_radial() and rep.quad_meta["structural_zeros"] == 21
+    assert gaussian_symbol(2.0, 1.0).mixture_terms is not None and rep.quad_meta["structural_zeros"] == 21
     d = rep.as_dict()
     assert "measured_min_eig" in d and "margin" in d
 

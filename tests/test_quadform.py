@@ -103,7 +103,7 @@ def test_radial_matrix_is_diagonal_with_laplace_means():
     sym = radial_symbol(phi, 2)
     trunc = TruncationSet(2, 1)
     om = assemble_matrix(sym, trunc, ctx)
-    assert sym.is_pairwise_radial() and om.meta["structural_zeros"] == 6
+    assert sym.mixture_terms is not None and om.meta["structural_zeros"] == 6
     assert om.dense is None
     for p, alpha in enumerate(trunc.indices()):
         want = np.prod([diag_law(alpha.degree(i), 1.5, 0.5) for i in (1, 2)])
@@ -406,7 +406,7 @@ MIXTURES = {
     "tensorradial d=3": tensor_radial_symbol(
         [(PhiSpec(kind="one"), 1), (PhiSpec(kind="exp", nu=2.0), 2)]
     ),
-    "heated radial d=2": heat_apply(radial_symbol(PhiSpec(kind="exp", nu=1.0), 2), [1], 0.5).descriptor(),
+    "heated radial d=2": heat_apply(radial_symbol(PhiSpec(kind="exp", nu=1.0), 2), [1], 0.5),
 }
 
 
@@ -428,8 +428,8 @@ def _ladder_diagonal(sym, truncation, h, element, cache):
         return cache[key]
 
     return np.array([
-        sum(c * math.prod(pair(nu, alpha.degree(j)) for j, nu in nus.items())
-            for c, nus in sym.gauss_mixture())
+        sum(c * math.prod(pair(nu, alpha.degree(j)) for j, nu in pairs)
+            for c, pairs in sym.mixture_terms)
         for alpha in truncation.indices()
     ])
 
@@ -484,7 +484,7 @@ def test_closed_section_matches_full_ladder_one_pair(h):
     ctx = CalcContext(h=h)
     trunc = TruncationSet(2, 2)
     idxs = trunc.indices()
-    heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], h / 2.0).descriptor()
+    heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], h / 2.0)
     for sym in (const_symbol(1.5), gaussian_symbol(0.5, 1.0), gaussian_symbol(2.0, 1.0), heated):
         M = np.diag(assemble_matrix(sym, trunc, ctx).diagonal)
         for p, a in enumerate(idxs):
@@ -583,8 +583,8 @@ def test_matrix_metadata_names_the_route():
     ctx = CalcContext(h=1.0)
     trunc = TruncationSet(1, 1)
     poly = poly_symbol(Poly2.from_dict({(2, 0): 1.0, (0, 2): 1.0}))
-    heated_box = heat_apply(box_symbol(1.0), [1], 0.5).descriptor(ctx)
-    heated_mixture = heat_apply(gaussian_symbol(2.0, 1.0), [1], 0.5).descriptor()
+    heated_box = heat_apply(box_symbol(1.0), [1], 0.5, ctx)
+    heated_mixture = heat_apply(gaussian_symbol(2.0, 1.0), [1], 0.5)
     cases = [(sym, ROUTE_CLOSED) for sym in (*MIXTURES.values(), heated_mixture)] + [
         (box_symbol(1.0), ROUTE_BOX),
         (box_symbol(math.inf), ROUTE_QUARTER),
@@ -595,7 +595,6 @@ def test_matrix_metadata_names_the_route():
     assert ROUTE_CLOSED == "closed: Gaussian-mixture diagonal law"
     assert (ROUTE_BOX, ROUTE_LADDER) == ("box panels", "tensor ladder")
     for sym, route in cases:
-        assert sym.is_pairwise_radial() == (sym.gauss_mixture() is not None)
         om = assemble_matrix(sym, trunc, ctx)
         assert om.meta["route"] == route, sym
         assert (om.diagonal is not None) == (om.dense is None) == (route == ROUTE_CLOSED)

@@ -218,23 +218,6 @@ def test_mc_rate_same_for_any_number_of_draw_workers(a, monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
-def test_mc_rate_inline_fill_matches_the_pool(monkeypatch):
-    """Below POOL_MIN_SAMPLES the draws fill on the calling thread; forcing
-    the pool at the same size (1, 2 or 4 workers) gives the same bits."""
-    a = power_direction()
-    assert 1000 < stochproj.POOL_MIN_SAMPLES
-    inline = mc_conv_rate(a, CLI_ROWS, 2.0, 1.0, 1000, seed=9)
-    monkeypatch.setattr(stochproj, "POOL_MIN_SAMPLES", 0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(stochproj, "_draw_workers", lambda w=workers: w)
-            assert mc_conv_rate(a, CLI_ROWS, 2.0, 1.0, 1000, seed=9) == inline, workers
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_mc_rate_builds_every_stream_on_the_calling_thread(monkeypatch):
     threads = []
     real = stochproj.coordinate_stream

@@ -237,18 +237,18 @@ def test_eval_mixture_and_custom():
 
 
 def test_pairwise_radial_flag():
-    assert const_symbol(1.0).is_pairwise_radial()
-    assert gaussian_symbol(1.0, 1.0).is_pairwise_radial()
-    assert radial_symbol(PhiSpec(kind="exp", nu=1.0), 2).is_pairwise_radial()
-    assert not box_symbol(1.0).is_pairwise_radial()
-    assert not custom_symbol(lambda x, xi: x[:, 0], 1).is_pairwise_radial()
+    assert const_symbol(1.0).mixture_terms is not None
+    assert gaussian_symbol(1.0, 1.0).mixture_terms is not None
+    assert radial_symbol(PhiSpec(kind="exp", nu=1.0), 2).mixture_terms is not None
+    assert box_symbol(1.0).mixture_terms is None
+    assert custom_symbol(lambda x, xi: x[:, 0], 1).mixture_terms is None
     # tensor products expand into a flat gauss mixture over all blocks
     tr = tensor_radial_symbol(
         [(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), 1), (PhiSpec(kind="exp", nu=3.0), 1)]
     )
-    mix = tr.gauss_mixture()
+    mix = tr.mixture_terms
     assert sorted(c for c, _ in mix) == [-1.0, 1.0]
-    assert {tuple(sorted(nus.items())) for _, nus in mix} == {
+    assert {pairs for _, pairs in mix} == {
         ((2, 3.0),),
         ((1, 1.0), (2, 3.0)),
     }
@@ -266,7 +266,8 @@ def test_grammar_symbols_store_their_mixture(monkeypatch):
         const_symbol(1.5),
     ]
     # one packing: the grammar constructors store what mixture_symbol stores
-    assert radial_symbol(phi, 2).mixture_terms == mixture_symbol(radial_symbol(phi, 2).gauss_mixture(), 2).mixture_terms
+    stored = radial_symbol(phi, 2).mixture_terms
+    assert stored == mixture_symbol([(c, dict(pairs)) for c, pairs in stored], 2).mixture_terms
 
     def refuse(*args):
         raise AssertionError("the product expansion ran after construction")
@@ -274,11 +275,11 @@ def test_grammar_symbols_store_their_mixture(monkeypatch):
     monkeypatch.setattr(symbols, "iter_product", refuse)
     ctx = CalcContext(h=0.5)
     for sym in built:
-        assert sym.gauss_mixture()
+        assert sym.mixture_terms
         zeros = np.zeros((3, sym.d))
         assert eval_ddot(sym, zeros, zeros).shape == (3,)
         assert assemble_matrix(sym, TruncationSet(sym.d, 2), ctx).meta["route"] == ROUTE_CLOSED
-        assert heat_apply(sym, [1], 0.5).descriptor().family == "mixture"
+        assert heat_apply(sym, [1], 0.5).family == "mixture"
         assert cv_class_params(sym, 2).M > 0.0
 
 

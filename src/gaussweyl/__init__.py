@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .basis import (
     CalcContext,
-    MultiIndex,
     TruncationSet,
     hermite_batch,
     hermite_eval,
@@ -43,7 +42,6 @@ from .positivity import (
     radial_positivity_check,
 )
 from .quadform import (
-    HermiteExpansion,
     OperatorMatrix,
     assemble_matrix,
     eig_hermitian,

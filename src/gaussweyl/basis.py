@@ -1,5 +1,5 @@
-"""h-scaled Hermite functions, Laguerre polynomials and multi-index
-bookkeeping.
+"""h-scaled Hermite functions, Laguerre polynomials and the graded
+truncation sets of degree tuples.
 
 The Hermite family here is the polynomial one, orthonormal in
 L2(R, mu_{R,h/2}) where mu_{R,s} is the centered Gaussian measure of variance
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,73 +29,12 @@ class CalcContext:
             raise ValueError(f"h must be a positive finite real, got {self.h!r}")
 
 
-class MultiIndex:
-    """Finitely supported map: coordinate index (>= 1) -> degree (>= 1).
-
-    Absent coordinates have degree 0.  Instances are immutable and hashable so
-    they can key expansion coefficient maps.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = dict(entries)
-        for idx, deg in items.items():
-            if idx < 1:
-                raise ValueError(f"coordinate indices start at 1, got {idx}")
-            if deg < 0:
-                raise ValueError(f"degrees must be nonnegative, got {deg} at {idx}")
-        self._entries = tuple(sorted((i, d) for i, d in items.items() if d > 0))
-
-    @classmethod
-    def from_tuple(cls, degrees: Iterable[int]) -> "MultiIndex":
-        """Build from a dense degree tuple (coordinate 1 first)."""
-        return cls({i + 1: d for i, d in enumerate(degrees)})
-
-    def degree(self, idx: int) -> int:
-        for i, d in self._entries:
-            if i == idx:
-                return d
-        return 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._entries)
-
-    def depth(self) -> int:
-        """Maximum stored degree (0 for the empty index)."""
-        return max((d for _, d in self._entries), default=0)
-
-    def max_coordinate(self) -> int:
-        return max((i for i, _ in self._entries), default=0)
-
-    def total(self) -> int:
-        return sum(d for _, d in self._entries)
-
-    def as_tuple(self, d: int) -> tuple[int, ...]:
-        if self.max_coordinate() > d:
-            raise ValueError(f"support exceeds dimension {d}")
-        return tuple(self.degree(i) for i in range(1, d + 1))
-
-    def items(self):
-        return iter(self._entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiIndex) and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{i}:{d}" for i, d in self._entries)
-        return f"MultiIndex({{{body}}})"
-
-
 @dataclass(frozen=True)
 class TruncationSet:
-    """All multi-indices supported on {1..d} with every degree <= N.
+    """All degree tuples of length d (pair 1 first) with every degree <= N.
 
     Enumeration is graded-lexicographic (total degree first, then lex on the
-    dense degree tuple), which fixes matrix layouts across runs.
+    tuple), which fixes matrix layouts across runs.
     """
 
     dims: int
@@ -122,20 +60,6 @@ class TruncationSet:
         out = np.ascontiguousarray(grid[np.argsort(grid.sum(axis=1), kind="stable")])
         out.flags.writeable = False
         return out
-
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {row: p for p, row in enumerate(map(tuple, self.degrees.tolist()))}
-
-    def indices(self) -> list[MultiIndex]:
-        return [MultiIndex.from_tuple(t) for t in self.degrees.tolist()]
-
-    def index_of(self, alpha: MultiIndex) -> int:
-        if alpha.max_coordinate() <= self.dims:
-            pos = self._positions.get(alpha.as_tuple(self.dims))
-            if pos is not None:
-                return pos
-        raise KeyError(f"{alpha!r} not in truncation set")
 
 
 def _check_degree(j: int) -> None:

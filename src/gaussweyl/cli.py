@@ -39,7 +39,6 @@ from .positivity import (
     radial_positivity_check,
 )
 from .quadform import (
-    HermiteExpansion,
     _refuse_dense,
     assemble_matrix,
     eig_hermitian,
@@ -530,6 +529,8 @@ def cmd_heatcheck(args) -> int:
             raise ValueError(f"--lam must be comma-separated pair indices, got {args.lam!r}") from None
         if not all(1 <= j <= sym.d for j in lam):
             raise ValueError(f"--lam pair indices must lie in 1..{sym.d}, got {args.lam!r}")
+        if len(set(lam)) < len(lam):
+            raise ValueError(f"--lam repeats a pair index, got {args.lam!r}")
     else:
         lam = tuple(range(1, min(sym.d, 3) + 1))
     ctx = CalcContext(h=args.h)
@@ -538,7 +539,7 @@ def cmd_heatcheck(args) -> int:
     xi = rng.normal(0.0, math.sqrt(3.0 * ctx.h), size=(args.points, sym.d))
     # The section first: it refuses a symbol whose rate overflows at this h
     # before the grid is evaluated.
-    psi0 = HermiteExpansion.single((), 1.0)
+    psi0 = {(): 1.0}
     weyl = quadratic_form(sym, psi0, psi0, ctx)
     aw = antiwick_form(sym, psi0, psi0, ctx)
     residual = decomposition_residual(sym, lam, ctx, (x, xi))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import CalcContext
 from .gaussian import TENSOR_BLOCK, _check_tensor_budget, _tensor_blocks, gh_rule, ladder
-from .quadform import HermiteExpansion, quadratic_form
+from .quadform import quadratic_form
 from .symbols import SymbolDescriptor, custom_symbol, eval_ddot, mixture_symbol
 
 MAX_TS_PAIRS = 16
@@ -149,8 +149,15 @@ def decomposition_residual(sym: SymbolDescriptor, lam, ctx: CalcContext, grid) -
 
     The sum telescopes to the identity, so the residual is pure roundoff
     (contract: <= 1e-10).  grid is a pair (x, xi) of (npoints, d) arrays.
+    The sum has 3^|Λ| heated terms, so |Λ| > MAX_TS_PAIRS is refused before
+    any term is evaluated.
     """
     lam = _validate_pairs(lam, sym.d)
+    if len(lam) > MAX_TS_PAIRS:
+        raise ValueError(
+            f"--lam names {len(lam)} pairs; the expansion cap is {MAX_TS_PAIRS} "
+            "(the residual sums 3^|Lambda| heated terms)"
+        )
     x, xi = grid
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
@@ -163,12 +170,7 @@ def decomposition_residual(sym: SymbolDescriptor, lam, ctx: CalcContext, grid) -
     return float(np.max(np.abs(target - acc)))
 
 
-def antiwick_form(
-    sym: SymbolDescriptor,
-    f: HermiteExpansion,
-    g: HermiteExpansion,
-    ctx: CalcContext,
-) -> complex:
+def antiwick_form(sym: SymbolDescriptor, f: dict, g: dict, ctx: CalcContext) -> complex:
     """Q^AW(F)(f, g): the Weyl form of the symbol heated at t = h/2 on every
     pair.  Nonnegative symbols give nonnegative forms (f = g)."""
     if not sym.smooth:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import CalcContext, TruncationSet
 from .gaussian import coordinate_stream, gh_rule, integrate_tensor, ladder
-from .quadform import HermiteExpansion, _finite_rate, assemble_matrix, eig_hermitian, quadratic_form
+from .quadform import _finite_rate, assemble_matrix, eig_hermitian, quadratic_form
 from .symbols import _eps_resolver, cv_class_params, eval_ddot, gaussian_symbol
 from .wigner import (
     _box_matrix,
@@ -62,7 +62,7 @@ def nonpos_witness(nu: float, anorm: float, ctx: CalcContext):
     which the closed-form W(psi_1, psi_1) is integrated by the order ladder.
     """
     h = ctx.h
-    ell = HermiteExpansion.single((1,), anorm * math.sqrt(h / 2.0))
+    ell = {(1,): anorm * math.sqrt(h / 2.0)}
     closed = quadratic_form(gaussian_symbol(nu, anorm), ell, ell, ctx).real
     scale = 1.0 + _finite_rate(h * nu * anorm**2, nu * anorm**2, h)
 

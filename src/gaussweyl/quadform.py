@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CalcContext, MultiIndex, TruncationSet
+from .basis import CalcContext, TruncationSet
 from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder, quad_budget
 from .symbols import eval_ddot
 from .wigner import _box_matrix, wigner_closed
@@ -29,44 +29,12 @@ MAX_MATRIX_SIZE = 4096
 MAX_DIAGONAL_SIZE = 1 << 18
 
 
-def _as_index(a) -> MultiIndex:
-    return a if isinstance(a, MultiIndex) else MultiIndex.from_tuple(tuple(a))
-
-
 # ---------------------------------------------------------------------------
-# Hermite expansions and operator matrices.
+# Operator matrices.  A basis element psi_alpha is its degree tuple alpha
+# (pair 1 first, trailing zeros implicit: (1,) and (1, 0) name the same
+# element), and a finite expansion sum_alpha c_alpha psi_alpha is the dict
+# {alpha: c_alpha}.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HermiteExpansion:
-    """Finite expansion sum_alpha c_alpha psi_alpha in the Hermite basis."""
-
-    coeffs: tuple[tuple[MultiIndex, complex], ...]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "HermiteExpansion":
-        if isinstance(pairs, dict):
-            pairs = pairs.items()
-        seen: dict[MultiIndex, complex] = {}
-        for idx, c in pairs:
-            idx = _as_index(idx)
-            seen[idx] = seen.get(idx, 0.0) + complex(c)
-        items = tuple(sorted(seen.items(), key=lambda kv: (kv[0].total(), kv[0].as_tuple(kv[0].max_coordinate() or 1))))
-        return cls(coeffs=items)
-
-    @classmethod
-    def single(cls, idx, c: complex = 1.0) -> "HermiteExpansion":
-        return cls.from_pairs([(idx, c)])
-
-    def items(self):
-        return self.coeffs
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(c) ** 2 for _, c in self.coeffs))
-
-    def dims(self) -> int:
-        return max((idx.max_coordinate() for idx, _ in self.coeffs), default=0)
 
 
 @dataclass
@@ -143,21 +111,19 @@ def _tensor_shot(sym, alpha, beta, ctx, n: int) -> complex:
         x = pts[:, :d]
         xi = pts[:, d:]
         vals = np.asarray(eval_ddot(sym, x, xi, ctx), dtype=complex)
-        for i in range(1, d + 1):
-            a_i, b_i = alpha.degree(i), beta.degree(i)
-            if a_i or b_i:
-                vals = vals * wigner_closed(a_i, b_i, x[:, i - 1], xi[:, i - 1], ctx)
+        for i in range(d):
+            if alpha[i] or beta[i]:
+                vals = vals * wigner_closed(alpha[i], beta[i], x[:, i], xi[:, i], ctx)
         return vals
 
     return complex(integrate_tensor(f, rule, 2 * d))
 
 
 def _tensor_element(sym, alpha, beta, ctx):
-    maxdeg = max(
-        [alpha.degree(i) for i in range(1, sym.d + 1)]
-        + [beta.degree(i) for i in range(1, sym.d + 1)]
-        + [0]
-    )
+    """(I_{alpha beta}, accepted order) on the tensor Gauss-Hermite ladder
+    over the symbol's 2d coordinates; alpha and beta are degree rows of
+    length >= sym.d, and entries beyond sym.d are not read."""
+    maxdeg = max(*alpha[: sym.d], *beta[: sym.d])
     cap = min(LADDER_POLICY["cap"], int(quad_budget() ** (1.0 / (2 * sym.d))))
     start = min(2 * (maxdeg + 1) + 16, cap)
     return ladder(lambda n: _tensor_shot(sym, alpha, beta, ctx, n), start=start, cap=cap)
@@ -170,17 +136,20 @@ def _refuse_dense(size: int) -> None:
 
 def _entries(sym, rows, cols, ctx: CalcContext):
     """(I_{alpha beta} for alpha in rows, beta in cols; largest ladder order).
+    rows and cols are sequences of degree tuples, or the (size, dims) array
+    `TruncationSet.degrees`; each is zero-padded to the width of the longest
+    row and the symbol's d, and a negative degree is refused.
     Entries whose degrees differ beyond sym.d are zero (delta factors).
     Boxes read one `_box_matrix` of their rectangle in (u, v) = (x, xi)/lambda,
     lambda = sqrt(2 pi h); the closed route fills its diagonal law where row
     and column match, and the tensor ladder runs entry by entry."""
     _refuse_dense(max(len(rows), len(cols)))
-    rows = [_as_index(a) for a in rows]
-    cols = [_as_index(b) for b in cols]
     d = sym.d
-    width = max([d] + [idx.max_coordinate() for idx in rows + cols])
-    R, C = (np.array([[idx.degree(i) for i in range(1, width + 1)] for idx in idxs], dtype=int)
+    width = max([d, *map(len, rows), *map(len, cols)])
+    R, C = (np.array([[*t, *[0] * (width - len(t))] for t in idxs], dtype=int)
             .reshape(len(idxs), width) for idxs in (rows, cols))
+    if R.min(initial=0) < 0 or C.min(initial=0) < 0:
+        raise ValueError("degrees must be nonnegative")
     route = section_route(sym)
     if route in (ROUTE_BOX, ROUTE_QUARTER):
         top = max(R[:, 0].max(initial=0), C[:, 0].max(initial=0))
@@ -193,13 +162,11 @@ def _entries(sym, rows, cols, ctx: CalcContext):
         diagonal = _mixture_diagonal(sym.mixture_terms, R, ctx.h).astype(complex)
         match = np.all(R[:, None, :] == C[None, :, :], axis=2)
         return np.where(match, diagonal[:, None], 0.0j), 0
-    row_tails = [tuple(t) for t in R[:, d:].tolist()]
-    col_tails = [tuple(t) for t in C[:, d:].tolist()]
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    out = np.zeros((len(R), len(C)), dtype=complex)
     max_order = 0
-    for p, a in enumerate(rows):
-        for q, b in enumerate(cols):
-            if row_tails[p] != col_tails[q]:
+    for p, a in enumerate(R.tolist()):
+        for q, b in enumerate(C.tolist()):
+            if a[d:] != b[d:]:
                 continue  # a delta factor beyond the symbol's pairs
             out[p, q], order = _tensor_element(sym, a, b, ctx)
             max_order = max(max_order, order)
@@ -208,7 +175,8 @@ def _entries(sym, rows, cols, ctx: CalcContext):
 
 def matrix_element(sym, alpha, beta, ctx: CalcContext):
     """I_{alpha beta}(F): the (alpha, beta) matrix entry of the operator with
-    symbol `sym`, by the route section_route(sym).
+    symbol `sym`, by the route section_route(sym); alpha and beta are degree
+    tuples.
 
     Entries with alpha_j != beta_j at a coordinate beyond the symbol's base
     dimension vanish identically and are returned as exact zeros.
@@ -239,9 +207,9 @@ def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> Operato
         diagonal = _mixture_diagonal(sym.mixture_terms, truncation.degrees, ctx.h)
         max_order, structural = 0, size * (size - 1) // 2
     else:
-        _refuse_dense(size)  # before the indices are built
-        idxs = truncation.indices()
-        (dense, max_order), structural = _entries(sym, idxs, idxs, ctx), 0
+        _refuse_dense(size)  # before the degree array is built
+        degrees = truncation.degrees
+        (dense, max_order), structural = _entries(sym, degrees, degrees, ctx), 0
     try:
         text = sym.text()
     except ValueError:
@@ -259,8 +227,9 @@ def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> Operato
     return OperatorMatrix(truncation=truncation, meta=meta, diagonal=diagonal, dense=dense)
 
 
-def quadratic_form(sym, f: HermiteExpansion, g: HermiteExpansion, ctx: CalcContext) -> complex:
-    """<Op(F) f, g> = sum_{alpha,beta} c_alpha conj(c'_beta) I_{alpha beta}."""
+def quadratic_form(sym, f: dict, g: dict, ctx: CalcContext) -> complex:
+    """<Op(F) f, g> = sum_{alpha,beta} c_alpha conj(c'_beta) I_{alpha beta}
+    for expansions f = {alpha: c_alpha} and g = {beta: c'_beta}."""
     table, _ = _entries(sym, [a for a, _ in f.items()], [b for b, _ in g.items()], ctx)
     fc = np.array([c for _, c in f.items()], dtype=complex)
     gc = np.array([c for _, c in g.items()], dtype=complex)

@@ -450,7 +450,7 @@ def _eps_resolver(spec):
         return (lambda j: 2.0**-j), "2^-j", lambda J: 4.0**-J / 3.0
     if name in ("zero", "0"):
         return (lambda j: 0.0), "zero", lambda J: 0.0
-    raise ValueError(f"unknown epsilon spec {spec!r}")
+    raise ValueError(f"unknown epsilon spec {spec!r}; --eps takes j^-2, 2^-j or zero")
 
 
 def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> SymbolClassParams:

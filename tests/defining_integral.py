@@ -28,7 +28,7 @@ def _shot(sym, alpha, beta, ctx, n: int) -> complex:
         xi = pts[:, d:]
         vals = np.asarray(eval_ddot(sym, x, xi, ctx), dtype=complex)
         for i in range(1, d + 1):
-            a_i, b_i = alpha.degree(i), beta.degree(i)
+            a_i, b_i = alpha[i - 1], beta[i - 1]
             if a_i or b_i:
                 # e^{xi^2/h} amplifies the inner rule's error at the outer
                 # nodes, so the inner order grows with the outer one
@@ -49,13 +49,11 @@ def _shot(sym, alpha, beta, ctx, n: int) -> complex:
 
 def element(sym, alpha, beta, ctx):
     """(I_{alpha beta}(F), accepted outer order) on the order ladder over all
-    2d coordinates of the symbol's pairs.  The outer cap is halved, so the
-    inner rule at twice the outer order stays within gh_rule's orders."""
-    maxdeg = max(
-        [alpha.degree(i) for i in range(1, sym.d + 1)]
-        + [beta.degree(i) for i in range(1, sym.d + 1)]
-        + [0]
-    )
+    2d coordinates of the symbol's pairs, for degree tuples alpha and beta.
+    The outer cap is halved, so the inner rule at twice the outer order
+    stays within gh_rule's orders."""
+    alpha, beta = ((*t, *[0] * (sym.d - len(t))) for t in (alpha, beta))
+    maxdeg = max(*alpha[: sym.d], *beta[: sym.d])
     cap = min(LADDER_POLICY["cap"], int(quad_budget() ** (1.0 / (2 * sym.d))), MAX_GH_ORDER // 2)
     start = min(2 * (maxdeg + 1) + 16, cap)
     return ladder(lambda n: _shot(sym, alpha, beta, ctx, n), start=start, cap=cap)

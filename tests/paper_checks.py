@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gaussweyl.basis import CalcContext, MultiIndex
+from gaussweyl.basis import CalcContext
 from gaussweyl.gaussian import LADDER_POLICY, coordinate_stream, gh_rule, integrate_tensor, ladder
-from gaussweyl.quadform import HermiteExpansion, _tensor_element, quadratic_form
+from gaussweyl.quadform import _tensor_element, quadratic_form
 from gaussweyl.stochproj import MIN_MC_SAMPLES, _pth_moment_root
 from gaussweyl.symbols import SymbolDescriptor, box_symbol, custom_symbol
 from gaussweyl.wigner import _bridge_sweep, _checked
@@ -117,7 +117,7 @@ def ipp_check(F: Poly2, n: int, s: int, eps: int, P, ctx: CalcContext):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def rotation_reduction(sym, alpha: MultiIndex, beta: MultiIndex, coord: int, n: int, ctx: CalcContext):
+def rotation_reduction(sym, alpha: tuple, beta: tuple, coord: int, n: int, ctx: CalcContext):
     """I_{alpha beta} via the transported rotation derivative at `coord`:
 
         I_{alpha beta}(F) = i^n / (beta_j - alpha_j)^n *
@@ -126,7 +126,8 @@ def rotation_reduction(sym, alpha: MultiIndex, beta: MultiIndex, coord: int, n: 
     Requires alpha_j != beta_j.  A pair the symbol does not see, or in which
     it is radial, rotates to zero, so the entry is returned as an exact 0;
     any other symbol must be a Poly2 one."""
-    aj, bj = alpha.degree(coord), beta.degree(coord)
+    alpha, beta = ((*t, *[0] * (max(coord, sym.d) - len(t))) for t in (alpha, beta))
+    aj, bj = alpha[coord - 1], beta[coord - 1]
     if aj == bj:
         raise ValueError("rotation reduction needs alpha != beta at the chosen coordinate")
     if coord > sym.d or sym.mixture_terms is not None:
@@ -271,7 +272,7 @@ def covariance_and_bound(basis, d: int, s: float) -> CovarianceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
+def flandrin_reduction_check(a: float, ctx: CalcContext, f: dict):
     """Check the change of variables tying the Gaussian box form to the
     classical rectangle integral:
 
@@ -286,13 +287,13 @@ def flandrin_reduction_check(a: float, ctx: CalcContext, f: HermiteExpansion):
     Returns (lhs, rhs, residual); at a = inf both sides are the quarter-plane
     mass (1/4 for the ground state).
     """
-    if any(idx.max_coordinate() > 1 for idx, _ in f.items()):
+    if any(any(idx[1:]) for idx in f):
         raise ValueError("the reduction check needs a one-dimensional expansion")
     lhs = quadratic_form(box_symbol(a), f, f, ctx)
     lam = math.sqrt(2.0 * math.pi * ctx.h)
-    N = max((idx.degree(1) for idx, _ in f.items()), default=0)
-    M, _, _ = _checked(_bridge_sweep, N, lam * a, a / lam, ctx)
-    rhs = sum(ca * np.conjugate(cb) * M[i.degree(1), j.degree(1)]
+    first = {idx: (*idx, 0)[0] for idx in f}  # the degree in pair 1
+    M, _, _ = _checked(_bridge_sweep, max(first.values(), default=0), lam * a, a / lam, ctx)
+    rhs = sum(ca * np.conjugate(cb) * M[first[i], first[j]]
               for i, ca in f.items() for j, cb in f.items())
     lhs = lhs.real if abs(lhs.imag) < 1e-10 else lhs
     rhs = rhs.real if abs(rhs.imag) < 1e-10 else rhs

@@ -16,7 +16,7 @@ from paper_checks import Poly2, covariance_and_bound, flandrin_reduction_check, 
 from scipy.optimize import brentq
 
 from conftest import record_acceptance
-from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet, hermite_batch
+from gaussweyl.basis import CalcContext, TruncationSet, hermite_batch
 from gaussweyl.gaussian import gh_rule, integrate_tensor
 from gaussweyl.heat import antiwick_form, decomposition_residual, heat_apply
 from gaussweyl.positivity import (
@@ -26,7 +26,7 @@ from gaussweyl.positivity import (
     nonpos_witness,
     radial_positivity_check,
 )
-from gaussweyl.quadform import HermiteExpansion, assemble_matrix, eig_hermitian, quadratic_form
+from gaussweyl.quadform import assemble_matrix, eig_hermitian, quadratic_form
 from gaussweyl.stochproj import exact_conv_rate, geometric_direction, mc_conv_rate
 from gaussweyl.symbols import (
     PhiSpec,
@@ -106,7 +106,7 @@ def test_criterion_04_nonpositivity_witness():
     root = brentq(lambda nu: nonpos_witness(nu, 1.0, ctx1)[0], 0.5, 2.0, xtol=1e-12)
     ok_root = abs(root * 1.0 * 1.0 - 1.0) <= 1e-10
     # independent quadrature route agrees on the sign on both sides
-    e1 = MultiIndex({1: 1})
+    e1 = (1,)
     below, _ = defining_integral.element(gaussian_symbol(0.95, 1.0), e1, e1, ctx1)
     above, _ = defining_integral.element(gaussian_symbol(1.05, 1.0), e1, e1, ctx1)
     ok_signs = below.real > 0.0 > above.real
@@ -209,16 +209,16 @@ def test_criterion_07_heat_algebra():
     ok_aw = True
     for i in range(50):
         c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        f = HermiteExpansion.from_pairs([((j,), c[j]) for j in range(7)])
+        f = {(j,): c[j] for j in range(7)}
         val = complex(antiwick_form(nonneg[i % 2], f, f, ctx))
-        scale = f.norm_sq()
+        scale = sum(abs(v) ** 2 for v in f.values())
         worst_aw = min(worst_aw, val.real / scale)
         ok_aw = ok_aw and val.real >= -1e-9 * scale and abs(val.imag) <= 1e-9 * scale
     # hybrid nesting: heating both pairs at once (anti-Wick) = heating pair 1,
     # then pair 2 of the result
     ctx7 = CalcContext(h=0.7)
     sym2 = radial_symbol(PhiSpec(kind="exp", nu=1.0), 2)
-    f2 = HermiteExpansion.from_pairs([((0, 0), 0.5), ((1, 1), 0.5), ((2, 0), math.sqrt(0.5))])
+    f2 = {(0, 0): 0.5, (1, 1): 0.5, (2, 0): math.sqrt(0.5)}
     lhs = quadratic_form(heat_apply(sym2, [1, 2], ctx7.h / 2.0), f2, f2, ctx7)
     smoothed = heat_apply(sym2, [1], ctx7.h / 2.0)
     rhs = quadratic_form(heat_apply(smoothed, [2], ctx7.h / 2.0), f2, f2, ctx7)
@@ -297,10 +297,10 @@ def test_criterion_09_stochastic_extension():
 def test_criterion_10_flandrin_localization():
     ctx = CalcContext(h=1.0)
     # reduction identity, including the quarter-plane ground-state value 1/4
-    f0 = HermiteExpansion.single((), 1.0)
+    f0 = {(): 1.0}
     lhs, _, resid0 = flandrin_reduction_check(math.inf, ctx, f0)
     r = math.sqrt(0.5)
-    fm = HermiteExpansion.from_pairs([((0,), r), ((1,), r * 1j)])
+    fm = {(0,): r, (1,): r * 1j}
     _, _, resid1 = flandrin_reduction_check(1.5, ctx, fm)
     ok_reduction = resid0 <= 1e-8 and abs(lhs - 0.25) <= 1e-8 and resid1 <= 1e-8
     # full convergence table over N <= 128 with the h-invariance checks

@@ -13,7 +13,6 @@ import pytest
 from gaussweyl.basis import (
     MAX_HERMITE_DEGREE,
     CalcContext,
-    MultiIndex,
     TruncationSet,
     hermite_batch,
     hermite_eval,
@@ -142,34 +141,15 @@ def test_bargman_kernel_and_partial_sum():
     assert np.max(dev) <= 1e-11
 
 
-def test_multi_index_semantics():
-    a = MultiIndex.from_tuple((2, 0, 1))
-    assert a.degree(1) == 2 and a.degree(2) == 0 and a.degree(3) == 1
-    assert a.support() == (1, 3)
-    assert a.depth() == 2
-    assert a.max_coordinate() == 3
-    assert a.total() == 3
-    assert a.as_tuple(4) == (2, 0, 1, 0)
-    assert MultiIndex.from_tuple(()) == MultiIndex()
-    assert MultiIndex({5: 0}) == MultiIndex()  # zero degrees are dropped
-    with pytest.raises(ValueError):
-        MultiIndex({0: 1})
-    with pytest.raises(ValueError):
-        MultiIndex({1: -1})
-
-
 def test_truncation_set():
     ts = TruncationSet(2, 2)
-    idxs = ts.indices()
-    assert ts.size == 9 and len(idxs) == 9
+    idxs = [tuple(row) for row in ts.degrees.tolist()]
+    assert ts.size == 9 and len(set(idxs)) == 9
     # graded ordering: totals never decrease
-    totals = [ix.total() for ix in idxs]
+    totals = [sum(ix) for ix in idxs]
     assert totals == sorted(totals)
-    assert idxs[0] == MultiIndex()
-    for i, ix in enumerate(idxs):
-        assert ts.index_of(ix) == i
-    with pytest.raises(KeyError):
-        ts.index_of(MultiIndex.from_tuple((3,)))
+    assert idxs[0] == (0, 0)
+    assert (3, 0) not in idxs
 
 
 def test_truncation_degree_array():
@@ -177,9 +157,4 @@ def test_truncation_degree_array():
     want = sorted(product(range(3), repeat=3), key=lambda t: (sum(t), t))
     assert ts.degrees.shape == (27, 3)
     assert [tuple(row) for row in ts.degrees.tolist()] == want
-    assert [ix.as_tuple(3) for ix in ts.indices()] == want
     assert not ts.degrees.flags.writeable
-    assert ts.index_of(MultiIndex({2: 2, 3: 1})) == want.index((0, 2, 1))
-    for outside in (MultiIndex({4: 1}), MultiIndex({1: 3})):
-        with pytest.raises(KeyError):
-            ts.index_of(outside)

@@ -515,6 +515,12 @@ def test_usage_and_domain_errors_exit_1(capsys):
         (["stochext", "--p", "0.5"], "error: --p must be >= 1 and --s > 0, got 0.5 and 1.0"),
         (["stochext", "--s", "0"], "error: --p must be >= 1 and --s > 0, got 2.0 and 0.0"),
         (["garding", "--symbol", "const:c=-1", "--N", "2"], "error: symbol takes negative values on the test cloud"),
+        (["garding", "--symbol", GAUSS, "--eps", "foo"],
+         "error: unknown epsilon spec 'foo'; --eps takes j^-2, 2^-j or zero"),
+        (["heatcheck", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--lam", "2,1,2"],
+         "error: --lam repeats a pair index, got '2,1,2'"),
+        (["heatcheck", "--symbol", "radial:phi=exp:nu=1.0,d=17", "--lam", ",".join(map(str, range(1, 18)))],
+         "error: --lam names 17 pairs; the expansion cap is 16"),
     ]:
         assert main(argv) == 1, argv
         cap = capsys.readouterr()

@@ -8,8 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet
+from gaussweyl import heat
+from gaussweyl.basis import CalcContext, TruncationSet
 from gaussweyl.heat import (
+    MAX_TS_PAIRS,
     antiwick_form,
     decomposition_residual,
     heat_apply,
@@ -17,7 +19,7 @@ from gaussweyl.heat import (
     ts_operators,
 )
 from gaussweyl.heat import _erf
-from gaussweyl.quadform import HermiteExpansion, assemble_matrix, matrix_element, quadratic_form
+from gaussweyl.quadform import assemble_matrix, matrix_element, quadratic_form
 from gaussweyl.symbols import (
     PhiSpec,
     SymbolDescriptor,
@@ -167,7 +169,7 @@ def test_heated_symbol_is_a_symbol():
     assert isinstance(heated, SymbolDescriptor)
     diagonal = assemble_matrix(heated, TruncationSet(1, 3), ctx).diagonal
     assert np.max(np.abs(diagonal - [heated_diag(j, 2.0, 1.0) for j in range(4)])) <= 1e-15
-    e1 = HermiteExpansion.single((1,))
+    e1 = {(1,): 1.0}
     assert abs(quadratic_form(heated, e1, e1, ctx) - heated_diag(1, 2.0, 1.0)) <= 1e-15
     assert box_symbol(1.0).mixture_terms is None
     assert custom_symbol(lambda x, xi: x[:, 0], 1).mixture_terms is None
@@ -224,10 +226,23 @@ def test_decomposition_telescopes(sym, lam):
     assert decomposition_residual(sym, lam, ctx, (x, xi)) <= 1e-10
 
 
+def test_residual_refuses_a_large_lambda_before_any_term(monkeypatch):
+    """|Lambda| = 17 would expand 3^17 heated terms: the residual is refused
+    before ts_operators or heat_apply runs once."""
+    calls = []
+    monkeypatch.setattr(heat, "heat_apply", lambda *args: calls.append("heat_apply"))
+    monkeypatch.setattr(heat, "ts_operators", lambda *args: calls.append("ts_operators") or [])
+    sym = radial_symbol(PhiSpec(kind="exp", nu=1.0), MAX_TS_PAIRS + 1)
+    x = np.zeros((2, sym.d))
+    with pytest.raises(ValueError, match="--lam names 17 pairs; the expansion cap is 16"):
+        decomposition_residual(sym, range(1, sym.d + 1), CalcContext(h=1.0), (x, x))
+    assert calls == []
+
+
 def test_antiwick_diagonal_frozen():
     ctx = CalcContext(h=1.0)
-    e0 = HermiteExpansion.single((), 1.0)
-    e1 = HermiteExpansion.single((1,), 1.0)
+    e0 = {(): 1.0}
+    e1 = {(1,): 1.0}
     aw00 = antiwick_form(gaussian_symbol(1.0, 1.0), e0, e0, ctx)
     assert abs(aw00 - 1.0 / 3.0) <= 1e-10
     aw11 = antiwick_form(gaussian_symbol(2.0, 1.0), e1, e1, ctx)
@@ -251,12 +266,11 @@ def test_antiwick_positivity_random(h):
     for sym in syms:
         for _ in range(10):
             coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-            f = HermiteExpansion.from_pairs(
-                [((j,), coeffs[j]) for j in range(6)]
-            )
+            f = {(j,): coeffs[j] for j in range(6)}
+            norm_sq = sum(abs(c) ** 2 for c in f.values())
             val = antiwick_form(sym, f, f, ctx)
-            assert abs(val.imag) <= 1e-10 * f.norm_sq()
-            assert val.real >= -1e-9 * f.norm_sq()
+            assert abs(val.imag) <= 1e-10 * norm_sq
+            assert val.real >= -1e-9 * norm_sq
 
 
 def hybrid_form(sym, e_pairs, f, g, ctx):
@@ -274,10 +288,10 @@ def test_hybrid_interpolates_weyl_and_antiwick():
     nu = 2.0
     sym = radial_symbol(PhiSpec(kind="exp", nu=nu), 2)
     for j1, j2 in [(0, 0), (1, 0), (0, 2), (3, 1)]:
-        f = HermiteExpansion.single((j1, j2))
+        f = {(j1, j2): 1.0}
         want = (1.0 - nu) ** j1 / (1.0 + nu) ** (j1 + 1) * heated_diag(j2, nu, 1.0)
         assert abs(hybrid_form(sym, [1], f, f, ctx) - want) <= 1e-12
-    f = HermiteExpansion.from_pairs([((0, 0), 0.6), ((1, 1), 0.8)])
+    f = {(0, 0): 0.6, (1, 1): 0.8}
     assert abs(hybrid_form(sym, [1, 2], f, f, ctx) - quadratic_form(sym, f, f, ctx)) <= 1e-12
     assert abs(hybrid_form(sym, [], f, f, ctx) - antiwick_form(sym, f, f, ctx)) <= 1e-12
 
@@ -286,7 +300,7 @@ def test_hybrid_nesting():
     """hybrid(E1, F) = hybrid(E2, S_{E2-E1} F) for E1 subset of E2."""
     ctx = CalcContext(h=0.7)
     sym = radial_symbol(PhiSpec(kind="exp", nu=1.0), 2)
-    f = HermiteExpansion.from_pairs([((0, 0), 0.5), ((1, 1), 0.5), ((2, 0), math.sqrt(0.5))])
+    f = {(0, 0): 0.5, (1, 1): 0.5, (2, 0): math.sqrt(0.5)}
     lhs = hybrid_form(sym, [], f, f, ctx)  # anti-Wick
     smoothed = heat_apply(sym, [1], ctx.h / 2.0)
     rhs = hybrid_form(smoothed, [1], f, f, ctx)
@@ -299,6 +313,6 @@ def test_antiwick_vs_weyl_on_matrix_elements():
     sym = gaussian_symbol(1.0, 1.0)
     heated = heat_apply(sym, [1], 0.5)
     for j in range(4):
-        idx = MultiIndex({1: j})
+        idx = (j,)
         got = matrix_element(heated, idx, idx, ctx)
         assert abs(got - heated_diag(j, 1.0, 1.0)) <= 1e-10

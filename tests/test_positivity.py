@@ -20,7 +20,6 @@ from gaussweyl.positivity import (
     radial_positivity_check,
 )
 from gaussweyl import quadform, wigner
-from gaussweyl.quadform import HermiteExpansion
 from gaussweyl.wigner import classical_wigner_diagonals
 from gaussweyl.symbols import (
     PhiSpec,
@@ -448,7 +447,7 @@ def test_flandrin_search_guards(monkeypatch):
 
 def test_flandrin_reduction_ground_state_quarter():
     ctx = CalcContext(h=1.0)
-    f = HermiteExpansion.single((), 1.0)
+    f = {(): 1.0}
     lhs, rhs, residual = flandrin_reduction_check(math.inf, ctx, f)
     assert residual <= 1e-8
     assert abs(lhs - 0.25) <= 1e-8
@@ -458,11 +457,11 @@ def test_flandrin_reduction_ground_state_quarter():
 def test_flandrin_reduction_mixed_state():
     ctx = CalcContext(h=0.5)
     r = 1.0 / math.sqrt(2.0)
-    f = HermiteExpansion.from_pairs([((0,), r), ((1,), r * 1j)])
+    f = {(0,): r, (1,): r * 1j}
     lhs, rhs, residual = flandrin_reduction_check(1.0, ctx, f)
     assert residual <= 1e-8
     with pytest.raises(ValueError):
-        flandrin_reduction_check(1.0, ctx, HermiteExpansion.single((0, 1), 1.0))
+        flandrin_reduction_check(1.0, ctx, {(0, 1): 1.0})
 
 
 def test_flandrin_reduction_check_sees_a_perturbed_section(monkeypatch):
@@ -470,7 +469,7 @@ def test_flandrin_reduction_check_sees_a_perturbed_section(monkeypatch):
     # section, so a wrong section shows up in the residual
     ctx = CalcContext(h=0.5)
     r = 1.0 / math.sqrt(2.0)
-    f = HermiteExpansion.from_pairs([((0,), r), ((1,), r * 1j)])
+    f = {(0,): r, (1,): r * 1j}
     box_matrix = quadform._box_matrix
 
     def perturbed(*args):
@@ -484,6 +483,6 @@ def test_flandrin_reduction_check_sees_a_perturbed_section(monkeypatch):
 
 def test_flandrin_reduction_check_raises_on_stalled_doubling(monkeypatch):
     monkeypatch.setattr(wigner, "_axis_points", lambda L, N: 1)
-    f = HermiteExpansion.single((48,), 1.0)
+    f = {(48,): 1.0}
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
         flandrin_reduction_check(math.inf, CalcContext(h=1.0), f)

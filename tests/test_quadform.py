@@ -13,7 +13,7 @@ import pytest
 from paper_checks import Poly2, ipp_check, poly_symbol, rotation_reduction
 
 from gaussweyl import wigner
-from gaussweyl.basis import CalcContext, MultiIndex, TruncationSet
+from gaussweyl.basis import CalcContext, TruncationSet
 from gaussweyl.gaussian import QuadratureConvergenceError
 from gaussweyl.heat import heat_apply
 from gaussweyl.quadform import (
@@ -23,7 +23,6 @@ from gaussweyl.quadform import (
     ROUTE_CLOSED,
     ROUTE_LADDER,
     ROUTE_QUARTER,
-    HermiteExpansion,
     OperatorMatrix,
     _tensor_element,
     assemble_matrix,
@@ -63,7 +62,7 @@ FROZEN_DIAG = [
 def test_gaussian_diagonal_frozen(j, nu, h, want):
     ctx = CalcContext(h=h)
     sym = gaussian_symbol(nu, 1.0)
-    got = matrix_element(sym, MultiIndex({1: j}), MultiIndex({1: j}), ctx)
+    got = matrix_element(sym, (j,), (j,), ctx)
     assert abs(got - want) <= 1e-11
     assert abs(diag_law(j, nu, h) - want) <= 1e-15
     assert abs(got.imag) <= 1e-13
@@ -73,14 +72,14 @@ def test_gaussian_offdiagonal_vanishes():
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(1.0, 1.0)
     for a, b in [((0,), (1,)), ((0,), (2,)), ((1,), (3,))]:
-        got = matrix_element(sym, MultiIndex.from_tuple(a), MultiIndex.from_tuple(b), ctx)
+        got = matrix_element(sym, a, b, ctx)
         assert abs(got) <= 1e-12
 
 
 def test_anorm_enters_through_norm_only():
     # direction norm |a| rescales nu: I(e^{-nu |a|^2 r^2}) at anorm=1
     ctx = CalcContext(h=1.0)
-    got = matrix_element(gaussian_symbol(0.5, 2.0), MultiIndex({1: 1}), MultiIndex({1: 1}), ctx)
+    got = matrix_element(gaussian_symbol(0.5, 2.0), (1,), (1,), ctx)
     assert abs(got - diag_law(1, 0.5 * 4.0, 1.0)) <= 1e-11
 
 
@@ -88,10 +87,10 @@ def test_coordinates_beyond_symbol_dimension():
     """Pairs the symbol does not see integrate to delta factors."""
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(2.0, 1.0)  # d = 1
-    a = MultiIndex({1: 1, 3: 2})
+    a = (1, 0, 2)
     same = matrix_element(sym, a, a, ctx)
     assert abs(same - diag_law(1, 2.0, 1.0)) <= 1e-11
-    crossed = matrix_element(sym, MultiIndex({1: 1, 3: 2}), MultiIndex({1: 1, 3: 1}), ctx)
+    crossed = matrix_element(sym, (1, 0, 2), (1, 0, 1), ctx)
     assert crossed == 0.0j  # exact structural zero, no quadrature
 
 
@@ -105,8 +104,8 @@ def test_radial_matrix_is_diagonal_with_laplace_means():
     om = assemble_matrix(sym, trunc, ctx)
     assert sym.mixture_terms is not None and om.meta["structural_zeros"] == 6
     assert om.dense is None
-    for p, alpha in enumerate(trunc.indices()):
-        want = np.prod([diag_law(alpha.degree(i), 1.5, 0.5) for i in (1, 2)])
+    for p, alpha in enumerate(trunc.degrees.tolist()):
+        want = np.prod([diag_law(alpha[i], 1.5, 0.5) for i in (0, 1)])
         assert abs(om.diagonal[p] - want) <= 1e-10
 
 
@@ -136,9 +135,21 @@ def test_matrix_size_cap():
     for sym in (box_symbol(1.0), poly_symbol(Poly2.from_dict({(2, 0): 1.0}))):
         with pytest.raises(ValueError, match="dense-matrix cap is 4096"):
             assemble_matrix(sym, TruncationSet(1, MAX_MATRIX_SIZE), ctx)
-    big = HermiteExpansion.from_pairs([((j,), 1.0) for j in range(MAX_MATRIX_SIZE + 1)])
+    big = {(j,): 1.0 for j in range(MAX_MATRIX_SIZE + 1)}
     with pytest.raises(ValueError, match="dense-matrix cap is 4096"):
         quadratic_form(gaussian_symbol(1.0, 1.0), big, big, ctx)
+
+
+def test_dense_cap_refuses_before_the_degree_array(monkeypatch):
+    """A 10^8-state box section is refused by its size alone: its degree
+    array is never built."""
+
+    def no_degrees(self):
+        raise AssertionError("the degree array was built")
+
+    monkeypatch.setattr(TruncationSet, "degrees", property(no_degrees))
+    with pytest.raises(ValueError, match="dense-matrix cap is 4096"):
+        assemble_matrix(box_symbol(1.0), TruncationSet(1, 10**8), CalcContext(h=1.0))
 
 
 def test_dual_wigner_routes_agree():
@@ -149,7 +160,7 @@ def test_dual_wigner_routes_agree():
     sym = gaussian_symbol(2.0, 1.0)
     trunc = TruncationSet(1, 2)
     fast = assemble_matrix(sym, trunc, ctx)
-    idxs = trunc.indices()
+    idxs = trunc.degrees.tolist()
     slow = np.array([[defining_integral.element(sym, a, b, ctx)[0] for b in idxs] for a in idxs])
     assert np.max(np.abs(np.diag(fast.diagonal) - slow)) <= 1e-8
 
@@ -158,7 +169,7 @@ def test_box_element_matches_classical_square():
     """At h = 1/(2 pi) the box element I_00 is the unit-square mass of the
     classical ground-state Wigner function."""
     ctx = CalcContext(h=1.0 / (2.0 * math.pi))
-    got = matrix_element(box_symbol(1.0), MultiIndex(), MultiIndex(), ctx)
+    got = matrix_element(box_symbol(1.0), (), (), ctx)
     assert abs(got - 0.24980366326911302) <= 1e-9
 
 
@@ -166,7 +177,7 @@ def test_box_respects_h_side_coupling():
     # integrating W_00 over [0, 2 pi h a) x [0, a) directly
     ctx = CalcContext(h=0.5)
     a = 1.2
-    got = matrix_element(box_symbol(a), MultiIndex(), MultiIndex(), ctx)
+    got = matrix_element(box_symbol(a), (), (), ctx)
     from scipy import integrate
 
     want, _ = integrate.dblquad(
@@ -224,9 +235,9 @@ def test_box_section_embeds_the_one_pair_section():
     deg = trunc.degrees
     want = M[np.ix_(deg[:, 0], deg[:, 0])] * (deg[:, None, 1] == deg[None, :, 1])
     assert np.array_equal(got, want)
-    a, b = MultiIndex.from_tuple((1, 2)), MultiIndex.from_tuple((3, 2))
+    a, b = (1, 2), (3, 2)
     assert matrix_element(box_symbol(1.0), a, b, ctx) == M[1, 3]
-    assert matrix_element(box_symbol(1.0), a, MultiIndex.from_tuple((3, 1)), ctx) == 0.0
+    assert matrix_element(box_symbol(1.0), a, (3, 1), ctx) == 0.0
 
 
 def test_box_degree_limit():
@@ -235,7 +246,7 @@ def test_box_degree_limit():
     with pytest.raises(ValueError, match="1024"):
         assemble_matrix(box_symbol(1.0), TruncationSet(1, 1025), ctx)
     with pytest.raises(ValueError, match="1024"):
-        matrix_element(box_symbol(1.0), MultiIndex.from_tuple((1025,)), MultiIndex(), ctx)
+        matrix_element(box_symbol(1.0), (1025,), (), ctx)
     om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 128), ctx)
     assert np.all(np.isfinite(om.dense))
 
@@ -246,11 +257,11 @@ def test_box_stalled_doubling_raises(monkeypatch):
     # rectangle of box(3) (the quarter plane runs no quadrature)
     monkeypatch.setattr(wigner, "_polar_points", lambda length, sweep, N: length + sweep)
     ctx = CalcContext(h=1.0)
-    f = HermiteExpansion.single((48,), 1.0)
+    f = {(48,): 1.0}
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
         assemble_matrix(box_symbol(3.0), TruncationSet(1, 48), ctx)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
-        matrix_element(box_symbol(3.0), MultiIndex.from_tuple((48,)), MultiIndex(), ctx)
+        matrix_element(box_symbol(3.0), (48,), (), ctx)
     with pytest.raises(QuadratureConvergenceError, match="stalled"):
         quadratic_form(box_symbol(3.0), f, f, ctx)
     # small degrees still converge on the same coarse start: I_00 is the
@@ -258,23 +269,14 @@ def test_box_stalled_doubling_raises(monkeypatch):
     s = math.sqrt(2.0 * math.pi)
     lam = math.sqrt(2.0 * math.pi * ctx.h)
     want = 0.25 * math.erf(s * lam * 3.0) * math.erf(s * 3.0 / lam)
-    assert abs(matrix_element(box_symbol(3.0), MultiIndex(), MultiIndex(), ctx) - want) <= 1e-12
-
-
-def test_hermite_expansion_bookkeeping():
-    f = HermiteExpansion.from_pairs([((0,), 1.0), ((1,), 2.0), ((0,), 1.0)])
-    assert f.norm_sq() == pytest.approx(8.0)  # (1+1)^2 + 2^2
-    assert f.dims() == 1
-    assert len(f.coeffs) == 2
-    g = HermiteExpansion.single((), 1.0)
-    assert g.dims() == 0 and g.norm_sq() == 1.0
+    assert abs(matrix_element(box_symbol(3.0), (), (), ctx) - want) <= 1e-12
 
 
 def test_quadratic_form_diagonal_mix():
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(2.0, 1.0)
     r = 1.0 / math.sqrt(2.0)
-    f = HermiteExpansion.from_pairs([((0,), r), ((1,), r)])
+    f = {(0,): r, (1,): r}
     got = quadratic_form(sym, f, f, ctx)
     want = 0.5 * (diag_law(0, 2.0, 1.0) + diag_law(1, 2.0, 1.0))
     assert abs(got - want) <= 1e-11
@@ -303,12 +305,33 @@ def test_quadratic_form_is_the_entrywise_sum(sym):
     on the closed, box and ladder routes, with supports mixing pairs the
     symbol sees and pair 3, which it does not."""
     ctx = CalcContext(h=1.0)
-    f = HermiteExpansion.from_pairs([((0,), 0.6), ((1, 0, 1), 0.3 - 0.2j), ((2,), 0.1j), ((0, 1), 0.4)])
-    g = HermiteExpansion.from_pairs([((1,), 0.5), ((0, 0, 1), 0.4j), ((2,), -0.3), ((1, 0, 1), 0.2), ((0, 1), 0.7)])
+    f = {(0,): 0.6, (1, 0, 1): 0.3 - 0.2j, (2,): 0.1j, (0, 1): 0.4}
+    g = {(1,): 0.5, (0, 0, 1): 0.4j, (2,): -0.3, (1, 0, 1): 0.2, (0, 1): 0.7}
     want = sum(ca * np.conjugate(cb) * matrix_element(sym, a, b, ctx) for a, ca in f.items() for b, cb in g.items())
     got = quadratic_form(sym, f, g, ctx)
     assert abs(want) > 1e-3
     assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [gaussian_symbol(0.5, 1.0), box_symbol(1.0), custom_symbol(_skew_custom, d=1)],
+    ids=["closed", "box", "ladder"],
+)
+def test_degree_tuples_name_basis_elements(sym):
+    """A basis element is its degree tuple: trailing zeros name the same
+    element, a negative degree is refused, an empty expansion gives 0, and a
+    coefficient split over two spellings of one element gives the form of
+    the summed coefficient."""
+    ctx = CalcContext(h=1.0)
+    assert matrix_element(sym, (1, 0, 0), (1, 0), ctx) == matrix_element(sym, (1,), (1,), ctx)
+    for bad in ((-1,), (0, -1)):
+        with pytest.raises(ValueError, match="degrees must be nonnegative"):
+            matrix_element(sym, bad, (0,), ctx)
+    f = {(0,): 0.6, (1,): 0.3 - 0.2j}
+    assert quadratic_form(sym, {}, f, ctx) == 0.0 and quadratic_form(sym, f, {}, ctx) == 0.0
+    split = {(0,): 0.6, (1,): 0.1 - 0.2j, (1, 0): 0.2}
+    assert abs(quadratic_form(sym, split, f, ctx) - quadratic_form(sym, f, f, ctx)) <= 1e-15
 
 
 def test_ladder_section_meta_pins():
@@ -368,29 +391,29 @@ def test_ipp_with_weight_polynomial_and_eps():
 def test_rotation_reduction_matches_direct():
     ctx = CalcContext(h=1.0)
     sym = poly_symbol(Poly2.from_dict({(1, 0): 1.0}))
-    a, b = MultiIndex(), MultiIndex({1: 1})
+    a, b = (), (1,)
     direct = matrix_element(sym, a, b, ctx)
     assert abs(direct - math.sqrt(0.5)) <= 1e-9
     reduced = rotation_reduction(sym, a, b, 1, 1, ctx)
     assert abs(direct - reduced) <= 1e-8
     # n = 2 transported derivative on a degree-2 symbol, (j,k) = (0,2)
     sym2 = poly_symbol(Poly2.from_dict({(2, 0): 1.0}))
-    b2 = MultiIndex({1: 2})
-    direct2 = matrix_element(sym2, MultiIndex(), b2, ctx)
-    reduced2 = rotation_reduction(sym2, MultiIndex(), b2, 1, 2, ctx)
+    b2 = (2,)
+    direct2 = matrix_element(sym2, (), b2, ctx)
+    reduced2 = rotation_reduction(sym2, (), b2, 1, 2, ctx)
     assert abs(direct2 - reduced2) <= 1e-8
 
 
 def test_rotation_reduction_structural_cases():
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(1.0, 1.0)
-    assert rotation_reduction(sym, MultiIndex(), MultiIndex({1: 1}), 1, 1, ctx) == 0.0j
+    assert rotation_reduction(sym, (), (1,), 1, 1, ctx) == 0.0j
     psym = poly_symbol(Poly2.from_dict({(1, 0): 1.0}))
-    assert rotation_reduction(psym, MultiIndex({2: 0}), MultiIndex({2: 1}), 2, 1, ctx) == 0.0j
+    assert rotation_reduction(psym, (0, 0), (0, 1), 2, 1, ctx) == 0.0j
     with pytest.raises(ValueError):
-        rotation_reduction(psym, MultiIndex({1: 1}), MultiIndex({1: 1}), 1, 1, ctx)
+        rotation_reduction(psym, (1,), (1,), 1, 1, ctx)
     with pytest.raises(ValueError):
-        rotation_reduction(box_symbol(1.0), MultiIndex(), MultiIndex({1: 1}), 1, 1, ctx)
+        rotation_reduction(box_symbol(1.0), (), (1,), 1, 1, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +445,15 @@ def _ladder_diagonal(sym, truncation, h, element, cache):
     def pair(nu, j):
         key = (nu, j)
         if key not in cache:
-            a = MultiIndex({1: j})
+            a = (j,)
             one_pair = mixture_symbol([(1.0, {1: nu})], 1)
             cache[key], _ = element(one_pair, a, a, CalcContext(h=h))
         return cache[key]
 
     return np.array([
-        sum(c * math.prod(pair(nu, alpha.degree(j)) for j, nu in pairs)
+        sum(c * math.prod(pair(nu, alpha[j - 1]) for j, nu in pairs)
             for c, pairs in sym.mixture_terms)
-        for alpha in truncation.indices()
+        for alpha in (row + [0] * sym.d for row in truncation.degrees.tolist())
     ])
 
 
@@ -464,7 +487,7 @@ def test_defining_integral_route_is_right(deg, h):
     closed law."""
     ctx = CalcContext(h=h)
     sym = gaussian_symbol(0.5, 0.5)
-    alpha = MultiIndex({1: deg})
+    alpha = (deg,)
     got, _ = defining_integral.element(sym, alpha, alpha, ctx)
     assert abs(got - diag_law(deg, 0.5 * 0.25, h)) <= 1e-8
 
@@ -473,7 +496,7 @@ def test_defining_integral_route_raises_where_it_stalls():
     """nu |a|^2 h = 16: the outer ladder cannot converge under its cap on
     this route (the cap is halved so the inner rule stays within gh_rule)."""
     with pytest.raises(QuadratureConvergenceError):
-        defining_integral.element(gaussian_symbol(2.0, 2.0), MultiIndex({1: 1}), MultiIndex({1: 1}),
+        defining_integral.element(gaussian_symbol(2.0, 2.0), (1,), (1,),
                                   CalcContext(h=2.0))
 
 
@@ -483,14 +506,14 @@ def test_closed_section_matches_full_ladder_one_pair(h):
     two-pair truncation against the ladder on the whole symbol."""
     ctx = CalcContext(h=h)
     trunc = TruncationSet(2, 2)
-    idxs = trunc.indices()
+    idxs = trunc.degrees.tolist()
     heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], h / 2.0)
     for sym in (const_symbol(1.5), gaussian_symbol(0.5, 1.0), gaussian_symbol(2.0, 1.0), heated):
         M = np.diag(assemble_matrix(sym, trunc, ctx).diagonal)
         for p, a in enumerate(idxs):
             for q in range(p, len(idxs)):
                 b = idxs[q]
-                if a.degree(2) != b.degree(2):
+                if a[1] != b[1]:
                     assert M[p, q] == 0.0j  # delta factor of the unseen pair
                     continue
                 want, _ = _tensor_element(sym, a, b, ctx)
@@ -503,10 +526,10 @@ def test_tensor_ladder_entry_memory_is_bounded():
     reads its own peak (VmHWM): ru_maxrss would carry over the peak of the
     process that started it."""
     script = (
-        "from gaussweyl.basis import CalcContext, MultiIndex\n"
+        "from gaussweyl.basis import CalcContext\n"
         "from gaussweyl.quadform import _tensor_element\n"
         "from gaussweyl.symbols import parse_symbol\n"
-        "a = MultiIndex.from_tuple((3, 3))\n"
+        "a = (3, 3)\n"
         "val, _ = _tensor_element(parse_symbol('radial:phi=exp:nu=0.7,d=2'), a, a, CalcContext(h=1.0))\n"
         "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
         "print(val.real, hwm.split()[1])\n"
@@ -521,7 +544,7 @@ def test_tensor_ladder_entry_memory_is_bounded():
 def test_tensor_ladder_at_its_cap_raises_at_once():
     """At d = 3 the point budget caps the ladder at order 21, where a degree-2
     entry already starts: it raises before evaluating any shot."""
-    a = MultiIndex({1: 2})
+    a = (2, 0, 0)  # the ladder reads padded rows
     t0 = time.perf_counter()
     with pytest.raises(QuadratureConvergenceError, match="cap 21"):
         _tensor_element(MIXTURES["tensorradial d=3"], a, a, CalcContext(h=1.0))
@@ -533,13 +556,12 @@ def test_single_entries_use_the_closed_law():
     sym = MIXTURES["tensorradial d=3"]
     trunc = TruncationSet(3, 2)
     om = assemble_matrix(sym, trunc, ctx)
-    for p, a in enumerate(trunc.indices()):
+    rows = [tuple(row) for row in trunc.degrees.tolist()]
+    for p, a in enumerate(rows):
         assert matrix_element(sym, a, a, ctx) == om.diagonal[p]
     # beyond the truncation's dims the symbol's pairs sit at degree 0
-    assert matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx) == om.diagonal[
-        trunc.index_of(MultiIndex({1: 2}))
-    ]
-    assert matrix_element(sym, MultiIndex({2: 1}), MultiIndex({3: 1}), ctx) == 0.0j
+    assert matrix_element(sym, (2,), (2,), ctx) == om.diagonal[rows.index((2, 0, 0))]
+    assert matrix_element(sym, (0, 1), (0, 0, 1), ctx) == 0.0j
 
 
 def test_full_cap_section_spectrum():
@@ -572,8 +594,8 @@ def test_closed_section_keeps_a_real_diagonal():
     om = assemble_matrix(sym, TruncationSet(1, 4), ctx)
     assert om.diagonal.dtype == np.float64 and om.dense is None
     assert np.max(np.abs(om.diagonal - [diag_law(j, 2.0, 1.0) for j in range(5)])) <= 1e-15
-    assert matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx) == complex(om.diagonal[2])
-    assert type(matrix_element(sym, MultiIndex({1: 2}), MultiIndex({1: 2}), ctx)) is complex
+    assert matrix_element(sym, (2,), (2,), ctx) == complex(om.diagonal[2])
+    assert type(matrix_element(sym, (2,), (2,), ctx)) is complex
 
 
 def test_matrix_metadata_names_the_route():

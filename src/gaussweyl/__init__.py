@@ -31,9 +31,6 @@ from .heat import (
     ts_operators,
 )
 from .positivity import (
-    FlandrinReport,
-    GardingReport,
-    RadialPositivity,
     flandrin_matrix,
     flandrin_search,
     garding_bound,

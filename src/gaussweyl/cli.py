@@ -399,64 +399,52 @@ def cmd_nonpos(args) -> int:
 
 def cmd_radial(args) -> int:
     sym = parse_symbol(args.symbol)
-    rp = radial_positivity_check(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h))
+    results, quad = radial_positivity_check(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h))
     # The lower bound is a theorem only under the nondecreasing-profile
     # hypothesis; outside it the comparison is reported but not enforced.
-    passed = rp.ok if rp.increasing else True
+    hypothesis = results["hypothesis_satisfied"]
     contract = {
         "name": "min eigenvalue >= product lower bound (under H2: nondecreasing profiles)",
-        "passed": bool(passed),
-        "hypothesis_satisfied": rp.increasing,
-        "comparison_holds": rp.ok,
+        "passed": bool(results["ok"] or not hypothesis),
+        "hypothesis_satisfied": hypothesis,
+        "comparison_holds": results["ok"],
         "tolerance": 1e-8,
     }
-    results = {
-        "bound": rp.bound,
-        "min_eig": rp.min_eig,
-        "ok": rp.ok,
-        "hypothesis_satisfied": rp.increasing,
-        "diagonal": [float(v) for v in rp.diagonal],
-    }
-    table = [([*range(len(rp.diagonal)), "bound", "min_eig"],
-              [*results["diagonal"], rp.bound, rp.min_eig])]
-    return _emit(args, rp.quad_meta, contract, results, ("index", "value"), table)
+    diagonal = results["diagonal"]
+    table = [([*range(len(diagonal)), "bound", "min_eig"],
+              [*diagonal, results["bound"], results["min_eig"]])]
+    return _emit(args, quad, contract, results, ("index", "value"), table)
 
 
 def cmd_garding(args) -> int:
     sym = parse_symbol(args.symbol)
-    rep = garding_verify(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h), eps=args.eps)
+    results, quad = garding_verify(sym, TruncationSet(sym.d, args.N), CalcContext(h=args.h), eps=args.eps)
     contract = {
         "name": "measured min eigenvalue >= Garding bound (margin >= -1e-9)",
-        "passed": bool(rep.margin >= -1e-9),
-        "margin": rep.margin,
+        "passed": bool(results["margin"] >= -1e-9),
+        "margin": results["margin"],
         "tolerance": -1e-9,
     }
-    results = rep.as_dict()
-    table = [(
-        ("S_eps", "sum_lambda", "prod_one_plus_lambda", "M", "bound", "measured_min_eig", "margin"),
-        (rep.s_eps, rep.sum_lambda, rep.prod_one_plus_lambda, rep.M, rep.bound,
-         rep.measured_min_eig, rep.margin),
-    )]
-    return _emit(args, rep.quad_meta, contract, results, ("quantity", "value"), table)
+    keys = ("S_eps", "sum_lambda", "prod_one_plus_lambda", "M", "bound", "measured_min_eig", "margin")
+    table = [(keys, [results[k] for k in keys])]
+    return _emit(args, quad, contract, results, ("quantity", "value"), table)
 
 
 def cmd_flandrin(args) -> int:
-    rep = flandrin_search(args.a, args.N)
+    results = flandrin_search(args.a, args.N)
+    checks = {k: results[k] for k in ("panel_agreement", "h_invariance_dev", "bridge_vs_table")}
     contract = {
         "name": "quadrature agreement <= 1e-9 and h-independence <= 1e-8 "
         "(the eigenvalue excess is reported, not asserted)",
         "passed": bool(
-            rep.panel_agreement <= 1e-9
-            and rep.h_invariance_dev <= 1e-8
-            and rep.bridge_vs_table <= 1e-8
+            checks["panel_agreement"] <= 1e-9
+            and checks["h_invariance_dev"] <= 1e-8
+            and checks["bridge_vs_table"] <= 1e-8
         ),
-        "panel_agreement": rep.panel_agreement,
-        "h_invariance_dev": rep.h_invariance_dev,
-        "bridge_vs_table": rep.bridge_vs_table,
+        **checks,
     }
-    results = rep.as_dict()
-    table = [([n for n, _ in rep.convergence], [v for _, v in rep.convergence])]
-    quad = {"spec": rep.quad, "domain_radius": rep.domain_radius}
+    table = [tuple(zip(*results["convergence"]))]
+    quad = {"spec": results["quadrature"], "domain_radius": results["domain_radius"]}
     return _emit(args, quad, contract, results, ("N", "top_eigenvalue"), table)
 
 
@@ -591,7 +579,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of --N, --nmax and --seed: a negative value is a usage error,
+    """argparse type of --N and --nmax: a negative value is a usage error,
     refused before the run starts."""
     try:
         value = int(text)
@@ -599,6 +587,15 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed, one 64-bit word of a Philox key: a value
+    outside [0, 2^64) is a usage error, refused before the run starts."""
+    value = _nonnegative_int(text)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be < 2^64, got {value}")
     return value
 
 
@@ -611,7 +608,7 @@ def _add_common(p, default_format: str, with_symbol: bool = False, with_n: bool 
     if with_h:
         p.add_argument("--h", type=float, default=1.0, help="semiclassical parameter")
     if with_seed:
-        p.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG stream (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG stream (default 0)")
     p.add_argument("--output", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
 

@@ -38,11 +38,12 @@ def quad_budget() -> int:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights integrating exactly against mu_{R,s} up to degree 2n-1."""
+    """Nodes/weights of a Gauss rule with `order` nodes: against mu_{R,s} it
+    is exact up to degree 2n-1 (gh_rule), against Lebesgue measure it is
+    composite Gauss-Legendre (gl_panel_rule)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    variance: float
     order: int
 
 
@@ -81,12 +82,12 @@ def gh_rule(n: int, s: float) -> QuadratureRule:
     if not s > 0:
         raise ValueError("variance must be positive")
     t, w = _unit_gh_rule(n)
-    return QuadratureRule(nodes=math.sqrt(2.0 * s) * t, weights=w, variance=s, order=n)
+    return QuadratureRule(nodes=math.sqrt(2.0 * s) * t, weights=w, order=n)
 
 
 def gl_panel_rule(lo: float, hi: float, panels: int, nodes: int) -> QuadratureRule:
     """Composite Gauss-Legendre rule on [lo, hi] against plain Lebesgue
-    measure (weights sum to hi - lo; variance field is 0 as a marker).
+    measure (weights sum to hi - lo).
 
     Used where the integrand has edges or oscillation that a single global
     rule would smear: panel boundaries can be placed on the features.
@@ -101,7 +102,7 @@ def gl_panel_rule(lo: float, hi: float, panels: int, nodes: int) -> QuadratureRu
     mid = 0.5 * (edges[1:] + edges[:-1])
     xs = (mid[:, None] + half[:, None] * t[None, :]).ravel()
     ws = (half[:, None] * w[None, :]).ravel()
-    return QuadratureRule(nodes=xs, weights=ws, variance=0.0, order=panels * nodes)
+    return QuadratureRule(nodes=xs, weights=ws, order=panels * nodes)
 
 
 def _check_tensor_budget(order: int, m: int) -> None:
@@ -154,8 +155,11 @@ def integrate_tensor(f, rule: QuadratureRule, m: int) -> complex:
 def c_ps(p: float, s: float) -> float:
     """C_{p,s} = sqrt(2s) pi^{-1/(2p)} Gamma((p+1)/2)^{1/p}, the L^p(mu_{B,s})
     norm of ell_b for |b| = 1."""
+    # sqrt(2s) without 2s overflowing near the float max or s/2 rounding
+    # among the subnormals: both forms give its correctly rounded value
+    root_2s = math.sqrt(2.0 * s) if s < 1.0 else 2.0 * math.sqrt(0.5 * s)
     return (
-        math.sqrt(2.0 * s)
+        root_2s
         * math.pi ** (-1.0 / (2.0 * p))
         * math.gamma((p + 1.0) / 2.0) ** (1.0 / p)
     )

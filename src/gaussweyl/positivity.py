@@ -15,7 +15,6 @@ different h values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,27 +78,17 @@ def nonpos_witness(nu: float, anorm: float, ctx: CalcContext):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialPositivity:
-    bound: float
-    min_eig: float
-    ok: bool
-    increasing: bool
-    diagonal: np.ndarray = field(compare=False, default=None)
-    quad_meta: dict = field(compare=False, default=None)
-
-    def __iter__(self):
-        return iter((self.bound, self.min_eig, self.ok))
-
-
-def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) -> RadialPositivity:
+def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) -> tuple[dict, dict]:
     """Compare the spectrum of a radial/tensor-radial operator section with
     the product lower bound prod_blocks (1/h^d) int Phi e^{-t/h}.
 
     The section is diagonal (radial symbols are Gaussian mixtures, so it
     comes from the closed law), and its diagonal is the spectrum.  The lower
-    bound is a theorem only for nondecreasing profiles; `increasing` reports
-    whether that hypothesis holds, and `ok` reports the raw comparison.
+    bound is a theorem only for nondecreasing profiles;
+    `hypothesis_satisfied` reports whether that hypothesis holds, and `ok`
+    reports the raw comparison.
+
+    Returns (results, the section's provenance record).
     """
     if not sym.parts:
         raise ValueError("radial needs a radial: or tensorradial: symbol")
@@ -107,17 +96,15 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
     for phi, dj in sym.parts:
         bound *= phi.laplace_mean(ctx.h, dj)
     om = assemble_matrix(sym, truncation, ctx)
-    diagonal = om.diagonal
-    min_eig = float(np.min(diagonal))
-    increasing = all(phi.is_increasing() for phi, _ in sym.parts)
-    return RadialPositivity(
-        bound=float(bound),
-        min_eig=min_eig,
-        ok=bool(min_eig >= bound - 1e-8),
-        increasing=increasing,
-        diagonal=diagonal,
-        quad_meta=dict(om.meta),
-    )
+    min_eig = float(np.min(om.diagonal))
+    results = {
+        "bound": float(bound),
+        "min_eig": min_eig,
+        "ok": bool(min_eig >= bound - 1e-8),
+        "hypothesis_satisfied": all(phi.is_increasing() for phi, _ in sym.parts),
+        "diagonal": [float(v) for v in om.diagonal],
+    }
+    return results, dict(om.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -128,49 +115,10 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
 _TAIL_REL = 3e-14
 
 
-@dataclass(frozen=True)
-class GardingReport:
-    """Everything behind the bound -M sum(lambda) prod(1+lambda) with
-    lambda_j = 81 pi h S_eps eps_j^2."""
-
-    eps_desc: str
-    h: float
-    s_eps: float
-    lam: tuple
-    sum_lambda: float
-    prod_one_plus_lambda: float
-    M: float
-    bound: float
-    measured_min_eig: float | None = None
-    margin: float | None = None
-    quad_meta: dict = field(compare=False, default=None)
-
-    def as_dict(self) -> dict:
-        out = {
-            "epsilon": self.eps_desc,
-            "h": self.h,
-            "S_eps": self.s_eps,
-            "terms": len(self.lam),
-            "lambda_head": list(self.lam[:32]),
-            "sum_lambda": self.sum_lambda,
-            "prod_one_plus_lambda": self.prod_one_plus_lambda,
-            "M": self.M,
-            "bound": self.bound,
-        }
-        if self.measured_min_eig is not None:
-            out["measured_min_eig"] = self.measured_min_eig
-            out["margin"] = self.margin
-        return out
-
-
-def garding_bound(eps_spec, h: float, M: float) -> GardingReport:
-    """Accumulate lambda_j = 81 pi h S_eps eps_j^2 until the remaining tail
-    is below 3e-14 relative, then form bound = -M sum(lambda) prod(1+lambda).
-
-    Built-in specs ("j^-2", "2^-j", "zero") carry closed tail estimates;
-    callables stop once terms stay below 1e-16 of the running sum, and a
-    sequence that never gets there is rejected as not square-summable.
-    """
+def garding_bound(eps_spec, h: float, M: float) -> dict:
+    """Accumulate lambda_j = 81 pi h S_eps eps_j^2 until the closed tail of
+    the spec ("j^-2", "2^-j" or "zero") is below 3e-14 relative, then form
+    bound = -M sum(lambda) prod(1+lambda).  Returns everything behind it."""
     if not h > 0:
         raise ValueError("h must be > 0")
     if M < 0:
@@ -178,23 +126,14 @@ def garding_bound(eps_spec, h: float, M: float) -> GardingReport:
     eps_fn, desc, tail_sq = _eps_resolver(eps_spec)
     e2s: list[float] = []
     total = 0.0
-    quiet = 0
     j = 0
     while True:
         j += 1
         e = float(eps_fn(j))
-        e2 = e * e
-        e2s.append(e2)
-        total += e2
-        if tail_sq is not None:
-            if tail_sq(j) <= _TAIL_REL * max(total, 1e-300):
-                break
-        else:
-            quiet = quiet + 1 if e2 <= 1e-16 * max(total, 1e-300) else 0
-            if quiet >= 25:
-                break
-        if j >= 10**6:
-            raise ValueError("epsilon sequence does not appear square-summable")
+        e2s.append(e * e)
+        total += e2s[-1]
+        if tail_sq(j) <= _TAIL_REL * max(total, 1e-300):
+            break
     s_eps = max(1.0, max(e2s, default=0.0))
     factor = 81.0 * math.pi * h * s_eps
     lam = tuple(factor * e2 for e2 in e2s)
@@ -202,17 +141,17 @@ def garding_bound(eps_spec, h: float, M: float) -> GardingReport:
     prod = 1.0
     for lv in lam:
         prod *= 1.0 + lv
-    bound = -M * sum_lambda * prod + 0.0
-    return GardingReport(
-        eps_desc=desc,
-        h=h,
-        s_eps=s_eps,
-        lam=lam,
-        sum_lambda=sum_lambda,
-        prod_one_plus_lambda=prod,
-        M=M,
-        bound=bound,
-    )
+    return {
+        "epsilon": desc,
+        "h": h,
+        "S_eps": s_eps,
+        "terms": len(lam),
+        "lambda_head": list(lam[:32]),
+        "sum_lambda": sum_lambda,
+        "prod_one_plus_lambda": prod,
+        "M": M,
+        "bound": -M * sum_lambda * prod + 0.0,
+    }
 
 
 def _assert_nonneg(sym, ctx: CalcContext) -> None:
@@ -234,7 +173,7 @@ def _assert_nonneg(sym, ctx: CalcContext) -> None:
         raise ValueError("symbol takes negative values on the test cloud")
 
 
-def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2, eps="j^-2") -> GardingReport:
+def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2, eps="j^-2") -> tuple[dict, dict]:
     """Measure the least eigenvalue of the operator section and compare with
     the Garding bound computed from the symbol-class norm (depth m) and the
     epsilon sequence eps (any spec garding_bound accepts; default j^{-2}).
@@ -242,15 +181,17 @@ def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2,
 
     The class norm from cv_class_params can only overestimate, which loosens
     (never tightens) the bound, so a passing margin is meaningful.
+
+    Returns (the garding_bound dict with `measured_min_eig` and `margin`
+    appended, the section's provenance record).
     """
     _assert_nonneg(sym, ctx)
-    params = cv_class_params(sym, m, eps)
-    rep = garding_bound(eps, ctx.h, params.M)
+    results = garding_bound(eps, ctx.h, cv_class_params(sym, m, eps))
     om = assemble_matrix(sym, truncation, ctx)
     min_eig = float(eig_hermitian(om)[0])
-    return replace(
-        rep, measured_min_eig=min_eig, margin=min_eig - rep.bound, quad_meta=dict(om.meta)
-    )
+    results["measured_min_eig"] = min_eig
+    results["margin"] = min_eig - results["bound"]
+    return results, dict(om.meta)
 
 
 # ---------------------------------------------------------------------------
@@ -269,35 +210,7 @@ def flandrin_matrix(a: float, N: int) -> np.ndarray:
     return _box_matrix(N, a, a)[0]
 
 
-@dataclass(frozen=True)
-class FlandrinReport:
-    a: float
-    N: int
-    quad: str
-    top_eigenvalue: float
-    excess: float
-    convergence: tuple
-    panel_agreement: float
-    h_invariance_dev: float
-    bridge_vs_table: float
-    domain_radius: float
-
-    def as_dict(self) -> dict:
-        return {
-            "a": "inf" if math.isinf(self.a) else self.a,
-            "N": self.N,
-            "quadrature": self.quad,
-            "top_eigenvalue": self.top_eigenvalue,
-            "excess": self.excess,
-            "convergence": [[int(n), float(v)] for n, v in self.convergence],
-            "panel_agreement": self.panel_agreement,
-            "h_invariance_dev": self.h_invariance_dev,
-            "bridge_vs_table": self.bridge_vs_table,
-            "domain_radius": self.domain_radius,
-        }
-
-
-def flandrin_search(a: float, N: int) -> FlandrinReport:
+def flandrin_search(a: float, N: int) -> dict:
     """Top eigenvalue of the box-localization matrix M(a) on the Hermite
     section of degree N, with an independent check of the matrix, an
     N-convergence table from nested sections (powers of two up to N, and N),
@@ -311,7 +224,7 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     leading block of the closed matrix at a = inf, else of the matrix solved.
 
     An eigenvalue above 1 exhibits a state whose classical Wigner mass on
-    [0,a)^2 exceeds its norm; the report carries the measured excess and its
+    [0,a)^2 exceeds its norm; the results carry the measured excess and its
     convergence rather than asserting a margin.
     """
     if not a > 0:
@@ -330,9 +243,9 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
         table = M
         quad_desc = f"polar: {_polar_desc(N, a, a, points, True)}"
     sections = sorted({2**k for k in range(1, N.bit_length())} | {N})
-    convergence = tuple(
-        (n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))) for n in sections
-    )
+    convergence = [
+        [n, float(np.max(np.linalg.eigvalsh(M[: n + 1, : n + 1])))] for n in sections
+    ]
     top = convergence[-1][1]
 
     # h-cancellation: rebuild a small section through the Gaussian bridge at
@@ -344,16 +257,16 @@ def flandrin_search(a: float, N: int) -> FlandrinReport:
     h_dev = float(np.max(np.abs(mb1 - mb2)))
     bridge_dev = float(max(np.max(np.abs(mb1 - mt)), np.max(np.abs(mb2 - mt))))
 
-    return FlandrinReport(
-        a=a,
-        N=N,
-        quad=quad_desc,
-        top_eigenvalue=top,
-        excess=top - 1.0,
-        convergence=convergence,
-        panel_agreement=agreement,
-        h_invariance_dev=h_dev,
-        bridge_vs_table=bridge_dev,
-        domain_radius=L,
-    )
+    return {
+        "a": "inf" if math.isinf(a) else a,
+        "N": N,
+        "quadrature": quad_desc,
+        "top_eigenvalue": top,
+        "excess": top - 1.0,
+        "convergence": convergence,
+        "panel_agreement": agreement,
+        "h_invariance_dev": h_dev,
+        "bridge_vs_table": bridge_dev,
+        "domain_radius": L,
+    }
 

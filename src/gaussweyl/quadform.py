@@ -236,19 +236,14 @@ def quadratic_form(sym, f: dict, g: dict, ctx: CalcContext) -> complex:
     return complex(np.sum(np.multiply.outer(fc, np.conj(gc)) * table))
 
 
-def eig_hermitian(matrix) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (OperatorMatrix or array);
-    a diagonal-only OperatorMatrix gives its sorted real diagonal.
+def eig_hermitian(om: OperatorMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian operator section; a diagonal
+    section gives its sorted real diagonal.
 
     Raises if the Hermiticity defect exceeds 1e-8 relative to the norm.
     """
-    diagonal = isinstance(matrix, OperatorMatrix) and matrix.diagonal is not None
-    if diagonal:
-        A = np.asarray(matrix.diagonal, dtype=complex)
-    else:
-        A = matrix.dense if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("expected a square matrix")
+    diagonal = om.diagonal is not None
+    A = np.asarray(om.diagonal, dtype=complex) if diagonal else om.dense
     # on a diagonal, A - A^H is 2i Im(A)
     skew = 2.0 * A.imag if diagonal else A - A.conj().T
     defect = float(np.linalg.norm(skew)) / max(1.0, float(np.linalg.norm(A)))

@@ -50,9 +50,6 @@ class DirectionVector:
             raise ValueError("coordinates are indexed from 1")
         return float(self._coord(j))
 
-    def coords(self, n: int) -> np.ndarray:
-        return np.array([self.coord(j) for j in range(1, n + 1)])
-
     def tail_sq(self, n: int) -> float:
         if n < 0:
             raise ValueError("n must be >= 0")
@@ -144,9 +141,11 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
     For each n the difference sum_{j>n} a_j x_j is simulated exactly:
     coordinates n+1..n+64 are drawn from their keyed streams and the rest is
     one Gaussian remainder with variance s * tail_sq(n+64) on the reserved
-    stream.  The tail is simulated divided by tail_norm(n), and the estimate
-    and its error are scaled back, so the moments keep their digits where the
-    tail is tiny (the geometric tail_sq(n) = 2^-n is subnormal from n = 1023).
+    stream.  The tail is simulated at unit variance s = 1 and divided by
+    tail_norm(n), and the estimate and its error are scaled back by
+    tail_norm(n) sqrt(s), so the moments keep their digits where the tail is
+    tiny (the geometric tail_sq(n) = 2^-n is subnormal from n = 1023) and
+    neither underflow nor overflow at any finite s > 0.
 
     All rows share one sweep over the distinct coordinate keys in ascending
     order: each keyed stream, and the remainder, is drawn once and added into
@@ -172,13 +171,13 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
     if s <= 0:
         raise ValueError("s must be > 0")
     out = {}
-    scale = {}  # n -> (tail_norm(n), remainder variance of the normalized tail)
+    scale = {}  # n -> (tail_norm(n), remainder variance of the normalized unit-variance tail)
     for n in sorted(set(ns)):
         tail_sq = a.tail_sq(n)
         if tail_sq == 0.0:
             out[n] = (0.0, 0.0)
         else:
-            scale[n] = (math.sqrt(tail_sq), s * a.tail_sq(n + EXPLICIT_TAIL_COORDS) / tail_sq)
+            scale[n] = (math.sqrt(tail_sq), a.tail_sq(n + EXPLICIT_TAIL_COORDS) / tail_sq)
     root = math.sqrt(s)
     rem = None
     if any(rem_var > 0.0 for _, rem_var in scale.values()):
@@ -194,7 +193,7 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
         np.abs(diff, out=diff)
         diff **= p
         est, se = _pth_moment_root(diff, p)
-        out[n] = (est * norm, se * norm)
+        out[n] = (est * norm * root, se * norm * root)
 
     keys = sorted({j for n in scale for j in range(n + 1, n + EXPLICIT_TAIL_COORDS + 1)})
 
@@ -227,7 +226,7 @@ def mc_conv_rate(a: DirectionVector, ns, p: float, s: float, samples: int, seed:
             if coeffs:
                 z = filling.popleft().result()
                 for n, cj in coeffs:
-                    sums[n] += np.multiply(cj * root, z, out=term)
+                    sums[n] += np.multiply(cj, z, out=term)
                 nxt = next(drawn, None)
                 if nxt is not None:
                     filling.append(fill(z, nxt))

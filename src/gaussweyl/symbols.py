@@ -419,17 +419,6 @@ def parse_symbol(text: str) -> SymbolDescriptor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolClassParams:
-    """Calderon-Vaillancourt class data: the epsilon sequence, depth m, and the
-    class-norm bound M with |d^a_x d^b_xi F| <= M prod_j eps_j^{a_j+b_j}."""
-
-    eps: Callable[[int], float]
-    m: int
-    M: float
-    method: str
-
-
 def lemma_epsilon(j: int) -> float:
     """The built-in class sequence eps_j = j^{-2}."""
     if j < 1:
@@ -438,11 +427,9 @@ def lemma_epsilon(j: int) -> float:
 
 
 def _eps_resolver(spec):
-    """(sequence, name, closed square tail or None) of an epsilon spec: a
-    built-in name or a callable.  The one reader of such specs, so the class
-    norm and the Garding bound always see the same sequence."""
-    if callable(spec):
-        return spec, getattr(spec, "__name__", "custom"), None
+    """(sequence, name, closed square tail) of an epsilon spec, one of the
+    built-in names.  The one reader of such specs, so the class norm and the
+    Garding bound always see the same sequence."""
     name = str(spec)
     if name in ("j^-2", "j**-2", "lemma"):
         return lemma_epsilon, "j^-2", lambda J: 1.0 / (3.0 * J**3)
@@ -453,9 +440,10 @@ def _eps_resolver(spec):
     raise ValueError(f"unknown epsilon spec {spec!r}; --eps takes j^-2, 2^-j or zero")
 
 
-def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> SymbolClassParams:
-    """Class parameters for a smooth bounded symbol under the epsilon sequence
-    `eps` (any spec the Garding bound accepts; default eps_j = j^{-2}).
+def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> float:
+    """Calderon-Vaillancourt class norm M of a smooth bounded symbol at depth
+    m, with |d^a_x d^b_xi F| <= M prod_j eps_j^{a_j+b_j}, under the epsilon
+    sequence `eps` (any spec the Garding bound accepts; default eps_j = j^{-2}).
 
     M is the sup over multi-index pairs (alpha, beta) of depth <= m supported
     on {1..d} of the (1/|eps_j|)^{alpha_j+beta_j}-weighted derivative sups.
@@ -495,5 +483,4 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> SymbolClassPar
                 for b in range(m + 1)
             )
         best += term
-    method = "analytic" if len(sym.mixture_terms) == 1 else "analytic-majorant"
-    return SymbolClassParams(eps=eps_fn, m=m, M=best, method=method)
+    return best

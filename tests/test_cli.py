@@ -424,6 +424,19 @@ def test_stochext_fails_rows_it_could_not_check(capsys):
     assert all(r["std_error"] == "inf" for r in rows)
 
 
+@pytest.mark.parametrize("s", [5e-324, 1e-320, 1e-300, 1e160, 1e308])
+def test_stochext_verdict_does_not_depend_on_s(s, capsys):
+    """The tail is simulated at unit variance and scaled by sqrt(s) after the
+    moments, so no moment underflows or overflows at any finite s > 0: the
+    run passes with the z-scores of s = 1."""
+    argv = ["stochext", "--nmax", "64", "--samples", "4000", "--seed", "3", "--format", "json"]
+    assert main(argv) == 0
+    want = json.loads(capsys.readouterr().out)["contract"]["worst_z_score"]
+    assert main(argv + ["--s", repr(s)]) == 0
+    got = json.loads(capsys.readouterr().out)["contract"]["worst_z_score"]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["spectrum", "--symbol", "gaussian:nu=1.0,anorm=1e200"], "'anorm'"),
     (["nonpos", "--nu", "1e300", "--anorm", "1e300"], "'anorm'"),
@@ -521,10 +534,18 @@ def test_usage_and_domain_errors_exit_1(capsys):
          "error: --lam repeats a pair index, got '2,1,2'"),
         (["heatcheck", "--symbol", "radial:phi=exp:nu=1.0,d=17", "--lam", ",".join(map(str, range(1, 18)))],
          "error: --lam names 17 pairs; the expansion cap is 16"),
+        # a seed is one 64-bit word of the Philox key
+        (["stochext", "--nmax", "4", "--samples", "1000", "--seed", str(2**64)],
+         f"error: argument --seed: must be < 2^64, got {2**64}"),
+        (["heatcheck", "--symbol", GAUSS, "--seed", str(2**64)],
+         f"error: argument --seed: must be < 2^64, got {2**64}"),
     ]:
         assert main(argv) == 1, argv
         cap = capsys.readouterr()
         assert message in cap.err and cap.out == "", argv
+    # the largest 64-bit seed runs
+    assert main(["stochext", "--nmax", "4", "--samples", "1000", "--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
 
 
 def test_order_flag_is_gone(capsys):
@@ -1105,3 +1126,27 @@ def test_seed_only_where_it_is_used(capsys):
                  ["heatcheck", "--symbol", GAUSS, "--points", "10"]):
         assert main(argv + ["--seed", "3"]) == 0, argv
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+
+
+def test_positivity_report_schema(capsys):
+    """The ordered keys of `results` and `contract` in the radial, garding and
+    flandrin JSON reports."""
+    cases = [
+        (["radial", "--symbol", "radial:phi=exp:nu=0.7,d=1", "--N", "2"],
+         ["bound", "min_eig", "ok", "hypothesis_satisfied", "diagonal"],
+         ["name", "passed", "hypothesis_satisfied", "comparison_holds", "tolerance"]),
+        (["garding", "--symbol", GAUSS, "--N", "2"],
+         ["epsilon", "h", "S_eps", "terms", "lambda_head", "sum_lambda", "prod_one_plus_lambda", "M",
+          "bound", "measured_min_eig", "margin"],
+         ["name", "passed", "margin", "tolerance"]),
+        (["flandrin", "--a", "inf", "--N", "4"],
+         ["a", "N", "quadrature", "top_eigenvalue", "excess", "convergence", "panel_agreement",
+          "h_invariance_dev", "bridge_vs_table", "domain_radius"],
+         ["name", "passed", "panel_agreement", "h_invariance_dev", "bridge_vs_table"]),
+    ]
+    for argv, results, contract in cases:
+        assert main([*argv, "--format", "json"]) == 0, argv
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep["results"]) == results, argv
+        assert list(rep["contract"]) == contract, argv

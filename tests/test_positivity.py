@@ -71,12 +71,12 @@ def test_nonpos_sign_change_at_unit_threshold():
 def test_radial_positivity_increasing_profile():
     ctx = CalcContext(h=1.0)
     phi = PhiSpec(kind="polyexp", coeffs=(1.0, -1.0))
-    res = radial_positivity_check(radial_symbol(phi, 1), TruncationSet(1, 6), ctx)
-    bound, min_eig, ok = res
-    assert ok and res.increasing
+    res, _ = radial_positivity_check(radial_symbol(phi, 1), TruncationSet(1, 6), ctx)
+    bound, min_eig = res["bound"], res["min_eig"]
+    assert res["ok"] and res["hypothesis_satisfied"]
     assert abs(bound - 0.5) <= 1e-14
     # the all-ground-state diagonal entry achieves the bound exactly
-    assert abs(res.diagonal[0] - bound) <= 1e-10
+    assert abs(res["diagonal"][0] - bound) <= 1e-10
     assert min_eig >= bound - 1e-8
 
 
@@ -85,24 +85,24 @@ def test_radial_positivity_two_block_tensor():
     sym = tensor_radial_symbol(
         [(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), 1), (PhiSpec(kind="one"), 2)]
     )
-    res = radial_positivity_check(sym, TruncationSet(3, 2), ctx)
-    assert res.increasing and res.ok
+    res, _ = radial_positivity_check(sym, TruncationSet(3, 2), ctx)
+    assert res["hypothesis_satisfied"] and res["ok"]
     want_bound = (1.0 - 1.0 / 1.5) * 1.0
-    assert abs(res.bound - want_bound) <= 1e-14
-    assert abs(res.diagonal[0] - want_bound) <= 1e-10
+    assert abs(res["bound"] - want_bound) <= 1e-14
+    assert abs(res["diagonal"][0] - want_bound) <= 1e-10
 
 
 def test_radial_positivity_decreasing_counterexample():
     """The product bound is a theorem only under Phi' >= 0: for the
     decreasing profile e^{-nu t} the spectrum drops strictly below it."""
     ctx = CalcContext(h=1.0)
-    res = radial_positivity_check(
+    res, _ = radial_positivity_check(
         radial_symbol(PhiSpec(kind="exp", nu=0.5), 1), TruncationSet(1, 6), ctx
     )
-    assert not res.increasing
-    assert not res.ok
-    assert res.min_eig < res.bound - 0.1  # far below, not a tolerance artifact
-    assert abs(res.bound - 1.0 / 1.5) <= 1e-14
+    assert not res["hypothesis_satisfied"]
+    assert not res["ok"]
+    assert res["min_eig"] < res["bound"] - 0.1  # far below, not a tolerance artifact
+    assert abs(res["bound"] - 1.0 / 1.5) <= 1e-14
 
 
 def test_radial_positivity_rejects_other_families():
@@ -114,29 +114,28 @@ def test_radial_positivity_rejects_other_families():
 
 def test_garding_bound_geometric():
     rep = garding_bound("2^-j", 1.0, 1.0)
-    assert rep.eps_desc == "2^-j"
-    assert rep.s_eps == 1.0
+    assert rep["epsilon"] == "2^-j"
+    assert rep["S_eps"] == 1.0
     # sum lambda = 81 pi sum 4^{-j} = 27 pi
-    assert abs(rep.sum_lambda - 27.0 * math.pi) <= 1e-10
-    assert rep.lam[0] == pytest.approx(81.0 * math.pi / 4.0, rel=1e-15)
-    assert rep.prod_one_plus_lambda > 1.0 + rep.lam[0]
-    assert rep.bound == pytest.approx(-rep.M * rep.sum_lambda * rep.prod_one_plus_lambda)
-    d = rep.as_dict()
-    assert d["epsilon"] == "2^-j" and len(d["lambda_head"]) <= 32
+    assert abs(rep["sum_lambda"] - 27.0 * math.pi) <= 1e-10
+    assert rep["lambda_head"][0] == pytest.approx(81.0 * math.pi / 4.0, rel=1e-15)
+    assert rep["prod_one_plus_lambda"] > 1.0 + rep["lambda_head"][0]
+    assert rep["bound"] == pytest.approx(-rep["M"] * rep["sum_lambda"] * rep["prod_one_plus_lambda"])
+    assert len(rep["lambda_head"]) <= 32
 
 
 def test_garding_bound_lemma_sequence():
     rep = garding_bound("j^-2", 1.0, 2.0)
     want = 81.0 * math.pi * math.pi**4 / 90.0  # 81 pi zeta(4)
-    assert abs(rep.sum_lambda - want) <= 1e-10
-    assert rep.M == 2.0
-    assert rep.bound < 0.0
+    assert abs(rep["sum_lambda"] - want) <= 1e-10
+    assert rep["M"] == 2.0
+    assert rep["bound"] < 0.0
 
 
 def test_garding_bound_zero_and_guards():
     rep = garding_bound("zero", 2.0, 5.0)
-    assert rep.bound == 0.0 and not math.copysign(1.0, rep.bound) < 0
-    assert rep.sum_lambda == 0.0 and rep.prod_one_plus_lambda == 1.0
+    assert rep["bound"] == 0.0 and not math.copysign(1.0, rep["bound"]) < 0
+    assert rep["sum_lambda"] == 0.0 and rep["prod_one_plus_lambda"] == 1.0
     with pytest.raises(ValueError):
         garding_bound("nope", 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -145,23 +144,13 @@ def test_garding_bound_zero_and_guards():
         garding_bound("j^-2", 1.0, -1.0)
 
 
-def test_garding_bound_callable_and_s_eps():
-    rep = garding_bound(lambda j: 2.0 if j == 1 else 0.0, 1.0, 1.0)
-    assert rep.s_eps == 4.0
-    assert rep.lam[0] == pytest.approx(81.0 * math.pi * 4.0 * 4.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        garding_bound(lambda j: 1.0, 1.0, 1.0)  # not square-summable
-
-
 def test_garding_verify_gaussian():
     ctx = CalcContext(h=1.0)
-    rep = garding_verify(gaussian_symbol(2.0, 1.0), TruncationSet(1, 6), ctx)
-    assert rep.M == pytest.approx(16.0, rel=1e-12)
-    assert rep.measured_min_eig == pytest.approx(-1.0 / 9.0, abs=1e-10)
-    assert rep.margin is not None and rep.margin > 0.0
-    assert gaussian_symbol(2.0, 1.0).mixture_terms is not None and rep.quad_meta["structural_zeros"] == 21
-    d = rep.as_dict()
-    assert "measured_min_eig" in d and "margin" in d
+    rep, quad = garding_verify(gaussian_symbol(2.0, 1.0), TruncationSet(1, 6), ctx)
+    assert rep["M"] == pytest.approx(16.0, rel=1e-12)
+    assert rep["measured_min_eig"] == pytest.approx(-1.0 / 9.0, abs=1e-10)
+    assert rep["margin"] > 0.0
+    assert gaussian_symbol(2.0, 1.0).mixture_terms is not None and quad["structural_zeros"] == 21
 
 
 def test_garding_verify_rejects_negative_symbols():
@@ -339,11 +328,11 @@ def test_quarter_plane_closed_matches_polar_sweep(N):
 def test_quarter_plane_top_at_256_frozen():
     # frozen from oracles.flandrin_quarter_tops(256) (mpmath entries)
     rep = flandrin_search(math.inf, 256)
-    assert abs(rep.top_eigenvalue - 1.0029195458385436) <= 1e-12
-    assert [n for n, _ in rep.convergence] == [2, 4, 8, 16, 32, 64, 128, 256]
-    assert rep.quad.startswith("closed: 2F1 recurrence; polar check on n <= 128")
-    assert rep.panel_agreement <= 1e-12
-    assert rep.h_invariance_dev <= 1e-8 and rep.bridge_vs_table <= 1e-8
+    assert abs(rep["top_eigenvalue"] - 1.0029195458385436) <= 1e-12
+    assert [n for n, _ in rep["convergence"]] == [2, 4, 8, 16, 32, 64, 128, 256]
+    assert rep["quadrature"].startswith("closed: 2F1 recurrence; polar check on n <= 128")
+    assert rep["panel_agreement"] <= 1e-12
+    assert rep["h_invariance_dev"] <= 1e-8 and rep["bridge_vs_table"] <= 1e-8
 
 
 def test_panel_check_sweeps_the_same_panels_with_more_nodes():
@@ -400,29 +389,29 @@ def test_flandrin_search_is_deterministic():
 
 def test_flandrin_search_quarter_plane():
     rep = flandrin_search(math.inf, 16)
-    assert abs(rep.top_eigenvalue - 1.000771558) <= 1e-8
-    assert rep.excess == pytest.approx(rep.top_eigenvalue - 1.0)
-    tops = [v for _, v in rep.convergence]
-    assert [n for n, _ in rep.convergence] == [2, 4, 8, 16]
+    assert abs(rep["top_eigenvalue"] - 1.000771558) <= 1e-8
+    assert rep["excess"] == pytest.approx(rep["top_eigenvalue"] - 1.0)
+    tops = [v for _, v in rep["convergence"]]
+    assert [n for n, _ in rep["convergence"]] == [2, 4, 8, 16]
     assert all(b >= a - 1e-12 for a, b in zip(tops, tops[1:]))  # nested sections
-    assert rep.panel_agreement <= 1e-9
-    assert rep.h_invariance_dev <= 1e-8
-    assert rep.bridge_vs_table <= 1e-8
-    assert rep.as_dict()["a"] == "inf"
+    assert rep["panel_agreement"] <= 1e-9
+    assert rep["h_invariance_dev"] <= 1e-8
+    assert rep["bridge_vs_table"] <= 1e-8
+    assert rep["a"] == "inf"
 
 
 def test_flandrin_small_a_monotone_and_vanishing():
-    tops = [flandrin_search(a, 16).top_eigenvalue for a in (0.5, 1.0, 2.0)]
+    tops = [flandrin_search(a, 16)["top_eigenvalue"] for a in (0.5, 1.0, 2.0)]
     assert tops[0] < tops[1] < tops[2]
-    assert flandrin_search(0.1, 16).top_eigenvalue < 0.05
+    assert flandrin_search(0.1, 16)["top_eigenvalue"] < 0.05
 
 
 def test_flandrin_finite_box_can_beat_quarter_plane():
     """The localization operator family is NOT monotone in a: the signed
     Wigner tails make the finite box a = 2 capture more mass than the whole
     quarter plane.  Pinned so the behavior is explicit, not accidental."""
-    top_box = flandrin_search(2.0, 32).top_eigenvalue
-    top_quarter = flandrin_search(math.inf, 32).top_eigenvalue
+    top_box = flandrin_search(2.0, 32)["top_eigenvalue"]
+    top_quarter = flandrin_search(math.inf, 32)["top_eigenvalue"]
     assert top_box > top_quarter + 1e-4
     assert abs(top_box - 1.002064639852) <= 1e-7
     assert abs(top_quarter - 1.001335319814) <= 1e-7

@@ -49,7 +49,7 @@ def test_geometric_direction_tails():
     assert a.tail_sq(0) == 1.0
     assert a.tail_sq(4) == 0.0625
     assert a.coord(1) == pytest.approx(2.0**-0.5, rel=1e-15)
-    assert np.allclose(a.coords(3), [2.0**-0.5, 0.5, 2.0**-1.5])
+    assert np.allclose([a.coord(j) for j in (1, 2, 3)], [2.0**-0.5, 0.5, 2.0**-1.5])
     with pytest.raises(ValueError):
         a.coord(0)
     with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ def test_mc_rate_scales_like_sqrt_s(p):
     a = geometric_direction()
     [(e1, _)] = mc_conv_rate(a, [4], p, 1.0, 5000, seed=3)
     [(e4, _)] = mc_conv_rate(a, [4], p, 4.0, 5000, seed=3)
-    assert e4 == pytest.approx(2.0 * e1, rel=1e-12)
+    assert e4 == 2.0 * e1
 
 
 def test_mc_rate_subnormal_tail():

@@ -39,7 +39,6 @@ from .positivity import (
     radial_positivity_check,
 )
 from .quadform import (
-    OperatorMatrix,
     assemble_matrix,
     eig_hermitian,
     matrix_element,
@@ -71,7 +70,6 @@ from .symbols import (
 from .wigner import (
     classical_wigner_bridge,
     wigner_closed,
-    wigner_quadrature,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -332,18 +332,19 @@ def _symbol_matrix(args):
 
 
 def cmd_opmatrix(args) -> int:
-    om = _symbol_matrix(args)
-    size, diagonal, dense = om.size, om.diagonal, om.dense
+    section, meta = _symbol_matrix(args)
+    size = len(section)
     _refuse_dense(size)  # a diagonal section too: the table has size^2 rows
     blocks = _row_blocks(size)
-    if dense is None:  # off the diagonal E and E - E^H are exactly 0
-        herm = float(np.max(np.abs(diagonal - diagonal.conj())))
-        scale = max(1.0, float(np.max(np.abs(diagonal))))
+    diagonal = section.ndim == 1
+    if diagonal:  # off the diagonal E and E - E^H are exactly 0
+        herm = float(np.max(np.abs(section - section.conj())))
+        scale = max(1.0, float(np.max(np.abs(section))))
     else:
         # Row blocks against the matching column blocks keep the temporaries
         # to one chunk; np.max over the block maxima keeps a NaN.
-        herm = float(np.max([np.max(np.abs(dense[lo:hi] - dense[:, lo:hi].conj().T)) for lo, hi in blocks]))
-        scale = max(1.0, float(np.max([np.max(np.abs(dense[lo:hi])) for lo, hi in blocks])))
+        herm = float(np.max([np.max(np.abs(section[lo:hi] - section[:, lo:hi].conj().T)) for lo, hi in blocks]))
+        scale = max(1.0, float(np.max([np.max(np.abs(section[lo:hi])) for lo, hi in blocks])))
     contract = {
         "name": "hermitian matrix within 1e-8 (relative)",
         "passed": bool(herm <= 1e-8 * scale),
@@ -352,17 +353,17 @@ def cmd_opmatrix(args) -> int:
     cols = list(range(size))
 
     def chunk(lo, hi):  # a diagonal section's rows are zeros but for its slice of the diagonal
-        block = np.pad(np.diag(diagonal[lo:hi]), ((0, 0), (lo, size - hi))) if dense is None else dense[lo:hi]
+        block = np.pad(np.diag(section[lo:hi]), ((0, 0), (lo, size - hi))) if diagonal else section[lo:hi]
         return ([i for i in range(lo, hi) for _ in cols], cols * (hi - lo),
                 block.real.ravel().tolist(), block.imag.ravel().tolist())
     results = {"basis_size": size, "entries": None}
-    return _emit(args, om.meta, contract, results, ("row_index", "col_index", "re", "im"),
+    return _emit(args, meta, contract, results, ("row_index", "col_index", "re", "im"),
                  (chunk(lo, hi) for lo, hi in blocks), json_rows="entries")
 
 
 def cmd_spectrum(args) -> int:
-    om = _symbol_matrix(args)
-    eigs = eig_hermitian(om)
+    section, meta = _symbol_matrix(args)
+    eigs = eig_hermitian(section)
     contract = {
         "name": "real spectrum of the hermitian section",
         "passed": bool(np.all(np.isfinite(eigs))),
@@ -371,7 +372,7 @@ def cmd_spectrum(args) -> int:
     }
     results = {"eigenvalues": eigs.tolist()}
     table = [(list(range(eigs.size)), results["eigenvalues"])]
-    return _emit(args, om.meta, contract, results, ("index", "eigenvalue"), table)
+    return _emit(args, meta, contract, results, ("index", "eigenvalue"), table)
 
 
 def cmd_nonpos(args) -> int:

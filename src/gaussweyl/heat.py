@@ -77,12 +77,12 @@ def heat_apply(sym: SymbolDescriptor, J, t: float, ctx: CalcContext | None = Non
                 np.asarray(xib)[..., 0], ylen
             )
 
-        return custom_symbol(evaluator, d=1, smooth=True, bounded=True)
+        return custom_symbol(evaluator, 1)
 
     def evaluator(xb, xib):
         return heat_convolution_eval(sym, pairs, t, xb, xib, ctx)
 
-    return custom_symbol(evaluator, d=sym.d, smooth=sym.smooth, bounded=sym.bounded)
+    return custom_symbol(evaluator, sym.d)
 
 
 def heat_convolution_eval(sym, J, t, x, xi, ctx=None):
@@ -173,7 +173,7 @@ def decomposition_residual(sym: SymbolDescriptor, lam, ctx: CalcContext, grid) -
 def antiwick_form(sym: SymbolDescriptor, f: dict, g: dict, ctx: CalcContext) -> complex:
     """Q^AW(F)(f, g): the Weyl form of the symbol heated at t = h/2 on every
     pair.  Nonnegative symbols give nonnegative forms (f = g)."""
-    if not sym.smooth:
+    if sym.family == "box":
         raise ValueError("the anti-Wick form needs a smooth symbol")
     return quadratic_form(heat_apply(sym, range(1, sym.d + 1), ctx.h / 2.0, ctx), f, g, ctx)
 

@@ -95,16 +95,16 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
     bound = 1.0
     for phi, dj in sym.parts:
         bound *= phi.laplace_mean(ctx.h, dj)
-    om = assemble_matrix(sym, truncation, ctx)
-    min_eig = float(np.min(om.diagonal))
+    diagonal, meta = assemble_matrix(sym, truncation, ctx)
+    min_eig = float(np.min(diagonal))
     results = {
         "bound": float(bound),
         "min_eig": min_eig,
         "ok": bool(min_eig >= bound - 1e-8),
         "hypothesis_satisfied": all(phi.is_increasing() for phi, _ in sym.parts),
-        "diagonal": [float(v) for v in om.diagonal],
+        "diagonal": [float(v) for v in diagonal],
     }
-    return results, dict(om.meta)
+    return results, meta
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +173,32 @@ def _assert_nonneg(sym, ctx: CalcContext) -> None:
         raise ValueError("symbol takes negative values on the test cloud")
 
 
-def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, m: int = 2, eps="j^-2") -> tuple[dict, dict]:
+def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, eps="j^-2") -> tuple[dict, dict]:
     """Measure the least eigenvalue of the operator section and compare with
-    the Garding bound computed from the symbol-class norm (depth m) and the
+    the Garding bound computed from the symbol-class norm (depth 2) and the
     epsilon sequence eps (any spec garding_bound accepts; default j^{-2}).
     The class norm M and the lambda_j come from the same sequence.
 
     The class norm from cv_class_params can only overestimate, which loosens
-    (never tightens) the bound, so a passing margin is meaningful.
+    (never tightens) the bound, so a passing margin is meaningful.  A bound
+    that is not finite (M or the product overflows) is refused before the
+    eigensolve, after the section has refused a rate nu h that overflows.
 
     Returns (the garding_bound dict with `measured_min_eig` and `margin`
     appended, the section's provenance record).
     """
     _assert_nonneg(sym, ctx)
-    results = garding_bound(eps, ctx.h, cv_class_params(sym, m, eps))
-    om = assemble_matrix(sym, truncation, ctx)
-    min_eig = float(eig_hermitian(om)[0])
+    results = garding_bound(eps, ctx.h, cv_class_params(sym, 2, eps))
+    section, meta = assemble_matrix(sym, truncation, ctx)
+    if not math.isfinite(results["bound"]):  # a margin against it would check nothing
+        raise ValueError(
+            f"the Garding bound -M sum(lambda) prod(1 + lambda) is not finite at --h {ctx.h!r}: "
+            f"M = {results['M']!r}, prod(1 + lambda) = {results['prod_one_plus_lambda']!r}"
+        )
+    min_eig = float(eig_hermitian(section)[0])
     results["measured_min_eig"] = min_eig
     results["margin"] = min_eig - results["bound"]
-    return results, dict(om.meta)
+    return results, meta
 
 
 # ---------------------------------------------------------------------------

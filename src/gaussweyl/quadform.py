@@ -14,7 +14,6 @@ radial symbols kill every off-diagonal entry the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,33 +29,10 @@ MAX_DIAGONAL_SIZE = 1 << 18
 
 
 # ---------------------------------------------------------------------------
-# Operator matrices.  A basis element psi_alpha is its degree tuple alpha
+# Matrix elements.  A basis element psi_alpha is its degree tuple alpha
 # (pair 1 first, trailing zeros implicit: (1,) and (1, 0) name the same
 # element), and a finite expansion sum_alpha c_alpha psi_alpha is the dict
 # {alpha: c_alpha}.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OperatorMatrix:
-    """Assembled matrix of I_{alpha beta} over a truncation set; `meta` is
-    the one provenance record reports print, everything needed to reproduce
-    it (symbol, h, route, orders).
-
-    A diagonal section carries only its real `diagonal`, others `dense`."""
-
-    truncation: TruncationSet
-    meta: dict = field(default_factory=dict)
-    diagonal: np.ndarray | None = None
-    dense: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.truncation.size
-
-
-# ---------------------------------------------------------------------------
-# Matrix elements.
 # ---------------------------------------------------------------------------
 
 ROUTE_CLOSED = "closed: Gaussian-mixture diagonal law"
@@ -185,31 +161,31 @@ def matrix_element(sym, alpha, beta, ctx: CalcContext):
     return complex(table[0, 0])
 
 
-def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> OperatorMatrix:
-    """All I_{alpha beta} over a graded truncation set.
+def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> tuple[np.ndarray, dict]:
+    """(section, meta): all I_{alpha beta} over a graded truncation set, and
+    the one provenance record reports print (symbol, h, route, orders).
 
-    Gaussian mixtures give a diagonal section, evaluated by the closed law in
-    one pass over the truncation's degree array, up to MAX_DIAGONAL_SIZE
-    states; no dense matrix is built (`opmatrix` spells its rows from the
-    diagonal).  Other sections are dense, up to MAX_MATRIX_SIZE states, from
-    the entry builder `_entries`: finite boxes from one checked sweep of the
-    classical table, box(inf) from the closed quarter plane, custom symbols
-    entry by entry on the tensor ladder.
+    Gaussian mixtures give a diagonal section, a real 1-D array evaluated by
+    the closed law in one pass over the truncation's degree array, up to
+    MAX_DIAGONAL_SIZE states; no dense matrix is built (`opmatrix` spells its
+    rows from the diagonal).  Other sections are dense complex 2-D arrays, up
+    to MAX_MATRIX_SIZE states, from the entry builder `_entries`: finite boxes
+    from one checked sweep of the classical table, box(inf) from the closed
+    quarter plane, custom symbols entry by entry on the tensor ladder.
     """
     size = truncation.size
     route = section_route(sym)
-    diagonal = dense = None
     if route == ROUTE_CLOSED:
         if size > MAX_DIAGONAL_SIZE:
             raise ValueError(
                 f"truncation has {size} elements; the diagonal-section cap is {MAX_DIAGONAL_SIZE}"
             )
-        diagonal = _mixture_diagonal(sym.mixture_terms, truncation.degrees, ctx.h)
+        section = _mixture_diagonal(sym.mixture_terms, truncation.degrees, ctx.h)
         max_order, structural = 0, size * (size - 1) // 2
     else:
         _refuse_dense(size)  # before the degree array is built
         degrees = truncation.degrees
-        (dense, max_order), structural = _entries(sym, degrees, degrees, ctx), 0
+        (section, max_order), structural = _entries(sym, degrees, degrees, ctx), 0
     try:
         text = sym.text()
     except ValueError:
@@ -224,7 +200,7 @@ def assemble_matrix(sym, truncation: TruncationSet, ctx: CalcContext) -> Operato
         "quadrature_order": max_order,
         "structural_zeros": structural,
     }
-    return OperatorMatrix(truncation=truncation, meta=meta, diagonal=diagonal, dense=dense)
+    return section, meta
 
 
 def quadratic_form(sym, f: dict, g: dict, ctx: CalcContext) -> complex:
@@ -236,18 +212,17 @@ def quadratic_form(sym, f: dict, g: dict, ctx: CalcContext) -> complex:
     return complex(np.sum(np.multiply.outer(fc, np.conj(gc)) * table))
 
 
-def eig_hermitian(om: OperatorMatrix) -> np.ndarray:
+def eig_hermitian(section: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian operator section; a diagonal
-    section gives its sorted real diagonal.
+    (1-D) section gives its sorted values.
 
-    Raises if the Hermiticity defect exceeds 1e-8 relative to the norm.
+    Raises if a dense section's Hermiticity defect exceeds 1e-8 relative to
+    the norm.
     """
-    diagonal = om.diagonal is not None
-    A = np.asarray(om.diagonal, dtype=complex) if diagonal else om.dense
-    # on a diagonal, A - A^H is 2i Im(A)
-    skew = 2.0 * A.imag if diagonal else A - A.conj().T
-    defect = float(np.linalg.norm(skew)) / max(1.0, float(np.linalg.norm(A)))
+    if section.ndim == 1:
+        return np.sort(section)
+    defect = float(np.linalg.norm(section - section.conj().T)) / max(1.0, float(np.linalg.norm(section)))
     if defect > 1e-8:
         raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-    return np.sort(A.real) if diagonal else np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    return np.linalg.eigvalsh(0.5 * (section + section.conj().T))
 

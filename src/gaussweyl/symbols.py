@@ -126,9 +126,8 @@ class SymbolDescriptor:
 
     family: str  # constant | gaussian | radial | tensor_radial | box | mixture | custom
     d: int
-    c: float = 0.0
-    nu: float = 0.0
-    anorm: float = 0.0
+    # the grammar text of the symbol, set by the grammar families' constructors
+    spelling: str | None = None
     # radial and tensor_radial: Phi_1(|block_1|^2) Phi_2(|block_2|^2) ...;
     # radial is the one-part case
     parts: tuple[tuple[PhiSpec, int], ...] = ()
@@ -140,24 +139,12 @@ class SymbolDescriptor:
     # the class norm and the positivity checks all read it.
     mixture_terms: tuple[tuple[float, tuple[tuple[int, float], ...]], ...] | None = None
     evaluator: Callable | None = field(default=None, compare=False)
-    smooth: bool = True
-    bounded: bool = True
 
     def text(self) -> str:
         """Canonical printer; round-trips through parse_symbol."""
-        if self.family == "constant":
-            return f"const:c={self.c!r}"
-        if self.family == "gaussian":
-            return f"gaussian:nu={self.nu!r},anorm={self.anorm!r}"
-        if self.family == "radial":
-            ((phi, _),) = self.parts
-            return f"radial:phi={phi.text()},d={self.d}"
-        if self.family == "tensor_radial":
-            body = ";".join(f"({p.text()},{dj})" for p, dj in self.parts)
-            return f"tensorradial:{body}"
-        if self.family == "box":
-            return f"box:a={'inf' if math.isinf(self.a) else repr(self.a)}"
-        raise ValueError(f"family {self.family!r} has no grammar form")
+        if self.spelling is None:
+            raise ValueError(f"family {self.family!r} has no grammar form")
+        return self.spelling
 
 
 def _pack(terms, d: int) -> tuple:
@@ -193,7 +180,7 @@ def _expand(parts) -> list[tuple[float, dict[int, float]]]:
 
 
 def const_symbol(c: float) -> SymbolDescriptor:
-    return SymbolDescriptor(family="constant", d=1, c=c, mixture_terms=_pack([(c, {})], 1))
+    return SymbolDescriptor(family="constant", d=1, spelling=f"const:c={c!r}", mixture_terms=_pack([(c, {})], 1))
 
 
 def gaussian_symbol(nu: float, anorm: float) -> SymbolDescriptor:
@@ -204,7 +191,8 @@ def gaussian_symbol(nu: float, anorm: float) -> SymbolDescriptor:
     if not math.isfinite(nu * (anorm * anorm)):  # the stored rate nu |a|^2
         raise SymbolDomainError("anorm", f"|a|^2 and nu |a|^2 must be finite, got nu={nu!r}, anorm={anorm!r}")
     return SymbolDescriptor(
-        family="gaussian", d=1, nu=nu, anorm=anorm, mixture_terms=_pack([(1.0, {1: nu * anorm**2})], 1)
+        family="gaussian", d=1, spelling=f"gaussian:nu={nu!r},anorm={anorm!r}",
+        mixture_terms=_pack([(1.0, {1: nu * anorm**2})], 1),
     )
 
 
@@ -212,7 +200,8 @@ def radial_symbol(phi: PhiSpec, d: int) -> SymbolDescriptor:
     if d < 1:
         raise SymbolDomainError("d", f"must be >= 1, got {d!r}")
     parts = ((phi, d),)
-    return SymbolDescriptor(family="radial", d=d, parts=parts, mixture_terms=_pack(_expand(parts), d))
+    return SymbolDescriptor(family="radial", d=d, spelling=f"radial:phi={phi.text()},d={d}", parts=parts,
+                            mixture_terms=_pack(_expand(parts), d))
 
 
 def tensor_radial_symbol(parts: Sequence[tuple[PhiSpec, int]]) -> SymbolDescriptor:
@@ -223,20 +212,20 @@ def tensor_radial_symbol(parts: Sequence[tuple[PhiSpec, int]]) -> SymbolDescript
             raise SymbolDomainError("d", f"must be >= 1, got {dj!r}")
     parts = tuple(parts)
     d = sum(dj for _, dj in parts)
-    return SymbolDescriptor(family="tensor_radial", d=d, parts=parts, mixture_terms=_pack(_expand(parts), d))
+    spelling = "tensorradial:" + ";".join(f"({p.text()},{dj})" for p, dj in parts)
+    return SymbolDescriptor(family="tensor_radial", d=d, spelling=spelling, parts=parts,
+                            mixture_terms=_pack(_expand(parts), d))
 
 
 def box_symbol(a: float) -> SymbolDescriptor:
     if not (a > 0):  # also rejects nan
         raise SymbolDomainError("a", f"must be > 0 (or inf), got {a!r}")
-    return SymbolDescriptor(family="box", d=1, a=a, smooth=False, bounded=True)
+    return SymbolDescriptor(family="box", d=1, spelling=f"box:a={'inf' if math.isinf(a) else repr(a)}", a=a)
 
 
-def custom_symbol(evaluator: Callable, d: int, smooth: bool = True, bounded: bool = False) -> SymbolDescriptor:
+def custom_symbol(evaluator: Callable, d: int) -> SymbolDescriptor:
     """Wrap a raw evaluator f(x, xi) on R^{2d}; not part of the grammar."""
-    return SymbolDescriptor(
-        family="custom", d=d, evaluator=evaluator, smooth=smooth, bounded=bounded
-    )
+    return SymbolDescriptor(family="custom", d=d, evaluator=evaluator)
 
 
 def mixture_symbol(terms: Sequence[tuple[float, dict[int, float]]], d: int) -> SymbolDescriptor:
@@ -349,6 +338,7 @@ def parse_symbol(text: str) -> SymbolDescriptor:
     Grammar:
         const:c=<r> | gaussian:nu=<r>,anorm=<r> | radial:phi=<phispec>,d=<n>
         | tensorradial:(<phispec>,<n>);(<phispec>,<n>)... | box:a=<r or inf>
+          (parts joined by ';', no trailing ';')
         phispec := one | exp:nu=<r> | polyexp:c0,c1,...
 
     Syntax errors carry the 1-based column; domain errors name the parameter.
@@ -402,6 +392,7 @@ def parse_symbol(text: str) -> SymbolDescriptor:
             pos = close + 1
             if pos < len(text):
                 pos = _expect(text, pos, ";")
+                _expect(text, pos, "(")  # a ';' is followed by a part
         if not parts:
             raise SymbolSyntaxError(pos + 1, "expected at least one '(phispec,d)' part")
         return tensor_radial_symbol(parts)
@@ -419,20 +410,13 @@ def parse_symbol(text: str) -> SymbolDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def lemma_epsilon(j: int) -> float:
-    """The built-in class sequence eps_j = j^{-2}."""
-    if j < 1:
-        raise ValueError("coordinate indices start at 1")
-    return float(j) ** -2.0
-
-
 def _eps_resolver(spec):
     """(sequence, name, closed square tail) of an epsilon spec, one of the
     built-in names.  The one reader of such specs, so the class norm and the
     Garding bound always see the same sequence."""
     name = str(spec)
     if name in ("j^-2", "j**-2", "lemma"):
-        return lemma_epsilon, "j^-2", lambda J: 1.0 / (3.0 * J**3)
+        return (lambda j: float(j) ** -2.0), "j^-2", lambda J: 1.0 / (3.0 * J**3)
     if name in ("2^-j", "geometric"):
         return (lambda j: 2.0**-j), "2^-j", lambda J: 4.0**-J / 3.0
     if name in ("zero", "0"):
@@ -455,10 +439,8 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> float:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if not sym.smooth:
+    if sym.family == "box":
         raise ValueError("not in any S_m class: symbol is not smooth")
-    if not sym.bounded:
-        raise ValueError("not in any S_m class: symbol is unbounded")
     if sym.mixture_terms is None:
         raise ValueError(f"no derivative bounds available for family {sym.family!r}")
     eps_fn = _eps_resolver(eps)[0]

@@ -102,20 +102,14 @@ def wigner_on_rule(fhat, ghat, z, zeta, ctx: CalcContext, rule):
     return out.reshape(z.shape) if z.shape else complex(out[0])
 
 
-def wigner_quadrature(fhat, ghat, z: float, zeta: float, ctx: CalcContext):
-    """W_{h,R}(fhat, ghat)(z, zeta) by quadrature of the defining integral
+def wigner_hermite_quadrature(j: int, k: int, z: float, zeta: float, ctx: CalcContext):
+    """W_{h,R}(psi_j, psi_k)(z, zeta) by quadrature of the defining integral
     (see `wigner_on_rule`), the order raised on the standard ladder until two
     successive orders agree.
     """
+    fhat, ghat = (lambda t: hermite_eval(j, t, ctx)), (lambda t: hermite_eval(k, t, ctx))
     val, _ = ladder(lambda n: wigner_on_rule(fhat, ghat, z, zeta, ctx, gh_rule(n, ctx.h / 2.0)))
     return val
-
-
-def wigner_hermite_quadrature(j: int, k: int, z: float, zeta: float, ctx: CalcContext):
-    """wigner_quadrature specialized to a Hermite pair (psi_j, psi_k)."""
-    return wigner_quadrature(
-        lambda t: hermite_eval(j, t, ctx), lambda t: hermite_eval(k, t, ctx), z, zeta, ctx
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +123,12 @@ def _table_radius(N: int) -> float:
     return math.sqrt((4.0 * N + 6.0 * math.sqrt(2.0 * N + 1.0) + 25.0) / (4.0 * math.pi)) + 1.0
 
 
+def _log_z(z: np.ndarray) -> np.ndarray:
+    """log z of the table's z = 4 pi r^2, -inf where z is 0 (or underflowed
+    to 0), without a divide warning; the scale z^{m/2} is then 0 there."""
+    return np.log(z, out=np.full_like(z, -np.inf), where=z > 0.0)
+
+
 def _table_points(N: int, x, eta):
     """The flat points of a classical table of degree N that lie inside R(N):
     (mask, z = 4 pi r^2, log z, angle theta).  The points outside are dropped,
@@ -138,8 +138,7 @@ def _table_points(N: int, x, eta):
     z = 4.0 * math.pi * (x * x + eta * eta)
     keep = z <= 4.0 * math.pi * _table_radius(N) ** 2
     z = z[keep]
-    log_z = np.log(z, out=np.full_like(z, -np.inf), where=z > 0.0)
-    return keep, z, log_z, np.arctan2(eta[keep], x[keep])
+    return keep, z, _log_z(z), np.arctan2(eta[keep], x[keep])
 
 
 def _diagonal_blocks(m: int, nmax: int, z: np.ndarray, log_z: np.ndarray):
@@ -184,7 +183,7 @@ def _table_sums(N: int, r, w, theta1, theta2) -> np.ndarray:
     divides a product's rows and columns among its threads, never the point
     axis, so the sums do not depend on the thread count."""
     z = 4.0 * math.pi * r * r
-    log_z = np.log(z)
+    log_z = _log_z(z)
     sign = np.where(np.arange(N + 1) % 2 == 0, 2.0, -2.0)
     S = np.zeros((N + 1, N + 1), dtype=complex)
     for m in range(N + 1):

@@ -80,7 +80,7 @@ class Poly2:
 
 def poly_symbol(poly: Poly2) -> SymbolDescriptor:
     """A d=1 custom symbol whose evaluator is a Poly2 (unbounded)."""
-    return custom_symbol(poly, d=1, smooth=True, bounded=False)
+    return custom_symbol(poly, d=1)
 
 
 def ipp_check(F: Poly2, n: int, s: int, eps: int, P, ctx: CalcContext):

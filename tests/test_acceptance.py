@@ -160,8 +160,8 @@ def test_criterion_06_garding_bound():
     sym = gaussian_symbol(2.0, 1.0)
     mins = []
     for n in (1, 3, 5, 7):
-        om = assemble_matrix(sym, TruncationSet(1, n), ctx)
-        mins.append(float(eig_hermitian(om)[0]))
+        section, _ = assemble_matrix(sym, TruncationSet(1, n), ctx)
+        mins.append(float(eig_hermitian(section)[0]))
     stable = max(abs(a - b) for a, b in zip(mins, mins[1:])) <= 1e-9
     ok_value = abs(mins[-1] + 1.0 / 9.0) <= 1e-9
     rep, _ = garding_verify(sym, TruncationSet(1, 7), ctx)

@@ -539,13 +539,32 @@ def test_usage_and_domain_errors_exit_1(capsys):
          f"error: argument --seed: must be < 2^64, got {2**64}"),
         (["heatcheck", "--symbol", GAUSS, "--seed", str(2**64)],
          f"error: argument --seed: must be < 2^64, got {2**64}"),
+        # a Garding bound that is not finite checks nothing: the product
+        # overflows at this h, the class norm M at this rate
+        (["garding", "--symbol", GAUSS, "--N", "2", "--h", "1e7"],
+         "error: the Garding bound -M sum(lambda) prod(1 + lambda) is not finite at --h 10000000.0: "
+         "M = 16.0, prod(1 + lambda) = inf"),
+        (["garding", "--symbol", "gaussian:nu=1e300,anorm=1.0", "--N", "2"],
+         "is not finite at --h 1.0: M = inf, prod(1 + lambda) = "),
     ]:
         assert main(argv) == 1, argv
         cap = capsys.readouterr()
         assert message in cap.err and cap.out == "", argv
-    # the largest 64-bit seed runs
+    # the largest 64-bit seed runs, and so does a Garding bound still finite
     assert main(["stochext", "--nmax", "4", "--samples", "1000", "--seed", str(2**64 - 1)]) == 0
+    assert main(["garding", "--symbol", GAUSS, "--N", "2", "--h", "2e6"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--symbol", "box:a=1e-300", "--N", "2"],
+                                  ["flandrin", "--a", "1e-300", "--N", "4"]])
+def test_tiny_boxes_warn_nothing(argv, capsys):
+    """A box side so small that 4 pi r^2 underflows to 0 at the radial nodes
+    runs without a numpy warning (the suite turns one into an error): the
+    report header is the first stderr line."""
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"# gaussweyl {__version__} {argv[0]} | ")
 
 
 def test_order_flag_is_gone(capsys):
@@ -1038,8 +1057,8 @@ def test_opmatrix_json_streams_the_dumped_report(symbol, n, chunk, monkeypatch, 
     monkeypatch.setattr(cli, "TABLE_CHUNK", chunk)
     assert main(["opmatrix", "--symbol", symbol, "--N", str(n), "--format", "json"]) == 0
     out = capsys.readouterr().out
-    om = quadform.assemble_matrix(parse_symbol(symbol), TruncationSet(1, n), CalcContext(h=1.0))
-    entries = np.diag(om.diagonal) if om.dense is None else om.dense
+    section, _ = quadform.assemble_matrix(parse_symbol(symbol), TruncationSet(1, n), CalcContext(h=1.0))
+    entries = np.diag(section) if section.ndim == 1 else section
     rows = [(i, j, v.real, v.imag) for (i, j), v in np.ndenumerate(entries)]
     assert out == _dumped(out, "entries", rows)
 
@@ -1054,9 +1073,7 @@ def test_opmatrix_hermiticity_defect_over_row_blocks(poison, monkeypatch, capsys
     dense[5, 2] += 1e-9 * (1 + 1j)
     if poison is not None:
         dense[6, 4] = poison  # in the third row block: E - E^H is NaN at (4, 6) and (6, 4)
-    truncation = TruncationSet(1, 6)
-    om = quadform.OperatorMatrix(truncation=truncation, meta={"basis_size": 7}, dense=dense)
-    monkeypatch.setattr(cli, "assemble_matrix", lambda *args: om)
+    monkeypatch.setattr(cli, "assemble_matrix", lambda *args: (dense, {"basis_size": 7}))
     monkeypatch.setattr(cli, "TABLE_CHUNK", 20)
     with np.errstate(invalid="ignore"):
         rc = main(["opmatrix", "--symbol", GAUSS, "--N", "6", "--format", "json"])

@@ -157,7 +157,7 @@ def test_garding_verify_rejects_negative_symbols():
     ctx = CalcContext(h=1.0)
     with pytest.raises(ValueError):
         garding_verify(const_symbol(-1.0), TruncationSet(1, 2), ctx)
-    neg = custom_symbol(lambda x, xi: x[:, 0], 1, smooth=True, bounded=True)
+    neg = custom_symbol(lambda x, xi: x[:, 0], 1)
     with pytest.raises(ValueError):
         garding_verify(neg, TruncationSet(1, 2), ctx)
 

@@ -23,7 +23,6 @@ from gaussweyl.quadform import (
     ROUTE_CLOSED,
     ROUTE_LADDER,
     ROUTE_QUARTER,
-    OperatorMatrix,
     _tensor_element,
     assemble_matrix,
     eig_hermitian,
@@ -101,21 +100,20 @@ def test_radial_matrix_is_diagonal_with_laplace_means():
     phi = PhiSpec(kind="exp", nu=1.5)
     sym = radial_symbol(phi, 2)
     trunc = TruncationSet(2, 1)
-    om = assemble_matrix(sym, trunc, ctx)
-    assert sym.mixture_terms is not None and om.meta["structural_zeros"] == 6
-    assert om.dense is None
+    diagonal, meta = assemble_matrix(sym, trunc, ctx)
+    assert sym.mixture_terms is not None and meta["structural_zeros"] == 6
+    assert diagonal.ndim == 1
     for p, alpha in enumerate(trunc.degrees.tolist()):
         want = np.prod([diag_law(alpha[i], 1.5, 0.5) for i in (0, 1)])
-        assert abs(om.diagonal[p] - want) <= 1e-10
+        assert abs(diagonal[p] - want) <= 1e-10
 
 
 def test_assemble_matrix_matches_cli_example():
     ctx = CalcContext(h=1.0)
-    om = assemble_matrix(gaussian_symbol(2.0, 1.0), TruncationSet(1, 2), ctx)
+    diagonal, md = assemble_matrix(gaussian_symbol(2.0, 1.0), TruncationSet(1, 2), ctx)
     want = np.diag([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0])
-    assert np.max(np.abs(np.diag(om.diagonal) - want)) <= 1e-11
-    assert om.meta["structural_zeros"] == 3  # upper-triangle pairs only
-    md = om.meta
+    assert np.max(np.abs(np.diag(diagonal) - want)) <= 1e-11
+    assert md["structural_zeros"] == 3  # upper-triangle pairs only
     assert md["symbol"] == "gaussian:nu=2.0,anorm=1.0"
     assert md["basis_size"] == 3 and md["N"] == 2 and md["d"] == 1
     assert list(md) == ["symbol", "h", "N", "d", "basis_size", "route", "quadrature_order", "structural_zeros"]
@@ -126,10 +124,10 @@ def test_matrix_size_cap():
     only its diagonal above MAX_MATRIX_SIZE; dense sections stop at
     MAX_MATRIX_SIZE before any entry is built."""
     ctx = CalcContext(h=1.0)
-    om = assemble_matrix(gaussian_symbol(1.0, 1.0), TruncationSet(1, MAX_MATRIX_SIZE), ctx)
-    assert om.size == MAX_MATRIX_SIZE + 1 and om.dense is None
-    assert om.diagonal.shape == (MAX_MATRIX_SIZE + 1,)
-    assert eig_hermitian(om)[-1] == 0.5
+    diagonal, meta = assemble_matrix(gaussian_symbol(1.0, 1.0), TruncationSet(1, MAX_MATRIX_SIZE), ctx)
+    assert meta["basis_size"] == MAX_MATRIX_SIZE + 1
+    assert diagonal.shape == (MAX_MATRIX_SIZE + 1,)
+    assert eig_hermitian(diagonal)[-1] == 0.5
     with pytest.raises(ValueError, match="diagonal-section cap is 262144"):
         assemble_matrix(gaussian_symbol(1.0, 1.0), TruncationSet(1, MAX_DIAGONAL_SIZE), ctx)
     for sym in (box_symbol(1.0), poly_symbol(Poly2.from_dict({(2, 0): 1.0}))):
@@ -159,10 +157,10 @@ def test_dual_wigner_routes_agree():
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(2.0, 1.0)
     trunc = TruncationSet(1, 2)
-    fast = assemble_matrix(sym, trunc, ctx)
+    fast, _ = assemble_matrix(sym, trunc, ctx)
     idxs = trunc.degrees.tolist()
     slow = np.array([[defining_integral.element(sym, a, b, ctx)[0] for b in idxs] for a in idxs])
-    assert np.max(np.abs(np.diag(fast.diagonal) - slow)) <= 1e-8
+    assert np.max(np.abs(np.diag(fast) - slow)) <= 1e-8
 
 
 def test_box_element_matches_classical_square():
@@ -199,7 +197,7 @@ def test_box_section_matches_rectangle_oracle():
     for h in (0.5, 2.0):
         lam = math.sqrt(2.0 * math.pi * h)
         for a in (0.5, 2.0, math.inf):
-            M = assemble_matrix(box_symbol(a), TruncationSet(1, 3), CalcContext(h=h)).dense
+            M, _ = assemble_matrix(box_symbol(a), TruncationSet(1, 3), CalcContext(h=h))
             rect = (lam * a, a / lam)
             for j, k in pairs:
                 if (j, k, rect) not in want:
@@ -211,27 +209,26 @@ def test_box_section_at_degree_256_matches_rectangle_oracle():
     # above the former limit 128 the normalized rows keep the whole section
     # finite, and its low-degree corner is the rectangle integral
     lam = math.sqrt(2.0 * math.pi)
-    om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 256), CalcContext(h=1.0))
-    M = om.dense
+    M, meta = assemble_matrix(box_symbol(1.0), TruncationSet(1, 256), CalcContext(h=1.0))
     assert M.shape == (257, 257) and np.all(np.isfinite(M))
-    assert om.meta["route"] == "box panels"
+    assert meta["route"] == "box panels"
     for j, k in ((0, 0), (0, 1), (1, 3), (2, 2)):
         assert abs(M[j, k] - oracles.flandrin_rect_entry(j, k, lam, 1.0 / lam)) <= 1e-10, (j, k)
 
 
 def test_quarter_plane_box_section_is_closed():
-    om = assemble_matrix(box_symbol(math.inf), TruncationSet(1, 40), CalcContext(h=0.3))
-    assert om.meta["route"] == "closed: quarter-plane 2F1 recurrence"
-    assert om.meta["quadrature_order"] == 0
-    assert np.max(np.abs(om.dense - wigner._quarter_plane_matrix(40))) == 0.0
+    section, meta = assemble_matrix(box_symbol(math.inf), TruncationSet(1, 40), CalcContext(h=0.3))
+    assert meta["route"] == "closed: quarter-plane 2F1 recurrence"
+    assert meta["quadrature_order"] == 0
+    assert np.max(np.abs(section - wigner._quarter_plane_matrix(40))) == 0.0
 
 
 def test_box_section_embeds_the_one_pair_section():
     # the box sees the first pair only: I_ab = M[a_1, b_1] delta(a_2, b_2)
     ctx = CalcContext(h=1.0)
-    M = assemble_matrix(box_symbol(1.0), TruncationSet(1, 3), ctx).dense
+    M, _ = assemble_matrix(box_symbol(1.0), TruncationSet(1, 3), ctx)
     trunc = TruncationSet(2, 3)
-    got = assemble_matrix(box_symbol(1.0), trunc, ctx).dense
+    got, _ = assemble_matrix(box_symbol(1.0), trunc, ctx)
     deg = trunc.degrees
     want = M[np.ix_(deg[:, 0], deg[:, 0])] * (deg[:, None, 1] == deg[None, :, 1])
     assert np.array_equal(got, want)
@@ -247,8 +244,8 @@ def test_box_degree_limit():
         assemble_matrix(box_symbol(1.0), TruncationSet(1, 1025), ctx)
     with pytest.raises(ValueError, match="1024"):
         matrix_element(box_symbol(1.0), (1025,), (), ctx)
-    om = assemble_matrix(box_symbol(1.0), TruncationSet(1, 128), ctx)
-    assert np.all(np.isfinite(om.dense))
+    section, _ = assemble_matrix(box_symbol(1.0), TruncationSet(1, 128), ctx)
+    assert np.all(np.isfinite(section))
 
 
 def test_box_stalled_doubling_raises(monkeypatch):
@@ -340,20 +337,19 @@ def test_ladder_section_meta_pins():
     ctx = CalcContext(h=1.0)
     trunc = TruncationSet(2, 1)
     custom = custom_symbol(lambda x, xi: np.exp(-0.5 * (x[:, 0] ** 2 + xi[:, 0] ** 2)) * (1.0 + 0.3 * x[:, 0]), d=1)
-    om = assemble_matrix(custom, trunc, ctx)
-    assert (om.meta["structural_zeros"], om.meta["quadrature_order"]) == (0, 36)
+    _, meta = assemble_matrix(custom, trunc, ctx)
+    assert (meta["structural_zeros"], meta["quadrature_order"]) == (0, 36)
 
 
 def test_eig_hermitian():
-    trunc = TruncationSet(1, 1)
-    evs = eig_hermitian(OperatorMatrix(trunc, dense=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)))
+    evs = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     assert np.allclose(evs, [-1.0, 1.0])
     with pytest.raises(ValueError):
-        eig_hermitian(OperatorMatrix(trunc, dense=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)))
-    om = assemble_matrix(
+        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    section, _ = assemble_matrix(
         gaussian_symbol(2.0, 1.0), TruncationSet(1, 2), CalcContext(h=1.0)
     )
-    evs = eig_hermitian(om)
+    evs = eig_hermitian(section)
     assert np.allclose(evs, sorted([1.0 / 3.0, -1.0 / 9.0, 1.0 / 27.0]), atol=1e-11)
 
 
@@ -471,10 +467,10 @@ def test_closed_section_matches_tensor_ladder(h, element, tol):
         # truncation dims below the symbol's pair count (the missing pairs have
         # degree 0) and above it (delta factors)
         for trunc in (TruncationSet(max(1, sym.d - 1), 3), TruncationSet(sym.d + 1, 2)):
-            om = assemble_matrix(sym, trunc, ctx)
-            assert om.meta["route"] == ROUTE_CLOSED and om.dense is None
+            diagonal, meta = assemble_matrix(sym, trunc, ctx)
+            assert meta["route"] == ROUTE_CLOSED and diagonal.ndim == 1
             want = _ladder_diagonal(sym, trunc, h, element, cache)
-            err = float(np.max(np.abs(om.diagonal - want)))
+            err = float(np.max(np.abs(diagonal - want)))
             assert err <= tol, (name, trunc, err)
 
 
@@ -508,7 +504,7 @@ def test_closed_section_matches_full_ladder_one_pair(h):
     idxs = trunc.degrees.tolist()
     heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], h / 2.0)
     for sym in (const_symbol(1.5), gaussian_symbol(0.5, 1.0), gaussian_symbol(2.0, 1.0), heated):
-        M = np.diag(assemble_matrix(sym, trunc, ctx).diagonal)
+        M = np.diag(assemble_matrix(sym, trunc, ctx)[0])
         for p, a in enumerate(idxs):
             for q in range(p, len(idxs)):
                 b = idxs[q]
@@ -554,21 +550,21 @@ def test_single_entries_use_the_closed_law():
     ctx = CalcContext(h=1.0)
     sym = MIXTURES["tensorradial d=3"]
     trunc = TruncationSet(3, 2)
-    om = assemble_matrix(sym, trunc, ctx)
+    diagonal, _ = assemble_matrix(sym, trunc, ctx)
     rows = [tuple(row) for row in trunc.degrees.tolist()]
     for p, a in enumerate(rows):
-        assert matrix_element(sym, a, a, ctx) == om.diagonal[p]
+        assert matrix_element(sym, a, a, ctx) == diagonal[p]
     # beyond the truncation's dims the symbol's pairs sit at degree 0
-    assert matrix_element(sym, (2,), (2,), ctx) == om.diagonal[rows.index((2, 0, 0))]
+    assert matrix_element(sym, (2,), (2,), ctx) == diagonal[rows.index((2, 0, 0))]
     assert matrix_element(sym, (0, 1), (0, 0, 1), ctx) == 0.0j
 
 
 def test_full_cap_section_spectrum():
     """d = 2, N = 63: the 4096-state cap, diagonal only."""
     ctx = CalcContext(h=1.0)
-    om = assemble_matrix(MIXTURES["radial exp d=2"], TruncationSet(2, 63), ctx)
-    eigs = eig_hermitian(om)
-    assert om.dense is None
+    diagonal, _ = assemble_matrix(MIXTURES["radial exp d=2"], TruncationSet(2, 63), ctx)
+    eigs = eig_hermitian(diagonal)
+    assert diagonal.ndim == 1
     j = np.arange(64)
     one_pair = diag_law(j, 0.7, 1.0)
     assert eigs.shape == (4096,)
@@ -576,11 +572,9 @@ def test_full_cap_section_spectrum():
 
 
 def test_eig_hermitian_diagonal_section():
-    trunc = TruncationSet(1, 2)
-    real = OperatorMatrix(trunc, diagonal=np.array([0.5, -1.0, 0.25], dtype=complex))
+    real = np.array([0.5, -1.0, 0.25])
     assert list(eig_hermitian(real)) == [-1.0, 0.25, 0.5]
-    assert real.dense is None
-    skew = OperatorMatrix(trunc, diagonal=np.array([0.5, 1.0 + 1e-3j, 0.25]))
+    skew = np.diag([0.5, 1.0 + 1e-3j, 0.25])
     with pytest.raises(ValueError, match="not Hermitian"):
         eig_hermitian(skew)
 
@@ -590,10 +584,10 @@ def test_closed_section_keeps_a_real_diagonal():
     dense matrix; a matrix element stays complex."""
     ctx = CalcContext(h=1.0)
     sym = gaussian_symbol(2.0, 1.0)
-    om = assemble_matrix(sym, TruncationSet(1, 4), ctx)
-    assert om.diagonal.dtype == np.float64 and om.dense is None
-    assert np.max(np.abs(om.diagonal - [diag_law(j, 2.0, 1.0) for j in range(5)])) <= 1e-15
-    assert matrix_element(sym, (2,), (2,), ctx) == complex(om.diagonal[2])
+    diagonal, _ = assemble_matrix(sym, TruncationSet(1, 4), ctx)
+    assert diagonal.dtype == np.float64 and diagonal.ndim == 1
+    assert np.max(np.abs(diagonal - [diag_law(j, 2.0, 1.0) for j in range(5)])) <= 1e-15
+    assert matrix_element(sym, (2,), (2,), ctx) == complex(diagonal[2])
     assert type(matrix_element(sym, (2,), (2,), ctx)) is complex
 
 
@@ -616,6 +610,6 @@ def test_matrix_metadata_names_the_route():
     assert ROUTE_CLOSED == "closed: Gaussian-mixture diagonal law"
     assert (ROUTE_BOX, ROUTE_LADDER) == ("box panels", "tensor ladder")
     for sym, route in cases:
-        om = assemble_matrix(sym, trunc, ctx)
-        assert om.meta["route"] == route, sym
-        assert (om.diagonal is not None) == (om.dense is None) == (route == ROUTE_CLOSED)
+        section, meta = assemble_matrix(sym, trunc, ctx)
+        assert meta["route"] == route, sym
+        assert (section.ndim == 1) == (route == ROUTE_CLOSED)

@@ -22,7 +22,6 @@ from gaussweyl.symbols import (
     cv_class_params,
     eval_ddot,
     gaussian_symbol,
-    lemma_epsilon,
     mixture_symbol,
     parse_symbol,
     radial_symbol,
@@ -71,6 +70,26 @@ def test_parse_syntax_errors_carry_column():
             parse_symbol(bad)
 
 
+@pytest.mark.parametrize("text, column, message", [
+    ("box:a=", 7, "missing value for a"),
+    ("const:c", 7, "expected 'c='"),
+    ("radial:phi=polyexp:,d=2", 20, "missing coefficients"),
+    ("radial:phi=polyexp:1.0,,2.0,d=2", 24, "empty coefficient"),
+    ("radial:phi=polyexp:1.0,x,d=2", 24, "expected a real coefficient, got 'x'"),
+    ("radial:phi=foo,d=2", 12, "unknown phi spec 'foo'"),
+    ("tensorradial:(one)", 18, "expected '(phispec,d)'"),
+    ("tensorradial:(one,x)", 19, "expected integer dimension, got 'x'"),
+    ("tensorradial:(one,1);", 22, "expected '('"),  # a ';' is followed by a part
+])
+def test_parse_syntax_error_columns(text, column, message):
+    """Each syntax error points at the offending character (1-based)."""
+    with pytest.raises(SymbolSyntaxError) as exc:
+        parse_symbol(text)
+    assert type(exc.value) is SymbolSyntaxError
+    assert exc.value.column == column
+    assert str(exc.value) == f"syntax error at column {column}: {message}"
+
+
 def test_parse_domain_errors_name_parameter():
     with pytest.raises(SymbolDomainError) as exc:
         parse_symbol("box:a=0")
@@ -86,6 +105,11 @@ def test_parse_domain_errors_name_parameter():
         radial_symbol(PhiSpec(kind="one"), 0)
     with pytest.raises(SymbolDomainError):
         tensor_radial_symbol([])
+    for build in (lambda: parse_symbol("tensorradial:(one,0)"), lambda: mixture_symbol([(1.0, {})], 0)):
+        with pytest.raises(SymbolDomainError) as exc:
+            build()
+        assert exc.value.param == "d"
+        assert str(exc.value) == "invalid value for 'd': must be >= 1, got 0"
 
 
 def test_phispec_profiles():
@@ -177,7 +201,7 @@ def test_eval_radial_and_tensor():
     assert np.array_equal(eval_ddot(one_part, cloud[:, :2], cloud[:, 2:]), eval_ddot(r, cloud[:, :2], cloud[:, 2:]))
     ctx = CalcContext(h=0.5)
     trunc = TruncationSet(2, 4)
-    assert np.array_equal(assemble_matrix(one_part, trunc, ctx).diagonal, assemble_matrix(r, trunc, ctx).diagonal)
+    assert np.array_equal(assemble_matrix(one_part, trunc, ctx)[0], assemble_matrix(r, trunc, ctx)[0])
     assert one_part.text() == "tensorradial:(polyexp:1.0,-1.0,2)"
     assert r.text() == "radial:phi=polyexp:1.0,-1.0,d=2"
 
@@ -278,7 +302,7 @@ def test_grammar_symbols_store_their_mixture(monkeypatch):
         assert sym.mixture_terms
         zeros = np.zeros((3, sym.d))
         assert eval_ddot(sym, zeros, zeros).shape == (3,)
-        assert assemble_matrix(sym, TruncationSet(sym.d, 2), ctx).meta["route"] == ROUTE_CLOSED
+        assert assemble_matrix(sym, TruncationSet(sym.d, 2), ctx)[1]["route"] == ROUTE_CLOSED
         assert heat_apply(sym, [1], 0.5).family == "mixture"
         assert cv_class_params(sym, 2) > 0.0
 
@@ -302,16 +326,14 @@ def test_hermite_sup_matches_scipy_grid(n):
 def test_cv_class_params_gaussian():
     M = cv_class_params(gaussian_symbol(2.0, 1.0), 2)
     assert abs(M - 16.0) <= 1e-12
-    assert _eps_resolver("j^-2")[0](3) == lemma_epsilon(3) == 1.0 / 9.0
-    with pytest.raises(ValueError):
-        lemma_epsilon(0)
+    assert _eps_resolver("j^-2")[0](3) == 1.0 / 9.0
 
 
 def test_cv_class_params_guards():
     with pytest.raises(ValueError):
         cv_class_params(box_symbol(1.0), 2)  # not smooth
     with pytest.raises(ValueError):
-        cv_class_params(custom_symbol(lambda x, xi: x[:, 0], 1), 2)  # unbounded
+        cv_class_params(custom_symbol(lambda x, xi: x[:, 0], 1), 2)  # no derivative bounds
     with pytest.raises(ValueError):
         cv_class_params(gaussian_symbol(1.0, 1.0), -1)
     multi = cv_class_params(radial_symbol(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), 2), 1)

@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .basis import (
     CalcContext,
     TruncationSet,
-    hermite_batch,
     hermite_eval,
     laguerre_eval,
 )
@@ -21,7 +20,6 @@ from .gaussian import (
     gl_panel_rule,
     integrate_tensor,
     ladder,
-    quad_budget,
 )
 from .heat import (
     antiwick_form,

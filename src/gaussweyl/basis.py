@@ -111,16 +111,6 @@ def hermite_eval(j: int, x, ctx: CalcContext):
     return cur if cur.shape else float(cur)
 
 
-def hermite_batch(jmax: int, x, ctx: CalcContext) -> np.ndarray:
-    """All psi_0..psi_jmax at x in one recurrence sweep; shape (jmax+1,) + x.shape."""
-    _check_degree(jmax)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((jmax + 1,) + x.shape)
-    for m, row in enumerate(_hermite_rows(jmax, x, ctx)):
-        out[m] = row
-    return out
-
-
 def _laguerre_normalized(nmax: int, alpha: int, z: np.ndarray, start, rows=None):
     """Yield start * L_n^(alpha)(z) / sqrt(C(n + alpha, n)) for n = 0..nmax by
     the normalized forward recurrence

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import math
 import os
@@ -94,51 +92,7 @@ def _jsonable(v):
         return {"re": float(v.real), "im": float(v.imag)}
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
     return v
-
-
-_CSV_PLAIN = frozenset((str, int, float))
-
-
-def _csv_cell(v):
-    """A cell as csv.writer must see it to spell it as the reports do: bools
-    become true/false, numbers plain Python numbers (csv writes a float by
-    its repr and an int by str), anything else its str."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return str(v)
-
-
-def _csv_quote(*cells: str) -> str:
-    """String `cells` as csv.writer spells them, comma-separated, in a row of
-    two or more cells (QUOTE_MINIMAL)."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow((*cells, ""))
-    return buf.getvalue()[: -len(",\r\n")]
-
-
-def _csv_column(cells) -> list:
-    """One column ready for str.format, which spells a float by its repr and
-    an int by str, as csv.writer does.  One type scan decides: columns of plain
-    str/int/float cells (every large table) pass through, others are converted
-    cell by cell.  One row of the distinct strings shows whether any needs
-    quotes; if one does, each is quoted once."""
-    kinds = set(map(type, cells))
-    if not _CSV_PLAIN.issuperset(kinds):
-        cells = [_csv_cell(c) for c in cells]
-        kinds = set(map(type, cells))
-    if str in kinds:
-        distinct = [c for c in set(cells) if type(c) is str]
-        if _csv_quote(*distinct) != ",".join(distinct):
-            quoted = {c: _csv_quote(c) for c in distinct}
-            cells = [quoted[c] if type(c) is str else c for c in cells]
-    return cells
 
 
 class _Spelled(list):
@@ -146,9 +100,9 @@ class _Spelled(list):
 
 
 def _json_column(cells) -> list:
-    """The JSON twin of `_csv_column`: a `_Spelled` column or one of finite
-    int/float cells passes through, since str.format spells a number by repr
-    as json does; any other is spelled cell by cell by json.dumps."""
+    """A `_Spelled` column or one of finite int/float cells passes through,
+    since str.format spells a number by repr as json does; any other is
+    spelled cell by cell by json.dumps."""
     if type(cells) is _Spelled:
         return cells
     kinds = set(map(type, cells))
@@ -164,10 +118,10 @@ def _table_rows(line, column, table):
 
 
 def _csv_pieces(header, table):
-    """The CSV table, header line first, then one piece per chunk."""
-    line = ",".join(["{}"] * len(header)) + "\r\n"
-    yield line.format(*map(_csv_quote, header))
-    yield from _table_rows(line, _csv_column, table)
+    """The CSV table, header line first, then one piece per chunk: each cell
+    as str.format spells it, unquoted."""
+    yield ",".join(header) + "\r\n"
+    yield from _table_rows(",".join(["{}"] * len(header)) + "\r\n", lambda cells: cells, table)
 
 
 def _json_pieces(report, width, table):
@@ -262,7 +216,8 @@ def _row_blocks(n: int):
 
 
 def cmd_wigner(args) -> int:
-    if (args.symbol is None) == (args.j is None or args.k is None):
+    # --j and --k are both absent exactly when --symbol is given
+    if (args.j is None, args.k is None) != (args.symbol is not None,) * 2:
         raise ValueError("give either --j and --k, or --symbol (not both)")
     if not 2 <= args.grid <= MAX_WIGNER_GRID or not 0 < args.radius < math.inf:
         raise ValueError(f"--grid must be >= 2 and <= {MAX_WIGNER_GRID}, and --radius finite and > 0")

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_GH_ORDER = 256
-DEFAULT_QUAD_BUDGET = 10**8
+# Points a tensor quadrature may visit; read at call time.
+QUAD_BUDGET = 10**8
 # Rows of the tensor grid per block: caps the memory of a tensor quadrature
 # (points, weights and the integrand's intermediates) whatever n^m is.
 TENSOR_BLOCK = 2**18
@@ -23,17 +23,6 @@ TENSOR_BLOCK = 2**18
 # Dedicated sub-stream key for the tail remainder in exact-law sampling of
 # ell_a minus its projection (see stochproj); keeps coordinate keys clean.
 REMAINDER_KEY = 2**32 - 1
-
-
-def quad_budget() -> int:
-    """Point budget for tensor quadrature; env GAUSSWEYL_QUAD_MAX overrides."""
-    raw = os.environ.get("GAUSSWEYL_QUAD_MAX")
-    if raw is None:
-        return DEFAULT_QUAD_BUDGET
-    try:
-        return int(float(raw))
-    except ValueError as exc:
-        raise ValueError(f"GAUSSWEYL_QUAD_MAX is not a number: {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -106,9 +95,9 @@ def gl_panel_rule(lo: float, hi: float, panels: int, nodes: int) -> QuadratureRu
 
 
 def _check_tensor_budget(order: int, m: int) -> None:
-    """Refuse a tensor grid of order^m points above `quad_budget()`."""
+    """Refuse a tensor grid of order^m points above `QUAD_BUDGET`."""
     npts = order**m
-    if npts > quad_budget():
+    if npts > QUAD_BUDGET:
         raise ValueError(f"tensor quadrature budget exceeded: {order}^{m} = {npts} points")
 
 
@@ -141,7 +130,7 @@ def integrate_tensor(f, rule: QuadratureRule, m: int) -> complex:
     Raises
     ------
     ValueError
-        If n^m exceeds the point budget (GAUSSWEYL_QUAD_MAX, default 1e8).
+        If n^m exceeds the point budget QUAD_BUDGET (1e8).
     """
     if m < 1:
         raise ValueError("m must be >= 1")

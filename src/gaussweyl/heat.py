@@ -3,14 +3,12 @@ form built from them.
 
 Heat acts on a phase-space pair (x_j, xi_j) jointly: convolution with the
 2-D Gaussian N(0, t I).  On the Gaussian-mixture families this is closed
-form (nu -> nu/(1+2 nu t) with an amplitude 1/(1+2 nu t) per heated pair),
-on interval indicators it is a product of Gaussian CDF differences, and on
-anything else it falls back to Gauss-Hermite convolution.
+form (nu -> nu/(1+2 nu t) with an amplitude 1/(1+2 nu t) per heated pair);
+on anything else but a box it falls back to Gauss-Hermite convolution.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 
 import numpy as np
@@ -22,8 +20,6 @@ from .symbols import SymbolDescriptor, custom_symbol, eval_ddot, mixture_symbol
 
 MAX_TS_PAIRS = 16
 
-_erf = np.vectorize(math.erf, otypes=[float])
-
 
 def _validate_pairs(J, d: int) -> frozenset:
     J = frozenset(int(j) for j in J)
@@ -32,14 +28,15 @@ def _validate_pairs(J, d: int) -> frozenset:
     return J
 
 
-def heat_apply(sym: SymbolDescriptor, J, t: float, ctx: CalcContext | None = None) -> SymbolDescriptor:
+def heat_apply(sym: SymbolDescriptor, J, t: float) -> SymbolDescriptor:
     """H̃_{D_J, t}: the symbol with heat of variance t on each pair
     (x_j, xi_j), j in J; J = empty set gives sym itself.
 
-    Gaussian mixtures heat in closed form; boxes give a product of Gaussian
-    CDF differences, and need ctx (the x-side length is 2 pi h a); any other
-    symbol is convolved by quadrature when evaluated.
+    Gaussian mixtures heat in closed form; any other symbol but a box is
+    convolved by quadrature when evaluated.  Boxes are refused.
     """
+    if sym.family == "box":
+        raise ValueError("heat_apply refuses box symbols: no heat law for boxes is implemented")
     if not t > 0:
         raise ValueError(f"heat variance must be > 0, got {t!r}")
     pairs, t = _validate_pairs(J, sym.d), float(t)
@@ -56,46 +53,24 @@ def heat_apply(sym: SymbolDescriptor, J, t: float, ctx: CalcContext | None = Non
                     nus[j] = nu / (1.0 + 2.0 * nu * t)
             terms.append((amp, nus))
         return mixture_symbol(terms, sym.d)
-    if sym.family == "box":
-        if ctx is None:
-            raise ValueError("heated box symbols need a CalcContext (x-side length is 2 pi h a)")
-        xlen = 2.0 * math.pi * ctx.h * sym.a
-        ylen = sym.a
-
-        def cdf_diff(u, length):
-            scale = 1.0 / math.sqrt(2.0 * t)
-            upper = (
-                np.ones_like(u)
-                if math.isinf(length)
-                else 0.5 * (1.0 + _erf((length - u) * scale))
-            )
-            lower = 0.5 * (1.0 + _erf((0.0 - u) * scale))
-            return upper - lower
-
-        def evaluator(xb, xib):
-            return cdf_diff(np.asarray(xb)[..., 0], xlen) * cdf_diff(
-                np.asarray(xib)[..., 0], ylen
-            )
-
-        return custom_symbol(evaluator, 1)
 
     def evaluator(xb, xib):
-        return heat_convolution_eval(sym, pairs, t, xb, xib, ctx)
+        return heat_convolution_eval(sym, pairs, t, xb, xib)
 
     return custom_symbol(evaluator, sym.d)
 
 
-def heat_convolution_eval(sym, J, t, x, xi, ctx=None):
+def heat_convolution_eval(sym, J, t, x, xi):
     """Generic heated evaluator: 2|J|-dimensional Gaussian convolution of the
     base evaluator by tensor Gauss-Hermite quadrature (the slow dual route to
     the closed forms).  The shifts run in blocks of the tensor grid, each
     block with every point in one call of the base evaluator.  Each shot
-    refuses n^(2|J|) shifts above `quad_budget()`, as `integrate_tensor` does."""
+    refuses n^(2|J|) shifts above `QUAD_BUDGET`, as `integrate_tensor` does."""
     J = sorted(_validate_pairs(J, sym.d))
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     if not J:
-        return eval_ddot(sym, x, xi, ctx)
+        return eval_ddot(sym, x, xi)
     cols = np.array(J) - 1
     npts = x.shape[0]
 
@@ -108,7 +83,7 @@ def heat_convolution_eval(sym, J, t, x, xi, ctx=None):
             xis = np.repeat(xi[None], len(wts), axis=0)
             xs[:, :, cols] -= shifts[:, None, 0::2]
             xis[:, :, cols] -= shifts[:, None, 1::2]
-            vals = eval_ddot(sym, xs.reshape(-1, sym.d), xis.reshape(-1, sym.d), ctx)
+            vals = eval_ddot(sym, xs.reshape(-1, sym.d), xis.reshape(-1, sym.d))
             acc += wts @ np.asarray(vals, dtype=complex).reshape(len(wts), npts)
         return acc
 
@@ -165,7 +140,7 @@ def decomposition_residual(sym: SymbolDescriptor, lam, ctx: CalcContext, grid) -
     acc = np.zeros_like(target)
     for J in _subsets(lam):
         for sign, pairs in ts_operators(sym, J, lam):
-            heated = heat_apply(sym, pairs, ctx.h / 2.0, ctx)
+            heated = heat_apply(sym, pairs, ctx.h / 2.0)
             acc = acc + sign * np.asarray(eval_ddot(heated, x, xi, ctx), dtype=complex)
     return float(np.max(np.abs(target - acc)))
 
@@ -175,5 +150,5 @@ def antiwick_form(sym: SymbolDescriptor, f: dict, g: dict, ctx: CalcContext) -> 
     pair.  Nonnegative symbols give nonnegative forms (f = g)."""
     if sym.family == "box":
         raise ValueError("the anti-Wick form needs a smooth symbol")
-    return quadratic_form(heat_apply(sym, range(1, sym.d + 1), ctx.h / 2.0, ctx), f, g, ctx)
+    return quadratic_form(heat_apply(sym, range(1, sym.d + 1), ctx.h / 2.0), f, g, ctx)
 

@@ -118,7 +118,8 @@ _TAIL_REL = 3e-14
 def garding_bound(eps_spec, h: float, M: float) -> dict:
     """Accumulate lambda_j = 81 pi h S_eps eps_j^2 until the closed tail of
     the spec ("j^-2", "2^-j" or "zero") is below 3e-14 relative, then form
-    bound = -M sum(lambda) prod(1+lambda).  Returns everything behind it."""
+    bound = -M sum(lambda) prod(1+lambda), which is 0 when M = 0.  Returns
+    everything behind it."""
     if not h > 0:
         raise ValueError("h must be > 0")
     if M < 0:
@@ -150,7 +151,8 @@ def garding_bound(eps_spec, h: float, M: float) -> dict:
         "sum_lambda": sum_lambda,
         "prod_one_plus_lambda": prod,
         "M": M,
-        "bound": -M * sum_lambda * prod + 0.0,
+        # a zero class norm bounds by 0 at every h, also where prod overflows
+        "bound": (-M * sum_lambda * prod + 0.0) if M else 0.0,
     }
 
 
@@ -188,7 +190,7 @@ def garding_verify(sym, truncation: TruncationSet, ctx: CalcContext, eps="j^-2")
     appended, the section's provenance record).
     """
     _assert_nonneg(sym, ctx)
-    results = garding_bound(eps, ctx.h, cv_class_params(sym, 2, eps))
+    results = garding_bound(eps, ctx.h, cv_class_params(sym, eps))
     section, meta = assemble_matrix(sym, truncation, ctx)
     if not math.isfinite(results["bound"]):  # a margin against it would check nothing
         raise ValueError(

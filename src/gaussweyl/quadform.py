@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
+from . import gaussian
 from .basis import CalcContext, TruncationSet
-from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder, quad_budget
+from .gaussian import LADDER_POLICY, gh_rule, integrate_tensor, ladder
 from .symbols import eval_ddot
 from .wigner import _box_matrix, wigner_closed
 
@@ -100,7 +101,7 @@ def _tensor_element(sym, alpha, beta, ctx):
     over the symbol's 2d coordinates; alpha and beta are degree rows of
     length >= sym.d, and entries beyond sym.d are not read."""
     maxdeg = max(*alpha[: sym.d], *beta[: sym.d])
-    cap = min(LADDER_POLICY["cap"], int(quad_budget() ** (1.0 / (2 * sym.d))))
+    cap = min(LADDER_POLICY["cap"], int(gaussian.QUAD_BUDGET ** (1.0 / (2 * sym.d))))
     start = min(2 * (maxdeg + 1) + 16, cap)
     return ladder(lambda n: _tensor_shot(sym, alpha, beta, ctx, n), start=start, cap=cap)
 

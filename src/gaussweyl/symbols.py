@@ -36,26 +36,14 @@ class SymbolDomainError(ValueError):
         self.param = param
 
 
-# sup_u |H_n(u)| e^{-u^2} for the physicists' Hermite polynomials; used for
-# the analytic derivative bounds sup|d^n/dt^n e^{-nu t^2}| = nu^{n/2} * H_SUP[n].
+# sup_u |H_n(u)| e^{-u^2} for the physicists' Hermite polynomials, n <= 2; used
+# for the analytic derivative bounds sup|d^n/dt^n e^{-nu t^2}| = nu^{n/2} * H_SUP[n].
 _H_SUP = {0: 1.0, 1: math.sqrt(2.0) * math.exp(-0.5), 2: 2.0}
-
-
-def _hermite_weighted_sup(n: int) -> float:
-    if n in _H_SUP:
-        return _H_SUP[n]
-    u = np.linspace(-math.sqrt(2.0 * n) - 3.0, math.sqrt(2.0 * n) + 3.0, 400_001)
-    # H_{k+1} = 2u H_k - 2k H_{k-1}, run on e^{-u^2} H_k so nothing overflows
-    prev, cur = np.zeros_like(u), np.exp(-(u**2))
-    for k in range(n):
-        prev, cur = cur, 2.0 * u * cur - 2.0 * k * prev
-    _H_SUP[n] = float(np.max(np.abs(cur)))
-    return _H_SUP[n]
 
 
 def _gauss_deriv_sup(nu: float, n: int) -> float:
     """sup over t of |d^n/dt^n e^{-nu t^2}|."""
-    return nu ** (n / 2.0) * _hermite_weighted_sup(n)
+    return nu ** (n / 2.0) * _H_SUP[n]
 
 
 @dataclass(frozen=True)
@@ -424,12 +412,12 @@ def _eps_resolver(spec):
     raise ValueError(f"unknown epsilon spec {spec!r}; --eps takes j^-2, 2^-j or zero")
 
 
-def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> float:
+def cv_class_params(sym: SymbolDescriptor, eps="j^-2") -> float:
     """Calderon-Vaillancourt class norm M of a smooth bounded symbol at depth
-    m, with |d^a_x d^b_xi F| <= M prod_j eps_j^{a_j+b_j}, under the epsilon
+    2, with |d^a_x d^b_xi F| <= M prod_j eps_j^{a_j+b_j}, under the epsilon
     sequence `eps` (any spec the Garding bound accepts; default eps_j = j^{-2}).
 
-    M is the sup over multi-index pairs (alpha, beta) of depth <= m supported
+    M is the sup over multi-index pairs (alpha, beta) of depth <= 2 supported
     on {1..d} of the (1/|eps_j|)^{alpha_j+beta_j}-weighted derivative sups.
     For the Gaussian-mixture families the per-coordinate sups are analytic
     (sup |d^n e^{-nu t^2}| = nu^{n/2} sup|H_n| e^{-u^2}); multi-term mixtures
@@ -437,8 +425,6 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> float:
     that varies in a coordinate with eps_j = 0 lies in no class: that raises
     SymbolDomainError naming the coordinate.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     if sym.family == "box":
         raise ValueError("not in any S_m class: symbol is not smooth")
     if sym.mixture_terms is None:
@@ -448,10 +434,10 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> float:
     best = 0.0
     for coeff, pairs in sym.mixture_terms:
         # independent per-coordinate maximization; a coordinate absent from
-        # the term, or any coordinate at depth m = 0, contributes only its
-        # order-0 sup and weight, both 1, so eps_j is never inverted for it.
+        # the term contributes only its order-0 sup and weight, both 1, so
+        # eps_j is never inverted for it.
         term = abs(coeff)
-        for j, nu in pairs if m else ():
+        for j, nu in pairs:
             e = abs(float(eps_fn(j)))
             if e == 0.0:
                 raise SymbolDomainError(
@@ -461,8 +447,8 @@ def cv_class_params(sym: SymbolDescriptor, m: int, eps="j^-2") -> float:
             w = 1.0 / e
             term *= max(
                 w ** (a + b) * _gauss_deriv_sup(nu, a) * _gauss_deriv_sup(nu, b)
-                for a in range(m + 1)
-                for b in range(m + 1)
+                for a in range(3)
+                for b in range(3)
             )
         best += term
     return best

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from gaussweyl.basis import hermite_eval
-from gaussweyl.gaussian import LADDER_POLICY, MAX_GH_ORDER, gh_rule, integrate_tensor, ladder, quad_budget
+from gaussweyl import gaussian
+from gaussweyl.gaussian import LADDER_POLICY, MAX_GH_ORDER, gh_rule, integrate_tensor, ladder
 from gaussweyl.symbols import eval_ddot
 from gaussweyl.wigner import wigner_on_rule
 
@@ -54,6 +55,6 @@ def element(sym, alpha, beta, ctx):
     stays within gh_rule's orders."""
     alpha, beta = ((*t, *[0] * (sym.d - len(t))) for t in (alpha, beta))
     maxdeg = max(*alpha[: sym.d], *beta[: sym.d])
-    cap = min(LADDER_POLICY["cap"], int(quad_budget() ** (1.0 / (2 * sym.d))), MAX_GH_ORDER // 2)
+    cap = min(LADDER_POLICY["cap"], int(gaussian.QUAD_BUDGET ** (1.0 / (2 * sym.d))), MAX_GH_ORDER // 2)
     start = min(2 * (maxdeg + 1) + 16, cap)
     return ladder(lambda n: _shot(sym, alpha, beta, ctx, n), start=start, cap=cap)

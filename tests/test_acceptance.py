@@ -16,7 +16,7 @@ from paper_checks import Poly2, covariance_and_bound, flandrin_reduction_check, 
 from scipy.optimize import brentq
 
 from conftest import record_acceptance
-from gaussweyl.basis import CalcContext, TruncationSet, hermite_batch
+from gaussweyl.basis import CalcContext, TruncationSet, hermite_eval
 from gaussweyl.gaussian import gh_rule, integrate_tensor
 from gaussweyl.heat import antiwick_form, decomposition_residual, heat_apply
 from gaussweyl.positivity import (
@@ -42,7 +42,7 @@ def test_criterion_01_hermite_orthonormality():
     for h in (0.5, 1.0, 2.0):
         ctx = CalcContext(h=h)
         rule = gh_rule(48, h / 2.0)
-        B = hermite_batch(12, rule.nodes, ctx)
+        B = np.array([hermite_eval(j, rule.nodes, ctx) for j in range(13)])
         gram = (B * rule.weights) @ B.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(13)))))
     record_acceptance(

@@ -14,7 +14,6 @@ from gaussweyl.basis import (
     MAX_HERMITE_DEGREE,
     CalcContext,
     TruncationSet,
-    hermite_batch,
     hermite_eval,
     laguerre_eval,
 )
@@ -45,21 +44,13 @@ def test_hermite_frozen_values(j, x, h, val):
     assert abs(got - val) <= 1e-12 * max(1.0, abs(val))
 
 
-def test_hermite_batch_matches_single():
-    ctx = CalcContext(h=0.7)
-    x = np.linspace(-2.5, 2.5, 11)
-    batch = hermite_batch(9, x, ctx)
-    for j in range(10):
-        assert np.max(np.abs(batch[j] - hermite_eval(j, x, ctx))) == 0.0
-
-
 @pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
 def test_hermite_orthonormality(h):
     """<psi_j, psi_k>_{mu_{R,h/2}} = delta_jk, checked with a GH rule exact
     for the degree-24 products that appear."""
     ctx = CalcContext(h=h)
     rule = gh_rule(40, h / 2.0)
-    psis = hermite_batch(12, rule.nodes, ctx)
+    psis = np.array([hermite_eval(j, rule.nodes, ctx) for j in range(13)])
     gram = (psis * rule.weights) @ psis.T
     assert np.max(np.abs(gram - np.eye(13))) <= 1e-10
 
@@ -120,9 +111,10 @@ def test_laguerre_memory_bound():
 
 
 def _bargman_partial_sum(v: complex, x, ctx: CalcContext, J: int):
-    """sum_{j<=J} psi_j(x) v^j / sqrt(j!), from one hermite_batch sweep."""
+    """sum_{j<=J} psi_j(x) v^j / sqrt(j!), over hermite_eval rows."""
     coef = np.cumprod([1.0 + 0.0j] + [v / math.sqrt(j) for j in range(1, J + 1)])
-    return np.tensordot(coef, hermite_batch(J, x, ctx), axes=1)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.tensordot(coef, np.array([hermite_eval(j, x, ctx) for j in range(J + 1)]), axes=1)
 
 
 def test_bargman_kernel_and_partial_sum():

@@ -15,8 +15,9 @@ import oracles
 import pytest
 
 from gaussweyl import __version__, cli, heat, quadform, wigner
-from gaussweyl.basis import CalcContext, TruncationSet
+from gaussweyl.basis import CalcContext, TruncationSet, laguerre_eval
 from gaussweyl.cli import MAX_WIGNER_GRID, main
+from gaussweyl.gaussian import gh_rule, gl_panel_rule, integrate_tensor
 from gaussweyl.symbols import eval_ddot, parse_symbol
 
 GAUSS = "gaussian:nu=2.0,anorm=1.0"
@@ -339,7 +340,7 @@ def test_heatcheck_fails_a_wrong_heat_law(symbol, monkeypatch, capsys):
     assert main(argv) == 0
     contract = json.loads(capsys.readouterr().out)["contract"]
     assert contract["antiwick_deviation"] <= contract["antiwick_tolerance"] == 1e-12
-    monkeypatch.setattr(heat, "heat_apply", lambda sym, J, t, ctx=None: real(sym, J, t / 2.0, ctx))
+    monkeypatch.setattr(heat, "heat_apply", lambda sym, J, t: real(sym, J, t / 2.0))
     assert main(argv) == 2
     rep = json.loads(capsys.readouterr().out)
     assert rep["results"]["residual"] <= 1e-10
@@ -528,6 +529,11 @@ def test_usage_and_domain_errors_exit_1(capsys):
         (["stochext", "--p", "0.5"], "error: --p must be >= 1 and --s > 0, got 0.5 and 1.0"),
         (["stochext", "--s", "0"], "error: --p must be >= 1 and --s > 0, got 2.0 and 0.0"),
         (["garding", "--symbol", "const:c=-1", "--N", "2"], "error: symbol takes negative values on the test cloud"),
+        # a symbol with one Hermite degree: the degree is not silently dropped
+        (["wigner", "--symbol", GAUSS, "--j", "3", "--grid", "3"],
+         "error: give either --j and --k, or --symbol (not both)"),
+        (["wigner", "--symbol", GAUSS, "--k", "3", "--grid", "3"],
+         "error: give either --j and --k, or --symbol (not both)"),
         (["garding", "--symbol", GAUSS, "--eps", "foo"],
          "error: unknown epsilon spec 'foo'; --eps takes j^-2, 2^-j or zero"),
         (["heatcheck", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--lam", "2,1,2"],
@@ -554,6 +560,31 @@ def test_usage_and_domain_errors_exit_1(capsys):
     assert main(["stochext", "--nmax", "4", "--samples", "1000", "--seed", str(2**64 - 1)]) == 0
     assert main(["garding", "--symbol", GAUSS, "--N", "2", "--h", "2e6"]) == 0
     capsys.readouterr()
+    # a zero symbol bounds by 0 at every h, also where the product overflows
+    assert main(["garding", "--symbol", "const:c=0.0", "--N", "2", "--h", "1e7"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["bound"], results["margin"], results["prod_one_plus_lambda"]) == (0.0, 0.0, "inf")
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (TruncationSet, (0, 3), "dims must be >= 1"),
+    (TruncationSet, (1, -1), "max_degree must be >= 0"),
+    (laguerre_eval, (-1, 0, 0.5), "k and alpha must be nonnegative"),
+    (gh_rule, (8, 0.0), "variance must be positive"),
+    (gl_panel_rule, (0, 1, 0, 4), "panels and nodes must be >= 1"),
+    (integrate_tensor, (lambda p: p[:, 0], gh_rule(4, 1.0), 0), "m must be >= 1"),
+    (main, (["spectrum", "--N", "abc"],), "gaussweyl spectrum: error: argument --N: invalid int value: 'abc'\n"),
+])
+def test_argument_guards_refuse_with_their_message(call, args, message, capsys):
+    """Guards of the library's entry points, and the CLI's int parsing, each
+    refuse with its own error type and message."""
+    if call is main:
+        assert main(*args) == 1
+        assert capsys.readouterr().err.endswith(message)
+        return
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert info.type is ValueError and str(info.value) == message
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--symbol", "box:a=1e-300", "--N", "2"],
@@ -891,17 +922,6 @@ def test_runtime_never_imports_scipy():
     assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
-def _csv_cell_per_cell(v):
-    """The per-cell CSV spelling the reports have always used (reference)."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _json_cell_per_cell(v):
     """The JSON value of one cell as the reports spell it (reference): numpy
     scalars as their Python twins, non-finite floats as their repr."""
@@ -922,7 +942,8 @@ def _chunks(rows, size):
 
 def test_csv_emission_is_byte_identical_to_per_cell_formatting(capsys):
     """Both formats spell a table chunk by chunk as their per-cell references
-    do, numpy bools, ints and floats included."""
+    do: CSV the plain int/float/str cells the commands compute, as csv.writer
+    does, and JSON numpy bools, ints and floats too."""
     rows = [
         (True, False, np.bool_(True), "label"),
         (3, np.int64(-7), np.int32(5), 0),
@@ -932,15 +953,13 @@ def test_csv_emission_is_byte_identical_to_per_cell_formatting(capsys):
     ]
     plain = [(0.1, -0.0, 3, "x"), (math.inf, math.nan, -1, "y")]
     cfg = argparse.Namespace(command="wigner", format="csv", output=None)
-    for table in (rows, plain):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["a", "b", "c", "d"])
-        for row in table:
-            writer.writerow([_csv_cell_per_cell(c) for c in row])
-        for size in (1, 2, len(table)):
-            assert cli._emit(cfg, {}, {"passed": True}, {}, ("a", "b", "c", "d"), _chunks(table, size)) == 0
-            assert capsys.readouterr().out == buf.getvalue()
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["a", "b", "c", "d"])
+    writer.writerows(plain)
+    for size in (1, 2, len(plain)):
+        assert cli._emit(cfg, {}, {"passed": True}, {}, ("a", "b", "c", "d"), _chunks(plain, size)) == 0
+        assert capsys.readouterr().out == buf.getvalue()
     cfg = argparse.Namespace(command="wigner", format="json", output=None)
     for table in (rows, plain):
         for size in (1, 2, len(table)):
@@ -963,20 +982,6 @@ def test_wigner_csv_matches_csv_writer(j, k, grid, capsys):
     writer.writerow(["x", "xi", "re", "im"])
     writer.writerows(zip(x.tolist(), xi.tolist(), vals.real.tolist(), vals.imag.tolist()))
     assert capsys.readouterr().out == buf.getvalue()
-
-
-def test_csv_emission_quotes_strings_as_csv_writer(capsys):
-    cells = [",", '"', "\n", "\r", " lead", "", "a,b", 'say "hi"', "x\r\ny", "plain"]
-    table = [(c, cells[-1 - i], i, 0.5 * i) for i, c in enumerate(cells)]
-    header = ("a b", "c,d", 'e"f', "g")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(table)
-    cfg = argparse.Namespace(command="wigner", format="csv", output=None)
-    for size in (1, 3, len(table)):
-        assert cli._emit(cfg, {}, {"passed": True}, {}, header, _chunks(table, size)) == 0
-        assert capsys.readouterr().out == buf.getvalue()
 
 
 def test_json_emission_is_byte_identical_to_json_dumps(capsys):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gaussweyl import gaussian
 from gaussweyl.gaussian import (
     QuadratureConvergenceError,
     c_ps,
@@ -16,7 +17,6 @@ from gaussweyl.gaussian import (
     gl_panel_rule,
     integrate_tensor,
     ladder,
-    quad_budget,
 )
 
 # Frozen from the closed form sqrt(2s) pi^{-1/(2p)} Gamma((p+1)/2)^{1/p}.
@@ -137,14 +137,10 @@ def test_integrate_tensor_memory_is_bounded_by_the_block():
 
 
 def test_tensor_budget_guard(monkeypatch):
-    monkeypatch.setenv("GAUSSWEYL_QUAD_MAX", "100")
-    assert quad_budget() == 100
+    monkeypatch.setattr(gaussian, "QUAD_BUDGET", 100)
     rule = gh_rule(11, 0.5)  # 11^2 = 121 > 100
     with pytest.raises(ValueError):
         integrate_tensor(lambda pts: pts[:, 0], rule, 2)
-    monkeypatch.setenv("GAUSSWEYL_QUAD_MAX", "not-a-number")
-    with pytest.raises(ValueError):
-        quad_budget()
 
 
 @pytest.mark.parametrize("p,s,val", FROZEN_CPS)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gaussweyl import heat
+from gaussweyl import gaussian, heat
 from gaussweyl.basis import CalcContext, TruncationSet
 from gaussweyl.heat import (
     MAX_TS_PAIRS,
@@ -18,7 +18,6 @@ from gaussweyl.heat import (
     heat_convolution_eval,
     ts_operators,
 )
-from gaussweyl.heat import _erf
 from gaussweyl.quadform import assemble_matrix, matrix_element, quadratic_form
 from gaussweyl.symbols import (
     PhiSpec,
@@ -83,7 +82,8 @@ def test_heat_convolution_refuses_shots_over_the_budget():
 
 
 def test_heat_convolution_budget_follows_the_environment(monkeypatch):
-    monkeypatch.setenv("GAUSSWEYL_QUAD_MAX", "1000")
+    """Each shot reads the module's point budget when it runs."""
+    monkeypatch.setattr(gaussian, "QUAD_BUDGET", 1000)
     with pytest.raises(ValueError, match="budget exceeded: 32\\^2 = 1024 points"):
         heat_convolution_eval(gaussian_symbol(1.0, 1.0), [1], 0.5, [0.7], [-0.3])
 
@@ -109,59 +109,19 @@ def test_heat_partial_pairs_only():
     assert pairs == ((1, 1.0 / 1.5), (2, 3.0))
 
 
-def test_vectorized_erf_matches_scipy_and_mpmath():
-    """scipy's erf is itself up to 2 ulp (2.2e-16) off the 30-digit value on
-    this grid, where math.erf stays within 1 ulp."""
-    import mpmath
-    from scipy.special import erf
-
-    u = np.concatenate([np.linspace(-7.0, 7.0, 4001), [0.0, -0.0, 1e-300, np.inf, -np.inf]])
-    assert np.max(np.abs(_erf(u) - erf(u))) <= 2.3e-16
-    with mpmath.workdps(30):
-        want = np.array([float(mpmath.erf(x)) for x in u[::10]])
-    assert np.max(np.abs(_erf(u[::10]) - want)) <= 1.2e-16
-    assert _erf(np.ones((2, 3))).shape == (2, 3)
-
-
-def test_heated_box_erf_and_mc():
-    ctx = CalcContext(h=0.5)
-    sym = box_symbol(2.0)
-    with pytest.raises(ValueError):
-        heat_apply(sym, [1], 0.4)  # the box side length needs h
-    heated = heat_apply(sym, [1], 0.4, ctx)
-    xlen = 2.0 * math.pi * ctx.h * sym.a
-    st = math.sqrt(0.4)
-
-    def phi_cdf(u):
-        return 0.5 * (1.0 + math.erf(u / (st * math.sqrt(2.0))))
-
-    pts = [(0.0, 0.0), (1.5, 1.0), (xlen, 2.0), (-0.8, 0.5), (7.0, -1.0)]
-    for x, xi in pts:
-        want = (phi_cdf(x) - phi_cdf(x - xlen)) * (phi_cdf(xi) - phi_cdf(xi - 2.0))
-        assert abs(eval_ddot(heated, [x], [xi], ctx) - want) <= 1e-12
-    # Monte Carlo semantics: value = P(point - sqrt(t) Z stays in the box)
-    rng = np.random.default_rng(123)
-    z = st * rng.standard_normal((400_000, 2))
-    x0, xi0 = 1.5, 1.0
-    inside = ((x0 - z[:, 0] >= 0) & (x0 - z[:, 0] < xlen) & (xi0 - z[:, 1] >= 0) & (xi0 - z[:, 1] < 2.0))
-    mc = float(np.mean(inside))
-    assert abs(eval_ddot(heated, [x0], [xi0], ctx) - mc) <= 5e-3
-
-
 def test_heat_custom_fallback_matches_closed():
     base = custom_symbol(lambda x, xi: np.exp(-(x[:, 0] ** 2 + xi[:, 0] ** 2)), 1)
-    ctx = CalcContext(h=1.0)
-    heated = heat_apply(base, [1], 0.3, ctx)
+    heated = heat_apply(base, [1], 0.3)
     closed = heat_apply(gaussian_symbol(1.0, 1.0), [1], 0.3)
     for x, xi in [(0.0, 0.0), (0.8, -0.2)]:
-        got = eval_ddot(heated, [x], [xi], ctx)
+        got = eval_ddot(heated, [x], [xi])
         assert abs(float(np.asarray(got).ravel()[0]) - eval_ddot(closed, [x], [xi])) <= 1e-8
 
 
 def test_heated_symbol_is_a_symbol():
     """heat_apply returns the heated SymbolDescriptor: the section builders
     take it as it is, box and custom symbols store no mixture, and a box
-    heated without a context is refused at the call."""
+    is refused at the call."""
     ctx = CalcContext(h=1.0)
     heated = heat_apply(gaussian_symbol(2.0, 1.0), [1], 0.5)
     assert isinstance(heated, SymbolDescriptor)
@@ -171,7 +131,7 @@ def test_heated_symbol_is_a_symbol():
     assert abs(quadratic_form(heated, e1, e1, ctx) - heated_diag(1, 2.0, 1.0)) <= 1e-15
     assert box_symbol(1.0).mixture_terms is None
     assert custom_symbol(lambda x, xi: x[:, 0], 1).mixture_terms is None
-    with pytest.raises(ValueError, match="need a CalcContext"):
+    with pytest.raises(ValueError, match="refuses box symbols"):
         heat_apply(box_symbol(2.0), [1], 0.4)
 
 
@@ -275,7 +235,7 @@ def hybrid_form(sym, e_pairs, f, g, ctx):
     """Weyl in the pairs of e_pairs, anti-Wick outside: the Weyl form of the
     symbol heated at t = h/2 on the other pairs."""
     rest = set(range(1, sym.d + 1)) - set(e_pairs)
-    return quadratic_form(heat_apply(sym, rest, ctx.h / 2.0, ctx), f, g, ctx)
+    return quadratic_form(heat_apply(sym, rest, ctx.h / 2.0), f, g, ctx)
 
 
 def test_hybrid_interpolates_weyl_and_antiwick():

@@ -594,18 +594,16 @@ def test_closed_section_keeps_a_real_diagonal():
 def test_matrix_metadata_names_the_route():
     """Every symbol with a Gaussian-mixture form takes the closed law and
     builds no dense matrix (so the ladder never sees a per-pair radial
-    symbol); custom symbols and heated boxes take the ladder."""
+    symbol); custom symbols take the ladder."""
     ctx = CalcContext(h=1.0)
     trunc = TruncationSet(1, 1)
     poly = poly_symbol(Poly2.from_dict({(2, 0): 1.0, (0, 2): 1.0}))
-    heated_box = heat_apply(box_symbol(1.0), [1], 0.5, ctx)
     heated_mixture = heat_apply(gaussian_symbol(2.0, 1.0), [1], 0.5)
     cases = [(sym, ROUTE_CLOSED) for sym in (*MIXTURES.values(), heated_mixture)] + [
         (box_symbol(1.0), ROUTE_BOX),
         (box_symbol(math.inf), ROUTE_QUARTER),
         (poly, ROUTE_LADDER),
         (custom_symbol(_skew_custom, d=1), ROUTE_LADDER),
-        (heated_box, ROUTE_LADDER),
     ]
     assert ROUTE_CLOSED == "closed: Gaussian-mixture diagonal law"
     assert (ROUTE_BOX, ROUTE_LADDER) == ("box panels", "tensor ladder")

@@ -27,7 +27,7 @@ from gaussweyl.symbols import (
     radial_symbol,
     tensor_radial_symbol,
 )
-from gaussweyl.symbols import _eps_resolver, _hermite_weighted_sup
+from gaussweyl.symbols import _H_SUP, _eps_resolver
 
 ROUND_TRIPS = [
     "const:c=2.5",
@@ -304,40 +304,26 @@ def test_grammar_symbols_store_their_mixture(monkeypatch):
         assert eval_ddot(sym, zeros, zeros).shape == (3,)
         assert assemble_matrix(sym, TruncationSet(sym.d, 2), ctx)[1]["route"] == ROUTE_CLOSED
         assert heat_apply(sym, [1], 0.5).family == "mixture"
-        assert cv_class_params(sym, 2) > 0.0
+        assert cv_class_params(sym) > 0.0
 
 
 def test_hermite_sup_constants():
-    assert abs(_hermite_weighted_sup(1) - math.sqrt(2.0) * math.exp(-0.5)) <= 1e-12
-    assert _hermite_weighted_sup(0) == 1.0
-    assert _hermite_weighted_sup(2) == 2.0
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_hermite_sup_matches_scipy_grid(n):
-    """The weighted recurrence against scipy's eval_hermite on the same grid."""
-    from scipy.special import eval_hermite
-
-    u = np.linspace(-math.sqrt(2.0 * n) - 3.0, math.sqrt(2.0 * n) + 3.0, 400_001)
-    want = float(np.max(np.abs(eval_hermite(n, u)) * np.exp(-(u**2))))
-    assert abs(_hermite_weighted_sup(n) - want) <= 1e-14 * want
+    assert abs(_H_SUP[1] - math.sqrt(2.0) * math.exp(-0.5)) <= 1e-12
+    assert _H_SUP[0] == 1.0
+    assert _H_SUP[2] == 2.0
 
 
 def test_cv_class_params_gaussian():
-    M = cv_class_params(gaussian_symbol(2.0, 1.0), 2)
+    M = cv_class_params(gaussian_symbol(2.0, 1.0))
     assert abs(M - 16.0) <= 1e-12
     assert _eps_resolver("j^-2")[0](3) == 1.0 / 9.0
 
 
 def test_cv_class_params_guards():
     with pytest.raises(ValueError):
-        cv_class_params(box_symbol(1.0), 2)  # not smooth
+        cv_class_params(box_symbol(1.0))  # not smooth
     with pytest.raises(ValueError):
-        cv_class_params(custom_symbol(lambda x, xi: x[:, 0], 1), 2)  # no derivative bounds
-    with pytest.raises(ValueError):
-        cv_class_params(gaussian_symbol(1.0, 1.0), -1)
-    multi = cv_class_params(radial_symbol(PhiSpec(kind="polyexp", coeffs=(1.0, -1.0)), 2), 1)
-    assert multi > 1.0
+        cv_class_params(custom_symbol(lambda x, xi: x[:, 0], 1))  # no derivative bounds
 
 
 def _oracle_class_norm(nu: float, weights, m: int = 2) -> float:
@@ -355,14 +341,14 @@ def test_cv_class_params_follows_eps():
     the default; coordinates where the symbol is constant keep weight 1."""
     gauss = gaussian_symbol(2.0, 1.0)
     tensor = parse_symbol("tensorradial:(one,1);(exp:nu=2.0,2)")
-    geo_gauss = cv_class_params(gauss, 2, "2^-j")
+    geo_gauss = cv_class_params(gauss, "2^-j")
     assert geo_gauss == pytest.approx(_oracle_class_norm(2.0, [2.0]), rel=1e-9)
     assert geo_gauss == pytest.approx(256.0, rel=1e-12)
     assert _eps_resolver("2^-j")[0](3) == 0.125
-    geo_tensor = cv_class_params(tensor, 2, "2^-j")
+    geo_tensor = cv_class_params(tensor, "2^-j")
     assert geo_tensor == pytest.approx(_oracle_class_norm(2.0, [4.0, 8.0]), rel=1e-9)
     assert geo_tensor == pytest.approx(2.0**28, rel=1e-12)
-    lemma_tensor = cv_class_params(tensor, 2)
+    lemma_tensor = cv_class_params(tensor)
     assert lemma_tensor == pytest.approx(_oracle_class_norm(2.0, [4.0, 9.0]), rel=1e-9)
     assert lemma_tensor == 429981696.0
 
@@ -371,10 +357,9 @@ def test_cv_class_params_zero_eps():
     """eps_j = 0 where the symbol varies puts it in no class; the error names
     the first such coordinate, and constant coordinates never invert eps_j."""
     with pytest.raises(SymbolDomainError, match="coordinate 1") as info:
-        cv_class_params(gaussian_symbol(2.0, 1.0), 2, "zero")
+        cv_class_params(gaussian_symbol(2.0, 1.0), "zero")
     assert info.value.param == "eps"
     with pytest.raises(SymbolDomainError, match="coordinate 2"):
-        cv_class_params(parse_symbol("tensorradial:(one,1);(exp:nu=2.0,2)"), 2, "zero")
-    assert cv_class_params(const_symbol(2.0), 2, "zero") == 2.0
-    assert cv_class_params(gaussian_symbol(2.0, 1.0), 0, "zero") == 1.0
+        cv_class_params(parse_symbol("tensorradial:(one,1);(exp:nu=2.0,2)"), "zero")
+    assert cv_class_params(const_symbol(2.0), "zero") == 2.0
 

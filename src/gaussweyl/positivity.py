@@ -112,42 +112,23 @@ def radial_positivity_check(sym, truncation: TruncationSet, ctx: CalcContext) ->
 # ---------------------------------------------------------------------------
 
 
-_TAIL_REL = 3e-14
-
-
 def garding_bound(eps_spec, h: float, M: float) -> dict:
-    """Accumulate lambda_j = 81 pi h S_eps eps_j^2 until the closed tail of
-    the spec ("j^-2", "2^-j" or "zero") is below 3e-14 relative, then form
-    bound = -M sum(lambda) prod(1+lambda), which is 0 when M = 0.  Returns
-    everything behind it."""
+    """bound = -M sum(lambda) prod(1 + lambda), 0 when M = 0, for lambda_j =
+    81 pi h S_eps eps_j^2 under the spec ("j^-2", "2^-j" or "zero"), the sum
+    and product in closed form.  Returns everything behind it (lambda_j to 32)."""
     if not h > 0:
         raise ValueError("h must be > 0")
     if M < 0:
         raise ValueError("M must be >= 0")
-    eps_fn, desc, tail_sq = _eps_resolver(eps_spec)
-    e2s: list[float] = []
-    total = 0.0
-    j = 0
-    while True:
-        j += 1
-        e = float(eps_fn(j))
-        e2s.append(e * e)
-        total += e2s[-1]
-        if tail_sq(j) <= _TAIL_REL * max(total, 1e-300):
-            break
-    s_eps = max(1.0, max(e2s, default=0.0))
+    eps_fn, desc, sum_sq, prod_fn = _eps_resolver(eps_spec)
+    s_eps = max(1.0, eps_fn(1) ** 2)  # each sequence is largest at j = 1
     factor = 81.0 * math.pi * h * s_eps
-    lam = tuple(factor * e2 for e2 in e2s)
-    sum_lambda = math.fsum(lam)
-    prod = 1.0
-    for lv in lam:
-        prod *= 1.0 + lv
+    sum_lambda, prod = factor * sum_sq, prod_fn(factor)
     return {
         "epsilon": desc,
         "h": h,
         "S_eps": s_eps,
-        "terms": len(lam),
-        "lambda_head": list(lam[:32]),
+        "lambda_head": [factor * (eps_fn(j) * eps_fn(j)) for j in range(1, 33)],
         "sum_lambda": sum_lambda,
         "prod_one_plus_lambda": prod,
         "M": M,

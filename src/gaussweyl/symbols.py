@@ -36,16 +36,6 @@ class SymbolDomainError(ValueError):
         self.param = param
 
 
-# sup_u |H_n(u)| e^{-u^2} for the physicists' Hermite polynomials, n <= 2; used
-# for the analytic derivative bounds sup|d^n/dt^n e^{-nu t^2}| = nu^{n/2} * H_SUP[n].
-_H_SUP = {0: 1.0, 1: math.sqrt(2.0) * math.exp(-0.5), 2: 2.0}
-
-
-def _gauss_deriv_sup(nu: float, n: int) -> float:
-    """sup over t of |d^n/dt^n e^{-nu t^2}|."""
-    return nu ** (n / 2.0) * _H_SUP[n]
-
-
 @dataclass(frozen=True)
 class PhiSpec:
     """Radial profile Phi on R+: one, exp(nu), or a polynomial in e^{-t}."""
@@ -398,17 +388,34 @@ def parse_symbol(text: str) -> SymbolDescriptor:
 # ---------------------------------------------------------------------------
 
 
+def _quartic_product(c: float) -> float:
+    """prod_{j >= 1} (1 + c/j^4) for c > 0: (cosh 2u - cos 2u)/(4 u^2) with
+    u = pi (c/4)^{1/4}, spelled (sinh^2 u + sin^2 u)/(2 u^2) so that it does
+    not cancel at small c.  An error in u moves it by 2u times as much, so du,
+    found exactly, carries the roundings of u.  inf where the product passes
+    the largest float (from u near 355), and at c = inf."""
+    from fractions import Fraction  # only this closed form needs it
+
+    u = math.pi * (c / 4.0) ** 0.25
+    if u > 710.0:  # sinh overflows
+        return math.inf
+    pi = Fraction(math.pi) + Fraction(1.2246467991473532e-16)  # math.pi + (pi - math.pi)
+    du = float((pi**4 * Fraction(c) / 4 - Fraction(u) ** 4) / (4 * Fraction(u) ** 3))  # Newton on u^4
+    r, q = (math.sinh(u) + math.cosh(u) * du) / (u + du), math.sin(u) / u
+    return 0.5 * (r * r + q * q)
+
+
 def _eps_resolver(spec):
-    """(sequence, name, closed square tail) of an epsilon spec, one of the
-    built-in names.  The one reader of such specs, so the class norm and the
-    Garding bound always see the same sequence."""
-    name = str(spec)
-    if name in ("j^-2", "j**-2", "lemma"):
-        return (lambda j: float(j) ** -2.0), "j^-2", lambda J: 1.0 / (3.0 * J**3)
-    if name in ("2^-j", "geometric"):
-        return (lambda j: 2.0**-j), "2^-j", lambda J: 4.0**-J / 3.0
-    if name in ("zero", "0"):
-        return (lambda j: 0.0), "zero", lambda J: 0.0
+    """(sequence, name, sum_j eps_j^2, c -> prod_j (1 + c eps_j^2)) of an
+    epsilon spec, one of the names j^-2, 2^-j and zero; the sum and the
+    product are closed forms.  The one reader of such specs, so the class
+    norm and the Garding bound always see the same sequence."""
+    if spec == "j^-2":
+        return (lambda j: float(j) ** -2.0), spec, math.pi**4 / 90.0, _quartic_product
+    if spec == "2^-j":  # 4^-j is 0 from j = 538 on, so every later factor is exactly 1
+        return (lambda j: 2.0**-j), spec, 1.0 / 3.0, lambda c: math.prod(1.0 + c * 4.0**-j for j in range(1, 538))
+    if spec == "zero":
+        return (lambda j: 0.0), spec, 0.0, lambda c: 1.0
     raise ValueError(f"unknown epsilon spec {spec!r}; --eps takes j^-2, 2^-j or zero")
 
 
@@ -419,9 +426,11 @@ def cv_class_params(sym: SymbolDescriptor, eps="j^-2") -> float:
 
     M is the sup over multi-index pairs (alpha, beta) of depth <= 2 supported
     on {1..d} of the (1/|eps_j|)^{alpha_j+beta_j}-weighted derivative sups.
-    For the Gaussian-mixture families the per-coordinate sups are analytic
-    (sup |d^n e^{-nu t^2}| = nu^{n/2} sup|H_n| e^{-u^2}); multi-term mixtures
-    use the triangle inequality, which can only overestimate M.  A symbol
+    For a Gaussian-mixture term the sups factor by coordinate, and sup|d^n
+    e^{-nu t^2}| is 1, sqrt(2 nu/e), 2 nu for n = 0, 1, 2: so the max over
+    a, b <= 2 is max(1, 4 nu^2/eps_j^4), attained at a = b = 0 or 2.
+    Multi-term mixtures use the triangle inequality, which can only
+    overestimate M.  A symbol
     that varies in a coordinate with eps_j = 0 lies in no class: that raises
     SymbolDomainError naming the coordinate.
     """
@@ -444,11 +453,6 @@ def cv_class_params(sym: SymbolDescriptor, eps="j^-2") -> float:
                     "eps", f"eps_{j} = 0 but the symbol varies in coordinate {j}, "
                     "so it lies in no class S(M, eps)"
                 )
-            w = 1.0 / e
-            term *= max(
-                w ** (a + b) * _gauss_deriv_sup(nu, a) * _gauss_deriv_sup(nu, b)
-                for a in range(3)
-                for b in range(3)
-            )
+            term *= max(1.0, (1.0 / e) ** 4 * (nu * 2.0) * (nu * 2.0))
         best += term
     return best

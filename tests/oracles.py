@@ -246,6 +246,24 @@ def garding_numbers() -> dict:
     return out
 
 
+def garding_sum_prod(eps: str, h: float) -> tuple[float, float]:
+    """sum_j lambda_j and prod_j (1 + lambda_j) for lambda_j = 81 pi h eps_j^2
+    (S_eps = 1 for both sequences), in 40-digit mpmath with c = 81 pi h exact.
+    j^-2: c zeta(4), and 1 + x^4/j^4 = (1 - z^2/j^2)(1 - conj(z)^2/j^2) at
+    z = x e^{i pi/4}, x = c^{1/4}, so the product is |sin(pi z)/(pi z)|^2 by
+    the sine product.  2^-j: the sum of c 4^-j, and the q-Pochhammer symbol
+    (-c/4; 1/4)_inf."""
+    with mpmath.workdps(40):
+        c = 81 * mpmath.pi * mpmath.mpf(h)
+        if eps == "j^-2":
+            z = c ** mpmath.mpf(0.25) * mpmath.expjpi(mpmath.mpf(1) / 4)
+            return float(c * mpmath.zeta(4)), float(abs(mpmath.sin(mpmath.pi * z) / (mpmath.pi * z)) ** 2)
+        if eps == "2^-j":
+            total = mpmath.nsum(lambda j: c * mpmath.mpf(4) ** -j, [1, mpmath.inf])
+            return float(total), float(mpmath.qp(-c / 4, mpmath.mpf(1) / 4))
+    raise ValueError(f"no oracle for eps {eps!r}")
+
+
 def hermite_weighted_sup(n: int) -> float:
     """sup_u |H_n(u)| e^{-u^2} (physicists' Hermite), by dense grid."""
     u = np.linspace(-8, 8, 2_000_001)

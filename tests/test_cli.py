@@ -425,17 +425,24 @@ def test_stochext_fails_rows_it_could_not_check(capsys):
     assert all(r["std_error"] == "inf" for r in rows)
 
 
-@pytest.mark.parametrize("s", [5e-324, 1e-320, 1e-300, 1e160, 1e308])
-def test_stochext_verdict_does_not_depend_on_s(s, capsys):
-    """The tail is simulated at unit variance and scaled by sqrt(s) after the
-    moments, so no moment underflows or overflows at any finite s > 0: the
-    run passes with the z-scores of s = 1."""
-    argv = ["stochext", "--nmax", "64", "--samples", "4000", "--seed", "3", "--format", "json"]
+@pytest.mark.parametrize("args, s", [
+    *[pytest.param(["--nmax", "64", "--samples", "4000", "--seed", "3"], s, id=str(s))
+      for s in (5e-324, 1e-320, 1e-300, 1e160, 1e308)],
+    # among the subnormals the n = 1074 row's standard error scales to 0.0
+    pytest.param(["--nmax", "1074", "--samples", "1000", "--p", "1"], 1e-322, id="nmax1074-p1-1e-322"),
+    pytest.param(["--nmax", "1074", "--samples", "1000", "--p", "5"], 3e-323, id="nmax1074-p5-3e-323"),
+    pytest.param(["--nmax", "1074", "--samples", "1000", "--p", "5"], 5e-322, id="nmax1074-p5-5e-322"),
+])
+def test_stochext_verdict_does_not_depend_on_s(args, s, capsys):
+    """The family is tested at s = 1 and the printed rows are scaled by
+    sqrt(s), so the run passes with the z-scores of s = 1 at any finite
+    s > 0, also where a scaled row is subnormal."""
+    argv = ["stochext", *args, "--format", "json"]
     assert main(argv) == 0
     want = json.loads(capsys.readouterr().out)["contract"]["worst_z_score"]
     assert main(argv + ["--s", repr(s)]) == 0
     got = json.loads(capsys.readouterr().out)["contract"]["worst_z_score"]
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == want
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -536,6 +543,11 @@ def test_usage_and_domain_errors_exit_1(capsys):
          "error: give either --j and --k, or --symbol (not both)"),
         (["garding", "--symbol", GAUSS, "--eps", "foo"],
          "error: unknown epsilon spec 'foo'; --eps takes j^-2, 2^-j or zero"),
+        (["garding", "--symbol", GAUSS, "--N", "2", "--eps", "lemma"],
+         "error: unknown epsilon spec 'lemma'; --eps takes j^-2, 2^-j or zero"),
+        # the grid is --points times d sample coordinates, at most 2^21
+        (["heatcheck", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--points", str(2**20 + 1)],
+         "error: --points 1048577 gives 2097154 sample coordinates at d = 2; the cap is 2097152 (2^21)"),
         (["heatcheck", "--symbol", "radial:phi=exp:nu=0.7,d=2", "--lam", "2,1,2"],
          "error: --lam repeats a pair index, got '2,1,2'"),
         (["heatcheck", "--symbol", "radial:phi=exp:nu=1.0,d=17", "--lam", ",".join(map(str, range(1, 18)))],
@@ -1159,7 +1171,7 @@ def test_positivity_report_schema(capsys):
          ["bound", "min_eig", "ok", "hypothesis_satisfied", "diagonal"],
          ["name", "passed", "hypothesis_satisfied", "comparison_holds", "tolerance"]),
         (["garding", "--symbol", GAUSS, "--N", "2"],
-         ["epsilon", "h", "S_eps", "terms", "lambda_head", "sum_lambda", "prod_one_plus_lambda", "M",
+         ["epsilon", "h", "S_eps", "lambda_head", "sum_lambda", "prod_one_plus_lambda", "M",
           "bound", "measured_min_eig", "margin"],
          ["name", "passed", "margin", "tolerance"]),
         (["flandrin", "--a", "inf", "--N", "4"],

@@ -30,6 +30,7 @@ from gaussweyl.symbols import (
     radial_symbol,
     tensor_radial_symbol,
 )
+from gaussweyl.symbols import _eps_resolver
 
 
 def closed_q(h: float, nu: float, anorm: float) -> float:
@@ -136,12 +137,35 @@ def test_garding_bound_zero_and_guards():
     rep = garding_bound("zero", 2.0, 5.0)
     assert rep["bound"] == 0.0 and not math.copysign(1.0, rep["bound"]) < 0
     assert rep["sum_lambda"] == 0.0 and rep["prod_one_plus_lambda"] == 1.0
-    with pytest.raises(ValueError):
-        garding_bound("nope", 1.0, 1.0)
+    for spec in ("nope", "j**-2", "lemma", "geometric", "0"):  # only the three names
+        with pytest.raises(ValueError, match="--eps takes j"):
+            garding_bound(spec, 1.0, 1.0)
     with pytest.raises(ValueError):
         garding_bound("j^-2", 0.0, 1.0)
     with pytest.raises(ValueError):
         garding_bound("j^-2", 1.0, -1.0)
+
+
+@pytest.mark.parametrize("eps, h", [
+    *[("j^-2", h) for h in (1e-12, 1e-6, 1e-3, 1.0, 3.0, 1e3, 2e6, 1.5e6, 2.2e6, 2.7e6)],
+    *[("2^-j", h) for h in (1e-3, 1.0, 3.0, 1e3)],
+])
+def test_garding_bound_matches_the_mpmath_oracle(eps, h):
+    """sum(lambda) and prod(1 + lambda) within 5e-14 relative of 40-digit
+    closed forms.  Near h = 2e6, prod(1 + lambda) is about e^{2u}/(8 u^2) with
+    u near 340, so it moves by 2u times an error in u: a u rounded once (no
+    du) is off by about 6e-14 at h = 1.5e6 and 2.2e6."""
+    rep = garding_bound(eps, h, 1.0)
+    want_sum, want_prod = oracles.garding_sum_prod(eps, h)
+    assert abs(rep["sum_lambda"] - want_sum) <= 5e-14 * want_sum
+    assert abs(rep["prod_one_plus_lambda"] - want_prod) <= 5e-14 * want_prod
+
+
+def test_garding_product_is_inf_only_past_the_largest_float():
+    assert math.isfinite(garding_bound("j^-2", 2.75e6, 1.0)["prod_one_plus_lambda"])
+    assert garding_bound("j^-2", 1e7, 1.0)["prod_one_plus_lambda"] == math.inf
+    for eps in ("j^-2", "2^-j"):
+        assert _eps_resolver(eps)[3](math.inf) == math.inf
 
 
 def test_garding_verify_gaussian():

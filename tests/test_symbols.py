@@ -27,7 +27,7 @@ from gaussweyl.symbols import (
     radial_symbol,
     tensor_radial_symbol,
 )
-from gaussweyl.symbols import _H_SUP, _eps_resolver
+from gaussweyl.symbols import _eps_resolver
 
 ROUND_TRIPS = [
     "const:c=2.5",
@@ -307,16 +307,35 @@ def test_grammar_symbols_store_their_mixture(monkeypatch):
         assert cv_class_params(sym) > 0.0
 
 
-def test_hermite_sup_constants():
-    assert abs(_H_SUP[1] - math.sqrt(2.0) * math.exp(-0.5)) <= 1e-12
-    assert _H_SUP[0] == 1.0
-    assert _H_SUP[2] == 2.0
-
-
 def test_cv_class_params_gaussian():
     M = cv_class_params(gaussian_symbol(2.0, 1.0))
     assert abs(M - 16.0) <= 1e-12
     assert _eps_resolver("j^-2")[0](3) == 1.0 / 9.0
+
+
+def _nine_way_max(nu: float, e: float) -> float:
+    """The class norm's factor for e^{-nu t^2} in a coordinate with eps_j = e:
+    the max over a, b <= 2 of (1/e)^{a+b} times the derivative sups
+    nu^{n/2} sup|H_n| e^{-u^2}, which are 1, sqrt(2/e) and 2."""
+    sup = {0: 1.0, 1: math.sqrt(2.0) * math.exp(-0.5), 2: 2.0}
+    w = 1.0 / e
+    return max(w ** (a + b) * (nu ** (a / 2.0) * sup[a]) * (nu ** (b / 2.0) * sup[b])
+               for a in range(3) for b in range(3))
+
+
+def test_cv_class_params_is_the_nine_way_max():
+    """max(1, 4 nu^2/eps_j^4) is the nine-way max bit for bit, also at and
+    around the crossover sqrt(nu)/eps_j = 1/sqrt(2), where 1, 2 q^2 and 4 q^4
+    meet."""
+    for eps, seq in (("j^-2", lambda j: float(j) ** -2.0), ("2^-j", lambda j: 2.0**-j)):
+        for j in range(1, 7):
+            e = seq(j)
+            cross = 0.5 * e * e
+            nus = [cross * (1.0 + k * 2.0**-52) for k in range(-64, 65)]
+            nus += [cross * 10.0**k for k in np.linspace(-8.0, 8.0, 97)]
+            for nu in nus:
+                got = cv_class_params(mixture_symbol([(1.0, {j: nu})], j), eps)
+                assert got == _nine_way_max(nu, e), (eps, j, nu)
 
 
 def test_cv_class_params_guards():
